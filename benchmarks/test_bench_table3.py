@@ -1,7 +1,7 @@
 """Table 3 benchmark: single-file query breakdown + connector overhead."""
 
 from repro.bench.table3 import PAPER_SHARES, run_table3
-from repro.engine.coordinator import (
+from repro.engine.stages import (
     STAGE_ANALYSIS,
     STAGE_SUBSTRAIT,
     STAGE_TRANSFER,

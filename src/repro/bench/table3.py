@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.bench.env import Environment, RunConfig
 from repro.bench.report import format_table
-from repro.engine.coordinator import (
+from repro.engine.stages import (
     STAGE_ANALYSIS,
     STAGE_EXECUTION,
     STAGE_OTHERS,

@@ -57,10 +57,15 @@ def object_version_signature(
     return tuple((key, store.object_version(bucket, key)) for key in keys)
 
 
-def table_version_signature(store: ObjectStore, descriptor: TableDescriptor) -> VersionSignature:
-    """Descriptor version + every data file's write counter."""
+def table_version_signature(
+    store: ObjectStore, descriptor: TableDescriptor, keys: Optional[Sequence[str]] = None
+) -> VersionSignature:
+    """Descriptor version (bumped by stats refreshes) + the write counter
+    of ``keys`` (default: every data file of the table)."""
     meta = (f"meta:{descriptor.qualified_name}", descriptor.version)
-    return (meta,) + object_version_signature(store, descriptor.bucket, descriptor.files)
+    return (meta,) + object_version_signature(
+        store, descriptor.bucket, descriptor.files if keys is None else keys
+    )
 
 
 class CacheManager:

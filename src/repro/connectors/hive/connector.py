@@ -22,7 +22,7 @@ from typing import Generator, List, Optional
 from repro.arrowsim.dtypes import FLOAT64
 from repro.arrowsim.record_batch import RecordBatch
 from repro.engine.cluster import Cluster
-from repro.engine.coordinator import STAGE_TRANSFER
+from repro.engine.stages import STAGE_TRANSFER
 from repro.engine.gateway import (
     S3Gateway,
     SelectReply,

@@ -18,7 +18,7 @@ from repro.core.monitor import PushdownEvent, PushdownMonitor
 from repro.core.optimizer import OcsPlanOptimizer, PushdownPolicy
 from repro.core.translator import build_pushdown_plan
 from repro.engine.cluster import Cluster
-from repro.engine.coordinator import STAGE_SUBSTRAIT, STAGE_TRANSFER
+from repro.engine.stages import STAGE_SUBSTRAIT, STAGE_TRANSFER
 from repro.engine.gateway import S3Gateway, encode_ranges_request, place_key
 from repro.engine.spi import Connector, ConnectorSplit, PageSourceResult
 from repro.errors import RpcStatusError

@@ -157,16 +157,6 @@ class StageGraph:
         except KeyError:
             raise PlanError(f"no stage {stage_id!r} in graph") from None
 
-    def stages(self) -> List[Stage]:
-        return list(self._stages.values())
-
-    def consumers(self, stage_id: str) -> List[Stage]:
-        return [s for s in self._stages.values() if stage_id in s.inputs]
-
-    def roots(self) -> List[Stage]:
-        """Stages with no inputs (ready immediately)."""
-        return [s for s in self._stages.values() if not s.inputs]
-
     def sinks(self) -> List[Stage]:
         """Stages nothing consumes (the query result comes from these)."""
         consumed = {sid for s in self._stages.values() for sid in s.inputs}

@@ -203,31 +203,27 @@ class DagScheduler:
         """
         attempt = 0
         while True:
-            span = self.tracer.start(
-                f"stage:{stage.stage_id}",
-                parent=self.parent,
-                attributes={"kind": stage.kind, "attempt": attempt},
-            )
-            ctx = StageContext(
-                sim=self.sim,
-                metrics=self.metrics,
-                accountant=self.accountant,
-                parent=self.parent,
-                span=span,
-                query_id=self.query_id,
-                attempt=attempt,
-            )
             try:
-                value = yield from stage.run(ctx, inputs)
+                with self.tracer.span(
+                    f"stage:{stage.stage_id}",
+                    parent=self.parent,
+                    attributes={"kind": stage.kind, "attempt": attempt},
+                ) as span:
+                    ctx = StageContext(
+                        sim=self.sim,
+                        metrics=self.metrics,
+                        accountant=self.accountant,
+                        parent=self.parent,
+                        span=span,
+                        query_id=self.query_id,
+                        attempt=attempt,
+                    )
+                    return (yield from stage.run(ctx, inputs))
             except self.spec.restartable:
-                self.tracer.end(span)
                 attempt += 1
                 if attempt > self.spec.max_stage_restarts:
                     raise
                 self.metrics.add("stage_restarts", 1)
-                continue
-            self.tracer.end(span)
-            return value
 
 
 def run_splits(

@@ -127,22 +127,19 @@ class StageTimer:
 class StageAccountant:
     """Clock-bound facade over a :class:`StageTimer`.
 
-    Every stage-attribution site used to read the simulator clock by
-    hand (``stages.begin(stage, sim.now)`` ... ``stages.end(stage,
-    sim.now)``) and re-implement the same try/finally unwinding; the
-    coordinator additionally duplicated the "scale stage totals down so
-    they partition the elapsed wall time" normalization at each of its
-    result-construction sites.  The accountant owns both patterns:
+    Owns the two patterns every stage-attribution site needs — reading
+    the simulator clock at window edges with try/finally unwinding, and
+    the "scale stage totals down so they partition the elapsed wall
+    time" normalization:
 
     * :meth:`window` — a context manager opening one union window of a
       stage (concurrent windows of the same stage are unioned by the
       underlying timer, so N concurrent splits charge wall time once);
-    * :meth:`charged` — a context manager charging the elapsed simulated
-      time of its body to a stage (serial code paths);
-    * :meth:`begin` / :meth:`end` / :meth:`charge` — clock-free
-      passthroughs for sites that pause/resume windows across
-      component boundaries (e.g. the OCS page source separating IR
-      generation from the transfer window that surrounds it);
+      :func:`repro.engine.stages.stage` pairs it with the matching span;
+    * :meth:`begin` / :meth:`end` — window edges for sites that
+      pause/resume windows across component boundaries (e.g. the OCS
+      page source separating IR generation from the transfer window
+      that surrounds it);
     * :meth:`partitioned` — the Table-3 normalization: a copy of the
       per-stage totals scaled so their sum never exceeds ``elapsed``.
 
@@ -161,9 +158,6 @@ class StageAccountant:
     def end(self, stage: str) -> None:
         self.timer.end(stage, self.clock.now)
 
-    def charge(self, stage: str, seconds: float) -> None:
-        self.timer.charge(stage, seconds)
-
     @contextmanager
     def window(self, stage: str):
         """Open one union window of ``stage`` for the body's duration."""
@@ -172,15 +166,6 @@ class StageAccountant:
             yield self
         finally:
             self.end(stage)
-
-    @contextmanager
-    def charged(self, stage: str):
-        """Charge the body's elapsed simulated time to ``stage``."""
-        start = self.clock.now
-        try:
-            yield self
-        finally:
-            self.timer.charge(stage, max(0.0, self.clock.now - start))
 
     def partitioned(self, elapsed: float) -> Dict[str, float]:
         """Per-stage totals scaled so they partition ``elapsed``.

@@ -48,6 +48,9 @@ class Tracer:
         self.clock = clock
         self.enabled = enabled
         self._spans: List[Span] = []
+        #: The same spans bucketed by ``trace_id`` as they are recorded,
+        #: so assembling one query's trace never rescans the others.
+        self._by_trace: Dict[int, List[Span]] = {}
         self._next_span_id = 1
         self._next_trace_id = 1
 
@@ -91,6 +94,7 @@ class Tracer:
         if stage is not None:
             span.attributes[STAGE_KEY] = stage
         self._spans.append(span)
+        self._by_trace.setdefault(trace_id, []).append(span)
         return span
 
     def end(self, span: Span) -> None:
@@ -135,10 +139,11 @@ class Tracer:
         """
         if root is None:
             return Trace(self._spans)
-        return Trace([s for s in self._spans if s.trace_id == root.trace_id])
+        return Trace(self._by_trace.get(root.trace_id, []))
 
     def clear(self) -> None:
         self._spans.clear()
+        self._by_trace.clear()
 
 
 #: Default tracer wired into components when tracing is off: records
