@@ -6,6 +6,7 @@ from typing import Any, Iterator, Optional, Sequence
 
 import numpy as np
 
+from repro.arrowsim.buffers import str_items, utf8_nbytes
 from repro.arrowsim.dtypes import DataType, STRING, dtype_from_numpy
 from repro.errors import SchemaMismatchError
 
@@ -92,7 +93,7 @@ class ColumnArray:
     def nbytes(self) -> int:
         """In-memory payload size (what Arrow IPC would ship, roughly)."""
         if self.dtype is STRING:
-            data = sum(len(str(v).encode("utf-8")) for v in self.values)
+            data = utf8_nbytes(str_items(self.values))
             return data + 4 * (len(self.values) + 1) + (len(self.values) + 7) // 8
         base = self.values.nbytes
         if self.validity is not None:

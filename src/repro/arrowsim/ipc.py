@@ -23,6 +23,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.arrowsim.array import ColumnArray
+from repro.arrowsim.buffers import (
+    pack_strings,
+    pack_validity,
+    read_array,
+    read_strings,
+    read_validity,
+    str_items,
+)
 from repro.arrowsim.dtypes import STRING, DataType, dtype_from_code
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Field, Schema
@@ -39,6 +47,13 @@ _BATCH_MAGIC = b"ARB1"
 _STREAM_MAGIC = b"ARS1"
 
 
+def _unpack(fmt: str, buf: bytes, pos: int) -> tuple:
+    try:
+        return struct.unpack_from(fmt, buf, pos)
+    except struct.error as exc:
+        raise FormatError(f"truncated IPC message at byte {pos}") from exc
+
+
 def _encode_schema(schema: Schema) -> bytes:
     out = bytearray(struct.pack("<H", len(schema)))
     for field in schema:
@@ -50,34 +65,29 @@ def _encode_schema(schema: Schema) -> bytes:
 
 
 def _decode_schema(buf: bytes, pos: int) -> Tuple[Schema, int]:
-    (nfields,) = struct.unpack_from("<H", buf, pos)
+    (nfields,) = _unpack("<H", buf, pos)
     pos += 2
     fields = []
     for _ in range(nfields):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
+        (name_len,) = _unpack("<H", buf, pos)
         pos += 2
-        name = buf[pos : pos + name_len].decode("utf-8")
+        raw_name = buf[pos : pos + name_len]
         pos += name_len
-        code, nullable = struct.unpack_from("<BB", buf, pos)
+        code, nullable = _unpack("<BB", buf, pos)
         pos += 2
-        fields.append(Field(name, dtype_from_code(code), bool(nullable)))
+        try:
+            fields.append(
+                Field(str(raw_name, "utf-8"), dtype_from_code(code), bool(nullable))
+            )
+        except (UnicodeDecodeError, KeyError) as exc:
+            raise FormatError(f"bad IPC schema field: {exc}") from exc
     return Schema(fields), pos
 
 
 def _encode_column(col: ColumnArray) -> bytes:
-    out = bytearray()
-    n = len(col)
-    if col.validity is not None:
-        out.append(1)
-        out += np.packbits(col.validity).tobytes()
-    else:
-        out.append(0)
+    out = bytearray(pack_validity(col.validity))
     if col.dtype is STRING:
-        encoded = [str(v).encode("utf-8") for v in col.values]
-        offsets = np.zeros(n + 1, dtype=np.int32)
-        if n:
-            offsets[1:] = np.cumsum([len(e) for e in encoded])
-        data = b"".join(encoded)
+        offsets, data = pack_strings(str_items(col.values))
         out += struct.pack("<Q", len(data))
         out += offsets.tobytes()
         out += data
@@ -89,30 +99,21 @@ def _encode_column(col: ColumnArray) -> bytes:
 def _decode_column(
     buf: bytes, pos: int, dtype: DataType, num_rows: int
 ) -> Tuple[ColumnArray, int]:
-    has_validity = buf[pos]
+    (has_validity,) = _unpack("<B", buf, pos)
     pos += 1
     validity = None
     if has_validity:
-        nbytes = (num_rows + 7) // 8
-        packed = np.frombuffer(buf, dtype=np.uint8, count=nbytes, offset=pos)
-        validity = np.unpackbits(packed)[:num_rows].astype(bool)
-        pos += nbytes
+        validity, pos = read_validity(buf, pos, num_rows)
     if dtype is STRING:
-        (data_len,) = struct.unpack_from("<Q", buf, pos)
+        (data_len,) = _unpack("<Q", buf, pos)
         pos += 8
-        offsets = np.frombuffer(buf, dtype=np.int32, count=num_rows + 1, offset=pos)
-        pos += 4 * (num_rows + 1)
-        data = buf[pos : pos + data_len]
-        pos += data_len
-        values = np.empty(num_rows, dtype=object)
-        for i in range(num_rows):
-            values[i] = data[offsets[i] : offsets[i + 1]].decode("utf-8")
+        values, end = read_strings(buf, pos, num_rows)
+        if end - pos != 4 * (num_rows + 1) + data_len:
+            raise FormatError("string offsets disagree with the declared data length")
+        pos = end
     else:
-        nbytes = dtype.byte_width * num_rows
-        values = np.frombuffer(
-            buf, dtype=dtype.numpy_dtype, count=num_rows, offset=pos
-        ).copy()
-        pos += nbytes
+        view, pos = read_array(buf, pos, dtype.numpy_dtype, num_rows)
+        values = view.copy()
     return ColumnArray(dtype, values, validity), pos
 
 
@@ -139,7 +140,7 @@ def _deserialize_batch_at(buf: bytes, pos: int) -> Tuple[RecordBatch, int]:
         raise FormatError("bad record-batch magic")
     pos += 4
     schema, pos = _decode_schema(buf, pos)
-    (num_rows,) = struct.unpack_from("<Q", buf, pos)
+    (num_rows,) = _unpack("<Q", buf, pos)
     pos += 8
     columns = []
     for field in schema:
@@ -166,7 +167,7 @@ def deserialize_batches(buf: bytes) -> List[RecordBatch]:
     """Inverse of :func:`serialize_batches`."""
     if buf[:4] != _STREAM_MAGIC:
         raise FormatError("bad batch-stream magic")
-    (count,) = struct.unpack_from("<I", buf, 4)
+    (count,) = _unpack("<I", buf, 4)
     pos = 8
     batches = []
     for _ in range(count):

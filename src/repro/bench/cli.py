@@ -18,7 +18,7 @@
     python -m repro.bench rewrite --seed 0
                                          # rewriter parity + semi-join
                                          # dynamic-filter movement
-    python -m repro.bench snapshot --check BENCH_10.json
+    python -m repro.bench snapshot --check BENCH_15.json
                                          # per-PR perf-regression gate
 """
 

@@ -1,6 +1,6 @@
 """Kernel benchmark: tree-walk vs fused filter+project execution.
 
-Two measurements on the same filter+project-heavy sensor workload:
+Three measurements on the same filter+project-heavy sensor workload:
 
 * **Wall-clock microbench** — the raw operator pipelines (no simulator)
   are timed over a fixed set of pages, tree-walk vs fused; this is the
@@ -13,6 +13,11 @@ Two measurements on the same filter+project-heavy sensor workload:
   after pushdown), tree vs fused, on the DES cluster.  Reported columns:
   simulated seconds, bytes moved, result digests (which must match
   pairwise — the parity invariant).
+* **Storage-format section** — the dataset's files are Parcel-encoded
+  and decoded back: stored size and sha256 per file (stdout + JSON — the
+  byte-identity contract of the format, gated exactly by ``bench
+  snapshot``) and best-of-N encode / decode wall seconds (stderr + JSON
+  only, like the microbench).
 
 The workload is expression-heavy by design: a 3-conjunct WHERE whose
 first conjunct is selective, a subexpression shared between WHERE and
@@ -23,6 +28,7 @@ materialization).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -50,6 +56,7 @@ from repro.exec import (
     run_operators,
 )
 from repro.exec.expressions import ScalarFuncExpr
+from repro.formats import ParcelReader, write_table
 from repro.workloads.datasets import DatasetSpec
 
 __all__ = [
@@ -146,6 +153,9 @@ class KernelBenchResult:
     fusion: FusionStats
     #: mode -> {"sim_tree_s", "sim_fused_s", "bytes_moved", "digest"}.
     sim: Dict[str, Dict[str, object]]
+    #: {"files": {name: {"stored_bytes", "sha256_digest"}},
+    #: "encode_wall_s", "decode_wall_s"} — see :func:`_format_runs`.
+    formats: Dict[str, object]
 
     @property
     def wall_speedup(self) -> float:
@@ -170,6 +180,7 @@ class KernelBenchResult:
                 "cse_references_saved": self.fusion.cse_references_saved,
             },
             "sim": self.sim,
+            "formats": self.formats,
         }
 
 
@@ -190,6 +201,37 @@ def _time_pipeline(
         output = concat_batches(batches) if batches else None
     assert output is not None
     return best, output
+
+
+def _format_runs(files: int, rows: int, repeats: int) -> Dict[str, object]:
+    """Parcel-encode the dataset's files and decode them back.
+
+    Digests and sizes are deterministic; the wall seconds are best-of-N
+    over the whole file set (machine-dependent).
+    """
+    batches = [build_page(rows, i) for i in range(files)]
+    encode_s = decode_s = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()  # simlint: ignore[wall-clock]
+        stored = [write_table([batch]) for batch in batches]
+        encode_s = min(encode_s, time.perf_counter() - start)  # simlint: ignore[wall-clock]
+        start = time.perf_counter()  # simlint: ignore[wall-clock]
+        decoded = [ParcelReader(data).read_table() for data in stored]
+        decode_s = min(decode_s, time.perf_counter() - start)  # simlint: ignore[wall-clock]
+    for batch, back in zip(batches, decoded):
+        if not back.equals(batch):
+            raise AssertionError("Parcel roundtrip changed the kernel dataset")
+    return {
+        "files": {
+            f"part-{i:05d}": {
+                "stored_bytes": len(data),
+                "sha256_digest": hashlib.sha256(data).hexdigest(),
+            }
+            for i, data in enumerate(stored)
+        },
+        "encode_wall_s": encode_s,
+        "decode_wall_s": decode_s,
+    }
 
 
 def _simulated_runs(scale: str, files: int, rows: int) -> Dict[str, Dict[str, object]]:
@@ -251,6 +293,7 @@ def run_kernel_bench(scale: str = "default") -> KernelBenchResult:
         micro_digest=canonical_result_digest(tree_out),
         fusion=stats,
         sim=_simulated_runs(scale, files, rows),
+        formats=_format_runs(files, rows, repeats),
     )
 
 
@@ -274,6 +317,12 @@ def format_kernels(result: KernelBenchResult) -> str:
          "digest (tree == fused)"],
         rows,
     )
+    files = result.formats["files"]
+    assert isinstance(files, dict)
+    stored = "".join(
+        f"\nparcel {name}: {entry['stored_bytes']} bytes, sha256 {entry['sha256_digest']}"
+        for name, entry in sorted(files.items())
+    )
     fusion = result.fusion
     footer = (
         f"\nmicrobench: {result.rows} rows in {result.pages} pages, "
@@ -283,7 +332,7 @@ def format_kernels(result: KernelBenchResult) -> str:
         f"short-circuit predicates, {fusion.cse_definitions} CSE defs "
         f"({fusion.cse_references_saved} re-evaluations saved)"
     )
-    return f"Kernel bench (scale={result.scale})\n" + table + footer
+    return f"Kernel bench (scale={result.scale})\n" + table + footer + stored
 
 
 def main(argv: Optional[List[str]] = None) -> None:
@@ -300,7 +349,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     print(
         f"wall-clock: tree {result.tree_wall_s * 1e3:.1f} ms, "
         f"fused {result.fused_wall_s * 1e3:.1f} ms, "
-        f"speedup {result.wall_speedup:.2f}x",
+        f"speedup {result.wall_speedup:.2f}x; "
+        f"parcel encode {float(result.formats['encode_wall_s']) * 1e3:.1f} ms, "
+        f"decode {float(result.formats['decode_wall_s']) * 1e3:.1f} ms",
         file=sys.stderr,
     )
     if args.json:

@@ -2,7 +2,7 @@
 
 ``collect`` runs the kernel, Table-3, join, service, DAG-straggler,
 cache, and rewrite benches at CI scale and folds their headline numbers
-into one JSON document.  The committed snapshot (``BENCH_10.json`` at
+into one JSON document.  The committed snapshot (``BENCH_15.json`` at
 the repo root) is the previous PR's baseline; CI regenerates the
 snapshot and
 ``compare``s it against the committed file, failing on:
@@ -11,7 +11,9 @@ snapshot and
   simulated numbers are deterministic, so a fresh run matches the
   committed baseline exactly unless the code's behavior changed;
 * any result digest mismatch (results changed: the snapshot must be
-  regenerated deliberately, with the diff reviewed);
+  regenerated deliberately, with the diff reviewed) — this includes the
+  sha256 of every Parcel file the kernel bench stores, so the on-disk
+  format cannot drift silently;
 * fused wall-clock speedup below the 1.5x floor — the only
   machine-dependent gate, expressed as a same-machine tree/fused ratio
   so CI host speed cancels out (the baseline's speedup is recorded but
@@ -27,7 +29,10 @@ snapshot and
   dynamic filter failing to move strictly fewer bytes than static
   pushdown.
 
-Regenerate with ``python -m repro.bench snapshot --out BENCH_10.json``.
+Regenerate with ``python -m repro.bench snapshot --out BENCH_15.json``.
+The committed file also carries, under ``kernels.formats.parent``, the
+Parcel encode/decode wall seconds of the commit before the whole-chunk
+kernels landed, measured on the same machine as its own.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from repro.bench.kernels import run_kernel_bench
 
 __all__ = ["SNAPSHOT_VERSION", "collect", "compare", "main"]
 
-SNAPSHOT_VERSION = 10
+SNAPSHOT_VERSION = 15
 
 #: Relative worsening tolerated on lower-is-better simulated metrics.
 TOLERANCE = 0.10
@@ -204,7 +209,14 @@ def _walk_numeric(doc: object, prefix: str, out: Dict[str, float]) -> None:
 _LOWER_IS_BETTER = ("_s", "_bytes", ".seconds")
 #: Machine-dependent paths excluded from the 10% gate (the wall-clock
 #: speedup ratio is gated separately).
-_WALL_CLOCK_PATHS = ("kernels.tree_wall_s", "kernels.fused_wall_s")
+_WALL_CLOCK_PATHS = (
+    "kernels.tree_wall_s",
+    "kernels.fused_wall_s",
+    "kernels.formats.encode_wall_s",
+    "kernels.formats.decode_wall_s",
+    "kernels.formats.parent.encode_wall_s",
+    "kernels.formats.parent.decode_wall_s",
+)
 
 
 def compare(baseline: Dict[str, object], current: Dict[str, object]) -> List[str]:

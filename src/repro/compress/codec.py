@@ -85,9 +85,14 @@ class Codec(ABC):
         )
         return header + body
 
-    def decompress(self, frame: bytes) -> bytes:
-        """Validate the frame and return the original bytes."""
-        frame = bytes(frame)
+    def decompress(self, frame: bytes) -> bytes | memoryview:
+        """Validate the frame and return the original bytes.
+
+        The body reaches the codec as a view of ``frame``, not a copy; the
+        identity codec hands that view back, so an uncompressed chunk is
+        checksummed in place (any bytes-like ``frame`` works).
+        """
+        frame = memoryview(frame)
         if len(frame) < 7 or frame[:2] != _MAGIC:
             raise CodecError("bad codec frame magic")
         if frame[2] != self.codec_id:
@@ -114,8 +119,8 @@ class Codec(ABC):
         """Compress raw bytes to the codec-specific payload."""
 
     @abstractmethod
-    def _decompress_body(self, body: bytes, orig_size: int) -> bytes:
-        """Inverse of :meth:`_compress_body`."""
+    def _decompress_body(self, body: memoryview, orig_size: int) -> bytes | memoryview:
+        """Inverse of :meth:`_compress_body`; ``body`` is a view into the frame."""
 
 
 class NoneCodec(Codec):
@@ -127,7 +132,7 @@ class NoneCodec(Codec):
     def _compress_body(self, data: bytes) -> bytes:
         return data
 
-    def _decompress_body(self, body: bytes, orig_size: int) -> bytes:
+    def _decompress_body(self, body: memoryview, orig_size: int) -> memoryview:
         return body
 
 

@@ -26,7 +26,7 @@ class GzipCodec(Codec):
     def _compress_body(self, data: bytes) -> bytes:
         return zlib.compress(data, self.LEVEL)
 
-    def _decompress_body(self, body: bytes, orig_size: int) -> bytes:
+    def _decompress_body(self, body: memoryview, orig_size: int) -> bytes:
         try:
             return zlib.decompress(body)
         except zlib.error as exc:

@@ -30,5 +30,5 @@ class SnappyClassCodec(Codec):
             skip_accel=True,
         )
 
-    def _decompress_body(self, body: bytes, orig_size: int) -> bytes:
-        return decompress_tokens(body, orig_size)
+    def _decompress_body(self, body: memoryview, orig_size: int) -> bytes:
+        return decompress_tokens(bytes(body), orig_size)

@@ -38,7 +38,7 @@ class ZstdClassCodec(Codec):
         )
         return encode_varint(len(tokens)) + huffman.encode(tokens)
 
-    def _decompress_body(self, body: bytes, orig_size: int) -> bytes:
+    def _decompress_body(self, body: memoryview, orig_size: int) -> bytes:
         token_len, pos = decode_varint(body, 0)
-        tokens = huffman.decode(body[pos:], token_len)
+        tokens = huffman.decode(bytes(body[pos:]), token_len)
         return decompress_tokens(tokens, orig_size)

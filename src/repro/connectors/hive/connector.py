@@ -230,12 +230,13 @@ class HiveConnector(Connector):
 
         # Decode locally (real work), charge the compute-side scan path.
         batches: List[RecordBatch] = []
+        view = memoryview(payload)  # chunks reach the codec without a copy
         offset = 0
         values = 0
         uncompressed_total = 0
         by_rg: dict = {}
         for (rg_i, name, chunk) in chunk_index:
-            framed = payload[offset : offset + chunk.compressed_size]
+            framed = view[offset : offset + chunk.compressed_size]
             offset += chunk.compressed_size
             raw = get_codec(chunk.codec).decompress(framed)
             uncompressed_total += len(raw)

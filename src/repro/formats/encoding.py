@@ -13,24 +13,50 @@ Payloads:
 * SZ    — error-bounded lossy quantization (float64 only, writer opt-in;
   see :mod:`repro.compress.szlike` — the paper's future-work direction).
 
-The writer picks the smallest lossless encoding per chunk (it sizes all
-eligible encodings exactly — chunks are small enough that this is cheap
-and it guarantees the choice never loses to PLAIN).  SZ is never chosen
-automatically: losing precision requires an explicit per-column error
-bound.
+The writer picks the smallest lossless encoding per chunk and never
+loses to PLAIN.  It does so from one analysis of the chunk — its
+distinct values (:class:`~repro.formats.statistics.Distinct`, shared
+with the chunk's statistics) and, for fixed-width types, its runs —
+sizing each eligible encoding by arithmetic and building only the
+winner (``n`` values of width ``w``, ``ndv`` distinct, ``r`` runs)::
+
+    PLAIN  n*w                                  string: 4*(n+1) + utf8 bytes
+    DICT   4 + ndv*w + 4*n                      string: 4 + PLAIN(dictionary) + 4*n
+    RLE    varint(r) + sum(varint(run_len)) + r*w
+
+DICT needs ``n >= 16`` and ``ndv <= n // 2``, RLE ``n >= 16`` and
+``r <= n // 4``; ties go to the earlier row of the table.  A float chunk
+holding NaN, or both ``0.0`` and ``-0.0``, is never dictionary-encoded:
+the dictionary is keyed by ``==`` and would not give those bits back.
+SZ is never chosen automatically: losing precision requires an explicit
+per-column error bound.
+
+Decoding reads bytes from outside the program: every declared count is
+checked against the bytes that remain before anything is allocated, and
+every failure is a typed :class:`~repro.errors.ReproError`.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.arrowsim.array import ColumnArray
-from repro.arrowsim.dtypes import DataType, STRING
+from repro.arrowsim.buffers import (
+    pack_strings,
+    pack_validity,
+    read_array,
+    read_strings,
+    read_validity,
+    str_items,
+    utf8_nbytes,
+)
+from repro.arrowsim.dtypes import DataType, FLOAT64, STRING
 from repro.compress.codec import decode_varint, encode_varint
 from repro.errors import FormatError
+from repro.formats.statistics import ColumnStats, Distinct
 
 __all__ = [
     "PLAIN",
@@ -38,6 +64,7 @@ __all__ = [
     "RLE",
     "SZ",
     "encode_chunk",
+    "encode_chunk_with_stats",
     "decode_chunk",
 ]
 
@@ -46,59 +73,137 @@ DICT = 1
 RLE = 2
 SZ = 3
 
-
-# -- value buffers ----------------------------------------------------------
-
-
-def _encode_values_plain(dtype: DataType, values: np.ndarray) -> bytes:
-    if dtype is STRING:
-        encoded = [str(v).encode("utf-8") for v in values]
-        offsets = np.zeros(len(values) + 1, dtype=np.int32)
-        if len(values):
-            offsets[1:] = np.cumsum([len(e) for e in encoded])
-        return offsets.tobytes() + b"".join(encoded)
-    return np.ascontiguousarray(values).tobytes()
+#: Below this many values a chunk is always PLAIN.
+_MIN_ENCODED_VALUES = 16
+_U32 = np.dtype("<u4")
 
 
-def _decode_values_plain(
+# -- strings -------------------------------------------------------------------
+
+
+def _plain_strings(items: List[str]) -> bytes:
+    offsets, data = pack_strings(items)
+    return offsets.tobytes() + data
+
+
+def _encode_strings(items: List[str], distinct: Distinct) -> Tuple[int, bytes]:
+    n = len(items)
+    ndv = len(distinct.every)
+    if n >= _MIN_ENCODED_VALUES and ndv <= max(1, n // 2):
+        dictionary = sorted(distinct.every)
+        plain_size = 4 * (n + 1) + utf8_nbytes(items)
+        dict_size = 4 + 4 * (ndv + 1) + utf8_nbytes(dictionary) + 4 * n
+        if dict_size < plain_size:
+            code_of = dict(zip(dictionary, range(ndv)))
+            codes = np.fromiter(map(code_of.__getitem__, items), dtype=_U32, count=n)
+            payload = struct.pack("<I", ndv) + _plain_strings(dictionary) + codes.tobytes()
+            return DICT, payload
+    return PLAIN, _plain_strings(items)
+
+
+# -- fixed-width values --------------------------------------------------------
+
+
+def _dictionary_loses_bits(bits: np.ndarray, uniques: np.ndarray) -> bool:
+    """Would looking a float up by ``==`` fail to give its bits back?
+
+    True for a chunk holding NaN (never equal to itself) or both zeros
+    (``-0.0 == 0.0``, and ``uniques`` kept only one of them).  ``bits`` is
+    the chunk viewed as unsigned integers of the same width.
+    """
+    if np.isnan(uniques[-1]):
+        return True
+    sign_bit = 1 << (8 * bits.itemsize - 1)
+    return bool((bits == 0).any()) and bool((bits == sign_bit).any())
+
+
+def _varint_sizes(values: np.ndarray) -> np.ndarray:
+    """LEB128 byte count of each value (all >= 1)."""
+    sizes = np.ones(len(values), dtype=np.int64)
+    limit, top = 1 << 7, int(values.max())
+    while limit <= top:
+        sizes += values >= limit
+        limit <<= 7
+    return sizes
+
+
+def _encode_rle(
+    run_values: np.ndarray, run_lengths: np.ndarray, sizes: np.ndarray, width: int
+) -> bytes:
+    """(varint run_len, raw value) pairs; ``sizes`` = bytes per run_len varint."""
+    nruns = len(run_values)
+    stride = sizes + width
+    starts = np.cumsum(stride) - stride
+    out = np.zeros(int(stride.sum()), dtype=np.uint8)
+    for k in range(int(sizes.max())):  # one round per varint byte position
+        here = sizes > k
+        septet = (run_lengths[here] >> (7 * k)) & 0x7F
+        out[starts[here] + k] = septet | np.where(sizes[here] > k + 1, 0x80, 0)
+    value_at = (starts + sizes)[:, None] + np.arange(width)
+    out[value_at] = run_values.view(np.uint8).reshape(nruns, width)
+    return encode_varint(nruns) + out.tobytes()
+
+
+def _encode_fixed(
+    dtype: DataType, values: np.ndarray, distinct: Distinct
+) -> Tuple[int, bytes]:
+    values = np.ascontiguousarray(values)
+    n = len(values)
+    width = dtype.byte_width
+    if n < _MIN_ENCODED_VALUES:
+        return PLAIN, values.tobytes()
+
+    uniques = distinct.every
+    ndv = len(uniques)
+    # Runs and zero signs are read off the bit patterns (NaN != NaN would
+    # split float runs per element).
+    bits = values.view(np.dtype(f"u{width}"))
+    best, best_size = PLAIN, n * width
+    if ndv <= min(2**31, max(1, n // 2)) and not (
+        dtype.is_floating and _dictionary_loses_bits(bits, uniques)
+    ):
+        size = 4 + ndv * width + 4 * n
+        if size < best_size:
+            best, best_size = DICT, size
+
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    nruns = len(starts)
+    if nruns <= n // 4:
+        run_lengths = np.diff(starts, append=n)
+        sizes = _varint_sizes(run_lengths)
+        size = len(encode_varint(nruns)) + int(sizes.sum()) + nruns * width
+        if size < best_size:
+            return RLE, _encode_rle(values[starts], run_lengths, sizes, width)
+
+    if best == DICT:
+        codes = distinct.codes
+        if codes is None:
+            codes = np.searchsorted(uniques, values)
+        payload = struct.pack("<I", ndv) + uniques.tobytes() + codes.astype(_U32).tobytes()
+        return DICT, payload
+    return PLAIN, values.tobytes()
+
+
+# -- decoders ------------------------------------------------------------------
+
+
+def _decode_plain(
     dtype: DataType, buf: bytes, pos: int, count: int
 ) -> Tuple[np.ndarray, int]:
     if dtype is STRING:
-        offsets = np.frombuffer(buf, dtype=np.int32, count=count + 1, offset=pos)
-        pos += 4 * (count + 1)
-        data_len = int(offsets[-1]) if count else 0
-        data = buf[pos : pos + data_len]
-        pos += data_len
-        values = np.empty(count, dtype=object)
-        for i in range(count):
-            values[i] = data[offsets[i] : offsets[i + 1]].decode("utf-8")
-        return values, pos
-    nbytes = dtype.byte_width * count
-    values = np.frombuffer(buf, dtype=dtype.numpy_dtype, count=count, offset=pos).copy()
-    return values, pos + nbytes
-
-
-# -- encodings ---------------------------------------------------------------
-
-
-def _encode_dict(dtype: DataType, values: np.ndarray) -> bytes:
-    if dtype is STRING:
-        uniques, indices = np.unique(values.astype(str), return_inverse=True)
-        uniques = uniques.astype(object)
-    else:
-        uniques, indices = np.unique(values, return_inverse=True)
-    out = bytearray(struct.pack("<I", len(uniques)))
-    out += _encode_values_plain(dtype, uniques)
-    out += indices.astype(np.uint32).tobytes()
-    return bytes(out)
+        return read_strings(buf, pos, count)
+    view, pos = read_array(buf, pos, dtype.numpy_dtype, count)
+    return view.copy(), pos
 
 
 def _decode_dict(dtype: DataType, buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
-    (dict_size,) = struct.unpack_from("<I", buf, pos)
-    pos += 4
-    dictionary, pos = _decode_values_plain(dtype, buf, pos, dict_size)
-    indices = np.frombuffer(buf, dtype=np.uint32, count=count, offset=pos)
-    pos += 4 * count
+    header, pos = read_array(buf, pos, _U32, 1)
+    dict_size = int(header[0])
+    if dtype is STRING:
+        dictionary, pos = read_strings(buf, pos, dict_size)
+    else:
+        dictionary, pos = read_array(buf, pos, dtype.numpy_dtype, dict_size)
+    indices, pos = read_array(buf, pos, _U32, count)
     if count and dict_size == 0:
         raise FormatError("dictionary empty but indices present")
     if count and indices.max() >= dict_size:
@@ -106,142 +211,112 @@ def _decode_dict(dtype: DataType, buf: bytes, pos: int, count: int) -> Tuple[np.
     return dictionary[indices], pos
 
 
-def _runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(run_values, run_lengths) for a fixed-width array."""
-    n = len(values)
-    if n == 0:
-        return values, np.zeros(0, dtype=np.int64)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    # NaN != NaN would split float runs per element; compare bit patterns.
-    raw = (
-        np.ascontiguousarray(values).view(np.uint8).reshape(n, -1)
-        if values.dtype != object
-        else None
-    )
-    if raw is not None:
-        change[1:] = (raw[1:] != raw[:-1]).any(axis=1)
-    else:
-        change[1:] = values[1:] != values[:-1]
-    starts = np.flatnonzero(change)
-    lengths = np.diff(np.append(starts, n))
-    return values[starts], lengths
-
-
-def _encode_rle(dtype: DataType, values: np.ndarray) -> bytes:
-    run_values, run_lengths = _runs(values)
-    out = bytearray(encode_varint(len(run_values)))
-    width = dtype.byte_width
-    raw = np.ascontiguousarray(run_values).tobytes()
-    for i, run_len in enumerate(run_lengths):
-        out += encode_varint(int(run_len))
-        out += raw[i * width : (i + 1) * width]
-    return bytes(out)
-
-
 def _decode_rle(dtype: DataType, buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
     nruns, pos = decode_varint(buf, pos)
     width = dtype.byte_width
-    lengths = np.empty(nruns, dtype=np.int64)
-    raw = bytearray()
-    for i in range(nruns):
-        run_len, pos = decode_varint(buf, pos)
-        lengths[i] = run_len
-        raw += buf[pos : pos + width]
-        pos += width
-    run_values = np.frombuffer(bytes(raw), dtype=dtype.numpy_dtype, count=nruns)
-    values = np.repeat(run_values, lengths)
-    if len(values) != count:
-        raise FormatError(f"RLE expanded to {len(values)} values, expected {count}")
-    return values, pos
+    remaining = len(buf) - pos
+    if nruns > count or nruns * (1 + width) > remaining:
+        raise FormatError(
+            f"RLE declares {nruns} runs for {count} values in {remaining} bytes"
+        )
+    octets = np.frombuffer(buf, dtype=np.uint8)
+    if remaining == nruns * (1 + width):
+        # Every run-length varint is one byte, so the pairs have a fixed stride.
+        pairs = octets[pos:].reshape(nruns, 1 + width)
+        run_lengths = pairs[:, 0]
+        if bool((run_lengths & 0x80).any()):
+            raise FormatError("RLE run length runs past the chunk body")
+        run_octets = pairs[:, 1:]
+        total = int(run_lengths.sum(dtype=np.int64))
+        pos = len(buf)
+    else:
+        lengths: List[int] = []
+        value_at: List[int] = []
+        total = 0
+        for _ in range(nruns):
+            run_len, pos = decode_varint(buf, pos)
+            total += run_len
+            if total > count or pos + width > len(buf):
+                break
+            lengths.append(run_len)
+            value_at.append(pos)
+            pos += width
+        if len(lengths) != nruns:
+            raise FormatError(f"RLE runs overflow the chunk ({count} values)")
+        run_lengths = np.array(lengths, dtype=np.int64)
+        run_octets = octets[np.array(value_at, dtype=np.int64)[:, None] + np.arange(width)]
+    if total != count:
+        raise FormatError(f"RLE expanded to {total} values, expected {count}")
+    run_values = np.ascontiguousarray(run_octets).view(dtype.numpy_dtype).reshape(nruns)
+    return np.repeat(run_values, run_lengths), pos
 
 
 # -- chunk assembly ---------------------------------------------------------
 
 
-def encode_chunk(column: ColumnArray, lossy_error: float | None = None) -> bytes:
-    """Encode a column chunk body, choosing the smallest eligible encoding.
+def encode_chunk_with_stats(
+    column: ColumnArray, lossy_error: Optional[float] = None
+) -> Tuple[bytes, ColumnStats]:
+    """Encode a column chunk body and compute its statistics in one analysis.
 
-    ``lossy_error`` opts a float64 column into SZ-class error-bounded
-    encoding (|decoded - original| <= lossy_error at every valid row).
+    The smallest eligible lossless encoding wins.  ``lossy_error`` opts a
+    float64 column into SZ-class error-bounded encoding (|decoded -
+    original| <= lossy_error at every valid row).
     """
-    out = bytearray()
-    if column.validity is not None:
-        out.append(1)
-        out += np.packbits(column.validity).tobytes()
-    else:
-        out.append(0)
-
     dtype = column.dtype
-    values = column.values
+    if lossy_error is not None and dtype is not FLOAT64:
+        raise FormatError(f"lossy encoding requires float64 columns, got {dtype}")
 
+    out = bytearray(pack_validity(column.validity))
+    items = str_items(column.values) if dtype is STRING else None
+    distinct = Distinct(column, items)
     if lossy_error is not None:
-        from repro.arrowsim.dtypes import FLOAT64
         from repro.compress.szlike import compress_lossy
 
-        if dtype is not FLOAT64:
-            raise FormatError(
-                f"lossy encoding requires float64 columns, got {dtype}"
-            )
-        out.append(SZ)
-        out += compress_lossy(values, lossy_error)
-        return bytes(out)
-
-    candidates = {PLAIN: _encode_values_plain(dtype, values)}
-    n = len(values)
-    if n >= 16:
-        if dtype is STRING:
-            distinct = len(set(map(str, values)))
-            if distinct <= max(1, n // 2):
-                candidates[DICT] = _encode_dict(dtype, values)
-        else:
-            # NaN handling in np.unique(return_inverse=...) varies across
-            # numpy versions; dictionary-encoding floats with NaNs is not
-            # worth the risk.
-            has_nan = dtype.is_floating and bool(np.isnan(values).any())
-            distinct = len(np.unique(values))
-            if not has_nan and distinct <= min(2**31, max(1, n // 2)):
-                candidates[DICT] = _encode_dict(dtype, values)
-            run_values, _ = _runs(values)
-            if len(run_values) <= n // 4:
-                candidates[RLE] = _encode_rle(dtype, values)
-
-    encoding = min(candidates, key=lambda e: len(candidates[e]))
+        encoding, payload = SZ, compress_lossy(column.values, lossy_error)
+    elif items is not None:
+        encoding, payload = _encode_strings(items, distinct)
+    else:
+        encoding, payload = _encode_fixed(dtype, column.values, distinct)
     out.append(encoding)
-    out += candidates[encoding]
-    return bytes(out)
+    out += payload
+    return bytes(out), ColumnStats.compute(column, distinct)
+
+
+def encode_chunk(column: ColumnArray, lossy_error: Optional[float] = None) -> bytes:
+    """The chunk body alone; see :func:`encode_chunk_with_stats`."""
+    return encode_chunk_with_stats(column, lossy_error)[0]
 
 
 def decode_chunk(dtype: DataType, body: bytes, num_values: int) -> ColumnArray:
     """Inverse of :func:`encode_chunk`."""
-    pos = 0
-    has_validity = body[pos]
-    pos += 1
+    if len(body) < 2:
+        raise FormatError(f"chunk body of {len(body)} bytes has no header")
+    pos = 1
     validity = None
-    if has_validity:
-        nbytes = (num_values + 7) // 8
-        packed = np.frombuffer(body, dtype=np.uint8, count=nbytes, offset=pos)
-        validity = np.unpackbits(packed)[:num_values].astype(bool)
-        pos += nbytes
+    if body[0]:
+        validity, pos = read_validity(body, pos, num_values)
+        if pos >= len(body):
+            raise FormatError("chunk body ends inside its validity bits")
     encoding = body[pos]
     pos += 1
     if encoding == PLAIN:
-        values, pos = _decode_values_plain(dtype, body, pos, num_values)
+        values, pos = _decode_plain(dtype, body, pos, num_values)
     elif encoding == DICT:
         values, pos = _decode_dict(dtype, body, pos, num_values)
-    elif encoding == RLE:
+    elif encoding == RLE and dtype is not STRING:
         values, pos = _decode_rle(dtype, body, pos, num_values)
     elif encoding == SZ:
         from repro.compress.szlike import decompress_lossy
 
-        values = decompress_lossy(body[pos:])
+        values = decompress_lossy(bytes(body[pos:]))
         if len(values) != num_values:
             raise FormatError(
                 f"SZ chunk decoded {len(values)} values, expected {num_values}"
             )
         pos = len(body)
     else:
-        raise FormatError(f"unknown chunk encoding {encoding}")
+        raise FormatError(f"unknown chunk encoding {encoding} for {dtype}")
     if pos != len(body):
         raise FormatError(f"{len(body) - pos} trailing bytes in chunk body")
     return ColumnArray(dtype, values, validity)

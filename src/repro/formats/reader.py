@@ -55,7 +55,8 @@ class ParcelReader:
         footer_start = len(buf) - 8 - footer_len
         if footer_start < 4:
             raise FormatError("corrupt footer length")
-        self._buf = buf
+        #: Chunks are handed to the codec as views: no copy before decode.
+        self._buf = memoryview(buf)
         self.meta: ParcelMeta = decode_footer(buf[footer_start : len(buf) - 8])
         #: Bytes a reader must fetch before any data: footer + magic.
         self.footer_bytes = footer_len + 12

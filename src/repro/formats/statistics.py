@@ -10,15 +10,71 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro.arrowsim.array import ColumnArray
+from repro.arrowsim.buffers import str_items
 from repro.arrowsim.dtypes import DataType, STRING
 from repro.errors import FormatError
 
-__all__ = ["ColumnStats"]
+__all__ = ["ColumnStats", "Distinct"]
+
+
+def _sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a fixed-width array (NaN last, once).
+
+    One ``np.sort`` and a neighbour comparison — what ``np.unique`` does
+    on its sort path, without the hash-table path newer numpy takes for
+    integers, which is 10-20x slower on high-cardinality chunks.
+    """
+    ordered = np.sort(values)
+    keep = np.empty(len(ordered), dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    if len(ordered) and ordered.dtype.kind == "f" and np.isnan(ordered[-1]):
+        # NaN != NaN kept every NaN; searchsorted orders NaN like the sort did.
+        keep[np.searchsorted(ordered, np.nan) + 1 :] = False
+    return ordered[keep]
+
+
+class Distinct:
+    """The distinct values of one column chunk — its one sort (or one set).
+
+    Statistics and encoding choice both start from here: ``ndv``/``min``/
+    ``max`` read it, the DICT eligibility test reads its size, and a DICT
+    encoding uses it as the dictionary.
+
+    ``every`` covers every slot, NULL slots included (the encoder stores
+    those too); ``valid`` is the part held by non-NULL rows — the same
+    object when the chunk has no NULLs.  Fixed-width columns hold sorted
+    arrays (NaN last, once; ``-0.0 == 0.0`` once), string columns hold
+    sets of ``str`` (only a DICT encoding needs them sorted).
+    """
+
+    __slots__ = ("every", "valid", "codes")
+
+    def __init__(self, column: ColumnArray, items: Optional[List[str]] = None) -> None:
+        #: Position of each slot's value in ``every``; fixed-width chunks
+        #: with NULLs only (a DICT encoding of such a chunk reuses it).
+        self.codes: Optional[np.ndarray] = None
+        validity = column.validity
+        if column.dtype is STRING:
+            if items is None:
+                items = str_items(column.values)
+            if validity is None:
+                self.every = self.valid = set(items)
+            else:
+                self.valid = set(str_items(column.values[validity]))
+                self.every = self.valid.union(str_items(column.values[~validity]))
+            return
+        self.every = self.valid = _sorted_distinct(column.values)
+        if validity is not None:
+            self.codes = np.searchsorted(self.every, column.values)
+            present = np.zeros(len(self.every), dtype=bool)
+            present[self.codes[validity]] = True
+            self.valid = self.every[present]
 
 
 @dataclass(frozen=True)
@@ -35,34 +91,36 @@ class ColumnStats:
     max_value: Optional[Any]
 
     @classmethod
-    def compute(cls, column: ColumnArray) -> "ColumnStats":
-        """Exact statistics over a column's non-null values."""
-        valid = column.is_valid()
-        values = column.values[valid]
+    def compute(
+        cls, column: ColumnArray, distinct: Optional[Distinct] = None
+    ) -> "ColumnStats":
+        """Exact statistics over a column's non-null values.
+
+        ``distinct`` hands over an analysis the caller already paid for.
+        """
         row_count = len(column)
-        null_count = row_count - len(values)
-        if len(values) == 0:
+        null_count = column.null_count
+        if null_count == row_count:
             return cls(row_count, null_count, 0, None, None)
+        valid = (distinct if distinct is not None else Distinct(column)).valid
+        ndv = len(valid)
         if column.dtype is STRING:
-            distinct = set(map(str, values))
-            return cls(row_count, null_count, len(distinct), min(distinct), max(distinct))
+            return cls(row_count, null_count, ndv, min(valid), max(valid))
         if column.dtype.is_floating:
-            finite = values[~np.isnan(values)]
-            if len(finite) == 0:
-                return cls(row_count, null_count, 1, None, None)
-            ndv = len(np.unique(values[~np.isnan(values)])) + int(np.isnan(values).any())
+            # Bounds by reduction over the rows, not from ``valid``: which
+            # sign a zero bound carries is the reduction's choice, and the
+            # sort collapsed the two zeros.
+            values = column.values
+            if column.validity is not None:
+                values = values[column.validity]
+            if np.isnan(valid[-1]):
+                values = values[~np.isnan(values)]
+                if len(values) == 0:
+                    return cls(row_count, null_count, 1, None, None)
             return cls(
-                row_count, null_count, ndv,
-                float(finite.min()), float(finite.max()),
+                row_count, null_count, ndv, float(values.min()), float(values.max())
             )
-        ndv = len(np.unique(values))
-        return cls(
-            row_count,
-            null_count,
-            ndv,
-            values.min().item(),
-            values.max().item(),
-        )
+        return cls(row_count, null_count, ndv, valid[0].item(), valid[-1].item())
 
     def merge(self, other: "ColumnStats") -> "ColumnStats":
         """Combine chunk stats into table-level stats (NDV is an upper bound)."""

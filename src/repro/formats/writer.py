@@ -12,7 +12,7 @@ from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.arrowsim.schema import Schema
 from repro.compress.registry import get_codec
 from repro.errors import FormatError
-from repro.formats.encoding import encode_chunk
+from repro.formats.encoding import encode_chunk_with_stats
 from repro.formats.metadata import (
     MAGIC,
     ChunkMeta,
@@ -20,7 +20,6 @@ from repro.formats.metadata import (
     RowGroupMeta,
     encode_footer,
 )
-from repro.formats.statistics import ColumnStats
 
 __all__ = ["ParcelWriter", "write_table"]
 
@@ -92,8 +91,7 @@ class ParcelWriter:
                 # Statistics must describe the *stored* (quantized) values,
                 # or row-group pruning against them would be unsound.
                 column = _quantize_column(column, bound)
-            stats = ColumnStats.compute(column)
-            raw = encode_chunk(column, lossy_error=bound)
+            raw, stats = encode_chunk_with_stats(column, lossy_error=bound)
             framed = self._codec.compress(raw)
             chunks.append(
                 ChunkMeta(

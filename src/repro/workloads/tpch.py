@@ -190,11 +190,30 @@ _SHIPINSTRUCT = np.array(
 _SHIPMODE = np.array(
     ["REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"], dtype=object
 )
-_COMMENT_WORDS = np.array(
+_COMMENT_WORDS = (
     "carefully final deposits boost quickly express packages sleep furiously "
-    "regular ideas haggle blithely silent requests".split(),
-    dtype=object,
+    "regular ideas haggle blithely silent requests"
+).split()
+# Every phrase the generators can draw, built once: a row's text is a
+# table lookup on its word indices (15**2 addresses, 15**3 comments).
+_WORD_PAIRS = np.array(
+    [f"{a} {b}" for a in _COMMENT_WORDS for b in _COMMENT_WORDS], dtype=object
 )
+_PHRASES = {
+    2: _WORD_PAIRS,
+    3: np.array(
+        [f"{ab} {c}" for ab in _WORD_PAIRS for c in _COMMENT_WORDS], dtype=object
+    ),
+}
+#: Indexed by clerk number (1..1000; slot 0 is never drawn).
+_CLERKS = np.array([f"Clerk#{n:09d}" for n in range(1_001)], dtype=object)
+
+
+def _phrases(word_idx: np.ndarray) -> np.ndarray:
+    """Rows of word indices -> the space-joined phrase of each row."""
+    width = word_idx.shape[1]
+    place_values = len(_COMMENT_WORDS) ** np.arange(width - 1, -1, -1)
+    return _PHRASES[width][word_idx @ place_values]
 
 
 def lineitem_schema() -> Schema:
@@ -256,13 +275,7 @@ def generate_lineitem(rows: int, seed: int = 0, start_row: int = 0) -> RecordBat
     shipinstruct = _SHIPINSTRUCT[rng.integers(0, len(_SHIPINSTRUCT), size=rows)]
     shipmode = _SHIPMODE[rng.integers(0, len(_SHIPMODE), size=rows)]
     word_idx = rng.integers(0, len(_COMMENT_WORDS), size=(rows, 3))
-    comment = np.array(
-        [
-            " ".join((_COMMENT_WORDS[a], _COMMENT_WORDS[b], _COMMENT_WORDS[c]))
-            for a, b, c in word_idx
-        ],
-        dtype=object,
-    )
+    comment = _phrases(word_idx)
 
     schema = lineitem_schema()
     return RecordBatch(
@@ -343,10 +356,7 @@ def generate_customer(rows: int, seed: int = 0, start_key: int = 0) -> RecordBat
     custkey = np.arange(start_key + 1, start_key + 1 + rows, dtype=np.int64)
     name = np.array([f"Customer#{k:09d}" for k in custkey], dtype=object)
     word_idx = rng.integers(0, len(_COMMENT_WORDS), size=(rows, 2))
-    address = np.array(
-        [" ".join((_COMMENT_WORDS[a], _COMMENT_WORDS[b])) for a, b in word_idx],
-        dtype=object,
-    )
+    address = _phrases(word_idx)
     nationkey = rng.integers(0, 25, size=rows).astype(np.int64)
     phone = np.array(
         [
@@ -359,13 +369,7 @@ def generate_customer(rows: int, seed: int = 0, start_key: int = 0) -> RecordBat
     acctbal = np.round(-999.99 + rng.random(rows) * (9999.99 + 999.99), 2)
     mktsegment = _MKTSEGMENT[rng.integers(0, len(_MKTSEGMENT), size=rows)]
     word_idx = rng.integers(0, len(_COMMENT_WORDS), size=(rows, 3))
-    comment = np.array(
-        [
-            " ".join((_COMMENT_WORDS[a], _COMMENT_WORDS[b], _COMMENT_WORDS[c]))
-            for a, b, c in word_idx
-        ],
-        dtype=object,
-    )
+    comment = _phrases(word_idx)
 
     return RecordBatch(
         customer_schema(),
@@ -402,18 +406,10 @@ def generate_orders(rows: int, seed: int = 0, start_key: int = 0) -> RecordBatch
         np.int32
     )
     orderpriority = _ORDERPRIORITY[rng.integers(0, len(_ORDERPRIORITY), size=rows)]
-    clerk = np.array(
-        [f"Clerk#{n:09d}" for n in rng.integers(1, 1_001, size=rows)], dtype=object
-    )
+    clerk = _CLERKS[rng.integers(1, 1_001, size=rows)]
     shippriority = np.zeros(rows, dtype=np.int64)
     word_idx = rng.integers(0, len(_COMMENT_WORDS), size=(rows, 3))
-    comment = np.array(
-        [
-            " ".join((_COMMENT_WORDS[a], _COMMENT_WORDS[b], _COMMENT_WORDS[c]))
-            for a, b, c in word_idx
-        ],
-        dtype=object,
-    )
+    comment = _phrases(word_idx)
 
     return RecordBatch(
         orders_schema(),

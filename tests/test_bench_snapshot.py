@@ -20,6 +20,13 @@ def _doc(**overrides):
                     "digest": "abc",
                 }
             },
+            "formats": {
+                "files": {"part-00000": {"stored_bytes": 900, "sha256_digest": "f0"}},
+                "encode_wall_s": 0.010,
+                "decode_wall_s": 0.002,
+                # Hand-recorded in the committed file only; a fresh run has none.
+                "parent": {"encode_wall_s": 0.025, "decode_wall_s": 0.002},
+            },
         },
         "table3": {"rows": 1, "total_s": 0.25},
         "join": {"configs": {"dynamic-filter": {"seconds": 0.2, "moved_bytes": 500}}},
@@ -80,3 +87,13 @@ class TestCompare:
         current["kernels"]["tree_wall_s"] = 0.4
         current["kernels"]["fused_wall_s"] = 0.2
         assert compare(_doc(), current) == []
+
+    def test_format_wall_seconds_not_gated_but_file_digests_are(self):
+        current = _doc()
+        current["kernels"]["formats"]["encode_wall_s"] = 1.0
+        current["kernels"]["formats"]["decode_wall_s"] = 1.0
+        del current["kernels"]["formats"]["parent"]
+        assert compare(_doc(), current) == []
+        current["kernels"]["formats"]["files"]["part-00000"]["sha256_digest"] = "0f"
+        violations = compare(_doc(), current)
+        assert any("part-00000.sha256_digest" in v for v in violations)
