@@ -8,21 +8,20 @@ measured function).
 
 import pytest
 
-from repro.bench.env import Environment
-from repro.bench.figure5 import build_environment
-from repro.bench.figure6 import build_codec_environment
+from repro.bench.env import Environment, paper_environment
+from repro.bench.scales import SCALES
 
 
 @pytest.fixture(scope="session")
 def figure5_env() -> Environment:
     """All three evaluation datasets at bench scale."""
-    return build_environment(scale="small")
+    return paper_environment(SCALES["figure5"]["small"])
 
 
 @pytest.fixture(scope="session")
 def codec_envs() -> dict:
     """Deep Water re-encoded under each codec (Figure 6)."""
     return {
-        codec: build_codec_environment(codec, scale="small")
+        codec: paper_environment(SCALES["figure6"]["small"], codec=codec)
         for codec in ("none", "snappy", "gzip", "zstd")
     }

@@ -3,7 +3,7 @@
 Each benchmark measures the wall time of one full query execution on the
 simulated testbed and records the *simulated* execution time and data
 movement in ``extra_info`` — those are the numbers that correspond to the
-paper's bars and red lines (see ``python -m repro.bench.figure5`` for the
+paper's bars and red lines (see ``python -m repro.bench figure5`` for the
 formatted paper-vs-measured report).
 """
 

@@ -9,15 +9,15 @@ the scan parallelizes across nodes.
 
 import pytest
 
-from repro.bench.env import Environment, RunConfig
-from repro.bench.figure5 import build_environment
+from repro.bench.env import Environment, RunConfig, paper_environment
+from repro.bench.scales import SCALES
 from repro.config import TestbedSpec
 from repro.workloads import LAGHOS_QUERY
 
 
 @pytest.fixture(scope="module")
 def scaling_env():
-    return build_environment(scale="small", datasets=["laghos"])
+    return paper_environment({"laghos": SCALES["figure5"]["small"]["laghos"]})
 
 
 @pytest.mark.parametrize("nodes", [1, 2, 4])

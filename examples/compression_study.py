@@ -12,15 +12,17 @@ them in :class:`repro.client.Client` directly instead of ``connect()``.
 
 from repro import Client, RunConfig
 from repro.bench import format_table
-from repro.bench.figure6 import build_codec_environment
+from repro.bench.env import paper_environment
 from repro.bench.report import format_bytes, format_seconds
+from repro.bench.scales import SCALES
 from repro.workloads import DEEPWATER_QUERY
 
 
 def main() -> None:
     rows = []
     for codec in ("none", "snappy", "gzip", "zstd"):
-        client = Client(environment=build_codec_environment(codec, scale="small"))
+        environment = paper_environment(SCALES["figure6"]["small"], codec=codec)
+        client = Client(environment=environment)
         descriptor = client.environment.metastore.get_table("hpc", "deepwater")
         filter_only = client.execute(
             DEEPWATER_QUERY, RunConfig.filter_only(), schema="hpc"

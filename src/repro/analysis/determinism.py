@@ -32,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.arrowsim.record_batch import RecordBatch
 from repro.errors import DeterminismError
@@ -224,13 +224,9 @@ def run_recorded(
     )
 
 
-def check_determinism(
-    env: Any, sql: str, config: Any, schema: str, catalog: str = "repro"
-) -> DeterminismReport:
+def _check(replay: Callable[[str], ReplayReport]) -> DeterminismReport:
     """Two FIFO replays diffed per event + one adversarial LIFO replay."""
-    baseline = run_recorded(env, sql, config, schema, catalog, tie_break="fifo")
-    replay = run_recorded(env, sql, config, schema, catalog, tie_break="fifo")
-    adversarial = run_recorded(env, sql, config, schema, catalog, tie_break="lifo")
+    baseline, again, adversarial = replay("fifo"), replay("fifo"), replay("lifo")
     notes: List[str] = []
     if baseline.max_simultaneous <= 1:
         notes.append(
@@ -239,12 +235,23 @@ def check_determinism(
         )
     return DeterminismReport(
         baseline=baseline,
-        replay=replay,
+        replay=again,
         adversarial=adversarial,
         first_divergence=_first_divergence(
-            baseline.event_digests, replay.event_digests
+            baseline.event_digests, again.event_digests
         ),
         notes=notes,
+    )
+
+
+def check_determinism(
+    env: Any, sql: str, config: Any, schema: str, catalog: str = "repro"
+) -> DeterminismReport:
+    """Two FIFO replays diffed per event + one adversarial LIFO replay."""
+    return _check(
+        lambda tie_break: run_recorded(
+            env, sql, config, schema, catalog, tie_break=tie_break
+        )
     )
 
 
@@ -262,20 +269,8 @@ def check_dag_determinism(seed: int = 0) -> DeterminismReport:
     it leaks into query results.
     """
     from repro.bench import dag
-    from repro.bench.env import RunConfig
-    from repro.config import FaultSpec
-    from repro.core import PushdownPolicy
-    from repro.engine import SchedulerSpec
 
-    env = dag.build_environment("smoke", seed)
-    config = RunConfig(
-        label="determinism-dag",
-        mode="ocs",
-        policy=PushdownPolicy.filter_only(),
-        split_granularity="file",
-        faults=FaultSpec(storage_latency_multipliers={0: 20.0}, seed=seed),
-        scheduler=SchedulerSpec(speculation=True, speculation_quorum=0.25),
-    )
+    env, config = dag.straggler_trial(seed)
     return check_determinism(env, dag.SQL, config, schema="tpch")
 
 
@@ -291,27 +286,16 @@ def run_service_recorded(
     order, and that serialization must not depend on the tie-break
     policy.
     """
-    from repro.bench.service import build_environment
+    from repro.bench.service import submit_two_tenant_load
     from repro.config import ServiceSpec
-    from repro.service import QueryService, QueryTemplate, open_loop
-    from repro.workloads.laghos import LAGHOS_QUERY
-    from repro.workloads.tpch import TPCH_Q1
 
     recorder = DigestRecorder()
-    spec = ServiceSpec(max_active_queries=2, max_queue_depth=8)
-    service = QueryService(
-        build_environment(), spec, tie_break=tie_break, observer=recorder
-    )
-    templates = [
-        QueryTemplate(tenant="analytics", sql=TPCH_Q1, schema="tpch", label="q1"),
-        QueryTemplate(tenant="hpc", sql=LAGHOS_QUERY, schema="hpc", label="laghos"),
-    ]
-    open_loop(
-        service,
-        templates,
+    service = submit_two_tenant_load(
+        ServiceSpec(max_active_queries=2, max_queue_depth=8),
         queries=queries,
-        mean_interarrival_s=0.05,
         seed=seed,
+        tie_break=tie_break,
+        observer=recorder,
     )
     # report() drains the service, which is what actually runs the
     # simulation — snapshot the recorder only afterwards.
@@ -328,23 +312,10 @@ def run_service_recorded(
 
 def check_service_determinism(queries: int = 8, seed: int = 0) -> DeterminismReport:
     """Two FIFO service replays diffed per event + one adversarial LIFO."""
-    baseline = run_service_recorded(queries=queries, seed=seed, tie_break="fifo")
-    replay = run_service_recorded(queries=queries, seed=seed, tie_break="fifo")
-    adversarial = run_service_recorded(queries=queries, seed=seed, tie_break="lifo")
-    notes: List[str] = []
-    if baseline.max_simultaneous <= 1:
-        notes.append(
-            "note: no same-timestamp event runs observed; the adversarial "
-            "replay exercised nothing"
+    return _check(
+        lambda tie_break: run_service_recorded(
+            queries=queries, seed=seed, tie_break=tie_break
         )
-    return DeterminismReport(
-        baseline=baseline,
-        replay=replay,
-        adversarial=adversarial,
-        first_divergence=_first_divergence(
-            baseline.event_digests, replay.event_digests
-        ),
-        notes=notes,
     )
 
 

@@ -107,63 +107,7 @@ def run_self_test(seed: int = 0) -> List[SuiteRow]:
 # --------------------------------------------------------------------------
 
 
-def _suite_table3(rows: int) -> None:
-    from repro.bench.table3 import run_table3
-
-    run_table3(rows=rows)
-
-
-def _suite_join() -> None:
-    from repro.bench.join import QUERIES, build_environment, run_join_bench
-
-    env = build_environment("smoke", seed=0)
-    run_join_bench(env, QUERIES["q3"])
-
-
-def _suite_dag(seed: int) -> None:
-    """One straggler trial: degraded storage node, speculation on."""
-    from repro.bench import dag
-    from repro.bench.env import RunConfig
-    from repro.config import FaultSpec
-    from repro.core import PushdownPolicy
-    from repro.engine import SchedulerSpec
-
-    env = dag.build_environment("smoke", seed)
-    config = RunConfig(
-        label="race-dag",
-        mode="ocs",
-        policy=PushdownPolicy.filter_only(),
-        split_granularity="file",
-        faults=FaultSpec(storage_latency_multipliers={0: 20.0}, seed=seed),
-        scheduler=SchedulerSpec(speculation=True, speculation_quorum=0.25),
-    )
-    env.run(dag.SQL, config, "tpch")
-
-
-def _suite_cache(seed: int) -> None:
-    """The cache tier drill: fills and hits on every shared cache tier."""
-    from repro.bench.cache import run_tier_drill
-
-    run_tier_drill("smoke", seed)
-
-
-def _suite_service(seed: int) -> None:
-    from repro.bench.service import build_environment
-    from repro.config import ServiceSpec
-    from repro.service import QueryService, QueryTemplate, open_loop
-    from repro.workloads.laghos import LAGHOS_QUERY
-    from repro.workloads.tpch import TPCH_Q1
-
-    spec = ServiceSpec(max_active_queries=2, max_queue_depth=8)
-    service = QueryService(build_environment(), spec)
-    templates = [
-        QueryTemplate(tenant="analytics", sql=TPCH_Q1, schema="tpch", label="q1"),
-        QueryTemplate(tenant="hpc", sql=LAGHOS_QUERY, schema="hpc", label="laghos"),
-    ]
-    open_loop(service, templates, queries=8, mean_interarrival_s=0.05, seed=seed)
-
-
-def _sanitized(name: str, fn: Callable[[], None]) -> SuiteRow:
+def _sanitized(name: str, fn: Callable[[], object]) -> SuiteRow:
     """Run ``fn`` with the process-wide sanitizer default forced on."""
     previous = set_strict_sanitize(True)
     try:
@@ -176,12 +120,26 @@ def _sanitized(name: str, fn: Callable[[], None]) -> SuiteRow:
 
 
 def run_bench_suites(rows: int = 8192, seed: int = 0) -> List[SuiteRow]:
+    """Each bench's own definition of its workload, at its smallest size."""
+    from repro.bench import cache, dag, join, service, table3
+    from repro.config import ServiceSpec
+
+    def straggler() -> None:
+        env, config = dag.straggler_trial(seed)
+        env.run(dag.SQL, config, "tpch")
+
+    def two_tenants() -> None:
+        spec = ServiceSpec(max_active_queries=2, max_queue_depth=8)
+        # Submitting schedules arrivals only; draining is what runs them.
+        service.submit_two_tenant_load(spec, queries=8, seed=seed).drain()
+
     return [
-        _sanitized("table3", lambda: _suite_table3(rows)),
-        _sanitized("join", _suite_join),
-        _sanitized("dag", lambda: _suite_dag(seed)),
-        _sanitized("cache", lambda: _suite_cache(seed)),
-        _sanitized("service", lambda: _suite_service(seed)),
+        _sanitized("table3", lambda: table3.run_table3(rows=rows)),
+        _sanitized("join", lambda: join.run("smoke", seed=0)),
+        _sanitized("dag", straggler),
+        # The tier drill fills and hits every shared cache tier.
+        _sanitized("cache", lambda: cache.run_tier_drill("smoke", seed)),
+        _sanitized("service", two_tenants),
     ]
 
 

@@ -1,5 +1,8 @@
-"""``python -m repro.bench`` — regenerate the paper's evaluation artifacts."""
+"""``python -m repro.bench`` — the one entry point (see :mod:`repro.bench.cli`)."""
+
+import sys
 
 from repro.bench.cli import main
 
-main()
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,38 +32,21 @@ two reruns diff clean.
 
 from __future__ import annotations
 
-import argparse
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.env import Environment, RunConfig
-from repro.bench.report import format_table
+from repro.bench.report import format_records
+from repro.bench.scales import SCALES
 from repro.config import CacheSpec
 from repro.core import PushdownPolicy
 from repro.engine import QueryResult
-from repro.workloads import DatasetSpec, generate_lineitem
+from repro.service.slo import percentile
+from repro.workloads import lineitem_spec
 
-__all__ = [
-    "CacheBenchResult",
-    "LevelRow",
-    "REUSE_LEVELS",
-    "SCALES",
-    "TierRow",
-    "build_environment",
-    "format_cache_table",
-    "run_cache_bench",
-    "run_tier_drill",
-]
-
-#: scale -> (lineitem files, rows/file, executions per reuse level).
-SCALES: Dict[str, Tuple[int, int, int]] = {
-    "smoke": (6, 20_000, 20),
-    "sf0.1": (12, 75_000, 20),
-}
+__all__ = ["render", "run", "run_tier_drill"]
 
 #: Swept reuse levels.  Pool sizes must divide the execution count so
 #: every template repeats the same number of times within a level.
@@ -95,76 +78,29 @@ DRILL_VARIANT = (
 )
 
 
-@dataclass(frozen=True)
-class LevelRow:
-    """One reuse level: aggregate counters over its executions."""
-
-    reuse: float
-    queries: int
-    distinct: int
-    result_hits: int
-    split_hits: int
-    page_hits: int
-    bytes_moved: int
-    p50_s: float
-    p99_s: float
+#: Cache tier -> its hit counter, in cascade order (coordinator result
+#: tier first, OCS page tier last).
+TIER_METRICS = {
+    "result": "result_cache_hits",
+    "split": "split_cache_hits",
+    "page": "ocs_page_cache_hits",
+}
 
 
-@dataclass(frozen=True)
-class TierRow:
-    """One tier-drill run and which tier ended up serving it."""
-
-    label: str
-    served_by: str
-    seconds: float
-    bytes_moved: int
-
-
-@dataclass(frozen=True)
-class CacheBenchResult:
-    levels: List[LevelRow]
-    tiers: List[TierRow]
-    #: Template 0's digest (present at every level; snapshot-gated).
-    digest: str
-    #: Every template's digest matched across repeats and reuse levels.
-    digests_identical: bool
-
-    @property
-    def bytes_strictly_decreasing(self) -> bool:
-        moved = [level.bytes_moved for level in self.levels]
-        return all(b < a for a, b in zip(moved, moved[1:]))
-
-    @property
-    def p99_improves(self) -> bool:
-        return self.levels[-1].p99_s < self.levels[0].p99_s
-
-
-def build_environment(scale: str, seed: int) -> Environment:
-    files, rows, _ = SCALES[scale]
+def _build_environment(scale: str, seed: int) -> Environment:
+    files, rows, _ = SCALES["cache"][scale]
     env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="lineitem",
-            bucket="data",
-            file_count=files,
-            generator=lambda i: generate_lineitem(
-                rows, seed=23 + seed, start_row=i * rows
-            ),
-            row_group_rows=8192,
-        )
-    )
+    env.add_dataset(lineitem_spec(files, rows, 23 + seed, row_group_rows=8192))
     return env
 
 
-def _config(cache: Optional[CacheSpec]) -> RunConfig:
-    return RunConfig(
-        label="cache",
-        mode="ocs",
-        policy=PushdownPolicy.filter_only(),
-        split_granularity="file",
-        cache=cache,
-    )
+CONFIG = RunConfig(
+    label="cache",
+    mode="ocs",
+    policy=PushdownPolicy.filter_only(),
+    split_granularity="file",
+    cache=CacheSpec(),
+)
 
 
 def _template_sql(index: int) -> str:
@@ -172,26 +108,19 @@ def _template_sql(index: int) -> str:
     return SQL_TEMPLATE.format(threshold=0.08 - index * 0.004)
 
 
-def _percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ranked = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ranked)))
-    return ranked[rank - 1]
-
-
 def _run_level(
     scale: str, seed: int, level_index: int, reuse: float,
     digests: Dict[int, str],
-) -> Tuple[LevelRow, bool]:
+) -> Dict[str, Any]:
     """One reuse level on a fresh environment (and a fresh cache).
 
     ``digests`` accumulates template -> canonical digest across levels;
-    the returned flag is False if any execution here disagreed with it.
+    the row's ``digests_identical`` is False if any execution here
+    disagreed with it.
     """
-    _, _, executions = SCALES[scale]
+    _, _, executions = SCALES["cache"][scale]
     distinct = max(1, round(executions * (1.0 - reuse)))
-    env = build_environment(scale, seed)
-    config = _config(CacheSpec())
+    env = _build_environment(scale, seed)
     rng = np.random.default_rng(500 + 31 * seed + level_index)
     sequence = rng.permutation(
         np.repeat(np.arange(distinct), executions // distinct)
@@ -199,144 +128,115 @@ def _run_level(
     identical = True
     seconds: List[float] = []
     bytes_moved = 0
-    hits = {"result_cache_hits": 0, "split_cache_hits": 0, "ocs_page_cache_hits": 0}
+    hits = dict.fromkeys(TIER_METRICS, 0)
     for template in sequence:
-        result = env.run(_template_sql(int(template)), config, "tpch")
+        result = env.run(_template_sql(int(template)), CONFIG, "tpch")
         seconds.append(result.execution_seconds)
         bytes_moved += result.data_moved_bytes
-        for name in hits:
-            hits[name] += int(result.metrics.value(name))
+        for tier, metric in TIER_METRICS.items():
+            hits[tier] += int(result.metrics.value(metric))
         digest = canonical_result_digest(result.batch)
         expected = digests.setdefault(int(template), digest)
         identical = identical and digest == expected
-    row = LevelRow(
-        reuse=reuse,
-        queries=executions,
-        distinct=distinct,
-        result_hits=hits["result_cache_hits"],
-        split_hits=hits["split_cache_hits"],
-        page_hits=hits["ocs_page_cache_hits"],
-        bytes_moved=bytes_moved,
-        p50_s=_percentile(seconds, 50),
-        p99_s=_percentile(seconds, 99),
-    )
-    return row, identical
+    return {
+        "reuse": reuse,
+        "queries": executions,
+        "distinct": distinct,
+        **{f"{tier}_hits": count for tier, count in hits.items()},
+        "moved_bytes": bytes_moved,
+        "p50_s": percentile(seconds, 50),
+        "p99_s": percentile(seconds, 99),
+        "digests_identical": identical,
+    }
 
 
 def _served_by(result: QueryResult) -> str:
-    if result.metrics.value("result_cache_hits"):
-        return "result"
-    if result.metrics.value("split_cache_hits"):
-        return "split"
-    if result.metrics.value("ocs_page_cache_hits"):
-        return "page"
+    for tier, metric in TIER_METRICS.items():
+        if result.metrics.value(metric):
+            return tier
     return "storage-scan"
 
 
-def run_tier_drill(scale: str, seed: int) -> List[TierRow]:
+def run_tier_drill(scale: str, seed: int) -> List[Dict[str, Any]]:
     """Three runs walking the tier cascade on one shared cache.
 
     Also the sanitized race suite's cache workload: it touches every
     tier's shared state (fills, hits, and the coordinator's hybrid
     lowering) in a handful of runs.
     """
-    env = build_environment(scale, seed)
-    config = _config(CacheSpec())
+    env = _build_environment(scale, seed)
     runs = [
         ("cold", DRILL_COLD),
         ("repeat", DRILL_COLD),
         ("variant", DRILL_VARIANT),
     ]
-    rows: List[TierRow] = []
+    rows: List[Dict[str, Any]] = []
     for label, sql in runs:
-        result = env.run(sql, config, "tpch")
+        result = env.run(sql, CONFIG, "tpch")
         rows.append(
-            TierRow(
-                label=label,
-                served_by=_served_by(result),
-                seconds=result.execution_seconds,
-                bytes_moved=result.data_moved_bytes,
-            )
+            {
+                "label": label,
+                "served_by": _served_by(result),
+                "seconds": result.execution_seconds,
+                "moved_bytes": result.data_moved_bytes,
+            }
         )
     return rows
 
 
-def run_cache_bench(scale: str, seed: int) -> CacheBenchResult:
+def run(scale: str, seed: int = 0) -> Dict[str, Any]:
     """Run the reuse sweep plus the tier drill."""
     digests: Dict[int, str] = {}
-    levels: List[LevelRow] = []
-    identical = True
-    for level_index, reuse in enumerate(REUSE_LEVELS):
-        row, level_identical = _run_level(scale, seed, level_index, reuse, digests)
-        levels.append(row)
-        identical = identical and level_identical
-    return CacheBenchResult(
-        levels=levels,
-        tiers=run_tier_drill(scale, seed),
-        digest=digests.get(0, ""),
-        digests_identical=identical,
-    )
-
-
-def format_cache_table(scale: str, result: CacheBenchResult) -> str:
-    body = [
-        [
-            f"{level.reuse:.1f}",
-            str(level.queries),
-            str(level.distinct),
-            str(level.result_hits),
-            str(level.split_hits),
-            str(level.page_hits),
-            f"{level.bytes_moved:,}",
-            f"{level.p50_s:.4f}",
-            f"{level.p99_s:.4f}",
-        ]
-        for level in result.levels
+    levels = [
+        _run_level(scale, seed, level_index, reuse, digests)
+        for level_index, reuse in enumerate(REUSE_LEVELS)
     ]
-    sweep = format_table(
-        [
-            "reuse",
-            "queries",
-            "distinct",
-            "result hits",
-            "split hits",
-            "page hits",
-            "bytes moved",
-            "p50 s",
-            "p99 s",
-        ],
-        body,
-    )
-    drill = format_table(
-        ["run", "served by", "seconds", "bytes moved"],
-        [
-            [t.label, t.served_by, f"{t.seconds:.4f}", f"{t.bytes_moved:,}"]
-            for t in result.tiers
-        ],
-    )
+    moved = [level["moved_bytes"] for level in levels]
+    return {
+        "scale": scale,
+        "levels": {f"r{level['reuse']:.1f}": level for level in levels},
+        "tiers": run_tier_drill(scale, seed),
+        # Template 0's digest (present at every level).
+        "digest": digests.get(0, ""),
+        # Every template's digest matched across repeats and reuse levels.
+        "digests_identical": all(level["digests_identical"] for level in levels),
+        "bytes_strictly_decreasing": all(b < a for a, b in zip(moved, moved[1:])),
+        "p99_improves": levels[-1]["p99_s"] < levels[0]["p99_s"],
+    }
+
+
+#: (header, key, format) of the sweep's and the drill's columns.
+SWEEP_COLUMNS = (
+    ("reuse", "reuse", ".1f"),
+    ("queries", "queries", ""),
+    ("distinct", "distinct", ""),
+    ("result hits", "result_hits", ""),
+    ("split hits", "split_hits", ""),
+    ("page hits", "page_hits", ""),
+    ("bytes moved", "moved_bytes", ","),
+    ("p50 s", "p50_s", ".4f"),
+    ("p99 s", "p99_s", ".4f"),
+)
+DRILL_COLUMNS = (
+    ("run", "label", ""),
+    ("served by", "served_by", ""),
+    ("seconds", "seconds", ".4f"),
+    ("bytes moved", "moved_bytes", ","),
+)
+
+
+def render(doc: Dict[str, Any]) -> str:
+    levels = list(doc["levels"].values())
     return (
-        f"Cache benchmark ({scale}): reuse sweep over the hybrid cache\n"
-        f"{sweep}\n"
+        f"Cache benchmark ({doc['scale']}): reuse sweep over the hybrid cache\n"
+        f"{format_records(SWEEP_COLUMNS, levels)}\n"
         f"digests identical across repeats and reuse levels: "
-        f"{'yes' if result.digests_identical else 'NO'}\n"
+        f"{'yes' if doc['digests_identical'] else 'NO'}\n"
         f"bytes moved strictly decreasing with reuse: "
-        f"{'yes' if result.bytes_strictly_decreasing else 'NO'}\n"
-        f"p99 at reuse {result.levels[-1].reuse:.1f} beats reuse "
-        f"{result.levels[0].reuse:.1f}: "
-        f"{'yes' if result.p99_improves else 'NO'}\n"
+        f"{'yes' if doc['bytes_strictly_decreasing'] else 'NO'}\n"
+        f"p99 at reuse {levels[-1]['reuse']:.1f} beats reuse "
+        f"{levels[0]['reuse']:.1f}: "
+        f"{'yes' if doc['p99_improves'] else 'NO'}\n"
         f"\nTier drill: cold fill -> result hit -> page hit\n"
-        f"{drill}"
+        f"{format_records(DRILL_COLUMNS, doc['tiers'])}"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="smoke")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run_cache_bench(args.scale, args.seed)
-    print(format_cache_table(args.scale, result))
-
-
-if __name__ == "__main__":
-    main()

@@ -19,36 +19,22 @@ so two reruns diff clean.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.env import Environment, RunConfig
-from repro.bench.report import format_table
+from repro.bench.report import format_records
+from repro.bench.scales import SCALES
 from repro.config import DEFAULT_TESTBED, FaultSpec
 from repro.core import PushdownPolicy
 from repro.engine import SchedulerSpec
-from repro.workloads import DatasetSpec, generate_lineitem
+from repro.service.slo import percentile
+from repro.workloads import lineitem_spec
 
-__all__ = [
-    "DagBenchResult",
-    "SCALES",
-    "TrialRow",
-    "build_environment",
-    "format_dag_table",
-    "run_dag_bench",
-]
-
-#: scale -> (lineitem files, rows/file, storage nodes, trials).
-SCALES: Dict[str, Tuple[int, int, int, int]] = {
-    "smoke": (8, 20_000, 4, 8),
-    "sf0.1": (16, 75_000, 4, 16),
-}
+__all__ = ["SQL", "render", "run", "straggler_trial"]
 
 #: The scanned query: selective filter + small group-by, so split service
 #: time is dominated by the pushdown work the fault slows down.
@@ -64,58 +50,11 @@ SQL = (
 _MULT_RANGE = (4.0, 60.0)
 
 
-@dataclass(frozen=True)
-class TrialRow:
-    """One trial: one degraded node, same query with and without backups."""
-
-    trial: int
-    node: int
-    multiplier: float
-    off_seconds: float
-    on_seconds: float
-    backups: int
-    wins: int
-    digest_identical: bool
-
-
-@dataclass(frozen=True)
-class DagBenchResult:
-    trials: List[TrialRow]
-    p50_off_s: float
-    p99_off_s: float
-    p50_on_s: float
-    p99_on_s: float
-    #: First trial's result digest (identical across every run and mode).
-    digest: str
-    #: Every trial's speculation run re-ran with the same seed and
-    #: matched byte-for-byte (digest + simulated seconds + metrics).
-    replay_identical: bool
-
-    @property
-    def identical(self) -> bool:
-        return all(t.digest_identical for t in self.trials)
-
-    @property
-    def p99_speedup(self) -> float:
-        return self.p99_off_s / self.p99_on_s if self.p99_on_s else 0.0
-
-
-def build_environment(scale: str, seed: int) -> Environment:
-    files, rows, nodes, _ = SCALES[scale]
+def _build_environment(scale: str, seed: int) -> Environment:
+    files, rows, nodes, _ = SCALES["dag"][scale]
     testbed = dataclasses.replace(DEFAULT_TESTBED, storage_node_count=nodes)
     env = Environment(testbed=testbed)
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="lineitem",
-            bucket="data",
-            file_count=files,
-            generator=lambda i: generate_lineitem(
-                rows, seed=17 + seed, start_row=i * rows
-            ),
-            row_group_rows=8192,
-        )
-    )
+    env.add_dataset(lineitem_spec(files, rows, 17 + seed, row_group_rows=8192))
     return env
 
 
@@ -132,19 +71,23 @@ def _config(label: str, faults: FaultSpec, speculation: bool) -> RunConfig:
     )
 
 
-def _percentile(values: List[float], pct: float) -> float:
-    """Nearest-rank percentile (deterministic, no interpolation)."""
-    ranked = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ranked)))
-    return ranked[rank - 1]
+def straggler_trial(seed: int) -> Tuple[Environment, RunConfig]:
+    """One smoke trial — storage node 0 slowed 20x, speculation on.
+
+    What the race sweep and the determinism harness replay: backup
+    launches, primary/backup completion ties and split settlement are
+    the scheduler's densest same-instant territory.
+    """
+    faults = FaultSpec(storage_latency_multipliers={0: 20.0}, seed=seed)
+    return _build_environment("smoke", seed), _config("straggler", faults, True)
 
 
-def run_dag_bench(scale: str, seed: int) -> DagBenchResult:
-    """Run the trial sweep; returns per-trial rows and tail percentiles."""
-    _, _, nodes, trials = SCALES[scale]
-    env = build_environment(scale, seed)
+def run(scale: str, seed: int = 0) -> Dict[str, Any]:
+    """Run the trial sweep: per-trial rows and tail percentiles."""
+    _, _, nodes, trials = SCALES["dag"][scale]
+    env = _build_environment(scale, seed)
     rng = np.random.default_rng(1000 + seed)
-    rows: List[TrialRow] = []
+    rows: List[Dict[str, Any]] = []
     digest: Optional[str] = None
     replay_identical = True
     for trial in range(trials):
@@ -166,78 +109,62 @@ def run_dag_bench(scale: str, seed: int) -> DagBenchResult:
             and replay.metrics.snapshot() == on.metrics.snapshot()
         )
         rows.append(
-            TrialRow(
-                trial=trial,
-                node=node,
-                multiplier=mult,
-                off_seconds=off.execution_seconds,
-                on_seconds=on.execution_seconds,
-                backups=int(on.metrics.value("speculative_backups")),
-                wins=int(on.metrics.value("speculative_wins")),
-                digest_identical=d_off == d_on == digest,
-            )
+            {
+                "trial": trial,
+                "node": node,
+                "multiplier": mult,
+                "off_seconds": off.execution_seconds,
+                "on_seconds": on.execution_seconds,
+                "backups": int(on.metrics.value("speculative_backups")),
+                "wins": int(on.metrics.value("speculative_wins")),
+                "digest_identical": d_off == d_on == digest,
+            }
         )
-    off_s = [t.off_seconds for t in rows]
-    on_s = [t.on_seconds for t in rows]
-    return DagBenchResult(
-        trials=rows,
-        p50_off_s=_percentile(off_s, 50),
-        p99_off_s=_percentile(off_s, 99),
-        p50_on_s=_percentile(on_s, 50),
-        p99_on_s=_percentile(on_s, 99),
-        digest=digest or "",
-        replay_identical=replay_identical,
-    )
+    off_s = [row["off_seconds"] for row in rows]
+    on_s = [row["on_seconds"] for row in rows]
+    p99_off, p99_on = percentile(off_s, 99), percentile(on_s, 99)
+    return {
+        "scale": scale,
+        "trials": trials,
+        "rows": rows,
+        "p50_off_s": percentile(off_s, 50),
+        "p99_off_s": p99_off,
+        "p50_on_s": percentile(on_s, 50),
+        "p99_on_s": p99_on,
+        "p99_speedup": p99_off / p99_on if p99_on else 0.0,
+        # Speculation must beat no-speculation where stragglers hurt.
+        "p99_improves": p99_on < p99_off,
+        "identical": all(row["digest_identical"] for row in rows),
+        # Every trial's speculation run re-ran with the same seed and
+        # matched byte-for-byte (digest + simulated seconds + metrics).
+        "replay_identical": replay_identical,
+        # First trial's result digest (identical across every run and mode).
+        "digest": digest or "",
+    }
 
 
-def format_dag_table(scale: str, result: DagBenchResult) -> str:
-    body = [
-        [
-            str(t.trial),
-            str(t.node),
-            f"{t.multiplier:.2f}",
-            f"{t.off_seconds:.4f}",
-            f"{t.on_seconds:.4f}",
-            str(t.backups),
-            str(t.wins),
-            "yes" if t.digest_identical else "NO",
-        ]
-        for t in result.trials
-    ]
-    table = format_table(
-        [
-            "trial",
-            "node",
-            "slowdown",
-            "spec-off s",
-            "spec-on s",
-            "backups",
-            "wins",
-            "digest ok",
-        ],
-        body,
-    )
+#: (header, key, format) of the per-trial table's columns.
+COLUMNS = (
+    ("trial", "trial", ""),
+    ("node", "node", ""),
+    ("slowdown", "multiplier", ".2f"),
+    ("spec-off s", "off_seconds", ".4f"),
+    ("spec-on s", "on_seconds", ".4f"),
+    ("backups", "backups", ""),
+    ("wins", "wins", ""),
+    ("digest ok", "digest_identical", ""),
+)
+
+
+def render(doc: Dict[str, Any]) -> str:
     return (
-        f"DAG straggler benchmark ({scale}): speculative split re-execution\n"
-        f"{table}\n"
-        f"p50: {result.p50_off_s:.4f}s off vs {result.p50_on_s:.4f}s on | "
-        f"p99: {result.p99_off_s:.4f}s off vs {result.p99_on_s:.4f}s on "
-        f"({result.p99_speedup:.2f}x)\n"
+        f"DAG straggler benchmark ({doc['scale']}): speculative split re-execution\n"
+        f"{format_records(COLUMNS, doc['rows'])}\n"
+        f"p50: {doc['p50_off_s']:.4f}s off vs {doc['p50_on_s']:.4f}s on | "
+        f"p99: {doc['p99_off_s']:.4f}s off vs {doc['p99_on_s']:.4f}s on "
+        f"({doc['p99_speedup']:.2f}x)\n"
         f"digests identical across modes and trials: "
-        f"{'yes' if result.identical else 'NO'}\n"
+        f"{'yes' if doc['identical'] else 'NO'}\n"
         f"seeded speculation reruns byte-identical: "
-        f"{'yes' if result.replay_identical else 'NO'}"
+        f"{'yes' if doc['replay_identical'] else 'NO'}"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="smoke")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run_dag_bench(args.scale, args.seed)
-    print(format_dag_table(args.scale, result))
-
-
-if __name__ == "__main__":
-    main()

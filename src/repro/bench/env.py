@@ -9,7 +9,7 @@ is an isolated query execution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional, Tuple
 
 from repro.cache.manager import CacheManager
 from repro.config import DEFAULT_TESTBED, CacheSpec, FaultSpec, TestbedSpec
@@ -23,9 +23,15 @@ from repro.objectstore.store import ObjectStore
 from repro.analysis.runtime import strict_sanitize_enabled
 from repro.rpc.retry import RetryPolicy
 from repro.sim.costmodel import DEFAULT_COSTS, CostParams
-from repro.workloads.datasets import DatasetSpec, build_dataset
+from repro.workloads.datasets import (
+    DatasetSpec,
+    build_dataset,
+    deepwater_spec,
+    laghos_spec,
+    lineitem_spec,
+)
 
-__all__ = ["RunConfig", "Environment"]
+__all__ = ["RunConfig", "Environment", "paper_environment"]
 
 
 #: Run modes understood by :meth:`Environment.run`.
@@ -259,3 +265,35 @@ class Environment:
                 strict_verify=config.strict_verify,
             )
         raise EngineError(f"unknown run mode {config.mode!r}")
+
+
+#: Paper dataset -> (spec helper, raw generator seed, row groups per file).
+PAPER_TABLES = {
+    "laghos": (laghos_spec, 1, 4),
+    "deepwater": (deepwater_spec, 2, 4),
+    "tpch": (lineitem_spec, 3, 2),
+}
+
+
+def paper_environment(
+    sizes: Mapping[str, Tuple[int, int]],
+    *,
+    codec: str = "none",
+    lossy_error_bounds: Optional[dict] = None,
+) -> Environment:
+    """The evaluation datasets (Figures 5/6, Table 2, the lossy study).
+
+    ``sizes`` maps each wanted dataset to ``(files, rows per file)`` —
+    a row of :data:`repro.bench.scales.SCALES`, or a slice of one.
+    """
+    env = Environment()
+    for dataset, (files, rows) in sizes.items():
+        spec, seed, groups = PAPER_TABLES[dataset]
+        env.add_dataset(
+            spec(
+                files, rows, seed, codec=codec,
+                row_group_rows=max(2048, rows // groups),
+                lossy_error_bounds=lossy_error_bounds,
+            )
+        )
+    return env

@@ -8,36 +8,14 @@ movement next to the paper's reported values, plus the headline ratios.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
-from repro.bench.env import Environment, RunConfig
+from repro.bench.env import Environment, RunConfig, paper_environment
 from repro.bench.report import format_bytes, format_seconds, format_table
-from repro.workloads import (
-    DEEPWATER_QUERY,
-    DatasetSpec,
-    LAGHOS_QUERY,
-    TPCH_Q1,
-    generate_deepwater_file,
-    generate_laghos_file,
-    generate_lineitem,
-)
+from repro.bench.scales import SCALES
+from repro.workloads import DEEPWATER_QUERY, LAGHOS_QUERY, TPCH_Q1
 
-__all__ = ["FIGURE5_SPECS", "Figure5Point", "build_environment", "run_figure5"]
-
-
-@dataclass(frozen=True)
-class Figure5Point:
-    """One bar of one panel."""
-
-    label: str
-    seconds: float
-    moved_bytes: int
-    paper_seconds: float
-    paper_moved_bytes: float
-    rows: int
-
+__all__ = ["FIGURE5_SPECS", "format_panel", "render", "run", "run_figure5"]
 
 #: Per-panel definitions: query, schema, configs (paper's x-axis), and the
 #: paper's reported (seconds, bytes moved) per configuration.
@@ -74,56 +52,11 @@ FIGURE5_SPECS: Dict[str, dict] = {
     },
 }
 
-#: (files, rows per file) per dataset at each scale.
-SCALES: Dict[str, Dict[str, Tuple[int, int]]] = {
-    "small": {"laghos": (4, 16384), "deepwater": (4, 32768), "tpch": (2, 50000)},
-    "medium": {"laghos": (16, 131072), "deepwater": (8, 262144), "tpch": (4, 150000)},
-}
 
-
-def build_environment(
-    scale: str = "small",
-    datasets: Optional[List[str]] = None,
-    codec: str = "none",
-) -> Environment:
-    """Stand up the evaluation datasets at the requested scale."""
-    env = Environment()
-    sizes = SCALES[scale]
-    wanted = datasets if datasets is not None else list(FIGURE5_SPECS)
-    if "laghos" in wanted:
-        files, rows = sizes["laghos"]
-        env.add_dataset(
-            DatasetSpec(
-                "hpc", "laghos", "data", files,
-                lambda i: generate_laghos_file(rows, i, seed=1),
-                codec=codec, row_group_rows=max(2048, rows // 4),
-            )
-        )
-    if "deepwater" in wanted:
-        files, rows = sizes["deepwater"]
-        env.add_dataset(
-            DatasetSpec(
-                "hpc", "deepwater", "data", files,
-                lambda i: generate_deepwater_file(rows, i, seed=2),
-                codec=codec, row_group_rows=max(2048, rows // 4),
-            )
-        )
-    if "tpch" in wanted:
-        files, rows = sizes["tpch"]
-        env.add_dataset(
-            DatasetSpec(
-                "tpch", "lineitem", "data", files,
-                lambda i, rows=rows: generate_lineitem(rows, seed=3, start_row=i * rows),
-                codec=codec, row_group_rows=max(2048, rows // 2),
-            )
-        )
-    return env
-
-
-def run_figure5(env: Environment, dataset: str) -> List[Figure5Point]:
-    """Execute one panel's configuration sweep."""
+def run_figure5(env: Environment, dataset: str) -> List[Dict[str, Any]]:
+    """Execute one panel's configuration sweep; one point per bar."""
     spec = FIGURE5_SPECS[dataset]
-    points: List[Figure5Point] = []
+    points: List[Dict[str, Any]] = []
     reference = None
     for config, paper_seconds, paper_bytes in spec["configs"]:
         result = env.run(spec["query"], config, schema=spec["schema"])
@@ -134,32 +67,42 @@ def run_figure5(env: Environment, dataset: str) -> List[Figure5Point]:
                 f"pushdown transparency violated for {dataset}/{config.label}"
             )
         points.append(
-            Figure5Point(
-                label=config.label,
-                seconds=result.execution_seconds,
-                moved_bytes=result.data_moved_bytes,
-                paper_seconds=paper_seconds,
-                paper_moved_bytes=paper_bytes,
-                rows=result.rows,
-            )
+            {
+                "label": config.label,
+                "seconds": result.execution_seconds,
+                "moved_bytes": result.data_moved_bytes,
+                "paper_seconds": paper_seconds,
+                "paper_moved_bytes": paper_bytes,
+                "rows": result.rows,
+            }
         )
     return points
 
 
-def format_panel(dataset: str, points: List[Figure5Point]) -> str:
+def run(scale: str, dataset: str = "all") -> Dict[str, Any]:
+    wanted = list(FIGURE5_SPECS) if dataset == "all" else [dataset]
+    sizes = SCALES["figure5"][scale]
+    env = paper_environment({name: sizes[name] for name in wanted})
+    return {
+        "scale": scale,
+        "panels": {name: run_figure5(env, name) for name in wanted},
+    }
+
+
+def format_panel(dataset: str, points: List[Dict[str, Any]]) -> str:
     """Paper-vs-measured table plus normalized (speedup) columns."""
     base = points[0]
     rows = []
     for p in points:
         rows.append(
             [
-                p.label,
-                format_seconds(p.seconds),
-                f"{base.seconds / p.seconds:.2f}x",
-                f"{base.paper_seconds / p.paper_seconds:.2f}x",
-                format_bytes(p.moved_bytes),
-                f"{p.moved_bytes / base.moved_bytes * 100:.3f}%",
-                f"{p.paper_moved_bytes / base.paper_moved_bytes * 100:.3f}%",
+                p["label"],
+                format_seconds(p["seconds"]),
+                f"{base['seconds'] / p['seconds']:.2f}x",
+                f"{base['paper_seconds'] / p['paper_seconds']:.2f}x",
+                format_bytes(p["moved_bytes"]),
+                f"{p['moved_bytes'] / base['moved_bytes'] * 100:.3f}%",
+                f"{p['paper_moved_bytes'] / base['paper_moved_bytes'] * 100:.3f}%",
             ]
         )
     table = format_table(
@@ -172,17 +115,8 @@ def format_panel(dataset: str, points: List[Figure5Point]) -> str:
     return f"Figure 5 ({dataset}): speedups are relative to no pushdown\n{table}"
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--dataset", choices=[*FIGURE5_SPECS, "all"], default="all")
-    parser.add_argument("--scale", choices=list(SCALES), default="small")
-    args = parser.parse_args(argv)
-    wanted = list(FIGURE5_SPECS) if args.dataset == "all" else [args.dataset]
-    env = build_environment(args.scale, datasets=wanted)
-    for dataset in wanted:
-        print(format_panel(dataset, run_figure5(env, dataset)))
-        print()
-
-
-if __name__ == "__main__":
-    main()
+def render(doc: Dict[str, Any]) -> str:
+    # Every panel, the last included, is followed by a blank line.
+    return "\n\n".join(
+        format_panel(name, points) for name, points in doc["panels"].items()
+    ) + "\n"

@@ -14,15 +14,15 @@ paper's findings this must reproduce:
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.bench.env import Environment, RunConfig
+from repro.bench.env import RunConfig, paper_environment
 from repro.bench.report import format_bytes, format_seconds, format_table
-from repro.workloads import DEEPWATER_QUERY, DatasetSpec, generate_deepwater_file
+from repro.bench.scales import SCALES
+from repro.engine import QueryResult
+from repro.workloads import DEEPWATER_QUERY
 
-__all__ = ["CODECS", "Figure6Point", "run_figure6"]
+__all__ = ["render", "run", "run_pushdown_pair"]
 
 CODECS = ("none", "snappy", "gzip", "zstd")
 
@@ -36,77 +36,61 @@ PAPER_SECONDS: Dict[str, Tuple[Optional[float], Optional[float]]] = {
 
 PAPER_SPEEDUP = {"none": 1.22, "snappy": 1.37, "gzip": 1.39, "zstd": 1.36}
 
-SCALES = {"small": (4, 32768), "medium": (8, 131072)}
 
+def run_pushdown_pair(
+    sizes: Mapping[str, Tuple[int, int]], **storage: Any
+) -> Tuple[Dict[str, Any], QueryResult, QueryResult]:
+    """Deep Water stored under ``storage`` (a codec, lossy bounds), queried
+    with filter-only and with all-operator pushdown.
 
-@dataclass(frozen=True)
-class Figure6Point:
-    codec: str
-    stored_bytes: int
-    filter_seconds: float
-    allop_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        return self.filter_seconds / self.allop_seconds
-
-
-def build_codec_environment(codec: str, scale: str = "small") -> Environment:
-    files, rows = SCALES[scale]
-    env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            "hpc", "deepwater", "data", files,
-            lambda i: generate_deepwater_file(rows, i, seed=2),
-            codec=codec, row_group_rows=max(2048, rows // 4),
-        )
+    Returns the measurements every storage study reports plus both
+    results, for the caller's own transparency check.
+    """
+    env = paper_environment(sizes, **storage)
+    filter_only = env.run(DEEPWATER_QUERY, RunConfig.filter_only(), schema="hpc")
+    all_op = env.run(
+        DEEPWATER_QUERY,
+        RunConfig.ocs("all-op", "filter", "project", "aggregate"),
+        schema="hpc",
     )
-    return env
+    point = {
+        "stored_bytes": env.dataset_bytes(env.metastore.get_table("hpc", "deepwater")),
+        "filter_seconds": filter_only.execution_seconds,
+        "allop_seconds": all_op.execution_seconds,
+    }
+    return point, filter_only, all_op
 
 
-def run_figure6(scale: str = "small", codecs=CODECS) -> List[Figure6Point]:
+def run(scale: str) -> Dict[str, Any]:
     """Run the full compression sweep; one fresh dataset per codec."""
     points = []
     reference = None
-    for codec in codecs:
-        env = build_codec_environment(codec, scale)
-        descriptor = env.metastore.get_table("hpc", "deepwater")
-        filter_only = env.run(DEEPWATER_QUERY, RunConfig.filter_only(), schema="hpc")
-        all_op = env.run(
-            DEEPWATER_QUERY,
-            RunConfig.ocs("all-op", "filter", "project", "aggregate"),
-            schema="hpc",
+    for codec in CODECS:
+        point, filter_only, all_op = run_pushdown_pair(
+            SCALES["figure6"][scale], codec=codec
         )
         if reference is None:
             reference = filter_only.batch
-        else:
-            if not filter_only.batch.approx_equals(reference):
-                raise AssertionError(f"codec {codec} changed query results")
+        elif not filter_only.batch.approx_equals(reference):
+            raise AssertionError(f"codec {codec} changed query results")
         if not all_op.batch.approx_equals(reference):
             raise AssertionError(f"codec {codec} all-op changed query results")
-        points.append(
-            Figure6Point(
-                codec=codec,
-                stored_bytes=env.dataset_bytes(descriptor),
-                filter_seconds=filter_only.execution_seconds,
-                allop_seconds=all_op.execution_seconds,
-            )
-        )
-    return points
+        points.append({"codec": codec, **point})
+    return {"scale": scale, "points": points}
 
 
-def format_figure6(points: List[Figure6Point]) -> str:
+def render(doc: Dict[str, Any]) -> str:
     rows = []
-    for p in points:
-        paper_filter, paper_all = PAPER_SECONDS[p.codec]
+    for p in doc["points"]:
+        paper_filter, paper_all = PAPER_SECONDS[p["codec"]]
         rows.append(
             [
-                p.codec,
-                format_bytes(p.stored_bytes),
-                format_seconds(p.filter_seconds),
-                format_seconds(p.allop_seconds),
-                f"{p.speedup:.2f}x",
-                f"{PAPER_SPEEDUP[p.codec]:.2f}x",
+                p["codec"],
+                format_bytes(p["stored_bytes"]),
+                format_seconds(p["filter_seconds"]),
+                format_seconds(p["allop_seconds"]),
+                f"{p['filter_seconds'] / p['allop_seconds']:.2f}x",
+                f"{PAPER_SPEEDUP[p['codec']]:.2f}x",
                 format_seconds(paper_filter) if paper_filter else "-",
                 format_seconds(paper_all) if paper_all else "-",
             ]
@@ -118,25 +102,12 @@ def format_figure6(points: List[Figure6Point]) -> str:
         ],
         rows,
     )
-    by_codec = {p.codec: p for p in points}
-    crossover = ""
-    if "zstd" in by_codec and "none" in by_codec:
-        ours = by_codec["zstd"].filter_seconds < by_codec["none"].allop_seconds
-        crossover = (
-            f"\ncrossover (zstd filter-only < uncompressed all-op): "
-            f"{'reproduced' if ours else 'NOT reproduced'} "
-            f"({by_codec['zstd'].filter_seconds:.3f} s vs "
-            f"{by_codec['none'].allop_seconds:.3f} s; paper: 451.7 s vs 530.4 s)"
-        )
-    return f"Figure 6 (Deep Water, compression x pushdown)\n{table}{crossover}"
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="small")
-    args = parser.parse_args(argv)
-    print(format_figure6(run_figure6(args.scale)))
-
-
-if __name__ == "__main__":
-    main()
+    by_codec = {p["codec"]: p for p in doc["points"]}
+    zstd_filter = by_codec["zstd"]["filter_seconds"]
+    none_allop = by_codec["none"]["allop_seconds"]
+    return (
+        f"Figure 6 (Deep Water, compression x pushdown)\n{table}"
+        f"\ncrossover (zstd filter-only < uncompressed all-op): "
+        f"{'reproduced' if zstd_filter < none_allop else 'NOT reproduced'} "
+        f"({zstd_filter:.3f} s vs {none_allop:.3f} s; paper: 451.7 s vs 530.4 s)"
+    )

@@ -21,166 +21,78 @@ so two reruns diff clean.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict
 
 from repro.bench.env import Environment, RunConfig
-from repro.bench.report import format_table
+from repro.bench.report import format_records
+from repro.bench.scales import SCALES
 from repro.core import PushdownPolicy
-from repro.workloads import (
-    TPCH_Q3,
-    TPCH_Q12,
-    DatasetSpec,
-    generate_lineitem,
-    generate_orders,
-)
+from repro.workloads import TPCH_Q3, TPCH_Q12, lineitem_spec, orders_spec
 
-__all__ = [
-    "JoinRow",
-    "SCALES",
-    "build_environment",
-    "join_configs",
-    "run_join_bench",
-    "format_join_table",
-]
-
-#: scale -> (lineitem files, rows/file, orders files, rows/file,
-#: row-group rows).  ``sf0.1`` is TPC-H SF-0.1 lineitem (600k rows);
-#: orders files mirror lineitem's key offsets so the foreign key holds.
-SCALES: Dict[str, Tuple[int, int, int, int, int]] = {
-    "smoke": (2, 20_000, 2, 20_000, 8192),
-    "sf0.1": (4, 150_000, 4, 150_000, 65_536),
-}
+__all__ = ["QUERIES", "render", "run"]
 
 QUERIES = {"q3": TPCH_Q3, "q12": TPCH_Q12}
 
 
-@dataclass(frozen=True)
-class JoinRow:
-    """One configuration's measurements."""
-
-    label: str
-    rows: int
-    seconds: float
-    moved_bytes: int
-    shuffle_bytes: int
-    #: Probe-side rows that reached the hash join (post scan + filters).
-    probe_rows: int
-    #: Probe rows the OCS engine eliminated via the dynamic filter.
-    dynamic_rows_pruned: int
+CONFIGS = (
+    RunConfig(label="no-pushdown", mode="hive-raw", prune_columns=False),
+    RunConfig(label="static-pushdown", mode="ocs", policy=PushdownPolicy.filter_only()),
+    RunConfig(
+        label="dynamic-filter",
+        mode="ocs",
+        policy=PushdownPolicy(enabled=frozenset({"filter"}), dynamic_filters=True),
+    ),
+)
 
 
-def build_environment(scale: str, seed: int) -> Environment:
-    li_files, li_rows, ord_files, ord_rows, group_rows = SCALES[scale]
+def run(scale: str, seed: int = 0, query: str = "q3") -> Dict[str, Any]:
+    """Run ``query`` under all three configs; measurements + result parity."""
+    files, rows, group_rows = SCALES["join"][scale]
     env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="lineitem",
-            bucket="data",
-            file_count=li_files,
-            generator=lambda i: generate_lineitem(
-                li_rows, seed=17 + seed, start_row=i * li_rows
-            ),
-            row_group_rows=group_rows,
-        )
-    )
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="orders",
-            bucket="data",
-            file_count=ord_files,
-            generator=lambda i: generate_orders(
-                ord_rows, seed=19 + seed, start_key=i * ord_rows
-            ),
-            row_group_rows=group_rows,
-        )
-    )
-    return env
-
-
-def join_configs() -> List[RunConfig]:
-    return [
-        RunConfig(label="no-pushdown", mode="hive-raw", prune_columns=False),
-        RunConfig(
-            label="static-pushdown", mode="ocs", policy=PushdownPolicy.filter_only()
-        ),
-        RunConfig(
-            label="dynamic-filter",
-            mode="ocs",
-            policy=PushdownPolicy(enabled=frozenset({"filter"}), dynamic_filters=True),
-        ),
-    ]
-
-
-def run_join_bench(env: Environment, sql: str) -> Tuple[List[JoinRow], bool]:
-    """Run ``sql`` under all three configs; returns rows + result parity."""
-    rows: List[JoinRow] = []
+    # Same file layout on both sides, so every lineitem orderkey resolves.
+    env.add_dataset(lineitem_spec(files, rows, 17 + seed, row_group_rows=group_rows))
+    env.add_dataset(orders_spec(files, rows, 19 + seed, row_group_rows=group_rows))
+    configs: Dict[str, Dict[str, Any]] = {}
     results = []
-    for config in join_configs():
-        result = env.run(sql, config, schema="tpch")
+    for config in CONFIGS:
+        result = env.run(QUERIES[query], config, schema="tpch")
         results.append(result)
         value = result.metrics.value
-        rows.append(
-            JoinRow(
-                label=config.label,
-                rows=result.rows,
-                seconds=result.execution_seconds,
-                moved_bytes=result.data_moved_bytes,
-                shuffle_bytes=int(value("exchange_bytes")),
-                probe_rows=int(value("rows_into_hashjoin")),
-                dynamic_rows_pruned=int(value("ocs_dynamic_rows_pruned")),
-            )
-        )
+        configs[config.label] = {
+            "label": config.label,
+            "rows": result.rows,
+            "seconds": result.execution_seconds,
+            "moved_bytes": result.data_moved_bytes,
+            "shuffle_bytes": int(value("exchange_bytes")),
+            # Probe-side rows that reached the hash join (post scan + filters).
+            "probe_rows": int(value("rows_into_hashjoin")),
+            # Probe rows the OCS engine eliminated via the dynamic filter.
+            "dynamic_rows_pruned": int(value("ocs_dynamic_rows_pruned")),
+        }
     first = results[0].to_pydict()
-    identical = all(r.to_pydict() == first for r in results[1:])
-    return rows, identical
+    return {
+        "query": query,
+        "scale": scale,
+        "identical": all(r.to_pydict() == first for r in results[1:]),
+        "configs": configs,
+    }
 
 
-def format_join_table(query_name: str, rows: List[JoinRow], identical: bool) -> str:
-    body = [
-        [
-            r.label,
-            f"{r.rows:,}",
-            f"{r.seconds:.4f}",
-            f"{r.moved_bytes:,}",
-            f"{r.shuffle_bytes:,}",
-            f"{r.probe_rows:,}",
-            f"{r.dynamic_rows_pruned:,}",
-        ]
-        for r in rows
-    ]
-    table = format_table(
-        [
-            "config",
-            "rows",
-            "seconds",
-            "moved B",
-            "shuffle B",
-            "probe rows",
-            "pruned rows",
-        ],
-        body,
-    )
+#: (header, key, format) of the report's columns.
+COLUMNS = (
+    ("config", "label", ""),
+    ("rows", "rows", ","),
+    ("seconds", "seconds", ".4f"),
+    ("moved B", "moved_bytes", ","),
+    ("shuffle B", "shuffle_bytes", ","),
+    ("probe rows", "probe_rows", ","),
+    ("pruned rows", "dynamic_rows_pruned", ","),
+)
+
+
+def render(doc: Dict[str, Any]) -> str:
     return (
-        f"Join benchmark ({query_name}): exchange + dynamic-filter pushdown\n"
-        f"{table}\n"
-        f"results identical across configs: {'yes' if identical else 'NO'}"
+        f"Join benchmark ({doc['query']}): exchange + dynamic-filter pushdown\n"
+        f"{format_records(COLUMNS, doc['configs'].values())}\n"
+        f"results identical across configs: {'yes' if doc['identical'] else 'NO'}"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="sf0.1")
-    parser.add_argument("--query", choices=list(QUERIES), default="q3")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    env = build_environment(args.scale, args.seed)
-    rows, identical = run_join_bench(env, QUERIES[args.query])
-    print(format_join_table(args.query, rows, identical))
-
-
-if __name__ == "__main__":
-    main()

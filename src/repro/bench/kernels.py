@@ -6,8 +6,8 @@ Three measurements on the same filter+project-heavy sensor workload:
   are timed over a fixed set of pages, tree-walk vs fused; this is the
   real-CPU number the fused backend has to win (the regression gate
   requires >= 1.5x).  Wall-clock readings are machine-dependent, so they
-  are printed to *stderr* and the JSON fragment only; stdout stays
-  byte-identical across reruns.
+  are printed to *stderr* and kept in the doc (hence in ``bench
+  snapshot --out``) only; stdout stays byte-identical across reruns.
 * **Simulated end-to-end runs** — the same workload as a SQL query under
   ``hive-raw`` (everything compute-side) and ``ocs`` (residual compute
   after pushdown), tree vs fused, on the DES cluster.  Reported columns:
@@ -16,7 +16,7 @@ Three measurements on the same filter+project-heavy sensor workload:
 * **Storage-format section** — the dataset's files are Parcel-encoded
   and decoded back: stored size and sha256 per file (stdout + JSON — the
   byte-identity contract of the format, gated exactly by ``bench
-  snapshot``) and best-of-N encode / decode wall seconds (stderr + JSON
+  snapshot``) and best-of-N encode / decode wall seconds (stderr + doc
   only, like the microbench).
 
 The workload is expression-heavy by design: a 3-conjunct WHERE whose
@@ -27,13 +27,11 @@ materialization).
 
 from __future__ import annotations
 
-import argparse
+import dataclasses
 import hashlib
-import json
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from repro.arrowsim.dtypes import FLOAT64, INT64
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.bench.env import Environment, RunConfig
 from repro.bench.report import format_table
+from repro.bench.scales import SCALES
 from repro.exec import (
     AndExpr,
     ArithExpr,
@@ -59,20 +58,10 @@ from repro.exec.expressions import ScalarFuncExpr
 from repro.formats import ParcelReader, write_table
 from repro.workloads.datasets import DatasetSpec
 
-__all__ = [
-    "KernelBenchResult",
-    "SCALES",
-    "build_operators",
-    "build_page",
-    "run_kernel_bench",
-    "main",
-]
+__all__ = ["MIN_WALL_SPEEDUP", "render", "run"]
 
-#: scale -> (pages, rows per page, wall-clock repeats, dataset files).
-SCALES: Dict[str, Tuple[int, int, int, int]] = {
-    "smoke": (4, 16_384, 3, 2),
-    "default": (16, 65_536, 5, 4),
-}
+#: Absolute floor on the fused kernels' wall-clock speedup over tree-walk.
+MIN_WALL_SPEEDUP = 1.5
 
 
 def build_page(rows: int, seed: int) -> RecordBatch:
@@ -138,69 +127,31 @@ def build_operators() -> List[Operator]:
     return [FilterOperator(predicate), ProjectOperator(projections)]
 
 
-@dataclass(frozen=True)
-class KernelBenchResult:
-    """Everything one kernel-bench invocation measured."""
-
-    scale: str
-    rows: int
-    pages: int
-    #: Wall-clock seconds, best of N repeats (machine-dependent).
-    tree_wall_s: float
-    fused_wall_s: float
-    #: Deterministic digest of the microbench output (both backends).
-    micro_digest: str
-    fusion: FusionStats
-    #: mode -> {"sim_tree_s", "sim_fused_s", "bytes_moved", "digest"}.
-    sim: Dict[str, Dict[str, object]]
-    #: {"files": {name: {"stored_bytes", "sha256_digest"}},
-    #: "encode_wall_s", "decode_wall_s"} — see :func:`_format_runs`.
-    formats: Dict[str, object]
-
-    @property
-    def wall_speedup(self) -> float:
-        if self.fused_wall_s <= 0.0:
-            return 1.0
-        return self.tree_wall_s / self.fused_wall_s
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "scale": self.scale,
-            "rows": self.rows,
-            "pages": self.pages,
-            "tree_wall_s": self.tree_wall_s,
-            "fused_wall_s": self.fused_wall_s,
-            "wall_speedup": self.wall_speedup,
-            "micro_digest": self.micro_digest,
-            "fusion": {
-                "chains_fused": self.fusion.chains_fused,
-                "operators_fused": self.fusion.operators_fused,
-                "predicates": self.fusion.predicates,
-                "cse_definitions": self.fusion.cse_definitions,
-                "cse_references_saved": self.fusion.cse_references_saved,
-            },
-            "sim": self.sim,
-            "formats": self.formats,
-        }
-
-
-def _time_pipeline(
+def _time_pipelines(
     pages: Sequence[RecordBatch],
-    make_ops,
+    pipelines: Dict[str, Callable[[], List[Operator]]],
     repeats: int,
-) -> Tuple[float, RecordBatch]:
-    """Best-of-N wall time for pushing all pages through fresh operators."""
-    best = float("inf")
-    output: Optional[RecordBatch] = None
+) -> Tuple[Dict[str, float], Dict[str, RecordBatch]]:
+    """Best-of-N wall seconds, and the output, per pipeline.
+
+    Each measurement is a few milliseconds, so one scheduling hiccup is
+    the size of the signal: every pipeline gets one untimed warm-up
+    pass, and the pipelines are interleaved within each repeat so a
+    disturbance cannot land on one side of the ratio only.
+    """
+    for make_ops in pipelines.values():
+        run_operators(pages, make_ops())
+    best = {name: float("inf") for name in pipelines}
+    outputs: Dict[str, RecordBatch] = {}
     for _ in range(repeats):
-        ops = make_ops()
-        start = time.perf_counter()  # simlint: ignore[wall-clock]
-        batches = run_operators(pages, ops)
-        elapsed = time.perf_counter() - start  # simlint: ignore[wall-clock]
-        best = min(best, elapsed)
-        output = concat_batches(batches) if batches else None
-    assert output is not None
-    return best, output
+        for name, make_ops in pipelines.items():
+            ops = make_ops()
+            start = time.perf_counter()  # simlint: ignore[wall-clock]
+            batches = run_operators(pages, ops)
+            elapsed = time.perf_counter() - start  # simlint: ignore[wall-clock]
+            best[name] = min(best[name], elapsed)
+            outputs[name] = concat_batches(batches)
+    return best, outputs
 
 
 def _format_runs(files: int, rows: int, repeats: int) -> Dict[str, object]:
@@ -234,7 +185,7 @@ def _format_runs(files: int, rows: int, repeats: int) -> Dict[str, object]:
     }
 
 
-def _simulated_runs(scale: str, files: int, rows: int) -> Dict[str, Dict[str, object]]:
+def _simulated_runs(files: int, rows: int) -> Dict[str, Dict[str, object]]:
     env = Environment()
     env.add_dataset(
         DatasetSpec(
@@ -250,7 +201,9 @@ def _simulated_runs(scale: str, files: int, rows: int) -> Dict[str, Dict[str, ob
         config = RunConfig(label=f"kernels-{mode}", mode=mode)
         tree = env.run(KERNEL_QUERY, config, schema="lab")
         fused = env.run(
-            KERNEL_QUERY, replace(config, exec_backend="fused"), schema="lab"
+            KERNEL_QUERY,
+            dataclasses.replace(config, exec_backend="fused"),
+            schema="lab",
         )
         tree_digest = canonical_result_digest(tree.batch)
         fused_digest = canonical_result_digest(fused.batch)
@@ -269,47 +222,64 @@ def _simulated_runs(scale: str, files: int, rows: int) -> Dict[str, Dict[str, ob
     return out
 
 
-def run_kernel_bench(scale: str = "default") -> KernelBenchResult:
-    pages_n, rows, repeats, files = SCALES[scale]
+def run(scale: str) -> Dict[str, Any]:
+    pages_n, rows, compiles, files, wall_repeats = SCALES["kernels"][scale]
     pages = [build_page(rows, i) for i in range(pages_n)]
-
-    tree_wall, tree_out = _time_pipeline(pages, build_operators, repeats)
-    stats = FusionStats()
-
-    def make_fused() -> List[Operator]:
-        return fuse_operators(build_operators(), stats)
-
-    fused_wall, fused_out = _time_pipeline(pages, make_fused, repeats)
-    if not tree_out.equals(fused_out):
+    wall, out = _time_pipelines(
+        pages,
+        {"tree": build_operators, "fused": lambda: fuse_operators(build_operators())},
+        wall_repeats,
+    )
+    tree_wall, fused_wall = wall["tree"], wall["fused"]
+    if not out["tree"].equals(out["fused"]):
         raise AssertionError(
             "fused microbench output differs from tree-walk output"
         )
-    return KernelBenchResult(
-        scale=scale,
-        rows=rows * pages_n,
-        pages=pages_n,
-        tree_wall_s=tree_wall,
-        fused_wall_s=fused_wall,
-        micro_digest=canonical_result_digest(tree_out),
-        fusion=stats,
-        sim=_simulated_runs(scale, files, rows),
-        formats=_format_runs(files, rows, repeats),
+    # The counters on stdout are cumulative over ``compiles`` fresh
+    # compilations (see scales.py); the timed loop above compiles without
+    # a stats sink so its repeat count can move without moving them.
+    stats = FusionStats()
+    for _ in range(compiles):
+        fuse_operators(build_operators(), stats)
+    doc = {
+        "scale": scale,
+        "rows": rows * pages_n,
+        "pages": pages_n,
+        # Wall-clock seconds, best of N repeats (machine-dependent).
+        "tree_wall_s": tree_wall,
+        "fused_wall_s": fused_wall,
+        "wall_speedup": tree_wall / fused_wall if fused_wall > 0.0 else 1.0,
+        # Deterministic digest of the microbench output (both backends).
+        "micro_digest": canonical_result_digest(out["tree"]),
+        "fusion": dataclasses.asdict(stats),
+        "sim": _simulated_runs(files, rows),
+        "formats": _format_runs(files, rows, compiles),
+    }
+    # Wall-clock is machine-dependent: stderr only, stdout stays diffable.
+    print(
+        f"wall-clock: tree {tree_wall * 1e3:.1f} ms, "
+        f"fused {fused_wall * 1e3:.1f} ms, "
+        f"speedup {doc['wall_speedup']:.2f}x; "
+        f"parcel encode {doc['formats']['encode_wall_s'] * 1e3:.1f} ms, "
+        f"decode {doc['formats']['decode_wall_s'] * 1e3:.1f} ms",
+        file=sys.stderr,
     )
+    return doc
 
 
-def format_kernels(result: KernelBenchResult) -> str:
+def render(doc: Dict[str, Any]) -> str:
     """Deterministic report (no wall-clock numbers — see module doc)."""
     rows: List[List[object]] = []
-    for mode, sim in sorted(result.sim.items()):
+    for mode, sim in sorted(doc["sim"].items()):
         rows.append(
             [
                 mode,
                 sim["rows"],
-                f"{float(sim['sim_tree_s']) * 1e3:.3f} ms",
-                f"{float(sim['sim_fused_s']) * 1e3:.3f} ms",
-                f"{float(sim['sim_tree_s']) / max(float(sim['sim_fused_s']), 1e-12):.3f}x",
+                f"{sim['sim_tree_s'] * 1e3:.3f} ms",
+                f"{sim['sim_fused_s'] * 1e3:.3f} ms",
+                f"{sim['sim_tree_s'] / max(sim['sim_fused_s'], 1e-12):.3f}x",
                 sim["bytes_moved"],
-                str(sim["digest"])[:16],
+                sim["digest"][:16],
             ]
         )
     table = format_table(
@@ -317,48 +287,17 @@ def format_kernels(result: KernelBenchResult) -> str:
          "digest (tree == fused)"],
         rows,
     )
-    files = result.formats["files"]
-    assert isinstance(files, dict)
     stored = "".join(
         f"\nparcel {name}: {entry['stored_bytes']} bytes, sha256 {entry['sha256_digest']}"
-        for name, entry in sorted(files.items())
+        for name, entry in sorted(doc["formats"]["files"].items())
     )
-    fusion = result.fusion
+    fusion = doc["fusion"]
     footer = (
-        f"\nmicrobench: {result.rows} rows in {result.pages} pages, "
-        f"digest {result.micro_digest[:16]} (tree == fused)"
-        f"\nfusion: {fusion.operators_fused} operators -> "
-        f"{fusion.chains_fused} fused kernels, {fusion.predicates} "
-        f"short-circuit predicates, {fusion.cse_definitions} CSE defs "
-        f"({fusion.cse_references_saved} re-evaluations saved)"
+        f"\nmicrobench: {doc['rows']} rows in {doc['pages']} pages, "
+        f"digest {doc['micro_digest'][:16]} (tree == fused)"
+        f"\nfusion: {fusion['operators_fused']} operators -> "
+        f"{fusion['chains_fused']} fused kernels, {fusion['predicates']} "
+        f"short-circuit predicates, {fusion['cse_definitions']} CSE defs "
+        f"({fusion['cse_references_saved']} re-evaluations saved)"
     )
-    return f"Kernel bench (scale={result.scale})\n" + table + footer + stored
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=sorted(SCALES), default="default")
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="write the full result (including wall-clock) as JSON",
-    )
-    args = parser.parse_args(argv)
-    result = run_kernel_bench(args.scale)
-    print(format_kernels(result))
-    # Wall-clock is machine-dependent: stderr only, stdout stays diffable.
-    print(
-        f"wall-clock: tree {result.tree_wall_s * 1e3:.1f} ms, "
-        f"fused {result.fused_wall_s * 1e3:.1f} ms, "
-        f"speedup {result.wall_speedup:.2f}x; "
-        f"parcel encode {float(result.formats['encode_wall_s']) * 1e3:.1f} ms, "
-        f"decode {float(result.formats['decode_wall_s']) * 1e3:.1f} ms",
-        file=sys.stderr,
-    )
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-if __name__ == "__main__":
-    main()
+    return f"Kernel bench (scale={doc['scale']})\n" + table + footer + stored

@@ -10,56 +10,25 @@ the observed result deviation against the lossless answer.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List
 
-from repro.bench.env import Environment, RunConfig
+from repro.bench.figure6 import run_pushdown_pair
 from repro.bench.report import format_bytes, format_seconds, format_table
-from repro.workloads import DEEPWATER_QUERY, DatasetSpec, generate_deepwater_file
+from repro.bench.scales import SCALES
 
-__all__ = ["LossyPoint", "run_lossy_study"]
+__all__ = ["render", "run"]
 
 #: Absolute error bounds swept (None = lossless baseline).
 BOUNDS = (None, 1e-6, 1e-4, 1e-2)
 
 
-@dataclass(frozen=True)
-class LossyPoint:
-    bound: Optional[float]
-    stored_bytes: int
-    filter_seconds: float
-    allop_seconds: float
-    #: Max abs deviation of the aggregated result vs the lossless answer.
-    result_deviation: float
-
-
-def _environment(bound: Optional[float], files: int, rows: int) -> Environment:
-    env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            "hpc", "deepwater", "data", files,
-            lambda i: generate_deepwater_file(rows, i, seed=2),
-            row_group_rows=max(2048, rows // 4),
-            lossy_error_bounds=(
-                None if bound is None else {"v02": bound, "snd": bound}
-            ),
-        )
-    )
-    return env
-
-
-def run_lossy_study(files: int = 4, rows: int = 32768) -> List[LossyPoint]:
-    points: List[LossyPoint] = []
+def run(scale: str) -> Dict[str, Any]:
+    points: List[Dict[str, Any]] = []
     reference = None
     for bound in BOUNDS:
-        env = _environment(bound, files, rows)
-        descriptor = env.metastore.get_table("hpc", "deepwater")
-        filter_only = env.run(DEEPWATER_QUERY, RunConfig.filter_only(), schema="hpc")
-        all_op = env.run(
-            DEEPWATER_QUERY,
-            RunConfig.ocs("all-op", "filter", "project", "aggregate"),
-            schema="hpc",
+        point, _, all_op = run_pushdown_pair(
+            SCALES["lossy"][scale],
+            lossy_error_bounds=None if bound is None else {"v02": bound, "snd": bound},
         )
         out = all_op.to_pydict()
         if reference is None:
@@ -71,30 +40,23 @@ def run_lossy_study(files: int = 4, rows: int = 32768) -> List[LossyPoint]:
             ),
             default=0.0,
         )
-        points.append(
-            LossyPoint(
-                bound=bound,
-                stored_bytes=env.dataset_bytes(descriptor),
-                filter_seconds=filter_only.execution_seconds,
-                allop_seconds=all_op.execution_seconds,
-                result_deviation=float(deviation),
-            )
-        )
-    return points
+        # Max abs deviation of the aggregate vs the lossless answer.
+        points.append({"bound": bound, **point, "result_deviation": float(deviation)})
+    return {"scale": scale, "points": points}
 
 
-def format_lossy(points: List[LossyPoint]) -> str:
+def render(doc: Dict[str, Any]) -> str:
     rows = []
-    base = points[0]
-    for p in points:
+    base = doc["points"][0]
+    for p in doc["points"]:
         rows.append(
             [
-                "lossless" if p.bound is None else f"sz eps={p.bound:g}",
-                format_bytes(p.stored_bytes),
-                f"{base.stored_bytes / p.stored_bytes:.2f}x",
-                format_seconds(p.filter_seconds),
-                format_seconds(p.allop_seconds),
-                f"{p.result_deviation:g}",
+                "lossless" if p["bound"] is None else f"sz eps={p['bound']:g}",
+                format_bytes(p["stored_bytes"]),
+                f"{base['stored_bytes'] / p['stored_bytes']:.2f}x",
+                format_seconds(p["filter_seconds"]),
+                format_seconds(p["allop_seconds"]),
+                f"{p['result_deviation']:g}",
             ]
         )
     return (
@@ -104,15 +66,3 @@ def format_lossy(points: List[LossyPoint]) -> str:
             rows,
         )
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--files", type=int, default=4)
-    parser.add_argument("--rows", type=int, default=32768)
-    args = parser.parse_args(argv)
-    print(format_lossy(run_lossy_study(args.files, args.rows)))
-
-
-if __name__ == "__main__":
-    main()

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
-__all__ = ["format_table", "format_bytes", "format_seconds"]
+__all__ = ["format_table", "format_records", "format_bytes", "format_seconds"]
 
 
 def format_bytes(nbytes: float) -> str:
@@ -45,6 +45,28 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
     lines = [fmt_row(list(headers)), divider]
     lines.extend(fmt_row(row) for row in text_rows)
     return "\n".join(lines)
+
+
+def format_records(
+    columns: Sequence[Tuple[str, str, str]],
+    records: Iterable[Mapping[str, object]],
+) -> str:
+    """:func:`format_table` over dict records (the rows of a suite's doc).
+
+    One ``(header, key, format spec)`` per column, so a column's title
+    and its cell formatting are declared together; booleans render as
+    ``yes`` / ``NO``.
+    """
+    return format_table(
+        [header for header, _, _ in columns],
+        [[_cell(record[key], spec) for _, key, spec in columns] for record in records],
+    )
+
+
+def _cell(value: object, spec: str) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    return format(value, spec)
 
 
 def _numericish(cell: str) -> bool:

@@ -22,37 +22,16 @@ so two reruns diff clean — CI runs the bench twice and byte-compares.
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.env import Environment, RunConfig
-from repro.bench.report import format_table
+from repro.bench.report import format_records
+from repro.bench.scales import SCALES
 from repro.core import PushdownPolicy
-from repro.workloads import (
-    DatasetSpec,
-    TPCH_Q4,
-    TPCH_Q18,
-    generate_lineitem,
-    generate_orders,
-)
+from repro.workloads import TPCH_Q4, TPCH_Q18, lineitem_spec, orders_spec
 
-__all__ = [
-    "ParityRow",
-    "RewriteBenchResult",
-    "SCALES",
-    "SemiRow",
-    "build_environment",
-    "format_rewrite_table",
-    "run_rewrite_bench",
-]
-
-#: scale -> (files per table, rows per file).
-SCALES: Dict[str, Tuple[int, int]] = {
-    "smoke": (2, 20_000),
-    "sf0.1": (4, 75_000),
-}
+__all__ = ["render", "run"]
 
 #: Subquery-free parity queries: each exercises a rewrite rule that can
 #: fire without changing the answer (OR→IN, transitive derivation) plus
@@ -84,78 +63,6 @@ SEMI_QUERIES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class ParityRow:
-    label: str
-    rows: int
-    seconds_on: float
-    digest_identical: bool
-
-
-@dataclass(frozen=True)
-class SemiRow:
-    label: str
-    rows: int
-    static_bytes: int
-    dynamic_bytes: int
-    pruned_rows: int
-    digest_identical: bool
-
-    @property
-    def fewer_bytes(self) -> bool:
-        return self.dynamic_bytes < self.static_bytes
-
-
-@dataclass(frozen=True)
-class RewriteBenchResult:
-    parity: List[ParityRow]
-    semi: List[SemiRow]
-    #: Q4's rewrite-on digest (snapshot-gated).
-    digest: str
-
-    @property
-    def parity_identical(self) -> bool:
-        return all(row.digest_identical for row in self.parity)
-
-    @property
-    def semi_digests_identical(self) -> bool:
-        return all(row.digest_identical for row in self.semi)
-
-    @property
-    def semi_moves_fewer_bytes(self) -> bool:
-        return all(row.fewer_bytes for row in self.semi)
-
-
-def build_environment(scale: str, seed: int) -> Environment:
-    files, rows = SCALES[scale]
-    env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="lineitem",
-            bucket="data",
-            file_count=files,
-            generator=lambda i: generate_lineitem(
-                rows, seed=17 + seed, start_row=i * rows
-            ),
-            row_group_rows=8192,
-        )
-    )
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="tpch",
-            table_name="orders",
-            bucket="data",
-            file_count=files,
-            generator=lambda i: generate_orders(
-                rows, seed=19 + seed, start_key=i * rows
-            ),
-            row_group_rows=8192,
-        )
-    )
-    return env
-
-
 def _config(label: str, *, rewrite: bool = True, dynamic: bool = False) -> RunConfig:
     policy = (
         PushdownPolicy(enabled=frozenset({"filter"}), dynamic_filters=True)
@@ -165,105 +72,86 @@ def _config(label: str, *, rewrite: bool = True, dynamic: bool = False) -> RunCo
     return RunConfig(label=label, mode="ocs", policy=policy, rewrite=rewrite)
 
 
-def run_rewrite_bench(scale: str, seed: int) -> RewriteBenchResult:
+def run(scale: str, seed: int = 0) -> Dict[str, Any]:
     """Run the parity and semi-join sections on one environment."""
-    env = build_environment(scale, seed)
+    files, rows = SCALES["rewrite"][scale]
+    env = Environment()
+    env.add_dataset(lineitem_spec(files, rows, 17 + seed, row_group_rows=8192))
+    env.add_dataset(orders_spec(files, rows, 19 + seed, row_group_rows=8192))
 
-    parity: List[ParityRow] = []
+    parity: Dict[str, Dict[str, Any]] = {}
     for label, sql in PARITY_QUERIES:
         off = env.run(sql, _config("rewrite-off", rewrite=False), "tpch")
         on = env.run(sql, _config("rewrite-on"), "tpch")
-        parity.append(
-            ParityRow(
-                label=label,
-                rows=on.rows,
-                seconds_on=on.execution_seconds,
-                digest_identical=(
-                    canonical_result_digest(off.batch)
-                    == canonical_result_digest(on.batch)
-                ),
-            )
-        )
+        parity[label] = {
+            "label": label,
+            "rows": on.rows,
+            "seconds_on": on.execution_seconds,
+            "digest_identical": (
+                canonical_result_digest(off.batch) == canonical_result_digest(on.batch)
+            ),
+        }
 
-    semi: List[SemiRow] = []
-    digest = ""
+    semi: Dict[str, Dict[str, Any]] = {}
     for label, sql in SEMI_QUERIES:
         static = env.run(sql, _config("semi-static"), "tpch")
         dynamic = env.run(sql, _config("semi-dynamic", dynamic=True), "tpch")
         static_digest = canonical_result_digest(static.batch)
-        if not digest:
-            digest = static_digest
-        semi.append(
-            SemiRow(
-                label=label,
-                rows=static.rows,
-                static_bytes=static.data_moved_bytes,
-                dynamic_bytes=dynamic.data_moved_bytes,
-                pruned_rows=int(dynamic.metrics.value("ocs_dynamic_rows_pruned")),
-                digest_identical=(
-                    static_digest == canonical_result_digest(dynamic.batch)
-                ),
-            )
-        )
-    return RewriteBenchResult(parity=parity, semi=semi, digest=digest)
+        semi[label] = {
+            "label": label,
+            "rows": static.rows,
+            "static_moved_bytes": static.data_moved_bytes,
+            "dynamic_moved_bytes": dynamic.data_moved_bytes,
+            "pruned": int(dynamic.metrics.value("ocs_dynamic_rows_pruned")),
+            "digest": static_digest,
+            "digest_identical": (
+                static_digest == canonical_result_digest(dynamic.batch)
+            ),
+        }
+    return {
+        "scale": scale,
+        "parity": parity,
+        "semi": semi,
+        # Q4's rewrite-on digest.
+        "digest": semi[SEMI_QUERIES[0][0]]["digest"],
+        "parity_identical": all(row["digest_identical"] for row in parity.values()),
+        "semi_digests_identical": all(
+            row["digest_identical"] for row in semi.values()
+        ),
+        "semi_moves_fewer_bytes": all(
+            row["dynamic_moved_bytes"] < row["static_moved_bytes"]
+            for row in semi.values()
+        ),
+    }
 
 
-def format_rewrite_table(scale: str, result: RewriteBenchResult) -> str:
-    parity = format_table(
-        ["query", "rows", "seconds (on)", "digest off == on"],
-        [
-            [
-                row.label,
-                str(row.rows),
-                f"{row.seconds_on:.4f}",
-                "yes" if row.digest_identical else "NO",
-            ]
-            for row in result.parity
-        ],
-    )
-    semi = format_table(
-        [
-            "query",
-            "rows",
-            "static bytes",
-            "dynamic bytes",
-            "probe rows pruned",
-            "digest identical",
-        ],
-        [
-            [
-                row.label,
-                str(row.rows),
-                f"{row.static_bytes:,}",
-                f"{row.dynamic_bytes:,}",
-                f"{row.pruned_rows:,}",
-                "yes" if row.digest_identical else "NO",
-            ]
-            for row in result.semi
-        ],
-    )
+#: (header, key, format) of the two tables' columns.
+PARITY_COLUMNS = (
+    ("query", "label", ""),
+    ("rows", "rows", ""),
+    ("seconds (on)", "seconds_on", ".4f"),
+    ("digest off == on", "digest_identical", ""),
+)
+SEMI_COLUMNS = (
+    ("query", "label", ""),
+    ("rows", "rows", ""),
+    ("static bytes", "static_moved_bytes", ","),
+    ("dynamic bytes", "dynamic_moved_bytes", ","),
+    ("probe rows pruned", "pruned", ","),
+    ("digest identical", "digest_identical", ""),
+)
+
+
+def render(doc: Dict[str, Any]) -> str:
     return (
-        f"Rewrite benchmark ({scale}): rewriter parity + semi-join movement\n"
-        f"{parity}\n"
+        f"Rewrite benchmark ({doc['scale']}): rewriter parity + semi-join movement\n"
+        f"{format_records(PARITY_COLUMNS, doc['parity'].values())}\n"
         f"rewrite-off/on digests identical: "
-        f"{'yes' if result.parity_identical else 'NO'}\n"
+        f"{'yes' if doc['parity_identical'] else 'NO'}\n"
         f"\nSemi-join workloads (rewriter-lowered Q4 / Q18):\n"
-        f"{semi}\n"
+        f"{format_records(SEMI_COLUMNS, doc['semi'].values())}\n"
         f"semi digests identical across pushdown modes: "
-        f"{'yes' if result.semi_digests_identical else 'NO'}\n"
+        f"{'yes' if doc['semi_digests_identical'] else 'NO'}\n"
         f"dynamic filters move strictly fewer bytes: "
-        f"{'yes' if result.semi_moves_fewer_bytes else 'NO'}"
+        f"{'yes' if doc['semi_moves_fewer_bytes'] else 'NO'}"
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="smoke")
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    result = run_rewrite_bench(args.scale, args.seed)
-    print(format_rewrite_table(args.scale, result))
-
-
-if __name__ == "__main__":
-    main()

@@ -10,31 +10,62 @@ run queue, and the output is the SLO report — p50/p95/p99 latency,
 queue-wait vs execution breakdown, per-tenant throughput, rejections by
 error code — plus the event and result digests.  The entire output is
 deterministic for a fixed seed: CI runs this twice and diffs the bytes.
+
+:func:`submit_two_tenant_load` is the one definition of that scenario;
+the snapshot gate, the race sweep and the determinism harness all drive
+it with their own :class:`~repro.config.ServiceSpec`.
 """
 
 from __future__ import annotations
 
-import argparse
-from typing import List, Optional
+import dataclasses
+from typing import Any, Dict, Optional
 
 from repro.analysis.determinism import DigestRecorder
 from repro.bench.env import Environment
+from repro.bench.scales import SCALES
 from repro.config import ServiceSpec
 from repro.service import QueryService, QueryTemplate, open_loop
-from repro.workloads.datasets import DatasetSpec
-from repro.workloads.laghos import LAGHOS_QUERY, generate_laghos_file
-from repro.workloads.tpch import TPCH_Q1, generate_lineitem
+from repro.service.slo import QueryStat, SLOReport, TenantSLO
+from repro.workloads import (
+    LAGHOS_QUERY,
+    TPCH_Q1,
+    DatasetSpec,
+    generate_lineitem,
+    laghos_spec,
+)
 
-__all__ = ["build_environment", "run_bench", "main"]
+__all__ = ["render", "run", "submit_two_tenant_load"]
 
 #: CI-sized datasets: big enough for multi-split queries, small enough
 #: that the 2x smoke run stays in seconds.
 LINEITEM_FILES, LINEITEM_ROWS = 2, 8_000
 LAGHOS_FILES, LAGHOS_ROWS = 2, 4_096
 
+TEMPLATES = (
+    QueryTemplate(tenant="analytics", sql=TPCH_Q1, schema="tpch", label="q1"),
+    QueryTemplate(tenant="hpc", sql=LAGHOS_QUERY, schema="hpc", label="laghos"),
+)
 
-def build_environment() -> Environment:
+
+def submit_two_tenant_load(
+    spec: ServiceSpec,
+    *,
+    queries: int,
+    seed: int,
+    mean_interarrival_s: float = 0.05,
+    tie_break: str = "fifo",
+    observer: Any = None,
+) -> QueryService:
+    """Stand the two-tenant service up and submit its open-loop load.
+
+    Nothing has run yet when this returns: ``service.report()`` (or
+    ``drain()``) is what drives the simulation.
+    """
     env = Environment()
+    # Hand-written on purpose: every file restarts the order keys and only
+    # the seed moves, which ``lineitem_spec`` cannot say — and the gated
+    # service digests pin exactly these bytes.
     env.add_dataset(
         DatasetSpec(
             schema_name="tpch",
@@ -44,85 +75,71 @@ def build_environment() -> Environment:
             generator=lambda i: generate_lineitem(LINEITEM_ROWS, seed=7 + i),
         )
     )
-    env.add_dataset(
-        DatasetSpec(
-            schema_name="hpc",
-            table_name="laghos",
-            bucket="hpc",
-            file_count=LAGHOS_FILES,
-            generator=lambda i: generate_laghos_file(LAGHOS_ROWS, i, seed=11),
-        )
-    )
-    return env
-
-
-def run_bench(
-    *,
-    queries: int,
-    seed: int,
-    policy: str,
-    max_active: int,
-    queue_depth: int,
-    mean_interarrival_s: float,
-) -> None:
-    spec = ServiceSpec(
-        max_active_queries=max_active,
-        max_queue_depth=queue_depth,
-        policy=policy,
-    )
-    recorder = DigestRecorder()
-    service = QueryService(build_environment(), spec, observer=recorder)
-    templates = [
-        QueryTemplate(tenant="analytics", sql=TPCH_Q1, schema="tpch", label="q1"),
-        QueryTemplate(tenant="hpc", sql=LAGHOS_QUERY, schema="hpc", label="laghos"),
-    ]
+    env.add_dataset(laghos_spec(LAGHOS_FILES, LAGHOS_ROWS, 11, bucket="hpc"))
+    service = QueryService(env, spec, tie_break=tie_break, observer=observer)
     open_loop(
         service,
-        templates,
+        TEMPLATES,
         queries=queries,
         mean_interarrival_s=mean_interarrival_s,
         seed=seed,
     )
+    return service
+
+
+def run(
+    scale: str,
+    seed: int = 0,
+    queries: Optional[int] = None,
+    policy: Optional[str] = None,
+) -> Dict[str, Any]:
+    """``queries`` / ``policy`` default to the scale's own."""
+    scale_queries, scale_policy, max_active, queue_depth, interarrival_s = SCALES[
+        "service"
+    ][scale]
+    queries = scale_queries if queries is None else queries
+    policy = policy or scale_policy
+    recorder = DigestRecorder()
+    service = submit_two_tenant_load(
+        ServiceSpec(
+            max_active_queries=max_active, max_queue_depth=queue_depth, policy=policy
+        ),
+        queries=queries,
+        seed=seed,
+        mean_interarrival_s=interarrival_s,
+        observer=recorder,
+    )
     report = service.report()
-    print(
-        f"service bench: {queries} queries, seed {seed}, policy {policy}, "
-        f"max-active {max_active}, queue-depth {queue_depth}, "
-        f"mean interarrival {mean_interarrival_s * 1e3:.1f} ms"
-    )
-    print()
-    print(report.format())
-    print()
-    print(f"event digest : {recorder.final_digest}")
-    print(f"result digest: {report.digest()}")
+    return {
+        "queries": queries,
+        "seed": seed,
+        "policy": policy,
+        "max_active": max_active,
+        "queue_depth": queue_depth,
+        "mean_interarrival_s": interarrival_s,
+        "completed": report.completed,
+        "makespan_s": report.makespan_s,
+        "digest": report.digest(),
+        "event_digest": recorder.final_digest,
+        "slo": dataclasses.asdict(report),
+    }
 
 
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench service",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+def render(doc: Dict[str, Any]) -> str:
+    slo = doc["slo"]
+    report = SLOReport(
+        **{
+            **slo,
+            "queries": [QueryStat(**stat) for stat in slo["queries"]],
+            "tenants": [TenantSLO(**tenant) for tenant in slo["tenants"]],
+        }
     )
-    parser.add_argument("--queries", type=int, default=32)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--policy", choices=["fifo", "fair"], default="fair")
-    parser.add_argument("--max-active", type=int, default=3)
-    parser.add_argument("--queue-depth", type=int, default=4)
-    parser.add_argument(
-        "--mean-interarrival-ms",
-        type=float,
-        default=5.0,
-        help="mean Poisson interarrival gap in simulated milliseconds",
+    return (
+        f"service bench: {doc['queries']} queries, seed {doc['seed']}, "
+        f"policy {doc['policy']}, max-active {doc['max_active']}, "
+        f"queue-depth {doc['queue_depth']}, "
+        f"mean interarrival {doc['mean_interarrival_s'] * 1e3:.1f} ms\n"
+        f"\n{report.format()}\n"
+        f"\nevent digest : {doc['event_digest']}"
+        f"\nresult digest: {doc['digest']}"
     )
-    args = parser.parse_args(argv)
-    run_bench(
-        queries=args.queries,
-        seed=args.seed,
-        policy=args.policy,
-        max_active=args.max_active,
-        queue_depth=args.queue_depth,
-        mean_interarrival_s=args.mean_interarrival_ms / 1e3,
-    )
-
-
-if __name__ == "__main__":
-    main()

@@ -10,18 +10,16 @@ size" in bytes — and the plan chains must match Table 2's:
 
 from __future__ import annotations
 
-import argparse
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Dict, List
 
-from repro.bench.env import Environment, RunConfig
-from repro.bench.figure5 import SCALES, build_environment
+from repro.bench.env import Environment, RunConfig, paper_environment
 from repro.bench.report import format_table
+from repro.bench.scales import SCALES
 from repro.plan import GlobalOptimizer, plan_query
 from repro.sql import analyze, parse
 from repro.workloads import DEEPWATER_QUERY, LAGHOS_QUERY, TPCH_Q1
 
-__all__ = ["Table2Row", "run_table2"]
+__all__ = ["DATASETS", "PAPER_PLANS", "render", "run", "run_table2"]
 
 PAPER_SELECTIVITY = {
     "laghos": 0.0023842e-2,
@@ -40,19 +38,6 @@ DATASETS = {
     "deepwater": ("hpc", "deepwater", DEEPWATER_QUERY),
     "tpch": ("tpch", "lineitem", TPCH_Q1),
 }
-
-
-@dataclass(frozen=True)
-class Table2Row:
-    dataset: str
-    selectivity: float
-    paper_selectivity: float
-    plan_chain: List[str]
-    paper_plan: List[str]
-
-    @property
-    def plan_matches(self) -> bool:
-        return self.plan_chain == self.paper_plan
 
 
 def _operator_chain(schema_name: str, table: str, query: str, env: Environment) -> List[str]:
@@ -90,7 +75,7 @@ def _is_rename(node) -> bool:
     return all(isinstance(e, ColumnExpr) for _, e in node.projections)
 
 
-def run_table2(env: Environment) -> List[Table2Row]:
+def run_table2(env: Environment) -> List[Dict[str, Any]]:
     rows = []
     for dataset, (schema_name, table, query) in DATASETS.items():
         descriptor = env.metastore.get_table(schema_name, table)
@@ -98,41 +83,34 @@ def run_table2(env: Environment) -> List[Table2Row]:
         result = env.run(query, RunConfig.none(), schema=schema_name)
         result_bytes = result.batch.nbytes
         rows.append(
-            Table2Row(
-                dataset=dataset,
-                selectivity=result_bytes / input_bytes,
-                paper_selectivity=PAPER_SELECTIVITY[dataset],
-                plan_chain=_operator_chain(schema_name, table, query, env),
-                paper_plan=PAPER_PLANS[dataset],
-            )
+            {
+                "dataset": dataset,
+                "selectivity": result_bytes / input_bytes,
+                "paper_selectivity": PAPER_SELECTIVITY[dataset],
+                "plan_chain": _operator_chain(schema_name, table, query, env),
+                "paper_plan": PAPER_PLANS[dataset],
+            }
         )
     return rows
 
 
-def format_table2(rows: List[Table2Row]) -> str:
+def run(scale: str) -> Dict[str, Any]:
+    env = paper_environment(SCALES["table2"][scale])
+    return {"scale": scale, "rows": run_table2(env)}
+
+
+def render(doc: Dict[str, Any]) -> str:
     out = []
-    for r in rows:
+    for r in doc["rows"]:
         out.append(
             [
-                r.dataset,
-                f"{r.selectivity:.7%}",
-                f"{r.paper_selectivity:.7%}",
-                " -> ".join(r.plan_chain),
-                "yes" if r.plan_matches else "NO",
+                r["dataset"],
+                f"{r['selectivity']:.7%}",
+                f"{r['paper_selectivity']:.7%}",
+                " -> ".join(r["plan_chain"]),
+                "yes" if r["plan_chain"] == r["paper_plan"] else "NO",
             ]
         )
     return "Table 2 (queries, selectivity, plans)\n" + format_table(
         ["dataset", "selectivity", "paper", "execution plan", "plan match"], out
     )
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=list(SCALES), default="small")
-    args = parser.parse_args(argv)
-    env = build_environment(args.scale)
-    print(format_table2(run_table2(env)))
-
-
-if __name__ == "__main__":
-    main()

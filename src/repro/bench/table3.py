@@ -13,13 +13,13 @@ analysis + Substrait generation) must stay ~2% combined:
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.bench.env import Environment, RunConfig
 from repro.bench.report import format_table
+from repro.bench.scales import SCALES
 from repro.engine.stages import (
     STAGE_ANALYSIS,
     STAGE_EXECUTION,
@@ -27,11 +27,11 @@ from repro.engine.stages import (
     STAGE_SUBSTRAIT,
     STAGE_TRANSFER,
 )
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.trace import Trace, stage_totals, write_chrome_trace
-from repro.workloads import DatasetSpec, LAGHOS_QUERY, generate_laghos_file
+from repro.workloads import LAGHOS_QUERY, laghos_spec
 
-__all__ = ["run_table3", "check_trace", "PAPER_SHARES"]
+__all__ = ["PAPER_SHARES", "check_trace", "render", "run", "run_table3"]
 
 PAPER_SHARES: Dict[str, float] = {
     STAGE_ANALYSIS: 0.0006,
@@ -41,6 +41,7 @@ PAPER_SHARES: Dict[str, float] = {
     STAGE_OTHERS: 0.0997,
 }
 
+#: Table 3's rows, in the paper's order.
 STAGE_TITLES = {
     STAGE_ANALYSIS: "Logical Plan Analysis",
     STAGE_SUBSTRAIT: "Substrait IR Generation",
@@ -52,6 +53,7 @@ STAGE_TITLES = {
 
 @dataclass(frozen=True)
 class Table3Result:
+    rows: int
     total_seconds: float
     stage_seconds: Dict[str, float]
     #: Span tree of the run; only populated by ``run_table3(trace=True)``.
@@ -61,17 +63,18 @@ class Table3Result:
         total = sum(self.stage_seconds.values())
         return self.stage_seconds.get(stage, 0.0) / total if total else 0.0
 
+    def to_doc(self) -> Dict[str, Any]:
+        return {
+            "rows": self.rows,
+            "total_s": self.total_seconds,
+            "stage_seconds": dict(sorted(self.stage_seconds.items())),
+        }
+
 
 def run_table3(rows: int = 524288, trace: bool = False) -> Table3Result:
     """One query over one Laghos file with filter + aggregation pushdown."""
     env = Environment()
-    env.add_dataset(
-        DatasetSpec(
-            "hpc", "laghos", "data", 1,
-            lambda i: generate_laghos_file(rows, i, seed=5),
-            row_group_rows=max(2048, rows // 4),
-        )
-    )
+    env.add_dataset(laghos_spec(1, rows, 5, row_group_rows=max(2048, rows // 4)))
     # Filter + aggregation pushdown (no top-N): on a single file every
     # vertex_id is distinct, so the aggregation returns one row per input
     # row — which is what makes the paper's "Pushdown & Result Transfer"
@@ -81,6 +84,7 @@ def run_table3(rows: int = 524288, trace: bool = False) -> Table3Result:
         config = dataclasses.replace(config, tracing=True)
     result = env.run(LAGHOS_QUERY, config, schema="hpc")
     return Table3Result(
+        rows=rows,
         total_seconds=result.execution_seconds,
         stage_seconds=dict(result.stage_seconds),
         trace=result.trace,
@@ -111,61 +115,49 @@ def check_trace(result: Table3Result, tolerance: float = 1e-9) -> Dict[str, floa
     return derived
 
 
-def format_table3(result: Table3Result) -> str:
+def run(
+    scale: str, trace: bool = False, trace_out: Optional[str] = None
+) -> Dict[str, Any]:
+    if trace_out and not trace:
+        raise ConfigError("--trace-out requires --trace")
+    result = run_table3(SCALES["table3"][scale], trace=trace)
+    doc = result.to_doc()
+    if result.trace is not None:
+        check_trace(result)
+        doc["trace"] = {"spans": len(result.trace.spans), "out": trace_out}
+        if trace_out:
+            write_chrome_trace(result.trace, trace_out)
+    return doc
+
+
+def render(doc: Dict[str, Any]) -> str:
+    stage_seconds = doc["stage_seconds"]
+    total = sum(stage_seconds.values())
+    share = {stage: seconds / total for stage, seconds in stage_seconds.items()}
     rows: List[List[object]] = []
-    for stage in (
-        STAGE_ANALYSIS, STAGE_SUBSTRAIT, STAGE_TRANSFER, STAGE_EXECUTION, STAGE_OTHERS,
-    ):
-        seconds = result.stage_seconds.get(stage, 0.0)
+    for stage, title in STAGE_TITLES.items():
         rows.append(
             [
-                STAGE_TITLES[stage],
-                f"{seconds * 1e3:.1f} ms",
-                f"{result.share(stage) * 100:.2f}%",
+                title,
+                f"{stage_seconds.get(stage, 0.0) * 1e3:.1f} ms",
+                f"{share.get(stage, 0.0) * 100:.2f}%",
                 f"{PAPER_SHARES[stage] * 100:.2f}%",
             ]
         )
-    rows.append(
-        ["Total", f"{result.total_seconds * 1e3:.1f} ms", "100.00%", "100.00%"]
-    )
-    connector_overhead = result.share(STAGE_ANALYSIS) + result.share(STAGE_SUBSTRAIT)
-    footer = (
-        f"\nconnector-added overhead (analysis + IR generation): "
+    rows.append(["Total", f"{doc['total_s'] * 1e3:.1f} ms", "100.00%", "100.00%"])
+    connector_overhead = share.get(STAGE_ANALYSIS, 0.0) + share.get(STAGE_SUBSTRAIT, 0.0)
+    text = (
+        "Table 3 (single-file query breakdown)\n"
+        + format_table(["stage", "time", "share", "paper share"], rows)
+        + f"\nconnector-added overhead (analysis + IR generation): "
         f"{connector_overhead * 100:.2f}% (paper: 2.00%, must stay small)"
     )
-    return "Table 3 (single-file query breakdown)\n" + format_table(
-        ["stage", "time", "share", "paper share"], rows
-    ) + footer
-
-
-def main(argv: Optional[List[str]] = None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--rows", type=int, default=524288)
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="record a span tree and assert the stage totals above are "
-        "re-derivable from it",
-    )
-    parser.add_argument(
-        "--trace-out", metavar="PATH", default=None,
-        help="with --trace, also export the spans as Chrome tracing JSON "
-        "(chrome://tracing / Perfetto)",
-    )
-    args = parser.parse_args(argv)
-    if args.trace_out and not args.trace:
-        parser.error("--trace-out requires --trace")
-    result = run_table3(args.rows, trace=args.trace)
-    print(format_table3(result))
-    if args.trace:
-        check_trace(result)
-        print(
-            f"\ntrace: {len(result.trace.spans)} spans; per-stage totals "
+    trace = doc.get("trace")
+    if trace:
+        text += (
+            f"\n\ntrace: {trace['spans']} spans; per-stage totals "
             f"re-derived from the span tree match the table above."
         )
-        if args.trace_out:
-            write_chrome_trace(result.trace, args.trace_out)
-            print(f"trace: Chrome tracing JSON written to {args.trace_out}")
-
-
-if __name__ == "__main__":
-    main()
+        if trace["out"]:
+            text += f"\ntrace: Chrome tracing JSON written to {trace['out']}"
+    return text

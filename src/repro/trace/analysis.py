@@ -6,7 +6,7 @@ the same stage opened by concurrent splits are unioned so an interval of
 wall-clock is charged once, not once per split.  Spans tagged with a
 ``stage`` attribute carry exactly the same windows, so the identical
 totals fall out of an interval union over the tagged spans — the
-cross-check ``repro.bench.table3 --trace`` asserts.
+cross-check ``python -m repro.bench table3 --trace`` asserts.
 """
 
 from __future__ import annotations

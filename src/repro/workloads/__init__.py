@@ -48,7 +48,15 @@ from repro.workloads.tpch import (
     lineitem_schema,
     orders_schema,
 )
-from repro.workloads.datasets import DatasetSpec, build_dataset
+from repro.workloads.datasets import (
+    DatasetSpec,
+    build_dataset,
+    customer_spec,
+    deepwater_spec,
+    laghos_spec,
+    lineitem_spec,
+    orders_spec,
+)
 
 __all__ = [
     "DEEPWATER_QUERY",
@@ -64,13 +72,18 @@ __all__ = [
     "TPCH_Q6",
     "build_dataset",
     "customer_schema",
+    "customer_spec",
     "deepwater_schema",
+    "deepwater_spec",
     "generate_customer",
     "generate_deepwater_file",
     "generate_laghos_file",
     "generate_lineitem",
     "generate_orders",
     "laghos_schema",
+    "laghos_spec",
     "lineitem_schema",
+    "lineitem_spec",
     "orders_schema",
+    "orders_spec",
 ]

@@ -1,6 +1,17 @@
 """Unit tests for the per-PR benchmark snapshot regression gate."""
 
-from repro.bench.snapshot import MIN_WALL_SPEEDUP, compare
+import copy
+import json
+import pathlib
+
+import pytest
+
+from repro.bench.kernels import MIN_WALL_SPEEDUP
+from repro.bench.snapshot import compare
+
+COMMITTED = json.loads(
+    (pathlib.Path(__file__).parent.parent / "BENCH_15.json").read_text()
+)
 
 
 def _doc(**overrides):
@@ -78,7 +89,7 @@ class TestCompare:
         current = _doc()
         current["kernels"]["wall_speedup"] = MIN_WALL_SPEEDUP - 0.1
         violations = compare(_doc(), current)
-        assert any("wall-clock speedup" in v for v in violations)
+        assert any("kernels.wall_speedup" in v for v in violations)
 
     def test_wall_clock_absolutes_not_gated(self):
         # Raw wall-clock seconds are machine-dependent; only the
@@ -97,3 +108,53 @@ class TestCompare:
         current["kernels"]["formats"]["files"]["part-00000"]["sha256_digest"] = "0f"
         violations = compare(_doc(), current)
         assert any("part-00000.sha256_digest" in v for v in violations)
+
+
+def _set(doc, path, change):
+    *parents, leaf = path.split("/")
+    for key in parents:
+        doc = doc[key]
+    doc[leaf] = change(doc[leaf])
+
+
+class TestDeclaredGates:
+    """The gate gates what the suites print: every case here passed
+    ``compare`` unnoticed while it guessed from ``_s`` / ``_bytes`` /
+    ``.seconds`` suffixes and hand-written dag/cache/rewrite blocks."""
+
+    def test_committed_snapshot_is_clean_against_itself(self):
+        assert compare(COMMITTED, COMMITTED) == []
+
+    @pytest.mark.parametrize(
+        "path,change,expected",
+        [
+            # A boolean invariant of a suite that had no hand-written block.
+            ("join/identical", lambda v: False, "join.identical"),
+            # A byte count whose name does not end in ``_bytes``.
+            ("kernels/sim/ocs/bytes_moved", lambda v: v * 10, "kernels.sim.ocs.bytes_moved"),
+            # Seconds one level below a name that does not end in ``_s``.
+            ("table3/stage_seconds/others", lambda v: v * 10, "table3.stage_seconds.others"),
+            # The old blocks' cases still fail, now by declaration.
+            ("dag/replay_identical", lambda v: False, "dag.replay_identical"),
+            ("cache/p99_improves", lambda v: False, "cache.p99_improves"),
+            ("rewrite/semi_moves_fewer_bytes", lambda v: False, "rewrite.semi_moves_fewer_bytes"),
+            ("cache/levels/r0.9/p99_s", lambda v: v * 2, "cache.levels.r0.9.p99_s"),
+        ],
+    )
+    def test_mutating_one_declared_path_fails(self, path, change, expected):
+        current = copy.deepcopy(COMMITTED)
+        _set(current, path, change)
+        violations = compare(COMMITTED, current)
+        assert len(violations) == 1 and expected in violations[0], violations
+
+    def test_dropping_a_published_invariant_fails(self):
+        current = copy.deepcopy(COMMITTED)
+        del current["join"]["identical"]
+        assert any("join.identical" in v for v in compare(COMMITTED, current))
+
+    def test_invariant_published_only_by_the_fresh_doc_binds(self):
+        # ``dag.p99_improves`` is newer than BENCH_15: no baseline value,
+        # but a fresh doc that publishes it false must still fail.
+        current = copy.deepcopy(COMMITTED)
+        current["dag"]["p99_improves"] = False
+        assert any("dag.p99_improves" in v for v in compare(COMMITTED, current))

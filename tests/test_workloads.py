@@ -1,17 +1,31 @@
 """Unit tests for the workload generators (Table 2 selectivity contracts)."""
 
+import dataclasses
 import datetime
+import hashlib
 
 import numpy as np
+import pytest
 
 from repro.arrowsim.dtypes import DATE32, FLOAT64, INT64, STRING
+from repro.metastore.catalog import HiveMetastore
+from repro.objectstore.store import ObjectStore
 from repro.workloads import (
+    DatasetSpec,
+    build_dataset,
+    customer_spec,
     deepwater_schema,
+    deepwater_spec,
+    generate_customer,
     generate_deepwater_file,
     generate_laghos_file,
     generate_lineitem,
+    generate_orders,
     laghos_schema,
+    laghos_spec,
     lineitem_schema,
+    lineitem_spec,
+    orders_spec,
 )
 from repro.workloads.tpch import SF1_ROWS
 
@@ -143,3 +157,82 @@ class TestLineitem:
         assert max(a.column("orderkey").to_pylist()) < min(
             b.column("orderkey").to_pylist()
         )
+
+
+def _stored_sha256(spec: DatasetSpec) -> str:
+    store = ObjectStore()
+    descriptor = build_dataset(spec, store, HiveMetastore())
+    digest = hashlib.sha256()
+    for key in descriptor.files:
+        digest.update(key.encode())
+        digest.update(store.get_object(descriptor.bucket, key))
+    return digest.hexdigest()
+
+
+class TestSpecHelpers:
+    """Each ``*_spec`` helper stores, byte for byte, what the hand-written
+    literal it replaced across ``repro.bench`` stored."""
+
+    @pytest.mark.parametrize(
+        "helper,literal",
+        [
+            (
+                laghos_spec(2, 3000, 5, row_group_rows=1024),
+                DatasetSpec(
+                    "hpc", "laghos", "data", 2,
+                    lambda i: generate_laghos_file(3000, i, seed=5),
+                    row_group_rows=1024,
+                ),
+            ),
+            (
+                deepwater_spec(
+                    2, 3000, 2, codec="zstd", row_group_rows=2048,
+                    lossy_error_bounds={"v02": 1e-4, "snd": 1e-4},
+                ),
+                DatasetSpec(
+                    "hpc", "deepwater", "data", 2,
+                    lambda i: generate_deepwater_file(3000, i, seed=2),
+                    codec="zstd", row_group_rows=2048,
+                    lossy_error_bounds={"v02": 1e-4, "snd": 1e-4},
+                ),
+            ),
+            (
+                lineitem_spec(2, 2500, 17, row_group_rows=2048),
+                DatasetSpec(
+                    schema_name="tpch", table_name="lineitem", bucket="data",
+                    file_count=2,
+                    generator=lambda i: generate_lineitem(
+                        2500, seed=17, start_row=i * 2500
+                    ),
+                    row_group_rows=2048,
+                ),
+            ),
+            (
+                orders_spec(2, 2500, 19, codec="snappy"),
+                DatasetSpec(
+                    schema_name="tpch", table_name="orders", bucket="data",
+                    file_count=2,
+                    generator=lambda i: generate_orders(
+                        2500, seed=19, start_key=i * 2500
+                    ),
+                    codec="snappy",
+                ),
+            ),
+            (
+                customer_spec(2, 1000, 23, bucket="warehouse"),
+                DatasetSpec(
+                    schema_name="tpch", table_name="customer", bucket="warehouse",
+                    file_count=2,
+                    generator=lambda i: generate_customer(
+                        1000, seed=23, start_key=i * 1000
+                    ),
+                ),
+            ),
+        ],
+        ids=["laghos", "deepwater", "lineitem", "orders", "customer"],
+    )
+    def test_helper_stores_the_literals_bytes(self, helper, literal):
+        assert dataclasses.replace(helper, generator=None) == dataclasses.replace(
+            literal, generator=None
+        )
+        assert _stored_sha256(helper) == _stored_sha256(literal)
