@@ -14,9 +14,8 @@ same shape: off by default for benchmarks (the off path is zero-cost —
 no events scheduled, digests byte-identical), autouse-on in the test
 suite, and per-run overridable via ``RunConfig.strict_sanitize``.
 
-An explicit per-run setting (``RunConfig.strict_verify`` /
-``RunConfig.strict_sanitize`` or the corresponding constructor
-argument) overrides the process default in either direction.
+``strict_verify`` is process-wide only; an explicit
+``RunConfig.strict_sanitize`` overrides its default in either direction.
 """
 
 from __future__ import annotations
@@ -42,11 +41,9 @@ def set_strict_verify(enabled: bool) -> bool:
     return previous
 
 
-def strict_verify_enabled(explicit: Optional[bool] = None) -> bool:
-    """Resolve an optional per-call override against the process default."""
-    if explicit is None:
-        return _STRICT_DEFAULT
-    return bool(explicit)
+def strict_verify_enabled() -> bool:
+    """The process-wide default; every verification site reads it."""
+    return _STRICT_DEFAULT
 
 
 def set_strict_sanitize(enabled: bool) -> bool:

@@ -8,9 +8,10 @@ Both directions work on the whole column: one ``str.join``, one
 not ASCII (a character is then no longer a byte, so lengths have to be
 measured in the encoded form).
 
-The ``read_*`` functions decode bytes that come from outside the program:
-every count is checked against the bytes that remain *before* anything is
-allocated, and every failure is a :class:`~repro.errors.FormatError`.
+The ``read_*`` functions decode bytes that come from outside the program
+through the caller's :class:`~repro.wire.Reader`: every count is checked
+against the bytes that remain *before* anything is allocated, and every
+failure is the cursor's error class (``FormatError`` for IPC and Parcel).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import FormatError
+from repro.wire import Reader
 
 __all__ = [
     "str_items",
@@ -78,40 +79,36 @@ def pack_validity(validity: Optional[np.ndarray]) -> bytes:
 # -- untrusted buffers -> arrays -----------------------------------------------
 
 
-def read_array(buf: bytes, pos: int, dtype: np.dtype, count: int) -> Tuple[np.ndarray, int]:
-    """A read-only view of ``count`` items at ``pos``; returns (view, next_pos)."""
-    end = pos + count * dtype.itemsize
-    if count < 0 or end > len(buf):
-        raise FormatError(
+def read_array(reader: Reader, dtype: np.dtype, count: int) -> np.ndarray:
+    """A read-only view of the next ``count`` items; the cursor moves past them."""
+    nbytes = count * dtype.itemsize
+    if count < 0 or nbytes > reader.remaining:
+        reader.fail(
             f"buffer declares {count} {dtype} values but only "
-            f"{max(len(buf) - pos, 0)} bytes remain"
+            f"{reader.remaining} bytes remain"
         )
-    return np.frombuffer(buf, dtype=dtype, count=count, offset=pos), end
+    view = np.frombuffer(reader.buf, dtype=dtype, count=count, offset=reader.pos)
+    reader.pos += nbytes
+    return view
 
 
-def read_validity(buf: bytes, pos: int, num_rows: int) -> Tuple[np.ndarray, int]:
+def read_validity(reader: Reader, num_rows: int) -> np.ndarray:
     """Packed validity bits -> bool array of ``num_rows``."""
-    packed, pos = read_array(buf, pos, np.dtype(np.uint8), (num_rows + 7) // 8)
-    return np.unpackbits(packed)[:num_rows].astype(bool), pos
+    packed = read_array(reader, np.dtype(np.uint8), (num_rows + 7) // 8)
+    return np.unpackbits(packed)[:num_rows].astype(bool)
 
 
-def read_strings(buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
-    """Inverse of :func:`pack_strings` at ``pos``: an object array of ``str``.
+def read_strings(reader: Reader, count: int) -> np.ndarray:
+    """Inverse of :func:`pack_strings` at the cursor: an object array of ``str``.
 
     The offsets must start at 0 and never decrease, and the data they
-    span must lie inside ``buf``.
+    span must lie inside the buffer.
     """
-    offsets, pos = read_array(buf, pos, np.dtype("<i4"), count + 1)
+    offsets = read_array(reader, np.dtype("<i4"), count + 1)
     if offsets[0] != 0 or bool((offsets[1:] < offsets[:-1]).any()):
-        raise FormatError("string offsets do not start at 0 or decrease")
-    end = pos + int(offsets[-1])
-    if end > len(buf):
-        raise FormatError(
-            f"string offsets span {int(offsets[-1])} bytes but only "
-            f"{len(buf) - pos} remain"
-        )
+        reader.fail("string offsets do not start at 0 or decrease")
     bounds = offsets.tolist()
-    data = bytes(buf[pos:end])
+    data = bytes(reader.take(bounds[-1]))
     try:
         text = str(data, "utf-8")
         if len(text) == len(data):  # ASCII: character index == byte index
@@ -119,7 +116,7 @@ def read_strings(buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
         else:
             items = [str(data[a:b], "utf-8") for a, b in zip(bounds, bounds[1:])]
     except UnicodeDecodeError as exc:
-        raise FormatError(f"string data is not UTF-8: {exc}") from exc
+        reader.fail(f"string data is not UTF-8: {exc}")
     values = np.empty(count, dtype=object)
     values[:] = items
-    return values, end
+    return values

@@ -14,6 +14,8 @@ from typing import Dict
 
 import numpy as np
 
+from repro.wire import Reader
+
 __all__ = [
     "DataType",
     "BOOL",
@@ -25,6 +27,7 @@ __all__ = [
     "STRING",
     "ALL_TYPES",
     "dtype_from_code",
+    "read_dtype",
     "dtype_from_numpy",
 ]
 
@@ -87,6 +90,15 @@ def dtype_from_code(code: int) -> DataType:
         return _BY_CODE[code]
     except KeyError:
         raise KeyError(f"unknown data type code {code}") from None
+
+
+def read_dtype(reader: Reader) -> DataType:
+    """The next byte of a frame as a type code; unknown codes fail as the frame's error."""
+    code = reader.u8()
+    dtype = _BY_CODE.get(code)
+    if dtype is None:
+        reader.fail(f"unknown data type code {code} at offset {reader.pos - 1}")
+    return dtype
 
 
 def dtype_from_name(name: str) -> DataType:

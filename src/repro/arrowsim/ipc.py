@@ -31,10 +31,11 @@ from repro.arrowsim.buffers import (
     read_validity,
     str_items,
 )
-from repro.arrowsim.dtypes import STRING, DataType, dtype_from_code
+from repro.arrowsim.dtypes import STRING, DataType
 from repro.arrowsim.record_batch import RecordBatch
-from repro.arrowsim.schema import Field, Schema
+from repro.arrowsim.schema import decode_schema, encode_schema
 from repro.errors import FormatError
+from repro.wire import Reader
 
 __all__ = [
     "serialize_batch",
@@ -45,43 +46,6 @@ __all__ = [
 
 _BATCH_MAGIC = b"ARB1"
 _STREAM_MAGIC = b"ARS1"
-
-
-def _unpack(fmt: str, buf: bytes, pos: int) -> tuple:
-    try:
-        return struct.unpack_from(fmt, buf, pos)
-    except struct.error as exc:
-        raise FormatError(f"truncated IPC message at byte {pos}") from exc
-
-
-def _encode_schema(schema: Schema) -> bytes:
-    out = bytearray(struct.pack("<H", len(schema)))
-    for field in schema:
-        name = field.name.encode("utf-8")
-        out += struct.pack("<H", len(name))
-        out += name
-        out += struct.pack("<BB", field.dtype.code, int(field.nullable))
-    return bytes(out)
-
-
-def _decode_schema(buf: bytes, pos: int) -> Tuple[Schema, int]:
-    (nfields,) = _unpack("<H", buf, pos)
-    pos += 2
-    fields = []
-    for _ in range(nfields):
-        (name_len,) = _unpack("<H", buf, pos)
-        pos += 2
-        raw_name = buf[pos : pos + name_len]
-        pos += name_len
-        code, nullable = _unpack("<BB", buf, pos)
-        pos += 2
-        try:
-            fields.append(
-                Field(str(raw_name, "utf-8"), dtype_from_code(code), bool(nullable))
-            )
-        except (UnicodeDecodeError, KeyError) as exc:
-            raise FormatError(f"bad IPC schema field: {exc}") from exc
-    return Schema(fields), pos
 
 
 def _encode_column(col: ColumnArray) -> bytes:
@@ -99,28 +63,24 @@ def _encode_column(col: ColumnArray) -> bytes:
 def _decode_column(
     buf: bytes, pos: int, dtype: DataType, num_rows: int
 ) -> Tuple[ColumnArray, int]:
-    (has_validity,) = _unpack("<B", buf, pos)
-    pos += 1
-    validity = None
-    if has_validity:
-        validity, pos = read_validity(buf, pos, num_rows)
+    """One column body at ``pos`` (a block read); returns (column, next_pos)."""
+    r = Reader(buf, FormatError, pos)
+    validity = read_validity(r, num_rows) if r.u8() else None
     if dtype is STRING:
-        (data_len,) = _unpack("<Q", buf, pos)
-        pos += 8
-        values, end = read_strings(buf, pos, num_rows)
-        if end - pos != 4 * (num_rows + 1) + data_len:
-            raise FormatError("string offsets disagree with the declared data length")
-        pos = end
+        data_len = r.u64()
+        start = r.pos
+        values = read_strings(r, num_rows)
+        if r.pos - start != 4 * (num_rows + 1) + data_len:
+            r.fail("string offsets disagree with the declared data length")
     else:
-        view, pos = read_array(buf, pos, dtype.numpy_dtype, num_rows)
-        values = view.copy()
-    return ColumnArray(dtype, values, validity), pos
+        values = read_array(r, dtype.numpy_dtype, num_rows).copy()
+    return ColumnArray(dtype, values, validity), r.pos
 
 
 def serialize_batch(batch: RecordBatch) -> bytes:
     """Encode one batch, schema included."""
     out = bytearray(_BATCH_MAGIC)
-    out += _encode_schema(batch.schema)
+    out += encode_schema(batch.schema)
     out += struct.pack("<Q", batch.num_rows)
     for col in batch.columns:
         out += _encode_column(col)
@@ -129,29 +89,26 @@ def serialize_batch(batch: RecordBatch) -> bytes:
 
 def deserialize_batch(buf: bytes) -> RecordBatch:
     """Inverse of :func:`serialize_batch`."""
-    batch, pos = _deserialize_batch_at(buf, 0)
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes after batch")
+    r = Reader(buf, FormatError)
+    batch = _read_batch(r)
+    r.done()
     return batch
 
 
-def _deserialize_batch_at(buf: bytes, pos: int) -> Tuple[RecordBatch, int]:
-    if buf[pos : pos + 4] != _BATCH_MAGIC:
-        raise FormatError("bad record-batch magic")
-    pos += 4
-    schema, pos = _decode_schema(buf, pos)
-    (num_rows,) = _unpack("<Q", buf, pos)
-    pos += 8
+def _read_batch(r: Reader) -> RecordBatch:
+    r.expect(_BATCH_MAGIC, "record-batch")
+    schema = decode_schema(r)
+    num_rows = r.u64()
     columns = []
     for field in schema:
-        col, pos = _decode_column(buf, pos, field.dtype, num_rows)
-        columns.append(col)
+        column, r.pos = _decode_column(r.buf, r.pos, field.dtype, num_rows)
+        columns.append(column)
     if not columns and num_rows:
-        raise FormatError("rows declared but no columns present")
-    batch = RecordBatch(schema, columns) if columns else RecordBatch(schema, [])
+        r.fail("rows declared but no columns present")
+    batch = RecordBatch(schema, columns)
     if columns and batch.num_rows != num_rows:
-        raise FormatError("column length disagrees with declared row count")
-    return batch, pos
+        r.fail("column length disagrees with declared row count")
+    return batch
 
 
 def serialize_batches(batches: Sequence[RecordBatch]) -> bytes:
@@ -165,14 +122,9 @@ def serialize_batches(batches: Sequence[RecordBatch]) -> bytes:
 
 def deserialize_batches(buf: bytes) -> List[RecordBatch]:
     """Inverse of :func:`serialize_batches`."""
-    if buf[:4] != _STREAM_MAGIC:
-        raise FormatError("bad batch-stream magic")
-    (count,) = _unpack("<I", buf, 4)
-    pos = 8
-    batches = []
-    for _ in range(count):
-        batch, pos = _deserialize_batch_at(buf, pos)
-        batches.append(batch)
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes after stream")
+    r = Reader(buf, FormatError)
+    r.expect(_STREAM_MAGIC, "batch-stream")
+    # A batch is at least its magic, an empty schema block and a row count.
+    batches = [_read_batch(r) for _ in range(r.count(14, r.u32()))]
+    r.done()
     return batches

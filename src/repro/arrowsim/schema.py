@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence
 
-from repro.arrowsim.dtypes import DataType
+from repro.arrowsim.dtypes import DataType, read_dtype
 from repro.errors import SchemaMismatchError
+from repro.wire import Reader
 
-__all__ = ["Field", "Schema"]
+__all__ = ["Field", "Schema", "encode_schema", "decode_schema"]
 
 
 @dataclass(frozen=True)
@@ -87,3 +88,27 @@ class Schema:
     def __repr__(self) -> str:
         inner = ", ".join(repr(f) for f in self.fields)
         return f"Schema({inner})"
+
+
+# -- binary serde (shared by Arrow IPC batches and Parcel footers) ----------------
+
+
+def encode_schema(schema: Schema) -> bytes:
+    """``u16 nfields (u16 name_len, name, u8 type_code, u8 nullable)*``."""
+    out = bytearray(len(schema).to_bytes(2, "little"))
+    for f in schema:
+        name = f.name.encode("utf-8")
+        out += len(name).to_bytes(2, "little") + name
+        out += bytes((f.dtype.code, int(f.nullable)))
+    return bytes(out)
+
+
+def decode_schema(reader: Reader) -> Schema:
+    """Inverse of :func:`encode_schema` at the cursor."""
+    fields = []
+    for _ in range(reader.count(4, reader.u16())):
+        fields.append(Field(reader.text(reader.u16()), read_dtype(reader), bool(reader.u8())))
+    try:
+        return Schema(fields)
+    except SchemaMismatchError as exc:
+        reader.fail(f"bad schema block: {exc}")

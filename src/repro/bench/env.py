@@ -66,10 +66,6 @@ class RunConfig:
     #: Record a span tree for the run (``QueryResult.trace``).  Off by
     #: default; enabling it never changes simulated timings.
     tracing: bool = False
-    #: ocs only: run the plan verifier (repro.analysis) at the optimizer
-    #: exit and the Substrait boundary.  None defers to the process-wide
-    #: default — on in tests, off in benchmarks (performance-neutral).
-    strict_verify: Optional[bool] = None
     #: Run SimTSan (repro.analysis.sanitizer), the happens-before race
     #: detector, over this run's simulator.  None defers to the
     #: process-wide default — on in tests, off in benchmarks (the off
@@ -262,7 +258,6 @@ class Environment:
                 cluster, self.metastore, policy=policy, monitor=self.monitor,
                 split_granularity=config.split_granularity,
                 retry_policy=config.retry,
-                strict_verify=config.strict_verify,
             )
         raise EngineError(f"unknown run mode {config.mode!r}")
 

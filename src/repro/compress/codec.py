@@ -20,6 +20,7 @@ from abc import ABC, abstractmethod
 from typing import Dict
 
 from repro.errors import CodecError
+from repro.wire import Reader, decode_varint, encode_varint
 
 __all__ = [
     "Codec",
@@ -30,39 +31,6 @@ __all__ = [
 ]
 
 _MAGIC = b"PC"
-
-
-def encode_varint(value: int) -> bytes:
-    """LEB128 unsigned varint."""
-    if value < 0:
-        raise CodecError(f"varint cannot encode negative value {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
-
-
-def decode_varint(data: bytes, offset: int = 0) -> tuple[int, int]:
-    """Decode a varint at ``offset``; returns (value, next_offset)."""
-    result = 0
-    shift = 0
-    pos = offset
-    while True:
-        if pos >= len(data):
-            raise CodecError("truncated varint")
-        byte = data[pos]
-        pos += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
-        shift += 7
-        if shift > 63:
-            raise CodecError("varint too long")
 
 
 class Codec(ABC):
@@ -92,18 +60,16 @@ class Codec(ABC):
         identity codec hands that view back, so an uncompressed chunk is
         checksummed in place (any bytes-like ``frame`` works).
         """
-        frame = memoryview(frame)
-        if len(frame) < 7 or frame[:2] != _MAGIC:
-            raise CodecError("bad codec frame magic")
-        if frame[2] != self.codec_id:
+        r = Reader(memoryview(frame), CodecError)
+        r.expect(_MAGIC, "codec frame")
+        codec_id = r.u8()
+        if codec_id != self.codec_id:
             raise CodecError(
-                f"frame written by codec id {frame[2]}, not {self.name!r} ({self.codec_id})"
+                f"frame written by codec id {codec_id}, not {self.name!r} ({self.codec_id})"
             )
-        orig_size, pos = decode_varint(frame, 3)
-        if pos + 4 > len(frame):
-            raise CodecError("truncated codec frame header")
-        checksum = int.from_bytes(frame[pos : pos + 4], "little")
-        data = self._decompress_body(frame[pos + 4 :], orig_size)
+        orig_size = r.varint()
+        checksum = r.u32()
+        data = self._decompress_body(r.take(r.remaining), orig_size)
         if len(data) != orig_size:
             raise CodecError(
                 f"decompressed {len(data)} bytes, frame promised {orig_size}"

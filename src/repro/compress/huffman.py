@@ -135,11 +135,16 @@ def decode(body: bytes, nsymbols: int) -> bytes:
     payload = body[_NUM_SYMBOLS // 2 :]
     if nsymbols == 0:
         return b""
+    # Every symbol costs at least one bit: refuse a forged count before allocating.
+    if nsymbols > 8 * len(payload):
+        raise CodecError(f"Huffman stream declares {nsymbols} symbols in {len(payload)} bytes")
     present = [(length, sym) for sym, length in enumerate(lengths) if length > 0]
     if not present:
         raise CodecError("Huffman stream declares symbols but header is empty")
     codes = canonical_codes(lengths)
     max_len = max(length for length, _ in present)
+    if sum(1 << (max_len - length) for length, _ in present) > 1 << max_len:
+        raise CodecError("Huffman code lengths are over-subscribed")
 
     # Full prefix table: every max_len-bit word maps to (symbol, code length).
     table_sym = [0] * (1 << max_len)

@@ -149,8 +149,11 @@ def decompress_tokens(body: bytes, orig_size: int) -> bytes:
     n = len(body)
     while pos < n:
         tag, pos = decode_varint(body, pos)
+        length = tag >> 1
+        # Checked before anything is built: a forged length must not allocate.
+        if length > orig_size - len(out):
+            raise CodecError("token stream expands past declared size")
         if tag & 1:
-            length = tag >> 1
             offset, pos = decode_varint(body, pos)
             if offset <= 0 or offset > len(out):
                 raise CodecError(f"match offset {offset} out of range at {len(out)}")
@@ -162,11 +165,8 @@ def decompress_tokens(body: bytes, orig_size: int) -> bytes:
                 repeats, remainder = divmod(length, offset)
                 out += pattern * repeats + pattern[:remainder]
         else:
-            run = tag >> 1
-            if pos + run > n:
+            if pos + length > n:
                 raise CodecError("truncated literal run")
-            out += body[pos : pos + run]
-            pos += run
-        if len(out) > orig_size:
-            raise CodecError("token stream expands past declared size")
+            out += body[pos : pos + length]
+            pos += length
     return bytes(out)

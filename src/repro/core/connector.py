@@ -47,13 +47,9 @@ class OcsConnector(Connector):
         monitor: PushdownMonitor | None = None,
         split_granularity: str = "node",
         retry_policy: RetryPolicy | None = None,
-        strict_verify: bool | None = None,
     ) -> None:
         self.cluster = cluster
         self.metastore = metastore
-        #: None defers to the process-wide strict_verify default (on in
-        #: tests, off in benchmarks); True/False override per connector.
-        self.strict_verify = strict_verify
         self.policy = policy if policy is not None else PushdownPolicy.all_operators()
         #: Sliding-window history; share one across runs to accumulate.
         self.monitor = monitor if monitor is not None else PushdownMonitor()
@@ -78,7 +74,6 @@ class OcsConnector(Connector):
             policy=self.policy,
             storage_node_count=len(self.cluster.storage_nodes),
             split_granularity=self.split_granularity,
-            strict_verify=self.strict_verify,
         )
 
     def get_splits(self, handle: OcsTableHandle) -> List[ConnectorSplit]:
@@ -129,7 +124,7 @@ class OcsConnector(Connector):
             "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
         )
         plan = build_pushdown_plan(handle.descriptor, pushed)
-        if strict_verify_enabled(self.strict_verify):
+        if strict_verify_enabled():
             # Connector/OCS boundary: the IR about to ship must type-check
             # against what the logical layer decided to push.
             from repro.analysis.verifier import verify_substrait_plan

@@ -22,7 +22,7 @@ Soundness rules encoded here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, List
 
 from repro.analysis.runtime import strict_verify_enabled
 from repro.core.extractor import OperatorExtractor, PushdownCandidate
@@ -98,15 +98,12 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
         policy: PushdownPolicy,
         storage_node_count: int,
         split_granularity: str = "node",
-        strict_verify: Optional[bool] = None,
     ) -> None:
         if split_granularity not in ("node", "file"):
             raise PlanError(f"unknown split granularity {split_granularity!r}")
         self.policy = policy
         self.storage_node_count = storage_node_count
         self.split_granularity = split_granularity
-        #: None defers to the process-wide strict_verify default.
-        self.strict_verify = strict_verify
         self.extractor = OperatorExtractor()
 
     def _split_count(self, descriptor) -> int:
@@ -140,7 +137,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
         self._finalize(pushed)
         metrics.add("pushdown_operators", len(pushed.operator_names()))
         residual = self._rebuild_residual(scan, candidates, pushed_candidates, handle)
-        if strict_verify_enabled(self.strict_verify):
+        if strict_verify_enabled():
             # Equivalence check at the optimizer's exit: pushed + residual
             # must re-type-check and agree with the input plan's schema.
             from repro.analysis.verifier import verify_optimized_plan

@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.compress.codec import decode_varint, encode_varint
+from repro.errors import RpcError
 from repro.exec.expressions import Expr
 from repro.objectstore.s3select import S3SelectRequest, S3SelectService
 from repro.objectstore.store import ObjectStore
@@ -29,9 +29,16 @@ from repro.sim.kernel import Simulator
 from repro.sim.network import Link
 from repro.sim.node import SimNode
 from repro.substrait.convert import expression_to_substrait, substrait_to_expression
+from repro.substrait.expressions import SExpression
 from repro.substrait.functions import FunctionRegistry
-from repro.substrait.serde import decode_expression, encode_expression
+from repro.substrait.serde import (
+    encode_expression,
+    put_declarations,
+    read_declarations,
+    read_expression,
+)
 from repro.trace import NOOP_TRACER, SpanContext, Tracer
+from repro.wire import Reader, put_str, put_varint
 
 __all__ = ["S3Gateway", "place_key", "SelectReply"]
 
@@ -44,37 +51,41 @@ def place_key(key: str, node_count: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % node_count
 
 
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += encode_varint(len(data))
-    out += data
-
-
-def _read_str(buf: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = decode_varint(buf, pos)
-    return buf[pos : pos + length].decode("utf-8"), pos + length
-
-
 # -- request/reply codecs -----------------------------------------------------
 
 
 def encode_tail_request(bucket: str, key: str, nbytes: int) -> bytes:
     out = bytearray()
-    _write_str(out, bucket)
-    _write_str(out, key)
-    out += encode_varint(nbytes)
+    put_str(out, bucket)
+    put_str(out, key)
+    put_varint(out, nbytes)
     return bytes(out)
+
+
+def decode_tail_request(buf: bytes) -> Tuple[str, str, int]:
+    r = Reader(buf, RpcError)
+    request = (r.text(), r.text(), r.varint())
+    r.done()
+    return request
 
 
 def encode_ranges_request(bucket: str, key: str, ranges: Sequence[Tuple[int, int]]) -> bytes:
     out = bytearray()
-    _write_str(out, bucket)
-    _write_str(out, key)
-    out += encode_varint(len(ranges))
+    put_str(out, bucket)
+    put_str(out, key)
+    put_varint(out, len(ranges))
     for start, length in ranges:
-        out += encode_varint(start)
-        out += encode_varint(length)
+        put_varint(out, start)
+        put_varint(out, length)
     return bytes(out)
+
+
+def decode_ranges_request(buf: bytes) -> Tuple[str, str, List[Tuple[int, int]]]:
+    r = Reader(buf, RpcError)
+    bucket, key = r.text(), r.text()
+    ranges = [(r.varint(), r.varint()) for _ in range(r.count(2))]
+    r.done()
+    return bucket, key, ranges
 
 
 def encode_select_request(
@@ -86,29 +97,45 @@ def encode_select_request(
 ) -> bytes:
     """Select request; the predicate travels as a Substrait expression."""
     out = bytearray()
-    _write_str(out, bucket)
-    _write_str(out, key)
-    out += encode_varint(len(columns))
+    put_str(out, bucket)
+    put_str(out, key)
+    put_varint(out, len(columns))
     for name in columns:
-        _write_str(out, name)
-    out += encode_varint(len(table_columns))
+        put_str(out, name)
+    put_varint(out, len(table_columns))
     for name in table_columns:
-        _write_str(out, name)
+        put_str(out, name)
     if predicate is None:
         out.append(0)
         return bytes(out)
     out.append(1)
     registry = FunctionRegistry()
     sexpr = expression_to_substrait(predicate, list(table_columns), registry)
-    declarations = registry.declarations()
-    out += encode_varint(len(declarations))
-    for anchor, sig in declarations:
-        out += encode_varint(anchor)
-        _write_str(out, sig)
+    put_declarations(out, registry)
     payload = encode_expression(sexpr)
-    out += encode_varint(len(payload))
+    put_varint(out, len(payload))
     out += payload
     return bytes(out)
+
+
+def decode_select_request(
+    buf: bytes,
+) -> Tuple[str, str, List[str], List[str], Optional[SExpression], Optional[FunctionRegistry]]:
+    """Inverse of :func:`encode_select_request`, the predicate still in
+    transport form (ordinals into ``table_columns``, anchors into the registry)."""
+    r = Reader(buf, RpcError)
+    bucket, key = r.text(), r.text()
+    columns = [r.text() for _ in range(r.count(1))]
+    table_columns = [r.text() for _ in range(r.count(1))]
+    sexpr = registry = None
+    if r.u8():
+        registry = read_declarations(r)
+        # The expression is its own length-prefixed frame inside this one.
+        inner = Reader(r.take(r.varint()), RpcError)
+        sexpr = read_expression(inner)
+        inner.done()
+    r.done()
+    return bucket, key, columns, table_columns, sexpr, registry
 
 
 @dataclass
@@ -124,7 +151,7 @@ class SelectReply:
 
 def encode_select_reply(reply: SelectReply) -> bytes:
     out = bytearray()
-    out += encode_varint(len(reply.csv_payload))
+    put_varint(out, len(reply.csv_payload))
     out += reply.csv_payload
     for value in (
         reply.rows_scanned,
@@ -132,19 +159,15 @@ def encode_select_reply(reply: SelectReply) -> bytes:
         reply.stored_bytes_scanned,
         reply.uncompressed_bytes_scanned,
     ):
-        out += encode_varint(value)
+        put_varint(out, value)
     return bytes(out)
 
 
 def decode_select_reply(buf: bytes) -> SelectReply:
-    length, pos = decode_varint(buf, 0)
-    payload = buf[pos : pos + length]
-    pos += length
-    values = []
-    for _ in range(4):
-        value, pos = decode_varint(buf, pos)
-        values.append(value)
-    return SelectReply(payload, *values)
+    r = Reader(buf, RpcError)
+    reply = SelectReply(r.take(r.varint()), r.varint(), r.varint(), r.varint(), r.varint())
+    r.done()
+    return reply
 
 
 # -- the gateway --------------------------------------------------------------
@@ -188,9 +211,7 @@ class S3Gateway:
     # -- handlers ------------------------------------------------------------
 
     def _handle_get_tail(self, payload: bytes, trace: Optional[SpanContext] = None):
-        bucket, pos = _read_str(payload, 0)
-        key, pos = _read_str(payload, pos)
-        nbytes, pos = decode_varint(payload, pos)
+        bucket, key, nbytes = decode_tail_request(payload)
         data = self.store.get_object(bucket, key)
         nbytes = min(nbytes, len(data))
         response = data[len(data) - nbytes :]
@@ -210,20 +231,16 @@ class S3Gateway:
         return response
 
     def _handle_get_ranges(self, payload: bytes, trace: Optional[SpanContext] = None):
-        bucket, pos = _read_str(payload, 0)
-        key, pos = _read_str(payload, pos)
-        count, pos = decode_varint(payload, pos)
-        pieces: List[bytes] = []
-        for _ in range(count):
-            start, pos = decode_varint(payload, pos)
-            length, pos = decode_varint(payload, pos)
-            pieces.append(self.store.get_object_range(bucket, key, start, length))
-        response = b"".join(pieces)
+        bucket, key, ranges = decode_ranges_request(payload)
+        response = b"".join(
+            self.store.get_object_range(bucket, key, start, length)
+            for start, length in ranges
+        )
         node, link = self._route(key)
         span = self.tracer.start(
             "s3.storage:get_ranges",
             parent=trace,
-            attributes={"node": node.name, "bytes": len(response), "ranges": count},
+            attributes={"node": node.name, "bytes": len(response), "ranges": len(ranges)},
         )
         try:
             yield link.transfer(self.frontend.name, node.name, len(payload), label="get-req")
@@ -235,32 +252,10 @@ class S3Gateway:
         return response
 
     def _handle_select(self, payload: bytes, trace: Optional[SpanContext] = None):
-        bucket, pos = _read_str(payload, 0)
-        key, pos = _read_str(payload, pos)
-        n_columns, pos = decode_varint(payload, pos)
-        columns: List[str] = []
-        for _ in range(n_columns):
-            name, pos = _read_str(payload, pos)
-            columns.append(name)
-        n_table_columns, pos = decode_varint(payload, pos)
-        table_columns: List[str] = []
-        for _ in range(n_table_columns):
-            name, pos = _read_str(payload, pos)
-            table_columns.append(name)
+        bucket, key, columns, table_columns, sexpr, registry = decode_select_request(payload)
         predicate: Optional[Expr] = None
-        if payload[pos]:
-            pos += 1
-            n_decls, pos = decode_varint(payload, pos)
-            declarations = []
-            for _ in range(n_decls):
-                anchor, pos = decode_varint(payload, pos)
-                sig, pos = _read_str(payload, pos)
-                declarations.append((anchor, sig))
-            registry = FunctionRegistry.from_declarations(declarations)
-            length, pos = decode_varint(payload, pos)
-            sexpr = decode_expression(payload[pos : pos + length])
-            pos += length
-            # Types resolve against the object's actual schema below; the
+        if sexpr is not None:
+            # Types resolve against the object's actual schema; the
             # converter needs names + types, so peek at the footer.
             from repro.formats.reader import ParcelReader
 

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.arrowsim.ipc import deserialize_batches, serialize_batches
 from repro.arrowsim.record_batch import RecordBatch
-from repro.compress.codec import decode_varint, encode_varint
 from repro.errors import (
     ExchangeError,
     ExchangeFaultError,
@@ -35,6 +34,7 @@ from repro.sim.kernel import ProcessGenerator, Simulator
 from repro.sim.node import SimNode
 from repro.sim.resources import Resource
 from repro.trace import NOOP_TRACER, Span, SpanContext, Tracer
+from repro.wire import Reader, put_varint
 
 __all__ = ["ExchangePage", "ExchangeFabric", "encode_page", "decode_page"]
 
@@ -55,28 +55,18 @@ class ExchangePage:
 
 def encode_page(page: ExchangePage) -> bytes:
     out = bytearray(_PAGE_MAGIC)
-    for value in (page.exchange_id, page.partition, page.sender, page.seq):
-        out += encode_varint(value)
-    out += encode_varint(len(page.body))
+    for value in (page.exchange_id, page.partition, page.sender, page.seq, len(page.body)):
+        put_varint(out, value)
     out += page.body
     return bytes(out)
 
 
 def decode_page(buf: bytes) -> ExchangePage:
-    if len(buf) < 4 or buf[:4] != _PAGE_MAGIC:
-        raise ExchangeError("bad exchange page magic")
-    pos = 4
-    values: List[int] = []
-    for _ in range(5):
-        value, pos = decode_varint(buf, pos)
-        values.append(value)
-    exchange_id, partition, sender, seq, body_len = values
-    if pos + body_len > len(buf):
-        raise ExchangeError(
-            f"truncated exchange page: need {body_len} body bytes, "
-            f"have {len(buf) - pos}"
-        )
-    return ExchangePage(exchange_id, partition, sender, seq, buf[pos : pos + body_len])
+    r = Reader(buf, ExchangeError)
+    r.expect(_PAGE_MAGIC, "exchange page")
+    page = ExchangePage(r.varint(), r.varint(), r.varint(), r.varint(), r.take(r.varint()))
+    r.done()
+    return page
 
 
 @dataclass(frozen=True)

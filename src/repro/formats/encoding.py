@@ -54,9 +54,9 @@ from repro.arrowsim.buffers import (
     utf8_nbytes,
 )
 from repro.arrowsim.dtypes import DataType, FLOAT64, STRING
-from repro.compress.codec import decode_varint, encode_varint
 from repro.errors import FormatError
 from repro.formats.statistics import ColumnStats, Distinct
+from repro.wire import Reader, encode_varint
 
 __all__ = [
     "PLAIN",
@@ -187,68 +187,56 @@ def _encode_fixed(
 # -- decoders ------------------------------------------------------------------
 
 
-def _decode_plain(
-    dtype: DataType, buf: bytes, pos: int, count: int
-) -> Tuple[np.ndarray, int]:
+def _decode_dict(dtype: DataType, r: Reader, count: int) -> np.ndarray:
+    dict_size = r.u32()
     if dtype is STRING:
-        return read_strings(buf, pos, count)
-    view, pos = read_array(buf, pos, dtype.numpy_dtype, count)
-    return view.copy(), pos
-
-
-def _decode_dict(dtype: DataType, buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
-    header, pos = read_array(buf, pos, _U32, 1)
-    dict_size = int(header[0])
-    if dtype is STRING:
-        dictionary, pos = read_strings(buf, pos, dict_size)
+        dictionary = read_strings(r, dict_size)
     else:
-        dictionary, pos = read_array(buf, pos, dtype.numpy_dtype, dict_size)
-    indices, pos = read_array(buf, pos, _U32, count)
+        dictionary = read_array(r, dtype.numpy_dtype, dict_size)
+    indices = read_array(r, _U32, count)
     if count and dict_size == 0:
-        raise FormatError("dictionary empty but indices present")
+        r.fail("dictionary empty but indices present")
     if count and indices.max() >= dict_size:
-        raise FormatError("dictionary index out of range")
-    return dictionary[indices], pos
+        r.fail("dictionary index out of range")
+    return dictionary[indices]
 
 
-def _decode_rle(dtype: DataType, buf: bytes, pos: int, count: int) -> Tuple[np.ndarray, int]:
-    nruns, pos = decode_varint(buf, pos)
+def _decode_rle(dtype: DataType, r: Reader, count: int) -> np.ndarray:
+    nruns = r.varint()
     width = dtype.byte_width
-    remaining = len(buf) - pos
+    remaining = r.remaining
     if nruns > count or nruns * (1 + width) > remaining:
-        raise FormatError(
-            f"RLE declares {nruns} runs for {count} values in {remaining} bytes"
-        )
-    octets = np.frombuffer(buf, dtype=np.uint8)
+        r.fail(f"RLE declares {nruns} runs for {count} values in {remaining} bytes")
+    octets = np.frombuffer(r.buf, dtype=np.uint8)
     if remaining == nruns * (1 + width):
         # Every run-length varint is one byte, so the pairs have a fixed stride.
-        pairs = octets[pos:].reshape(nruns, 1 + width)
+        pairs = octets[r.pos :].reshape(nruns, 1 + width)
         run_lengths = pairs[:, 0]
         if bool((run_lengths & 0x80).any()):
-            raise FormatError("RLE run length runs past the chunk body")
+            r.fail("RLE run length runs past the chunk body")
         run_octets = pairs[:, 1:]
         total = int(run_lengths.sum(dtype=np.int64))
-        pos = len(buf)
+        r.pos = r.end
     else:
         lengths: List[int] = []
         value_at: List[int] = []
         total = 0
         for _ in range(nruns):
-            run_len, pos = decode_varint(buf, pos)
+            run_len = r.varint()
             total += run_len
-            if total > count or pos + width > len(buf):
+            if total > count or r.remaining < width:
                 break
             lengths.append(run_len)
-            value_at.append(pos)
-            pos += width
+            value_at.append(r.pos)
+            r.pos += width
         if len(lengths) != nruns:
-            raise FormatError(f"RLE runs overflow the chunk ({count} values)")
+            r.fail(f"RLE runs overflow the chunk ({count} values)")
         run_lengths = np.array(lengths, dtype=np.int64)
         run_octets = octets[np.array(value_at, dtype=np.int64)[:, None] + np.arange(width)]
     if total != count:
-        raise FormatError(f"RLE expanded to {total} values, expected {count}")
+        r.fail(f"RLE expanded to {total} values, expected {count}")
     run_values = np.ascontiguousarray(run_octets).view(dtype.numpy_dtype).reshape(nruns)
-    return np.repeat(run_values, run_lengths), pos
+    return np.repeat(run_values, run_lengths)
 
 
 # -- chunk assembly ---------------------------------------------------------
@@ -290,33 +278,24 @@ def encode_chunk(column: ColumnArray, lossy_error: Optional[float] = None) -> by
 
 def decode_chunk(dtype: DataType, body: bytes, num_values: int) -> ColumnArray:
     """Inverse of :func:`encode_chunk`."""
-    if len(body) < 2:
-        raise FormatError(f"chunk body of {len(body)} bytes has no header")
-    pos = 1
-    validity = None
-    if body[0]:
-        validity, pos = read_validity(body, pos, num_values)
-        if pos >= len(body):
-            raise FormatError("chunk body ends inside its validity bits")
-    encoding = body[pos]
-    pos += 1
-    if encoding == PLAIN:
-        values, pos = _decode_plain(dtype, body, pos, num_values)
+    r = Reader(body, FormatError)
+    validity = read_validity(r, num_values) if r.u8() else None
+    encoding = r.u8()
+    if encoding == PLAIN and dtype is STRING:
+        values = read_strings(r, num_values)
+    elif encoding == PLAIN:
+        values = read_array(r, dtype.numpy_dtype, num_values).copy()
     elif encoding == DICT:
-        values, pos = _decode_dict(dtype, body, pos, num_values)
+        values = _decode_dict(dtype, r, num_values)
     elif encoding == RLE and dtype is not STRING:
-        values, pos = _decode_rle(dtype, body, pos, num_values)
+        values = _decode_rle(dtype, r, num_values)
     elif encoding == SZ:
         from repro.compress.szlike import decompress_lossy
 
-        values = decompress_lossy(bytes(body[pos:]))
+        values = decompress_lossy(bytes(r.take(r.remaining)))
         if len(values) != num_values:
-            raise FormatError(
-                f"SZ chunk decoded {len(values)} values, expected {num_values}"
-            )
-        pos = len(body)
+            r.fail(f"SZ chunk decoded {len(values)} values, expected {num_values}")
     else:
-        raise FormatError(f"unknown chunk encoding {encoding} for {dtype}")
-    if pos != len(body):
-        raise FormatError(f"{len(body) - pos} trailing bytes in chunk body")
+        r.fail(f"unknown chunk encoding {encoding} for {dtype}")
+    r.done()
     return ColumnArray(dtype, values, validity)

@@ -17,15 +17,13 @@ reads instead of a full-file scan.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List
 
-from repro.arrowsim.dtypes import dtype_from_code
-from repro.arrowsim.schema import Field, Schema
-from repro.compress.codec import decode_varint, encode_varint
+from repro.arrowsim.schema import Schema, decode_schema, encode_schema
 from repro.errors import FormatError
 from repro.formats.statistics import ColumnStats, decode_stat_value, encode_stat_value
+from repro.wire import Reader, put_varint
 
 __all__ = ["ChunkMeta", "RowGroupMeta", "ParcelMeta", "MAGIC"]
 
@@ -77,48 +75,24 @@ class ParcelMeta:
 # -- binary serde --------------------------------------------------------------
 
 
-def _encode_schema(schema: Schema) -> bytes:
-    out = bytearray(struct.pack("<H", len(schema)))
-    for f in schema:
-        name = f.name.encode("utf-8")
-        out += struct.pack("<H", len(name)) + name
-        out += struct.pack("<BB", f.dtype.code, int(f.nullable))
-    return bytes(out)
-
-
-def _decode_schema(buf: bytes, pos: int) -> Tuple[Schema, int]:
-    (nfields,) = struct.unpack_from("<H", buf, pos)
-    pos += 2
-    fields = []
-    for _ in range(nfields):
-        (name_len,) = struct.unpack_from("<H", buf, pos)
-        pos += 2
-        name = buf[pos : pos + name_len].decode("utf-8")
-        pos += name_len
-        code, nullable = struct.unpack_from("<BB", buf, pos)
-        pos += 2
-        fields.append(Field(name, dtype_from_code(code), bool(nullable)))
-    return Schema(fields), pos
-
-
 def encode_footer(meta: ParcelMeta) -> bytes:
     """Serialize the footer (without length/tail magic)."""
-    out = bytearray(_encode_schema(meta.schema))
-    out += encode_varint(len(meta.row_groups))
+    out = bytearray(encode_schema(meta.schema))
+    put_varint(out, len(meta.row_groups))
     for rg in meta.row_groups:
-        out += encode_varint(rg.num_rows)
+        put_varint(out, rg.num_rows)
         if len(rg.chunks) != len(meta.schema):
             raise FormatError("row group chunk count != schema width")
         for f, chunk in zip(meta.schema, rg.chunks):
-            out += encode_varint(chunk.offset)
-            out += encode_varint(chunk.compressed_size)
-            out += encode_varint(chunk.uncompressed_size)
+            put_varint(out, chunk.offset)
+            put_varint(out, chunk.compressed_size)
+            put_varint(out, chunk.uncompressed_size)
             codec_name = chunk.codec.encode("ascii")
             out += bytes([len(codec_name)]) + codec_name
             stats = chunk.stats
-            out += encode_varint(stats.row_count)
-            out += encode_varint(stats.null_count)
-            out += encode_varint(stats.ndv)
+            put_varint(out, stats.row_count)
+            put_varint(out, stats.null_count)
+            put_varint(out, stats.ndv)
             out += encode_stat_value(f.dtype, stats.min_value)
             out += encode_stat_value(f.dtype, stats.max_value)
     return bytes(out)
@@ -126,35 +100,25 @@ def encode_footer(meta: ParcelMeta) -> bytes:
 
 def decode_footer(buf: bytes) -> ParcelMeta:
     """Inverse of :func:`encode_footer`."""
-    schema, pos = _decode_schema(buf, 0)
-    n_row_groups, pos = decode_varint(buf, pos)
+    r = Reader(buf, FormatError)
+    schema = decode_schema(r)
     row_groups = []
-    for _ in range(n_row_groups):
-        num_rows, pos = decode_varint(buf, pos)
+    # A chunk's metadata is at least 9 bytes: six varints, the codec name's
+    # length byte and two absent-bound flags.
+    for _ in range(r.count(1 + 9 * len(schema))):
+        num_rows = r.varint()
         chunks = []
         for f in schema:
-            offset, pos = decode_varint(buf, pos)
-            compressed, pos = decode_varint(buf, pos)
-            uncompressed, pos = decode_varint(buf, pos)
-            codec_len = buf[pos]
-            pos += 1
-            codec = buf[pos : pos + codec_len].decode("ascii")
-            pos += codec_len
-            row_count, pos = decode_varint(buf, pos)
-            null_count, pos = decode_varint(buf, pos)
-            ndv, pos = decode_varint(buf, pos)
-            min_value, pos = decode_stat_value(f.dtype, buf, pos)
-            max_value, pos = decode_stat_value(f.dtype, buf, pos)
-            chunks.append(
-                ChunkMeta(
-                    offset=offset,
-                    compressed_size=compressed,
-                    uncompressed_size=uncompressed,
-                    codec=codec,
-                    stats=ColumnStats(row_count, null_count, ndv, min_value, max_value),
-                )
+            offset, compressed, uncompressed = r.varint(), r.varint(), r.varint()
+            codec = r.text(r.u8())
+            stats = ColumnStats(
+                r.varint(),
+                r.varint(),
+                r.varint(),
+                decode_stat_value(f.dtype, r),
+                decode_stat_value(f.dtype, r),
             )
-        row_groups.append(RowGroupMeta(num_rows=num_rows, chunks=chunks))
-    if pos != len(buf):
-        raise FormatError(f"{len(buf) - pos} trailing bytes in footer")
-    return ParcelMeta(schema=schema, row_groups=row_groups)
+            chunks.append(ChunkMeta(offset, compressed, uncompressed, codec, stats))
+        row_groups.append(RowGroupMeta(num_rows, chunks))
+    r.done()
+    return ParcelMeta(schema, row_groups)

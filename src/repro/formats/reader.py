@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 from typing import Optional, Sequence
 
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
@@ -12,15 +11,16 @@ from repro.errors import FormatError
 from repro.formats.encoding import decode_chunk
 from repro.formats.metadata import MAGIC, ParcelMeta, decode_footer
 from repro.formats.statistics import ColumnStats
+from repro.wire import Reader
 
 __all__ = ["ParcelReader", "footer_length_from_tail", "meta_from_tail"]
 
 
 def footer_length_from_tail(tail8: bytes) -> int:
     """Footer byte count from the file's final 8 bytes (length + magic)."""
-    if len(tail8) < 8 or tail8[-4:] != MAGIC:
-        raise FormatError("not a Parcel tail (bad magic)")
-    (footer_len,) = struct.unpack_from("<I", tail8, len(tail8) - 8)
+    r = Reader(tail8[-8:], FormatError)
+    footer_len = r.u32()
+    r.expect(MAGIC, "Parcel tail")
     return footer_len
 
 
@@ -49,17 +49,14 @@ class ParcelReader:
     """
 
     def __init__(self, buf: bytes) -> None:
-        if len(buf) < 12 or buf[:4] != MAGIC or buf[-4:] != MAGIC:
+        if len(buf) < 12 or buf[:4] != MAGIC:
             raise FormatError("not a Parcel file (bad magic)")
-        (footer_len,) = struct.unpack_from("<I", buf, len(buf) - 8)
-        footer_start = len(buf) - 8 - footer_len
-        if footer_start < 4:
-            raise FormatError("corrupt footer length")
         #: Chunks are handed to the codec as views: no copy before decode.
         self._buf = memoryview(buf)
-        self.meta: ParcelMeta = decode_footer(buf[footer_start : len(buf) - 8])
+        # What follows the head magic is a tail that must hold the footer.
+        self.meta: ParcelMeta = meta_from_tail(self._buf[4:])
         #: Bytes a reader must fetch before any data: footer + magic.
-        self.footer_bytes = footer_len + 12
+        self.footer_bytes = footer_length_from_tail(buf[-8:]) + 12
 
     # -- introspection ---------------------------------------------------------
 

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 import numpy as np
 
 from repro.arrowsim.array import ColumnArray
 from repro.arrowsim.buffers import str_items
-from repro.arrowsim.dtypes import DataType, STRING
-from repro.errors import FormatError
+from repro.arrowsim.dtypes import BOOL, DataType, STRING
+from repro.wire import Reader
 
 __all__ = ["ColumnStats", "Distinct"]
 
@@ -177,23 +177,16 @@ def encode_stat_value(dtype: DataType, value: Optional[Any]) -> bytes:
     return b"\x01" + struct.pack("<q", int(value))
 
 
-def decode_stat_value(dtype: DataType, buf: bytes, pos: int) -> Tuple[Optional[Any], int]:
-    """Inverse of :func:`encode_stat_value`; returns (value, next_pos)."""
-    flag = buf[pos]
-    pos += 1
+def decode_stat_value(dtype: DataType, reader: Reader) -> Optional[Any]:
+    """Inverse of :func:`encode_stat_value` at the cursor."""
+    flag = reader.u8()
     if flag == 0:
-        return None, pos
+        return None
     if flag != 1:
-        raise FormatError(f"bad stat value flag {flag}")
+        reader.fail(f"bad stat value flag {flag}")
     if dtype is STRING:
-        (length,) = struct.unpack_from("<I", buf, pos)
-        pos += 4
-        value = buf[pos : pos + length].decode("utf-8")
-        return value, pos + length
+        return reader.text(reader.u32())
     if dtype.is_floating:
-        (value,) = struct.unpack_from("<d", buf, pos)
-        return value, pos + 8
-    (ivalue,) = struct.unpack_from("<q", buf, pos)
-    if dtype.name == "bool":
-        return bool(ivalue), pos + 8
-    return ivalue, pos + 8
+        return reader.f64()
+    value = reader.i64()
+    return bool(value) if dtype is BOOL else value

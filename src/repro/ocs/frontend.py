@@ -9,10 +9,9 @@ real OCS exposes similar per-request telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.compress.codec import decode_varint, encode_varint
-from repro.errors import CodecError, OcsError, RpcStatusError, StatusCode
+from repro.errors import OcsError, RpcStatusError, StatusCode
 from repro.sim.faults import FaultInjector
 from repro.ocs.embedded_engine import OcsCostReport
 from repro.ocs.storage_node import OcsStorageNode
@@ -24,6 +23,7 @@ from repro.sim.node import SimNode
 from repro.substrait.serde import deserialize_plan
 from repro.substrait.validator import validate_plan
 from repro.trace import NOOP_TRACER, SpanContext, Tracer
+from repro.wire import Reader, put_str, put_varint
 
 __all__ = [
     "PushdownRequest",
@@ -45,70 +45,32 @@ class PushdownRequest:
     node_index: int = 0
 
 
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += encode_varint(len(data))
-    out += data
-
-
-def _read_varint(buf: bytes, pos: int) -> Tuple[int, int]:
-    """Bounds-checked varint read; truncation becomes a typed OcsError."""
-    try:
-        return decode_varint(buf, pos)
-    except CodecError as exc:
-        raise OcsError(f"truncated frame: {exc}") from exc
-
-
-def _take(buf: bytes, pos: int, length: int) -> Tuple[bytes, int]:
-    """Slice ``length`` bytes at ``pos``, refusing to silently truncate."""
-    if length < 0 or pos + length > len(buf):
-        raise OcsError(
-            f"truncated frame: need {length} bytes at offset {pos}, "
-            f"have {len(buf) - pos}"
-        )
-    return buf[pos : pos + length], pos + length
-
-
-def _read_str(buf: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _read_varint(buf, pos)
-    data, pos = _take(buf, pos, length)
-    try:
-        return data.decode("utf-8"), pos
-    except UnicodeDecodeError as exc:
-        raise OcsError(f"malformed frame string: {exc}") from exc
-
-
 def encode_request(request: PushdownRequest) -> bytes:
     out = bytearray(b"OCRQ")
-    out += encode_varint(len(request.plan_bytes))
+    put_varint(out, len(request.plan_bytes))
     out += request.plan_bytes
-    _write_str(out, request.bucket)
-    out += encode_varint(len(request.keys))
+    put_str(out, request.bucket)
+    put_varint(out, len(request.keys))
     for key in request.keys:
-        _write_str(out, key)
-    out += encode_varint(request.node_index)
+        put_str(out, key)
+    put_varint(out, request.node_index)
     return bytes(out)
 
 
 def decode_request(buf: bytes) -> PushdownRequest:
-    if len(buf) < 4 or buf[:4] != b"OCRQ":
-        raise OcsError("bad OCS request magic")
-    pos = 4
-    plan_len, pos = _read_varint(buf, pos)
-    plan_bytes, pos = _take(buf, pos, plan_len)
-    bucket, pos = _read_str(buf, pos)
-    nkeys, pos = _read_varint(buf, pos)
-    keys: List[str] = []
-    for _ in range(nkeys):
-        key, pos = _read_str(buf, pos)
-        keys.append(key)
-    node_index, pos = _read_varint(buf, pos)
-    return PushdownRequest(plan_bytes, bucket, tuple(keys), node_index)
+    r = Reader(buf, OcsError)
+    r.expect(b"OCRQ", "OCS request")
+    plan_bytes = r.take(r.varint())
+    bucket = r.text()
+    keys = tuple([r.text() for _ in range(r.count(1))])
+    request = PushdownRequest(plan_bytes, bucket, keys, r.varint())
+    r.done()
+    return request
 
 
 def encode_response(arrow: bytes, report: OcsCostReport) -> bytes:
     out = bytearray(b"OCRS")
-    out += encode_varint(len(arrow))
+    put_varint(out, len(arrow))
     out += arrow
     for value in (
         report.stored_bytes_read,
@@ -121,31 +83,26 @@ def encode_response(arrow: bytes, report: OcsCostReport) -> bytes:
         int(report.total_cpu_cycles),
         report.page_cache_hits,
     ):
-        out += encode_varint(int(value))
+        put_varint(out, int(value))
     return bytes(out)
 
 
 def decode_response(buf: bytes) -> Tuple[bytes, OcsCostReport]:
-    if len(buf) < 4 or buf[:4] != b"OCRS":
-        raise OcsError("bad OCS response magic")
-    pos = 4
-    arrow_len, pos = _read_varint(buf, pos)
-    arrow, pos = _take(buf, pos, arrow_len)
-    values = []
-    for _ in range(9):
-        value, pos = _read_varint(buf, pos)
-        values.append(value)
+    r = Reader(buf, OcsError)
+    r.expect(b"OCRS", "OCS response")
+    arrow = r.take(r.varint())
     report = OcsCostReport(
-        stored_bytes_read=values[0],
-        uncompressed_bytes=values[1],
-        rows_scanned=values[2],
-        rows_returned=values[3],
-        row_groups_pruned=values[4],
-        row_groups_read=values[5],
-        dynamic_rows_pruned=values[6],
-        compute_cycles=float(values[7]),
-        page_cache_hits=values[8],
+        stored_bytes_read=r.varint(),
+        uncompressed_bytes=r.varint(),
+        rows_scanned=r.varint(),
+        rows_returned=r.varint(),
+        row_groups_pruned=r.varint(),
+        row_groups_read=r.varint(),
+        dynamic_rows_pruned=r.varint(),
+        compute_cycles=float(r.varint()),
+        page_cache_hits=r.varint(),
     )
+    r.done()
     return arrow, report
 
 

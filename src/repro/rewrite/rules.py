@@ -45,6 +45,7 @@ from repro.sql.ast_nodes import (
     Star,
     TableName,
     UnaryOp,
+    children,
 )
 
 __all__ = [
@@ -93,32 +94,12 @@ def disjuncts(expr: Expression) -> List[Expression]:
     return [expr]
 
 
-def _children(expr: Expression) -> Tuple[Expression, ...]:
-    """Immediate expression children; subquery statements are opaque."""
-    if isinstance(expr, UnaryOp):
-        return (expr.operand,)
-    if isinstance(expr, BinaryOp):
-        return (expr.left, expr.right)
-    if isinstance(expr, Between):
-        return (expr.expr, expr.low, expr.high)
-    if isinstance(expr, InList):
-        return (expr.expr,) + tuple(expr.items)
-    if isinstance(expr, IsNull):
-        return (expr.expr,)
-    if isinstance(expr, Cast):
-        return (expr.expr,)
-    if isinstance(expr, FunctionCall):
-        return tuple(expr.args)
-    if isinstance(expr, InSubquery):
-        return (expr.expr,)
-    return ()
-
-
 def walk(expr: Expression) -> Iterator[Expression]:
     """Yield ``expr`` and every descendant, not descending into subqueries."""
     yield expr
-    for child in _children(expr):
-        yield from walk(child)
+    for child in children(expr):
+        if isinstance(child, Expression):
+            yield from walk(child)
 
 
 def column_refs(expr: Optional[Expression]) -> List[ColumnRef]:

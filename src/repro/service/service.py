@@ -25,6 +25,7 @@ The service composes four pieces:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional
 
 from repro.analysis.runtime import strict_sanitize_enabled
@@ -448,12 +449,10 @@ def _config_key(config: RunConfig) -> tuple:
     policy = config.policy
     policy_key = None
     if policy is not None:
-        policy_key = (
-            tuple(sorted(policy.enabled)),
-            policy.use_statistics,
-            policy.filter_selectivity_threshold,
-            policy.aggregation_selectivity_threshold,
-            policy.distribution,
+        # Every field, by reflection: a knob added later cannot be forgotten here.
+        policy_key = tuple(
+            tuple(sorted(policy.enabled)) if f.name == "enabled" else getattr(policy, f.name)
+            for f in dataclasses.fields(policy)
         )
     retry = config.retry
     retry_key = None
@@ -465,7 +464,6 @@ def _config_key(config: RunConfig) -> tuple:
         config.mode,
         config.split_granularity,
         config.prune_columns,
-        config.strict_verify,
         policy_key,
         retry_key,
         config.cache.key() if config.cache is not None else None,

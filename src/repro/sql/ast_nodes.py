@@ -9,9 +9,11 @@ structurally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
+    "children",
+    "Node",
     "Expression",
     "Literal",
     "DateLiteral",
@@ -40,7 +42,11 @@ __all__ = [
 AGGREGATE_FUNCTIONS = frozenset({"count", "sum", "avg", "min", "max", "variance", "stddev"})
 
 
-class Expression:
+class Node:
+    """Base of every AST dataclass that can hold expressions."""
+
+
+class Expression(Node):
     """Base class for expression nodes."""
 
     def to_sql(self) -> str:  # pragma: no cover - abstract
@@ -48,6 +54,18 @@ class Expression:
 
     def __str__(self) -> str:
         return self.to_sql()
+
+
+def children(node: Node) -> List[Node]:
+    """Immediate AST children of any node, in field order — expressions,
+    clause containers and subquery statements alike (callers filter)."""
+    out: List[Node] = []
+    for value in vars(node).values():
+        if isinstance(value, Node):
+            out.append(value)
+        elif isinstance(value, tuple):
+            out.extend(child for child in value if isinstance(child, Node))
+    return out
 
 
 def _paren(expr: Expression) -> str:
@@ -245,7 +263,7 @@ class ScalarSubquery(Expression):
 
 
 @dataclass(frozen=True)
-class SelectItem:
+class SelectItem(Node):
     expr: Expression
     alias: Optional[str] = None
 
@@ -264,7 +282,7 @@ class SelectItem:
 
 
 @dataclass(frozen=True)
-class OrderItem:
+class OrderItem(Node):
     expr: Expression
     descending: bool = False
 
@@ -286,7 +304,7 @@ class TableName:
 
 
 @dataclass(frozen=True)
-class JoinClause:
+class JoinClause(Node):
     """``[INNER|LEFT [OUTER]] JOIN table ON condition``.
 
     ``kind`` is normalized to ``"inner"`` or ``"left"`` by the parser.
@@ -316,7 +334,7 @@ class JoinClause:
 
 
 @dataclass(frozen=True)
-class CommonTableExpr:
+class CommonTableExpr(Node):
     """One ``name AS (SELECT ...)`` binding in a WITH clause.
 
     ``materialized`` is an internal annotation stamped by the rewriter's
@@ -333,7 +351,7 @@ class CommonTableExpr:
 
 
 @dataclass(frozen=True)
-class SelectStatement:
+class SelectStatement(Node):
     select_items: Tuple[SelectItem, ...]
     from_table: TableName
     where: Optional[Expression] = None

@@ -32,7 +32,16 @@ from repro.errors import ParseError
 from repro.sql import ast_nodes as ast
 from repro.sql.lexer import Token, TokenKind, tokenize
 
-__all__ = ["Parser", "parse", "parse_expression"]
+__all__ = ["Parser", "parse", "parse_expression", "MAX_EXPRESSION_DEPTH"]
+
+#: Deepest expression accepted, two ways against the one number: how deep
+#: ``( expr )`` / argument / subquery nesting may recurse here, and how tall
+#: the finished tree may be (prefix chains and the left-deep trees of the
+#: operator loops included, through subqueries).  Every later stage walks
+#: the tree recursively; 109 parentheses and ~300 chained terms were the
+#: measured limits of the interpreter's stack.
+MAX_EXPRESSION_DEPTH = 64
+_TOO_DEEP = f"expression nested deeper than {MAX_EXPRESSION_DEPTH} levels"
 
 _COMPARISONS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 _TYPE_NAMES = {
@@ -47,6 +56,8 @@ class Parser:
     def __init__(self, text: str) -> None:
         self.tokens: List[Token] = tokenize(text)
         self.pos = 0
+        #: Enclosing ``_expression`` calls on the Python stack right now.
+        self._nesting = 0
 
     # -- cursor helpers -------------------------------------------------------
 
@@ -205,7 +216,15 @@ class Parser:
     # -- expressions -------------------------------------------------------------------
 
     def _expression(self) -> ast.Expression:
-        return self._or()
+        start = self._peek().position
+        if self._nesting > MAX_EXPRESSION_DEPTH:
+            raise ParseError(_TOO_DEEP, position=start)
+        self._nesting += 1
+        expr = self._or()
+        self._nesting -= 1
+        if self._nesting == 0:
+            _check_height(expr, start)
+        return expr
 
     def _or(self) -> ast.Expression:
         left = self._and()
@@ -220,14 +239,20 @@ class Parser:
         return left
 
     def _not(self) -> ast.Expression:
-        if self._keyword("NOT"):
-            inner = self._not()
+        # Prefix chains are counted, then wrapped inside out: a loop, so a
+        # thousand NOTs cost a thousand nodes, not a thousand stack frames.
+        nots = 0
+        while self._keyword("NOT"):
+            nots += 1
+        expr = self._predicate()
+        for _ in range(nots):
             # Keep [NOT] EXISTS canonical: the negation lives on the node
             # itself so rewrite rules match one shape, not two.
-            if isinstance(inner, ast.ExistsExpr):
-                return ast.ExistsExpr(inner.subquery, negated=not inner.negated)
-            return ast.UnaryOp("NOT", inner)
-        return self._predicate()
+            if isinstance(expr, ast.ExistsExpr):
+                expr = ast.ExistsExpr(expr.subquery, negated=not expr.negated)
+            else:
+                expr = ast.UnaryOp("NOT", expr)
+        return expr
 
     def _predicate(self) -> ast.Expression:
         left = self._additive()
@@ -288,11 +313,16 @@ class Parser:
                 return left
 
     def _unary(self) -> ast.Expression:
-        if self._accept(TokenKind.OPERATOR, "-"):
-            return ast.UnaryOp("-", self._unary())
-        if self._accept(TokenKind.OPERATOR, "+"):
-            return self._unary()
-        return self._primary()
+        negations = 0
+        while True:
+            if self._accept(TokenKind.OPERATOR, "-"):
+                negations += 1
+            elif not self._accept(TokenKind.OPERATOR, "+"):
+                break
+        expr = self._primary()
+        for _ in range(negations):
+            expr = ast.UnaryOp("-", expr)
+        return expr
 
     def _primary(self) -> ast.Expression:
         token = self._peek()
@@ -408,6 +438,20 @@ class Parser:
                 args.append(self._expression())
         self._expect(TokenKind.PUNCT, ")")
         return ast.FunctionCall(name=name, args=tuple(args), distinct=distinct)
+
+
+def _check_height(root: ast.Expression, position: int) -> None:
+    """Refuse a tree taller than the ceiling, counting through subqueries
+    (their clause containers add no level).  Iterative on purpose: the tree
+    being measured may be ten thousand levels tall."""
+    stack: List[tuple] = [(root, 1)]
+    while stack:
+        node, height = stack.pop()
+        if height > MAX_EXPRESSION_DEPTH:
+            raise ParseError(_TOO_DEEP, position=position)
+        below = height + isinstance(node, ast.Expression)
+        for child in ast.children(node):
+            stack.append((child, below))
 
 
 def _canonical_type(name: str) -> str:

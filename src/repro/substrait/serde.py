@@ -7,12 +7,10 @@ simulated network when a pushdown plan is shipped to the OCS frontend.
 
 from __future__ import annotations
 
-import struct
-from typing import List, Tuple
+from typing import List
 
-from repro.arrowsim.dtypes import DataType, dtype_from_code
-from repro.compress.codec import decode_varint, encode_varint
-from repro.errors import SerdeError
+from repro.arrowsim.dtypes import DataType, read_dtype
+from repro.errors import SerdeError, SubstraitError
 from repro.formats.statistics import decode_stat_value, encode_stat_value
 from repro.substrait.expressions import (
     SCAST,
@@ -37,12 +35,16 @@ from repro.substrait.relations import (
     SortField,
     SortRel,
 )
+from repro.wire import Reader, put_str, put_varint
 
 __all__ = [
     "serialize_plan",
     "deserialize_plan",
     "encode_expression",
     "decode_expression",
+    "read_expression",
+    "put_declarations",
+    "read_declarations",
 ]
 
 _MAGIC = b"SBP1"
@@ -51,24 +53,13 @@ _REL_READ, _REL_FILTER, _REL_PROJECT, _REL_AGG, _REL_SORT, _REL_FETCH = range(1,
 _EXPR_FIELD, _EXPR_LIT, _EXPR_FUNC, _EXPR_CAST, _EXPR_IN, _EXPR_BLOOM = range(1, 7)
 
 
-def _write_str(out: bytearray, text: str) -> None:
-    data = text.encode("utf-8")
-    out += encode_varint(len(data))
-    out += data
-
-
-def _read_str(buf: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = decode_varint(buf, pos)
-    return buf[pos : pos + length].decode("utf-8"), pos + length
-
-
 # -- expressions ------------------------------------------------------------
 
 
 def _encode_expr(out: bytearray, expr: SExpression) -> None:
     if isinstance(expr, SFieldRef):
         out.append(_EXPR_FIELD)
-        out += encode_varint(expr.ordinal)
+        put_varint(out, expr.ordinal)
         out.append(expr.dtype.code)
     elif isinstance(expr, SLiteral):
         out.append(_EXPR_LIT)
@@ -76,7 +67,7 @@ def _encode_expr(out: bytearray, expr: SExpression) -> None:
         out += encode_stat_value(expr.dtype, expr.value)
     elif isinstance(expr, SFunctionCall):
         out.append(_EXPR_FUNC)
-        out += encode_varint(expr.anchor)
+        put_varint(out, expr.anchor)
         out.append(len(expr.args))
         for arg in expr.args:
             _encode_expr(out, arg)
@@ -89,70 +80,49 @@ def _encode_expr(out: bytearray, expr: SExpression) -> None:
         out.append(_EXPR_IN)
         _encode_expr(out, expr.operand)
         out.append(expr.option_dtype.code)
-        out += encode_varint(len(expr.options))
+        put_varint(out, len(expr.options))
         for option in expr.options:
             out += encode_stat_value(expr.option_dtype, option)
         out.append(int(expr.negated))
     elif isinstance(expr, SBloomProbe):
         out.append(_EXPR_BLOOM)
         _encode_expr(out, expr.operand)
-        out += encode_varint(expr.num_bits)
-        out += encode_varint(expr.hashes)
-        out += encode_varint(len(expr.bits))
+        put_varint(out, expr.num_bits)
+        put_varint(out, expr.hashes)
+        put_varint(out, len(expr.bits))
         out += expr.bits
     else:
         raise SerdeError(f"cannot serialize expression {type(expr).__name__}")
 
 
-def _decode_expr(buf: bytes, pos: int) -> Tuple[SExpression, int]:
-    tag = buf[pos]
-    pos += 1
-    if tag == _EXPR_FIELD:
-        ordinal, pos = decode_varint(buf, pos)
-        dtype = dtype_from_code(buf[pos])
-        return SFieldRef(ordinal, dtype), pos + 1
-    if tag == _EXPR_LIT:
-        dtype = dtype_from_code(buf[pos])
-        pos += 1
-        value, pos = decode_stat_value(dtype, buf, pos)
-        return SLiteral(value, dtype), pos
-    if tag == _EXPR_FUNC:
-        anchor, pos = decode_varint(buf, pos)
-        nargs = buf[pos]
-        pos += 1
-        args: List[SExpression] = []
-        for _ in range(nargs):
-            arg, pos = _decode_expr(buf, pos)
-            args.append(arg)
-        dtype = dtype_from_code(buf[pos])
-        return SFunctionCall(anchor, tuple(args), dtype), pos + 1
-    if tag == _EXPR_CAST:
-        operand, pos = _decode_expr(buf, pos)
-        dtype = dtype_from_code(buf[pos])
-        return SCAST(operand, dtype), pos + 1
-    if tag == _EXPR_IN:
-        operand, pos = _decode_expr(buf, pos)
-        option_dtype = dtype_from_code(buf[pos])
-        pos += 1
-        count, pos = decode_varint(buf, pos)
-        options = []
-        for _ in range(count):
-            value, pos = decode_stat_value(option_dtype, buf, pos)
-            options.append(value)
-        negated = bool(buf[pos])
-        return SInList(operand, tuple(options), option_dtype, negated), pos + 1
-    if tag == _EXPR_BLOOM:
-        operand, pos = _decode_expr(buf, pos)
-        num_bits, pos = decode_varint(buf, pos)
-        hashes, pos = decode_varint(buf, pos)
-        nbytes, pos = decode_varint(buf, pos)
-        if pos + nbytes > len(buf):
-            raise SerdeError(
-                f"truncated bloom bits: need {nbytes} bytes, have {len(buf) - pos}"
-            )
-        bits = buf[pos : pos + nbytes]
-        return SBloomProbe(operand, bits, num_bits, hashes), pos + nbytes
-    raise SerdeError(f"unknown expression tag {tag}")
+def read_expression(r: Reader) -> SExpression:
+    """One expression at the cursor; failures are the cursor's error class."""
+    with r.nested():
+        tag = r.u8()
+        if tag == _EXPR_FIELD:
+            return SFieldRef(r.varint(), read_dtype(r))
+        if tag == _EXPR_LIT:
+            dtype = read_dtype(r)
+            return SLiteral(decode_stat_value(dtype, r), dtype)
+        if tag == _EXPR_FUNC:
+            anchor = r.varint()
+            # A loop, not a comprehension: one interpreter frame per level.
+            args: List[SExpression] = []
+            for _ in range(r.u8()):
+                args.append(read_expression(r))
+            return SFunctionCall(anchor, tuple(args), read_dtype(r))
+        if tag == _EXPR_CAST:
+            return SCAST(read_expression(r), read_dtype(r))
+        if tag == _EXPR_IN:
+            operand = read_expression(r)
+            option_dtype = read_dtype(r)
+            options = [decode_stat_value(option_dtype, r) for _ in range(r.count(1))]
+            return SInList(operand, tuple(options), option_dtype, bool(r.u8()))
+        if tag == _EXPR_BLOOM:
+            operand = read_expression(r)
+            num_bits, hashes = r.varint(), r.varint()
+            return SBloomProbe(operand, bytes(r.take(r.varint())), num_bits, hashes)
+        r.fail(f"unknown expression tag {tag}")
 
 
 def encode_expression(expr: SExpression) -> bytes:
@@ -164,9 +134,9 @@ def encode_expression(expr: SExpression) -> bytes:
 
 def decode_expression(buf: bytes) -> SExpression:
     """Inverse of :func:`encode_expression`."""
-    expr, pos = _decode_expr(buf, 0)
-    if pos != len(buf):
-        raise SerdeError(f"{len(buf) - pos} trailing bytes after expression")
+    r = Reader(buf, SerdeError)
+    expr = read_expression(r)
+    r.done()
     return expr
 
 
@@ -174,35 +144,32 @@ def decode_expression(buf: bytes) -> SExpression:
 
 
 def _encode_named_struct(out: bytearray, struct_: NamedStruct) -> None:
-    out += encode_varint(len(struct_))
+    put_varint(out, len(struct_))
     for name, dtype, nullable in zip(struct_.names, struct_.types, struct_.nullability):
-        _write_str(out, name)
+        put_str(out, name)
         out.append(dtype.code)
         out.append(int(nullable))
 
 
-def _decode_named_struct(buf: bytes, pos: int) -> Tuple[NamedStruct, int]:
-    count, pos = decode_varint(buf, pos)
+def _decode_named_struct(r: Reader) -> NamedStruct:
     names: List[str] = []
     types: List[DataType] = []
     nullability: List[bool] = []
-    for _ in range(count):
-        name, pos = _read_str(buf, pos)
-        names.append(name)
-        types.append(dtype_from_code(buf[pos]))
-        nullability.append(bool(buf[pos + 1]))
-        pos += 2
-    return NamedStruct(tuple(names), tuple(types), tuple(nullability)), pos
+    for _ in range(r.count(3)):
+        names.append(r.text())
+        types.append(read_dtype(r))
+        nullability.append(bool(r.u8()))
+    return NamedStruct(tuple(names), tuple(types), tuple(nullability))
 
 
 def _encode_rel(out: bytearray, rel: Relation) -> None:
     if isinstance(rel, ReadRel):
         out.append(_REL_READ)
-        _write_str(out, rel.table)
+        put_str(out, rel.table)
         _encode_named_struct(out, rel.base_schema)
-        out += encode_varint(len(rel.projection))
+        put_varint(out, len(rel.projection))
         for ordinal in rel.projection:
-            out += encode_varint(ordinal)
+            put_varint(out, ordinal)
         if rel.best_effort_filter is not None:
             out.append(1)
             _encode_expr(out, rel.best_effort_filter)
@@ -215,156 +182,115 @@ def _encode_rel(out: bytearray, rel: Relation) -> None:
     elif isinstance(rel, ProjectRel):
         out.append(_REL_PROJECT)
         _encode_rel(out, rel.input)
-        out += encode_varint(len(rel.expressions_))
+        put_varint(out, len(rel.expressions_))
         for expr in rel.expressions_:
             _encode_expr(out, expr)
     elif isinstance(rel, AggregateRel):
         out.append(_REL_AGG)
         _encode_rel(out, rel.input)
-        out += encode_varint(len(rel.grouping))
+        put_varint(out, len(rel.grouping))
         for ordinal in rel.grouping:
-            out += encode_varint(ordinal)
-        out += encode_varint(len(rel.measures))
+            put_varint(out, ordinal)
+        put_varint(out, len(rel.measures))
         for measure in rel.measures:
-            out += encode_varint(measure.anchor)
-            _write_str(out, measure.function)
+            put_varint(out, measure.anchor)
+            put_str(out, measure.function)
             out.append(len(measure.args))
             for arg in measure.args:
                 _encode_expr(out, arg)
             out.append(measure.output_dtype.code)
             out.append(int(measure.distinct))
-            _write_str(out, measure.phase)
+            put_str(out, measure.phase)
     elif isinstance(rel, SortRel):
         out.append(_REL_SORT)
         _encode_rel(out, rel.input)
-        out += encode_varint(len(rel.sort_fields))
+        put_varint(out, len(rel.sort_fields))
         for sf in rel.sort_fields:
-            out += encode_varint(sf.ordinal)
+            put_varint(out, sf.ordinal)
             out.append(int(sf.descending))
     elif isinstance(rel, FetchRel):
         out.append(_REL_FETCH)
         _encode_rel(out, rel.input)
-        out += encode_varint(rel.offset)
-        out += encode_varint(rel.count)
+        put_varint(out, rel.offset)
+        put_varint(out, rel.count)
     else:
         raise SerdeError(f"cannot serialize relation {type(rel).__name__}")
 
 
-def _decode_rel(buf: bytes, pos: int) -> Tuple[Relation, int]:
-    tag = buf[pos]
-    pos += 1
-    if tag == _REL_READ:
-        table, pos = _read_str(buf, pos)
-        base_schema, pos = _decode_named_struct(buf, pos)
-        count, pos = decode_varint(buf, pos)
-        projection = []
-        for _ in range(count):
-            ordinal, pos = decode_varint(buf, pos)
-            projection.append(ordinal)
-        best_effort = None
-        has_filter = buf[pos]
-        pos += 1
-        if has_filter:
-            best_effort, pos = _decode_expr(buf, pos)
-        return ReadRel(table, base_schema, tuple(projection), best_effort), pos
-    if tag == _REL_FILTER:
-        source, pos = _decode_rel(buf, pos)
-        condition, pos = _decode_expr(buf, pos)
-        return FilterRel(source, condition), pos
-    if tag == _REL_PROJECT:
-        source, pos = _decode_rel(buf, pos)
-        count, pos = decode_varint(buf, pos)
-        exprs = []
-        for _ in range(count):
-            expr, pos = _decode_expr(buf, pos)
-            exprs.append(expr)
-        return ProjectRel(source, tuple(exprs)), pos
-    if tag == _REL_AGG:
-        source, pos = _decode_rel(buf, pos)
-        count, pos = decode_varint(buf, pos)
-        grouping = []
-        for _ in range(count):
-            ordinal, pos = decode_varint(buf, pos)
-            grouping.append(ordinal)
-        n_measures, pos = decode_varint(buf, pos)
-        measures = []
-        for _ in range(n_measures):
-            anchor, pos = decode_varint(buf, pos)
-            function, pos = _read_str(buf, pos)
-            nargs = buf[pos]
-            pos += 1
-            args = []
-            for _ in range(nargs):
-                arg, pos = _decode_expr(buf, pos)
-                args.append(arg)
-            output_dtype = dtype_from_code(buf[pos])
-            distinct = bool(buf[pos + 1])
-            pos += 2
-            phase, pos = _read_str(buf, pos)
-            measures.append(
-                AggregateMeasure(anchor, function, tuple(args), output_dtype, distinct, phase)
-            )
-        return AggregateRel(source, tuple(grouping), tuple(measures)), pos
-    if tag == _REL_SORT:
-        source, pos = _decode_rel(buf, pos)
-        count, pos = decode_varint(buf, pos)
-        fields = []
-        for _ in range(count):
-            ordinal, pos = decode_varint(buf, pos)
-            descending = bool(buf[pos])
-            pos += 1
-            fields.append(SortField(ordinal, descending))
-        return SortRel(source, tuple(fields)), pos
-    if tag == _REL_FETCH:
-        source, pos = _decode_rel(buf, pos)
-        offset, pos = decode_varint(buf, pos)
-        count, pos = decode_varint(buf, pos)
-        return FetchRel(source, offset, count), pos
-    raise SerdeError(f"unknown relation tag {tag}")
+def _decode_rel(r: Reader) -> Relation:
+    with r.nested():
+        tag = r.u8()
+        if tag == _REL_READ:
+            table = r.text()
+            base_schema = _decode_named_struct(r)
+            projection = tuple([r.varint() for _ in range(r.count(1))])
+            best_effort = read_expression(r) if r.u8() else None
+            return ReadRel(table, base_schema, projection, best_effort)
+        if tag not in (_REL_FILTER, _REL_PROJECT, _REL_AGG, _REL_SORT, _REL_FETCH):
+            r.fail(f"unknown relation tag {tag}")
+        source = _decode_rel(r)
+        if tag == _REL_FILTER:
+            return FilterRel(source, read_expression(r))
+        if tag == _REL_PROJECT:
+            return ProjectRel(source, tuple([read_expression(r) for _ in range(r.count(3))]))
+        if tag == _REL_AGG:
+            grouping = tuple([r.varint() for _ in range(r.count(1))])
+            measures = []
+            for _ in range(r.count(6)):
+                anchor, function = r.varint(), r.text()
+                args = tuple([read_expression(r) for _ in range(r.u8())])
+                measures.append(
+                    AggregateMeasure(
+                        anchor, function, args, read_dtype(r), bool(r.u8()), r.text()
+                    )
+                )
+            return AggregateRel(source, grouping, tuple(measures))
+        if tag == _REL_SORT:
+            fields = [SortField(r.varint(), bool(r.u8())) for _ in range(r.count(2))]
+            return SortRel(source, tuple(fields))
+        return FetchRel(source, r.varint(), r.varint())
 
 
 # -- plan ---------------------------------------------------------------------------
 
 
+def put_declarations(out: bytearray, registry: FunctionRegistry) -> None:
+    """``varint n (varint anchor, str signature)*`` — the extension block."""
+    declarations = registry.declarations()
+    put_varint(out, len(declarations))
+    for anchor, sig in declarations:
+        put_varint(out, anchor)
+        put_str(out, sig)
+
+
+def read_declarations(r: Reader) -> FunctionRegistry:
+    """Inverse of :func:`put_declarations` at the cursor."""
+    declarations = [(r.varint(), r.text()) for _ in range(r.count(2))]
+    try:
+        return FunctionRegistry.from_declarations(declarations)
+    except SubstraitError as exc:
+        r.fail(f"bad extension block: {exc}")
+
+
 def serialize_plan(plan: SubstraitPlan) -> bytes:
     """Encode a plan to transportable bytes."""
     out = bytearray(_MAGIC)
-    out += struct.pack("<BB", *plan.version)
-    declarations = plan.registry.declarations()
-    out += encode_varint(len(declarations))
-    for anchor, sig in declarations:
-        out += encode_varint(anchor)
-        _write_str(out, sig)
-    out += encode_varint(len(plan.root_names))
+    out += bytes(plan.version)
+    put_declarations(out, plan.registry)
+    put_varint(out, len(plan.root_names))
     for name in plan.root_names:
-        _write_str(out, name)
+        put_str(out, name)
     _encode_rel(out, plan.root)
     return bytes(out)
 
 
 def deserialize_plan(buf: bytes) -> SubstraitPlan:
     """Inverse of :func:`serialize_plan`."""
-    if buf[:4] != _MAGIC:
-        raise SerdeError("bad Substrait plan magic")
-    version = struct.unpack_from("<BB", buf, 4)
-    pos = 6
-    n_decls, pos = decode_varint(buf, pos)
-    declarations = []
-    for _ in range(n_decls):
-        anchor, pos = decode_varint(buf, pos)
-        sig, pos = _read_str(buf, pos)
-        declarations.append((anchor, sig))
-    n_names, pos = decode_varint(buf, pos)
-    root_names = []
-    for _ in range(n_names):
-        name, pos = _read_str(buf, pos)
-        root_names.append(name)
-    root, pos = _decode_rel(buf, pos)
-    if pos != len(buf):
-        raise SerdeError(f"{len(buf) - pos} trailing bytes in plan")
-    return SubstraitPlan(
-        root=root,
-        registry=FunctionRegistry.from_declarations(declarations),
-        root_names=root_names,
-        version=(version[0], version[1]),
-    )
+    r = Reader(buf, SerdeError)
+    r.expect(_MAGIC, "Substrait plan")
+    version = (r.u8(), r.u8())
+    registry = read_declarations(r)
+    root_names = [r.text() for _ in range(r.count(1))]
+    root = _decode_rel(r)
+    r.done()
+    return SubstraitPlan(root=root, registry=registry, root_names=root_names, version=version)

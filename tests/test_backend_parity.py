@@ -11,6 +11,7 @@ import pytest
 from repro.analysis.parity import BackendParityReport, check_backend_parity, check_suite_parity
 from repro.bench import RunConfig
 from repro.errors import ConfigError, DeterminismError
+from repro.sql.parser import MAX_EXPRESSION_DEPTH
 from repro.workloads import (
     DEEPWATER_QUERY,
     LAGHOS_QUERY,
@@ -27,6 +28,10 @@ SUITE = [
     ("tpch", TPCH_Q3),
     ("tpch", TPCH_Q6),
     ("tpch", TPCH_Q12),
+    # At the parser's depth ceiling, both ways: nesting and tree height.
+    ("tpch", "SELECT sum(" + " * ".join(["discount"] * (MAX_EXPRESSION_DEPTH - 1))
+     + ") AS s FROM lineitem WHERE "
+     + "(" * MAX_EXPRESSION_DEPTH + "tax > 0.01 AND quantity < 30" + ")" * MAX_EXPRESSION_DEPTH),
 ]
 
 MODES = ["hive-raw", "ocs"]

@@ -6,12 +6,13 @@
 * a differential property test against the scalar reference in
   ``scalar_reference.py`` — same bytes out, same values back;
 * the two DICT losslessness bugs the rewrite fixed;
-* hostile input: decoders fail typed and before allocating;
+* hostile input: decoders and codecs fail typed and before allocating;
 * one analysis per chunk — a single ``np.unique`` / ``set``.
 """
 
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from repro.arrowsim import (
 )
 from repro.arrowsim import ipc
 from repro.compress.codec import encode_varint
-from repro.errors import ReproError
+from repro.compress.registry import get_codec
+from repro.errors import CodecError, ReproError
 from repro.formats import ColumnStats, ParcelReader, write_table
 from repro.formats import encoding, statistics
 from repro.formats.encoding import DICT, PLAIN, RLE, decode_chunk, encode_chunk
@@ -440,6 +442,31 @@ HOSTILE_CHUNKS = {
 }
 
 
+def _codec_frame(codec_id: int, declared_size: int, body: bytes) -> bytes:
+    return b"PC" + bytes([codec_id]) + encode_varint(declared_size) + b"\x00" * 4 + body
+
+
+_ZSTD_FRAME = get_codec("zstd").compress(b"hostile " * 8)
+
+#: Codec frames that made a decoder allocate what the frame declared (64 GiB,
+#: before any check) or leave through ``IndexError`` (all failed at 0419518).
+HOSTILE_FRAMES = {
+    # One literal "a", then a match of length 2**36 at offset 1.
+    "snappy match of 2**36": (
+        "snappy",
+        _codec_frame(1, 16, b"\x02a" + encode_varint((2**36 << 1) | 1) + b"\x01"),
+    ),
+    # A valid Huffman header under a token count rewritten to 2**36.
+    "zstd 2**36 huffman symbols": (
+        "zstd", _ZSTD_FRAME[:8] + encode_varint(2**36) + _ZSTD_FRAME[9:],
+    ),
+    # 256 one-bit codes: the prefix table has two slots.
+    "zstd over-subscribed code lengths": (
+        "zstd", _codec_frame(3, 4, encode_varint(4) + b"\x11" * 128 + b"\x00"),
+    ),
+}
+
+
 def _valid_bodies():
     """One valid body per (encoding, kind): every strict prefix must fail."""
     ints = ColumnArray(INT64, np.repeat(np.arange(4, dtype=np.int64), 8))
@@ -460,6 +487,18 @@ class TestHostileInput:
         with pytest.raises(ReproError) as caught:
             decode_chunk(dtype, body, num_values)
         assert caught.value.code in ("FORMAT", "CODEC")
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_FRAMES))
+    def test_codec_frame_fails_typed_without_allocating(self, case):
+        codec, frame = HOSTILE_FRAMES[case]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError):
+                get_codec(codec).decompress(frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_every_truncation_of_a_chunk_fails_typed(self):
         for dtype, body, num_values in _valid_bodies():

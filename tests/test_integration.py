@@ -15,6 +15,7 @@ import pytest
 from repro.bench import Environment, RunConfig
 from repro.config import TestbedSpec
 from repro.core import PushdownPolicy
+from repro.sql.parser import MAX_EXPRESSION_DEPTH
 from repro.workloads import (
     DEEPWATER_QUERY,
     LAGHOS_QUERY,
@@ -69,6 +70,14 @@ QUERIES = [
     ("tpch", "SELECT returnflag, count(DISTINCT shipmode) AS modes FROM lineitem GROUP BY returnflag ORDER BY returnflag"),
     ("tpch", "SELECT shipmode, sum(quantity) AS q FROM lineitem WHERE shipmode IN ('AIR', 'RAIL') GROUP BY shipmode ORDER BY q DESC"),
     ("tpch", "SELECT orderkey FROM lineitem WHERE linenumber = 3 LIMIT 20"),
+    # Exactly at the parser's depth ceiling: whatever parses must also run.
+    ("tpch", "SELECT count(*) AS n FROM lineitem WHERE "
+     + "(" * MAX_EXPRESSION_DEPTH + "quantity > 10" + ")" * MAX_EXPRESSION_DEPTH),
+    ("tpch", "SELECT count(*) AS n FROM lineitem WHERE "
+     + "NOT " * (MAX_EXPRESSION_DEPTH - 2) + "quantity > 10"),
+    ("tpch", "SELECT returnflag, sum("
+     + " + ".join(["quantity", "linenumber"] * ((MAX_EXPRESSION_DEPTH - 1) // 2))
+     + ") AS s FROM lineitem WHERE discount < 0.05 GROUP BY returnflag"),
 ]
 
 

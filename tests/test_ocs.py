@@ -248,6 +248,25 @@ class TestFrontendAndStorage:
         with pytest.raises(RpcStatusError):
             sim.run(until=client.call(OcsFrontend.METHOD, request))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"OCRQ\xff",  # truncated request frame -> OcsError
+            # Whole request, forged plan (1000 nested filters) -> SerdeError.
+            encode_request(
+                PushdownRequest(b"SBP1\x00\x01\x00\x00" + b"\x02" * 1000, "data", tuple(KEYS), 0)
+            ),
+        ],
+        ids=["truncated-request", "forged-plan-depth"],
+    )
+    def test_malformed_frame_surfaces_as_internal_status(self, cluster, payload):
+        sim, client, *_ = cluster
+        from repro.errors import RpcStatusError, StatusCode
+
+        with pytest.raises(RpcStatusError) as caught:
+            sim.run(until=client.call(OcsFrontend.METHOD, payload))
+        assert caught.value.code == StatusCode.INTERNAL
+
     def test_storage_charges_disk_and_cpu(self, cluster):
         sim, client, frontend, storage, _ = cluster
         plan = SubstraitPlan(root=ReadRel("t", base_struct(), (0, 1, 2)))

@@ -1,11 +1,14 @@
 """Multi-tenant query service: admission, scheduling, SLOs, determinism."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.determinism import DigestRecorder
 from repro.bench.env import Environment, RunConfig
 from repro.client import connect
 from repro.config import ServiceSpec
+from repro.core import PushdownPolicy
 from repro.errors import (
     ConfigError,
     MemoryBudgetError,
@@ -20,6 +23,7 @@ from repro.service import (
     closed_loop,
     open_loop,
 )
+from repro.service.service import _config_key
 from repro.trace import service_breakdown
 from repro.workloads.datasets import DatasetSpec
 from repro.workloads.laghos import LAGHOS_QUERY, generate_laghos_file
@@ -255,6 +259,44 @@ class TestIsolation:
         assert first.execution_seconds == second.execution_seconds
         assert first.metrics.snapshot() == second.metrics.snapshot()
         assert first.batch.approx_equals(second.batch)
+
+
+class TestConnectorIdentity:
+    """One connector per distinct connector-level config on a service."""
+
+    def test_every_policy_field_is_part_of_the_key(self):
+        # The key once listed policy fields by hand and missed
+        # ``dynamic_filters``: a static and a dynamic config shared whichever
+        # connector was built first.
+        changed = {
+            "enabled": frozenset({"filter"}),
+            "use_statistics": True,
+            "filter_selectivity_threshold": 0.5,
+            "aggregation_selectivity_threshold": 0.25,
+            "distribution": "uniform",
+            "dynamic_filters": True,
+        }
+        assert set(changed) == {f.name for f in dataclasses.fields(PushdownPolicy)}
+        base = RunConfig(label="base", mode="ocs", policy=PushdownPolicy())
+        keys = {_config_key(base)}
+        for name, value in changed.items():
+            policy = dataclasses.replace(PushdownPolicy(), **{name: value})
+            keys.add(_config_key(RunConfig(label=name, mode="ocs", policy=policy)))
+        assert len(keys) == 1 + len(changed)
+        # The label stays cosmetic, and the key is a tuple of sorted scalars.
+        assert _config_key(dataclasses.replace(base, label="other")) == _config_key(base)
+        assert repr(_config_key(base)).count("frozenset") == 0
+
+    def test_static_and_dynamic_filter_configs_get_their_own_connector(self, service_env):
+        service = QueryService(service_env, ServiceSpec())
+        static = RunConfig.ocs("static", "filter")
+        dynamic = RunConfig.ocs("dynamic", "filter", dynamic_filters=True)
+        for config in (static, dynamic, static):
+            service.submit(TPCH_Q1, tenant="t", schema="tpch", config=config)
+        service.drain()
+        assert len(service._catalogs) == 2
+        connectors = [service.coordinator.catalogs[name] for name in service._catalogs.values()]
+        assert [c.policy.dynamic_filters for c in connectors] == [False, True]
 
 
 class TestDeterminism:

@@ -9,7 +9,7 @@ from repro.arrowsim.dtypes import BOOL
 from repro.errors import AnalysisError, LexError, ParseError
 from repro.sql import analyze, ast, parse, tokenize
 from repro.sql.lexer import TokenKind
-from repro.sql.parser import parse_expression
+from repro.sql.parser import MAX_EXPRESSION_DEPTH, parse_expression
 
 
 class TestLexer:
@@ -129,6 +129,47 @@ class TestParser:
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ParseError):
             parse("SELECT a FROM t LIMIT 1 extra")
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            "(" * 110 + "a > 1" + ")" * 110,
+            "(" * 10_000 + "a > 1" + ")" * 10_000,
+            "NOT " * 1000 + "a > 1",
+            "- " * 1000 + "a",
+            "sum(" + " + ".join(["q"] * 400) + ")",
+            " OR ".join(["a = 1"] * 400),
+            "f(" * 70 + "a" + ")" * 70,
+            "a IN (SELECT b FROM t WHERE " * 70 + "c > 1" + ")" * 70,
+            # Tall through a subquery: neither tree alone is over the ceiling.
+            "- " * 40 + "(SELECT " + "- " * 40 + "b FROM t)",
+        ],
+        ids=["parens", "parens-10k", "nots", "negations", "sum-chain", "or-chain",
+             "calls", "subqueries", "through-subquery"],
+    )
+    def test_expression_over_the_depth_ceiling_is_a_parse_error(self, expr):
+        # RecursionError before: 109 parentheses were the deepest that parsed,
+        # and a 400-term chain parsed but overflowed the stack in the engine.
+        with pytest.raises(ParseError, match=f"deeper than {MAX_EXPRESSION_DEPTH}"):
+            parse(f"SELECT x FROM t WHERE {expr}")
+
+    def test_expression_at_the_depth_ceiling_parses(self):
+        n = MAX_EXPRESSION_DEPTH
+        nested = parse_expression("(" * n + "a > 1" + ")" * n)
+        assert nested == parse_expression("a > 1")
+        chain = parse_expression(" + ".join(["q"] * n))  # n - 1 operators over a leaf
+        assert chain.to_sql().count("+") == n - 1
+        parse_expression("NOT " * (n - 2) + "a > 1")
+
+    def test_prefix_chains_fold_inside_out(self):
+        assert parse_expression("- - + - 3") == ast.UnaryOp(
+            "-", ast.UnaryOp("-", ast.UnaryOp("-", ast.Literal(3)))
+        )
+        exists = parse_expression("EXISTS (SELECT a FROM t)")
+        assert parse_expression("NOT NOT EXISTS (SELECT a FROM t)") == exists
+        assert parse_expression("NOT NOT NOT EXISTS (SELECT a FROM t)") == ast.ExistsExpr(
+            exists.subquery, negated=True
+        )
 
     def test_tpch_q1_parses(self):
         stmt = parse(
