@@ -63,9 +63,6 @@ class RunConfig:
     faults: Optional[FaultSpec] = None
     #: ocs only: deadline/backoff policy for pushdown RPCs.
     retry: Optional[RetryPolicy] = None
-    #: Record a span tree for the run (``QueryResult.trace``).  Off by
-    #: default; enabling it never changes simulated timings.
-    tracing: bool = False
     #: Run SimTSan (repro.analysis.sanitizer), the happens-before race
     #: detector, over this run's simulator.  None defers to the
     #: process-wide default — on in tests, off in benchmarks (the off
@@ -190,7 +187,6 @@ class Environment:
             self.costs,
             strict_s3_types=config.strict_s3_types,
             faults=config.faults,
-            tracing=config.tracing,
             tie_break=tie_break,
             sim_observer=observer,
             cache=self.cache_manager(config.cache),
@@ -222,12 +218,11 @@ class Environment:
         analyze: bool = False,
     ) -> str:
         """EXPLAIN under ``config``; with ``analyze=True`` the query runs
-        (tracing forced on) and the output is the recorded span tree."""
+        and the output is the recorded span tree."""
         cluster = Cluster(
             self.store, self.testbed, self.costs,
             strict_s3_types=config.strict_s3_types,
             faults=config.faults if analyze else None,
-            tracing=config.tracing,
             cache=self.cache_manager(config.cache),
         )
         connector = self.build_connector(cluster, config)

@@ -6,14 +6,14 @@ three calls, mirroring how a database driver feels::
     from repro import connect
     from repro.workloads import DatasetSpec
 
-    client = connect(tracing=True)
+    client = connect()
     client.register_dataset(DatasetSpec(...))
     result = client.execute("SELECT count(*) AS n FROM readings")
     print(result.rows, result.execution_seconds)
     print(client.explain("SELECT ...", analyze=True))
 
 ``connect()`` fixes the session-wide knobs (testbed, cost model, fault
-injection, tracing, retry policy); per-query knobs ride on an optional
+injection, retry policy); per-query knobs ride on an optional
 :class:`~repro.bench.env.RunConfig`.  Session-level defaults fill any
 per-query field left unset, so ``connect(faults=...)`` applies to every
 query unless a query's config overrides it.
@@ -58,7 +58,6 @@ def connect(
     testbed: Optional[TestbedSpec] = None,
     costs: Optional[CostParams] = None,
     faults: Optional[FaultSpec] = None,
-    tracing: bool = False,
     retry: Optional[RetryPolicy] = None,
     catalog: str = "repro",
     service: Optional[ServiceSpec] = None,
@@ -70,8 +69,6 @@ def connect(
     * ``testbed`` / ``costs`` — hardware and cost model (Table 1 defaults);
     * ``faults`` — fault injection applied to every query unless a query
       config carries its own :class:`~repro.config.FaultSpec`;
-    * ``tracing`` — record a span tree on every query
-      (``result.trace``); never changes simulated timings;
     * ``retry`` — deadline/backoff policy for pushdown RPCs;
     * ``catalog`` — catalog name queries resolve against;
     * ``service`` — admission/scheduling limits for :meth:`Client.submit`
@@ -85,7 +82,6 @@ def connect(
     return Client(
         environment=Environment(**kwargs),
         faults=faults,
-        tracing=tracing,
         retry=retry,
         catalog=catalog,
         service_spec=service,
@@ -98,7 +94,6 @@ class Client:
 
     environment: Environment = field(default_factory=Environment)
     faults: Optional[FaultSpec] = None
-    tracing: bool = False
     retry: Optional[RetryPolicy] = None
     catalog: str = "repro"
     #: Admission/scheduling limits for :meth:`submit`; None = defaults.
@@ -223,8 +218,6 @@ class Client:
             updates["faults"] = self.faults
         if config.retry is None and self.retry is not None:
             updates["retry"] = self.retry
-        if self.tracing and not config.tracing:
-            updates["tracing"] = True
         return replace(config, **updates) if updates else config
 
     def _resolve_schema(self, schema: Optional[str]) -> str:

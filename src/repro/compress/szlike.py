@@ -24,8 +24,9 @@ import struct
 import numpy as np
 
 from repro.compress import huffman
-from repro.compress.codec import decode_varint, encode_varint
+from repro.compress.codec import encode_varint
 from repro.errors import CodecError
+from repro.wire import Reader
 
 __all__ = ["compress_lossy", "decompress_lossy", "max_error"]
 
@@ -49,13 +50,14 @@ def _encode_varints(values: np.ndarray) -> bytes:
 
 
 def _decode_varints(buf: bytes, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint64)
-    pos = 0
+    r = Reader(buf, CodecError)
+    out = np.empty(r.count(1, declared=count), dtype=np.uint64)
     for i in range(count):
-        value, pos = decode_varint(buf, pos)
+        value = r.varint()
+        if value >> 64:
+            r.fail(f"quantum {i} does not fit 64 bits")
         out[i] = value
-    if pos != len(buf):
-        raise CodecError(f"{len(buf) - pos} trailing bytes in quantum stream")
+    r.done()
     return out
 
 
@@ -89,21 +91,18 @@ def compress_lossy(values: np.ndarray, error_bound: float) -> bytes:
 
 def decompress_lossy(data: bytes) -> np.ndarray:
     """Inverse of :func:`compress_lossy` (within the error bound)."""
-    if data[:3] != _MAGIC:
-        raise CodecError("bad SZ-class frame magic")
-    pos = 3
-    (error_bound,) = struct.unpack_from("<d", data, pos)
-    pos += 8
-    n, pos = decode_varint(data, pos)
-    n_exceptions, pos = decode_varint(data, pos)
+    r = Reader(data, CodecError)
+    r.expect(_MAGIC, "SZ-class frame")
+    error_bound = r.f64()
+    n = r.varint()
     exceptions = []
-    for _ in range(n_exceptions):
-        idx, pos = decode_varint(data, pos)
-        (value,) = struct.unpack_from("<d", data, pos)
-        pos += 8
-        exceptions.append((idx, value))
-    payload_len, pos = decode_varint(data, pos)
-    payload = huffman.decode(data[pos:], payload_len)
+    for _ in range(r.count(9)):  # varint index (>= 1 byte) + f64 value
+        idx = r.varint()
+        if idx >= n:
+            r.fail(f"exception index {idx} outside {n} values")
+        exceptions.append((idx, r.f64()))
+    payload_len = r.varint()
+    payload = huffman.decode(r.take(r.remaining), payload_len)
 
     deltas = _unzigzag(_decode_varints(payload, n).astype(np.int64))
     quanta = np.cumsum(deltas)

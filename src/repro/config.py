@@ -179,9 +179,6 @@ class ServiceSpec:
     backpressure_queue_depth: int | None = None
     #: Re-check interval (simulated seconds) while backpressure holds.
     backpressure_poll_s: float = 0.002
-    #: Record spans for every query; the SLO reporter derives latency,
-    #: queue-wait, and per-tenant throughput from them.
-    tracing: bool = True
 
     def __post_init__(self) -> None:
         self.validate()

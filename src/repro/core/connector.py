@@ -26,7 +26,7 @@ from repro.metastore.catalog import HiveMetastore
 from repro.ocs.embedded_engine import EmbeddedEngine
 from repro.ocs.frontend import OcsFrontend, PushdownRequest, decode_response, encode_request
 from repro.rpc.retry import RetryPolicy, retrying_call
-from repro.sim.metrics import MetricsRegistry, StageAccountant
+from repro.sim.metrics import MetricsRegistry
 from repro.substrait.plan import SubstraitPlan
 from repro.substrait.serde import serialize_plan
 from repro.trace import Span
@@ -107,19 +107,14 @@ class OcsConnector(Connector):
         cluster = self.cluster
         sim = cluster.sim
         costs = cluster.costs
-        stages = StageAccountant(sim, metrics.stages)
         tracer = cluster.tracer
         pushed: PushedOperators = handle.pushed
 
         # (3) Reconstruct and translate the pushed operators to IR,
-        # charging the generation cost (Table 3's second row).  The
-        # coordinator opened a transfer window around this page source;
-        # pause it so IR generation stays attributed to its own stage.
-        # The spans here mirror the stage windows exactly: the substrait
-        # span covers the paused interval, the pushdown span the resumed
-        # transfer window up to this page source's return.
-        stages.end(STAGE_TRANSFER)
-        stages.begin(STAGE_SUBSTRAIT)
+        # charging the generation cost (Table 3's second row).  The page
+        # source's time is split between two stage windows: the
+        # substrait span covers IR generation, then the pushdown span
+        # the transfer window up to this page source's return.
         substrait_span = tracer.start(
             "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
         )
@@ -139,8 +134,6 @@ class OcsConnector(Connector):
         yield cluster.compute.execute(generation_cycles, name="substrait-gen")
         substrait_span.set("plan_bytes", len(plan_bytes))
         tracer.end(substrait_span)
-        stages.end(STAGE_SUBSTRAIT)
-        stages.begin(STAGE_TRANSFER)
         pushdown_span = tracer.start(
             "pushdown", parent=trace, stage=STAGE_TRANSFER,
             attributes={"node": split.node_index},
@@ -298,9 +291,12 @@ class OcsConnector(Connector):
         tracer = cluster.tracer
         bucket = handle.descriptor.bucket
         t0 = sim.now
+        # Transfer-tagged: a speculative backup has no pushdown span
+        # around it, and under a downgraded one the window nests.
         span = tracer.start(
             "fallback.raw_get",
             parent=parent,
+            stage=STAGE_TRANSFER,
             attributes={"downgraded": True, "keys": len(split.keys)},
         )
         try:

@@ -33,9 +33,9 @@ from repro.cache.manager import CacheManager, table_version_signature
 from repro.engine.dag import Stage, StageContext, StageGraph
 from repro.engine.lowering import Branch, Lowered, MaterializedHandle, StageBody
 from repro.engine.spi import Connector, ConnectorSplit
-from repro.engine.stages import STAGE_OTHERS, STAGE_TRANSFER, StageBodies, stage
+from repro.engine.stages import STAGE_OTHERS, STAGE_TRANSFER, StageBodies
 from repro.plan.nodes import format_plan
-from repro.sim.metrics import MetricsRegistry, StageAccountant
+from repro.sim.metrics import MetricsRegistry
 from repro.trace import Span
 
 __all__ = ["QueryCache"]
@@ -247,7 +247,6 @@ class QueryCache:
     def lookup_result(
         self,
         lowered: Lowered,
-        accountant: StageAccountant,
         metrics: MetricsRegistry,
         root: Span,
     ):
@@ -275,9 +274,9 @@ class QueryCache:
         key, versions = self._result
         cluster = self.cluster
         costs = cluster.costs
-        with stage(
-            cluster.tracer, accountant, "cache-lookup", STAGE_OTHERS,
-            parent=root, attributes={"tier": "result"},
+        with cluster.tracer.span(
+            "cache-lookup", parent=root, stage=STAGE_OTHERS,
+            attributes={"tier": "result"},
         ) as lookup:
             resident = cache.results.entry(key) is not None
             hit = cache.results.get(key, tenant=self.tenant, versions=versions)
@@ -341,9 +340,8 @@ class QueryCache:
             out: Dict[int, List[RecordBatch]] = {}
             fallback: List[int] = []
             served = 0
-            with stage(
-                cluster.tracer, ctx.accountant, "cache-lookup", STAGE_TRANSFER,
-                parent=ctx.span,
+            with cluster.tracer.span(
+                "cache-lookup", parent=ctx.span, stage=STAGE_TRANSFER,
                 attributes={"tier": "split", "splits": len(hits)},
             ) as span:
                 for index in hits:

@@ -43,7 +43,6 @@ class Cluster:
         costs: CostParams,
         strict_s3_types: bool = True,
         faults: Optional[FaultSpec] = None,
-        tracing: bool = False,
         tie_break: str = "fifo",
         sim_observer=None,
         cache=None,
@@ -61,9 +60,8 @@ class Cluster:
         self.sim = Simulator(tie_break=tie_break, observer=sim_observer)
         self.metrics = MetricsRegistry()
         #: One tracer shared by every component on the cluster, bound to
-        #: the simulated clock.  Disabled by default: the no-op path makes
-        #: traced and untraced runs bit-identical in simulated time.
-        self.tracer = Tracer(clock=lambda: self.sim.now, enabled=tracing)
+        #: the simulated clock.  Always on; it charges no simulated time.
+        self.tracer = Tracer(clock=lambda: self.sim.now)
         #: Per-run fault state (None when the run is healthy).
         self.faults = FaultInjector(faults) if faults is not None else None
 

@@ -42,7 +42,6 @@ from repro.engine.stages import (
     STAGE_SUBSTRAIT,
     STAGE_TRANSFER,
     StageBodies,
-    stage,
 )
 from repro.errors import AnalysisError, EngineError, NoSuchCatalogError, PlanError
 from repro.exec.backend import ExecBackend, get_backend
@@ -55,7 +54,7 @@ from repro.rewrite import (
     derived_schema,
     rewrite_statement,
 )
-from repro.sim.metrics import MetricsRegistry, StageAccountant
+from repro.sim.metrics import MetricsRegistry
 from repro.sql.analyzer import analyze as analyze_statement
 from repro.sql.ast_nodes import (
     CommonTableExpr,
@@ -67,7 +66,6 @@ from repro.sql.ast_nodes import (
 )
 from repro.sql.parser import parse
 from repro.trace import Trace, render_tree, stage_totals
-from repro.trace.tracer import NOOP_TRACER
 
 __all__ = ["Coordinator", "QueryResult"]
 
@@ -84,12 +82,14 @@ class QueryResult:
     plan_before: str
     plan_after: str
     metrics: MetricsRegistry
+    #: The query's span tree (the Table 3 stage ledger's source).
+    trace: Trace
+    #: Per-stage simulated seconds, derived from ``trace``
+    #: (:func:`repro.trace.stage_totals`); they partition the wall time.
     stage_seconds: Dict[str, float] = field(default_factory=dict)
     #: Mean busy fraction per resource over the query's lifetime, e.g.
     #: {"compute_cores": 0.02, "storage_cores[0]": 0.61, "link": 0.05}.
     utilization: Dict[str, float] = field(default_factory=dict)
-    #: The query's span tree when the cluster ran with tracing enabled.
-    trace: Optional[Trace] = None
     #: The stage graph the query ran through (EXPLAIN renders this).
     stage_graph: Optional[StageGraph] = None
 
@@ -199,14 +199,19 @@ class Coordinator:
         graph the scheduler would run — Presto's EXPLAIN, extended with
         the paper's pushdown vocabulary.
 
-        With ``analyze=True`` the query actually runs (with tracing
-        forced on) and the output is the recorded span tree, the
-        span-derived Table 3 stage breakdown, and the stage graph with
+        With ``analyze=True`` the query actually runs and the output is
+        the recorded span tree, the span-derived Table 3 stage
+        breakdown, and the stage graph with
         per-stage timings — ``EXPLAIN ANALYZE``.
         """
         if analyze:
             return self._explain_analyze(sql, session)
-        plan, plan_before, connector, prepared = self._plan_statement(sql, session)
+        with self.cluster.tracer.span(
+            "explain", attributes={"sql": " ".join(sql.split())}
+        ) as root:
+            plan, plan_before, connector, prepared = self._plan_statement(
+                sql, session, root
+            )
         lowered = lower(
             plan, connector, MetricsRegistry(), self.bodies,
             QueryCache(self.bodies, "default").add_branch_stages, self.join_workers,
@@ -267,14 +272,8 @@ class Coordinator:
         return lines
 
     def _explain_analyze(self, sql: str, session: Session) -> str:
-        """Run the query with tracing forced on; render tree + stages."""
-        tracer = self.cluster.tracer
-        was_enabled = tracer.enabled
-        tracer.enabled = True
-        try:
-            result = self.execute(sql, session)
-        finally:
-            tracer.enabled = was_enabled
+        """Run the query; render its span tree + stages."""
+        result = self.execute(sql, session)
         lines = [
             f"EXPLAIN ANALYZE {' '.join(sql.split())}",
             "",
@@ -287,7 +286,6 @@ class Coordinator:
             "",
             "Stage breakdown (derived from spans):",
         ]
-        totals = stage_totals(result.trace, elapsed=result.execution_seconds)
         for stage in (
             STAGE_ANALYSIS,
             STAGE_SUBSTRAIT,
@@ -296,7 +294,7 @@ class Coordinator:
             STAGE_EXECUTION,
             STAGE_OTHERS,
         ):
-            seconds = totals.get(stage, 0.0)
+            seconds = result.stage_seconds.get(stage, 0.0)
             lines.append(f"  {stage:<24} {seconds * 1e3:10.3f} ms")
         if result.stage_graph is not None:
             timings: Dict[str, float] = {}
@@ -527,22 +525,23 @@ class Coordinator:
             verify_rewrite(prepared.original, plan)
         return plan, format_plan(plan), connector
 
-    def _plan_statement(self, sql: str, session: Session):
+    def _plan_statement(self, sql: str, session: Session, root):
         """parse -> rewrite -> analyze -> logical plan -> global optimize.
 
         EXPLAIN's pure planning path: scalar subqueries keep their typed
         placeholders and materialized CTEs lower against schema-only
         (batch-less) handles, so no simulated time passes.  Returns the
         plan, its rendering, the connector, and the :class:`_Prepared`
-        record (for the Rewrite section).
+        record (for the Rewrite section).  Spans record under ``root``.
         """
-        prepared = self._prepare_statement(sql, session, NOOP_TRACER, None)
+        tracer = self.cluster.tracer
+        prepared = self._prepare_statement(sql, session, tracer, root)
         materialized = {
             name: MaterializedHandle(name=name, table_schema=schema)
             for name, schema in prepared.cte_schemas.items()
         }
         plan, plan_before, connector = self._plan_prepared(
-            prepared, session, NOOP_TRACER, None, materialized
+            prepared, session, tracer, root, materialized
         )
         return plan, plan_before, connector, prepared
 
@@ -563,9 +562,8 @@ class Coordinator:
         costs = cluster.costs
         tracer = cluster.tracer
         # Per-query scoped: consecutive/concurrent queries on one shared
-        # cluster must not see each other's counters or stage windows.
+        # cluster must not see each other's counters.
         metrics = metrics if metrics is not None else MetricsRegistry()
-        accountant = StageAccountant(sim, metrics.stages)
         cache = QueryCache(self.bodies, tenant)
         query_start = sim.now
         bytes_start = cluster.bytes_to_compute()
@@ -578,7 +576,7 @@ class Coordinator:
             # optimization.  These run inline (instantaneous in
             # simulated time) — their spans are zero-width markers
             # recording pipeline structure.
-            with stage(tracer, accountant, "startup", STAGE_OTHERS, root) as startup:
+            with tracer.span("startup", parent=root, stage=STAGE_OTHERS) as startup:
                 yield cluster.compute.execute(
                     costs.coordinator_fixed_cycles, name="coordinate"
                 )
@@ -589,7 +587,7 @@ class Coordinator:
                     )
             if prepared.scalar_jobs or prepared.cte_jobs:
                 planned = yield from self._plan_with_subqueries(
-                    prepared, session, accountant, metrics, root, query_id, tenant
+                    prepared, session, metrics, root, query_id, tenant
                 )
             plan, plan_before, connector = planned
 
@@ -597,7 +595,7 @@ class Coordinator:
             # the stage graph.  The lowering itself is pure (no
             # simulated time); the traversal cost it reports is charged
             # here.
-            with stage(tracer, accountant, "optimize.local", STAGE_ANALYSIS, root):
+            with tracer.span("optimize.local", parent=root, stage=STAGE_ANALYSIS):
                 lowered = lower(
                     plan, connector, metrics, self.bodies,
                     cache.add_branch_stages, self.join_workers,
@@ -609,23 +607,16 @@ class Coordinator:
                     )
 
             # (4b) Coordinator-tier result cache: a hit *is* the result.
-            batch = yield from cache.lookup_result(lowered, accountant, metrics, root)
+            batch = yield from cache.lookup_result(lowered, metrics, root)
             hit = batch is not None
             if not hit:
-                batch = yield from self._run_graph(
-                    lowered, accountant, metrics, root, query_id
-                )
-            # Stage attribution must partition the wall time: window
-            # union keeps concurrent splits from double charging, but
-            # stages that overlap *each other* (e.g. one split
-            # transferring while another runs operators) can still push
-            # the sum past the elapsed time.  The accountant scales the
-            # reported copy down so Table 3 always partitions; serial
-            # runs are untouched (total <= elapsed there).
+                batch = yield from self._run_graph(lowered, metrics, root, query_id)
             elapsed = sim.now - query_start
-            stage_seconds = accountant.partitioned(elapsed)
             if not hit:
                 cache.fill_result(batch, elapsed, metrics, root)
+            # Captured while the root is open, so ring retention cannot
+            # have evicted it; the root span closes in this same copy.
+            trace = tracer.trace(root=root)
         return QueryResult(
             batch=batch,
             execution_seconds=elapsed,
@@ -638,9 +629,12 @@ class Coordinator:
             plan_before=plan_before,
             plan_after=lowered.plan_after,
             metrics=metrics,
-            stage_seconds=stage_seconds,
+            trace=trace,
+            # The stage spans partition the wall time (a nested
+            # sub-execution shares its parent's trace, so its stages are
+            # the parent's too).
+            stage_seconds=stage_totals(trace, elapsed),
             utilization=self._utilization(lowered.has_exchange and not hit),
-            trace=tracer.trace(root=root) if tracer.recording else None,
             stage_graph=lowered.graph,
         )
 
@@ -648,7 +642,6 @@ class Coordinator:
         self,
         prepared: _Prepared,
         session: Session,
-        accountant: StageAccountant,
         metrics: MetricsRegistry,
         root,
         query_id: Optional[str],
@@ -677,7 +670,7 @@ class Coordinator:
             # same rules fire in the same order, now substituting the
             # computed values.
             prepared = self._rewrite_statement(
-                prepared.original, session, NOOP_TRACER, None, scalar_results
+                prepared.original, session, self.cluster.tracer, root, scalar_results
             )
         materialized: Dict[str, MaterializedHandle] = {}
         for cte in prepared.cte_jobs:
@@ -688,7 +681,7 @@ class Coordinator:
                 batches=[sub_result.batch],
             )
         tracer = self.cluster.tracer
-        with stage(tracer, accountant, "planning", STAGE_OTHERS, root) as planning:
+        with tracer.span("planning", parent=root, stage=STAGE_OTHERS) as planning:
             return self._plan_prepared(
                 prepared, session, tracer, planning, materialized=materialized
             )
@@ -696,7 +689,6 @@ class Coordinator:
     def _run_graph(
         self,
         lowered: Lowered,
-        accountant: StageAccountant,
         metrics: MetricsRegistry,
         root,
         query_id: Optional[str],
@@ -704,9 +696,7 @@ class Coordinator:
         """(5-6) Charge split scheduling, run the graph, gather the result."""
         cluster = self.cluster
         retries_start = cluster.exchange.retries
-        with stage(
-            cluster.tracer, accountant, "schedule", STAGE_OTHERS, root
-        ) as schedule:
+        with cluster.tracer.span("schedule", parent=root, stage=STAGE_OTHERS) as schedule:
             schedule.set("splits", lowered.total_splits)
             schedule.set("stages", len(lowered.graph))
             yield cluster.compute.execute(
@@ -724,7 +714,6 @@ class Coordinator:
             self.scheduler_spec,
             tracer=cluster.tracer,
             metrics=metrics,
-            accountant=accountant,
             parent=root,
             query_id=query_id,
         )

@@ -37,7 +37,7 @@ from repro.substrait.serde import (
     read_declarations,
     read_expression,
 )
-from repro.trace import NOOP_TRACER, SpanContext, Tracer
+from repro.trace import SpanContext, Tracer
 from repro.wire import Reader, put_str, put_varint
 
 __all__ = ["S3Gateway", "place_key", "SelectReply"]
@@ -189,7 +189,8 @@ class S3Gateway:
         store: ObjectStore,
         costs: CostParams,
         strict_types: bool = True,
-        tracer: Tracer = NOOP_TRACER,
+        *,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.frontend = frontend

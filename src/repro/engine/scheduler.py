@@ -55,8 +55,8 @@ from repro.engine.dag import Stage, StageContext, StageGraph
 from repro.errors import ConfigError, ExchangeFaultError
 from repro.sim import santrack
 from repro.sim.kernel import AnyOf, Event, Process, Simulator
-from repro.sim.metrics import MetricsRegistry, StageAccountant
-from repro.trace.tracer import NOOP_TRACER
+from repro.sim.metrics import MetricsRegistry
+from repro.trace import Tracer
 
 __all__ = ["SchedulerSpec", "DagScheduler", "run_splits"]
 
@@ -113,22 +113,16 @@ class DagScheduler:
         graph: StageGraph,
         spec: Optional[SchedulerSpec] = None,
         *,
-        tracer: Optional[Any] = None,
+        tracer: Tracer,
         metrics: Optional[MetricsRegistry] = None,
-        accountant: Optional[StageAccountant] = None,
         parent: Optional[Any] = None,
         query_id: Optional[str] = None,
     ) -> None:
         self.sim = sim
         self.graph = graph
         self.spec = spec if spec is not None else SchedulerSpec()
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.tracer = tracer
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.accountant = (
-            accountant
-            if accountant is not None
-            else StageAccountant(sim, self.metrics.stages)
-        )
         self.parent = parent
         self.query_id = query_id
 
@@ -197,9 +191,8 @@ class DagScheduler:
 
         The stage span is per-attempt, attribute-tagged with the attempt
         number, so a trace of a restarted query shows both attempts.
-        Spans carry no ``stage`` tag — the bodies keep the Table 3
-        stage-window attribution themselves — so span-derived stage
-        totals stay equal to ``stage_seconds``.
+        Stage spans carry no ``stage`` tag: the bodies tag their own
+        Table 3 windows, which a whole-stage window would swallow.
         """
         attempt = 0
         while True:
@@ -212,7 +205,6 @@ class DagScheduler:
                     ctx = StageContext(
                         sim=self.sim,
                         metrics=self.metrics,
-                        accountant=self.accountant,
                         parent=self.parent,
                         span=span,
                         query_id=self.query_id,

@@ -11,17 +11,16 @@ Stage attribution matches Table 3's rows: ``logical_plan_analysis``
 connector's page source), ``pushdown_and_transfer`` (storage round trip
 + page materialization), ``presto_execution`` (post-scan operators),
 ``exchange`` (worker-to-worker shuffle) and ``others`` (coordination
-fixed costs + scheduling).  Every attributed interval goes through
-:func:`stage`, which opens the accountant's window and a ``stage``-tagged
-span over the same instants, so the breakdown is re-derivable from the
-span tree alone (:func:`repro.trace.stage_totals`); spans add no
-simulated cost, so timings are bit-identical with tracing on or off.
+fixed costs + scheduling).  Every attributed interval is a
+``stage``-tagged span (``tracer.span(..., stage=...)``); the spans are the
+only stage ledger, and :func:`repro.trace.stage_totals` turns them into
+``QueryResult.stage_seconds``.  Spans add no simulated cost.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
-from typing import Any, Callable, Dict, Generator, Iterator, List, Optional, Sequence
+from contextlib import ExitStack
+from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Schema
@@ -44,8 +43,7 @@ from repro.exec.operators import (
 from repro.plan.nodes import JoinNode
 from repro.rpc.retry import RetryPolicy
 from repro.sim.kernel import AllOf, Event, Process
-from repro.sim.metrics import StageAccountant
-from repro.trace import Span, Tracer
+from repro.trace import Span
 
 __all__ = [
     "STAGE_ANALYSIS",
@@ -55,7 +53,6 @@ __all__ = [
     "STAGE_SUBSTRAIT",
     "STAGE_TRANSFER",
     "StageBodies",
-    "stage",
 ]
 
 STAGE_ANALYSIS = "logical_plan_analysis"
@@ -64,27 +61,6 @@ STAGE_TRANSFER = "pushdown_and_transfer"
 STAGE_EXECUTION = "presto_execution"
 STAGE_EXCHANGE = "exchange"
 STAGE_OTHERS = "others"
-
-
-@contextmanager
-def stage(
-    tracer: Tracer,
-    accountant: StageAccountant,
-    name: str,
-    stage_name: str,
-    parent: Optional[Span] = None,
-    attributes: Optional[Dict[str, object]] = None,
-) -> Iterator[Span]:
-    """One attributed interval: accountant window + stage-tagged span.
-
-    Both open at the current instant and close together however the
-    body exits (the span carrying the error's status), which is what
-    keeps span-derived stage totals equal to ``stage_seconds``.
-    """
-    with accountant.window(stage_name), tracer.span(
-        name, parent=parent, stage=stage_name, attributes=attributes
-    ) as span:
-        yield span
 
 
 class StageBodies:
@@ -117,9 +93,8 @@ class StageBodies:
         """
         cluster = self.cluster
         ops = self.backend.compile(operators)
-        with stage(
-            cluster.tracer, ctx.accountant, name, STAGE_EXECUTION,
-            parent=ctx.span, attributes=attributes,
+        with cluster.tracer.span(
+            name, parent=ctx.span, stage=STAGE_EXECUTION, attributes=attributes
         ):
             out = run_operators(batches, ops)
             cycles = presto_pipeline_cycles(ops, cluster.costs)
@@ -273,33 +248,27 @@ class StageBodies:
         tracer = cluster.tracer
         metrics = ctx.metrics
         # Data acquisition: storage round trip + page materialization.
-        # Concurrent splits each open a stage *window*; the timer unions
+        # Concurrent splits each open transfer windows; stage totals union
         # overlapping windows so wall-clock is charged once, not once per
-        # split (otherwise the per-stage sum could exceed the query's
-        # elapsed time).  The OCS page source pauses the transfer window
-        # around IR generation so the substrait stage stays separable;
-        # its connector-side spans carry the matching stage tags, so only
-        # the ingest tail is tagged here.
-        with ctx.accountant.window(STAGE_TRANSFER):
-            source: PageSourceResult = yield cluster.sim.process(
-                factory(branch.handle, split, metrics, trace=split_span),
-                name=f"page-source-{split.split_id}",
-            )
-            with tracer.span(
-                "ingest", parent=split_span, stage=STAGE_TRANSFER,
-                attributes={"bytes": source.bytes_received},
-            ):
-                if source.ingest_cycles:
-                    yield cluster.compute.execute(source.ingest_cycles, name="ingest")
+        # split.  The page source tags its own spans (the OCS one splits
+        # IR generation out as the substrait stage), so only the ingest
+        # tail is tagged here.
+        source: PageSourceResult = yield cluster.sim.process(
+            factory(branch.handle, split, metrics, trace=split_span),
+            name=f"page-source-{split.split_id}",
+        )
+        with tracer.span(
+            "ingest", parent=split_span, stage=STAGE_TRANSFER,
+            attributes={"bytes": source.bytes_received},
+        ):
+            if source.ingest_cycles:
+                yield cluster.compute.execute(source.ingest_cycles, name="ingest")
         metrics.add("bytes_received", source.bytes_received)
 
         # Split-local operators (real work + cost charge).  A split holds
         # one driver, so the charge is a plain ``execute`` — not spread
         # over the cores like the stage-level pipelines.
-        with stage(
-            tracer, ctx.accountant, "split-operators", STAGE_EXECUTION,
-            parent=split_span,
-        ):
+        with tracer.span("split-operators", parent=split_span, stage=STAGE_EXECUTION):
             split_ops = self.backend.compile(branch.physical.split_operators())
             out = run_operators(source.batches, split_ops)
             cycles = presto_pipeline_cycles(split_ops, cluster.costs)
@@ -355,9 +324,8 @@ class StageBodies:
             fabric = cluster.exchange
             batches = inputs[source]
             exchange_id = fabric.create(workers)
-            with stage(
-                cluster.tracer, ctx.accountant, "exchange", STAGE_EXCHANGE,
-                parent=ctx.span,
+            with cluster.tracer.span(
+                "exchange", parent=ctx.span, stage=STAGE_EXCHANGE,
                 attributes={
                     "side": side, "distribution": distribution,
                     "partitions": workers,
@@ -439,9 +407,8 @@ class StageBodies:
                      build_parts[p].nbytes + probe_parts[p].nbytes)
                     for p in range(workers)
                 ]
-            with stage(
-                self.cluster.tracer, ctx.accountant, "join-stage", STAGE_EXECUTION,
-                parent=ctx.span,
+            with self.cluster.tracer.span(
+                "join-stage", parent=ctx.span, stage=STAGE_EXECUTION,
                 attributes={"kind": join.kind, "tasks": workers, "level": index},
             ) as span:
                 task_outs = yield AllOf(

@@ -33,7 +33,7 @@ from repro.sim.costmodel import CostParams
 from repro.sim.kernel import ProcessGenerator, Simulator
 from repro.sim.node import SimNode
 from repro.sim.resources import Resource
-from repro.trace import NOOP_TRACER, Span, SpanContext, Tracer
+from repro.trace import Span, SpanContext, Tracer
 from repro.wire import Reader, put_varint
 
 __all__ = ["ExchangePage", "ExchangeFabric", "encode_page", "decode_page"]
@@ -96,7 +96,7 @@ class ExchangeFabric:
         sim: Simulator,
         node: SimNode,
         costs: CostParams,
-        tracer: Tracer = NOOP_TRACER,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.node = node

@@ -22,7 +22,7 @@ from repro.sim.network import Link
 from repro.sim.node import SimNode
 from repro.substrait.serde import deserialize_plan
 from repro.substrait.validator import validate_plan
-from repro.trace import NOOP_TRACER, SpanContext, Tracer
+from repro.trace import SpanContext, Tracer
 from repro.wire import Reader, put_str, put_varint
 
 __all__ = [
@@ -119,7 +119,8 @@ class OcsFrontend:
         storage_links: Sequence[Link],
         costs: CostParams,
         faults: Optional[FaultInjector] = None,
-        tracer: Tracer = NOOP_TRACER,
+        *,
+        tracer: Tracer,
     ) -> None:
         if len(storage_nodes) != len(storage_links):
             raise OcsError("need one frontend<->storage link per storage node")

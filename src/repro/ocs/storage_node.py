@@ -12,7 +12,7 @@ from repro.sim.costmodel import CostParams
 from repro.sim.kernel import Process, Simulator
 from repro.sim.node import SimNode
 from repro.substrait.plan import SubstraitPlan
-from repro.trace import NOOP_TRACER, SpanContext, Tracer
+from repro.trace import SpanContext, Tracer
 
 __all__ = ["OcsStorageNode"]
 
@@ -37,7 +37,8 @@ class OcsStorageNode:
         store: ObjectStore,
         costs: CostParams,
         index: int = 0,
-        tracer: Tracer = NOOP_TRACER,
+        *,
+        tracer: Tracer,
         page_cache=None,
     ) -> None:
         self.sim = sim

@@ -35,7 +35,7 @@ from repro.sim.costmodel import CostParams
 from repro.sim.kernel import AnyOf, Process, Simulator
 from repro.sim.network import Link
 from repro.sim.node import SimNode
-from repro.trace import NOOP_SPAN, NOOP_TRACER, Span, SpanContext, Tracer
+from repro.trace import Span, SpanContext, Tracer
 
 __all__ = ["RpcService", "RpcClient", "FRAME_OVERHEAD_BYTES"]
 
@@ -73,7 +73,7 @@ class RpcService:
         node: SimNode,
         name: str,
         costs: CostParams,
-        tracer: Tracer = NOOP_TRACER,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -139,7 +139,7 @@ class RpcClient:
         link: Link,
         service: RpcService,
         costs: CostParams,
-        tracer: Tracer = NOOP_TRACER,
+        tracer: Tracer,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -219,9 +219,7 @@ class RpcClient:
             sanitizer.observe_completion(work)
         return work.value
 
-    def _call(self, method: str, payload: bytes, span: Optional[Span] = None):
-        if span is None:
-            span = NOOP_SPAN
+    def _call(self, method: str, payload: bytes, span: Span):
         try:
             yield self.node.execute(
                 self.costs.rpc_cycles_per_message, name=f"rpc:{method}"

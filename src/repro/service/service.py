@@ -86,7 +86,6 @@ class QueryService:
             environment.costs,
             strict_s3_types=self.base_config.strict_s3_types,
             faults=self.base_config.faults,
-            tracing=self.spec.tracing,
             tie_break=tie_break,
             sim_observer=observer,
             cache=self.cache,

@@ -25,7 +25,7 @@ from repro.sim.network import Link, TransferLedger, TransferRecord
 from repro.sim.node import SimNode
 from repro.sim.costmodel import CostParams, DEFAULT_COSTS
 from repro.sim.faults import FaultInjector
-from repro.sim.metrics import Counter, MetricsRegistry, StageTimer
+from repro.sim.metrics import Counter, MetricsRegistry
 
 __all__ = [
     "AllOf",
@@ -43,7 +43,6 @@ __all__ = [
     "Resource",
     "SimNode",
     "Simulator",
-    "StageTimer",
     "Store",
     "Timeout",
     "TransferLedger",

@@ -12,9 +12,11 @@ Three exporters: the in-memory collector (``tracer.trace()`` /
 ``QueryResult.trace``), a Chrome ``chrome://tracing`` JSON file, and a
 text tree renderer surfaced as ``EXPLAIN ANALYZE``.
 
-Tracing is zero-cost when off (the default is :data:`NOOP_TRACER`) and
-never touches the simulation: traced and untraced runs have bit-identical
-simulated timings.  See ``docs/OBSERVABILITY.md`` for the span taxonomy.
+Tracing is always on and is the only stage ledger: Table 3's
+``stage_seconds`` are derived from stage-tagged spans.  Each tracer keeps
+the last :data:`~repro.trace.tracer.MAX_TRACES` traces (ring retention)
+and never touches the simulation.  See ``docs/OBSERVABILITY.md`` for the
+span taxonomy.
 """
 
 from repro.trace.analysis import (
@@ -31,11 +33,10 @@ from repro.trace.export import (
     write_chrome_trace,
 )
 from repro.trace.span import STAGE_KEY, Span, SpanContext, Trace
-from repro.trace.tracer import NOOP_SPAN, NOOP_TRACER, Tracer
+from repro.trace.tracer import MAX_TRACES, Tracer
 
 __all__ = [
-    "NOOP_SPAN",
-    "NOOP_TRACER",
+    "MAX_TRACES",
     "STAGE_KEY",
     "ServiceQueryBreakdown",
     "Span",

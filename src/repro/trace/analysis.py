@@ -1,12 +1,11 @@
-"""Trace analysis: re-derive the Table 3 stage breakdown from span trees.
+"""Trace analysis: the Table 3 stage breakdown, derived from span trees.
 
-The coordinator's :class:`~repro.sim.metrics.StageTimer` attributes wall
-time to the paper's five stages with *union-window* semantics: windows of
-the same stage opened by concurrent splits are unioned so an interval of
-wall-clock is charged once, not once per split.  Spans tagged with a
-``stage`` attribute carry exactly the same windows, so the identical
-totals fall out of an interval union over the tagged spans — the
-cross-check ``python -m repro.bench table3 --trace`` asserts.
+Spans tagged with a ``stage`` attribute are the only stage ledger.  The
+paper's breakdown attributes wall time with *union-window* semantics:
+windows of the same stage opened by concurrent splits are unioned, so an
+interval of wall clock is charged once, not once per split.
+:func:`stage_totals` is that union over the tagged spans, and is what
+``QueryResult.stage_seconds`` reports.
 """
 
 from __future__ import annotations
@@ -37,32 +36,42 @@ def stage_windows(trace: Trace) -> Dict[str, List[Tuple[float, float]]]:
 
 
 def union_seconds(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of the union of ``intervals`` (overlap counted once)."""
+    """Total length of the union of ``intervals`` (overlap counted once).
+
+    Each merged run is summed as ``run_end - run_start``, in start order:
+    one subtraction per run, so the total is exact to the bit however
+    many windows a run merged.
+    """
     total = 0.0
-    end_of_merged = None
+    run_start = run_end = None
     for start, end in sorted(intervals):
-        if end_of_merged is None or start > end_of_merged:
-            total += end - start
-            end_of_merged = end
-        elif end > end_of_merged:
-            total += end - end_of_merged
-            end_of_merged = end
+        if run_end is None or start > run_end:
+            if run_end is not None:
+                total += run_end - run_start
+            run_start, run_end = start, end
+        elif end > run_end:
+            run_end = end
+    if run_end is not None:
+        total += run_end - run_start
     return total
 
 
 def stage_totals(trace: Trace, elapsed: Optional[float] = None) -> Dict[str, float]:
-    """Per-stage simulated seconds, matching ``QueryResult.stage_seconds``.
+    """Per-stage simulated seconds: ``QueryResult.stage_seconds``.
 
     ``elapsed`` is the query wall time (defaults to the root span's
-    duration).  As in the coordinator, when stages that overlap *each
-    other* push the raw sum past the elapsed time, the totals are scaled
-    down so the breakdown partitions the wall clock.
+    duration).  Window union keeps concurrent work *within* one stage
+    from double charging, but stages that overlap *each other* (one
+    split transferring while another runs operators) can push the raw
+    sum past the elapsed time; the totals are then scaled down so the
+    breakdown partitions the wall clock.  Serial runs are untouched.
+    Stages are keyed in name order.
     """
     if elapsed is None:
         elapsed = trace.root().duration
     totals = {
         stage: union_seconds(windows)
-        for stage, windows in stage_windows(trace).items()
+        for stage, windows in sorted(stage_windows(trace).items())
     }
     total = sum(totals.values())
     if total > elapsed > 0:

@@ -5,51 +5,46 @@ and is shared by every component on it — coordinator, RPC channel, OCS
 frontend, storage nodes — so spans from all layers land in one in-memory
 collector with consistent identifiers.
 
-Tracing is **zero-cost when off**: a disabled tracer (the default, and
-the :data:`NOOP_TRACER` singleton injected where no tracer is wired)
-hands out one shared no-op span and records nothing.  Crucially the
-tracer never touches the simulation — it schedules no events and charges
-no cycles — so enabling it cannot perturb simulated timings: a traced
-healthy run is bit-identical in time to an untraced one.
+Tracing is **always on**, and the spans are the only stage ledger: the
+Table 3 breakdown (``QueryResult.stage_seconds``) is derived from them.
+Memory stays bounded by ring retention — the collector keeps the last
+:data:`MAX_TRACES` traces, evicting the oldest *closed* ones first and
+never a trace whose root span is still open.  A :class:`Trace` already
+handed out (``QueryResult.trace``) is a copy and survives eviction.  The
+tracer never touches the simulation — it schedules no events and
+charges no cycles — so it cannot perturb simulated timings.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from itertools import islice
+from typing import Callable, ClassVar, Dict, Iterator, List, Optional
 
 from repro.errors import StatusCode
 from repro.trace.span import STAGE_KEY, Span, SpanContext, Trace
 
-__all__ = ["Tracer", "NOOP_TRACER", "NOOP_SPAN"]
+__all__ = ["MAX_TRACES", "Tracer"]
 
-
-class _NoopSpan(Span):
-    """Shared inert span handed out by disabled tracers."""
-
-    def set(self, key: str, value: object) -> "Span":
-        return self
-
-    def record_error(self, code: "StatusCode | str") -> "Span":
-        return self
-
-
-#: The span returned by a disabled tracer; attribute writes are dropped.
-NOOP_SPAN = _NoopSpan(
-    name="noop", context=SpanContext(trace_id=0, span_id=0), parent_id=None, start=0.0
-)
+#: Ring retention: how many traces one tracer holds before it evicts the
+#: oldest closed ones.  A constant, not a knob — a query's own trace is
+#: captured on its :class:`~repro.engine.coordinator.QueryResult`.
+MAX_TRACES = 64
 
 
 class Tracer:
-    """Produces spans stamped with the bound clock; collects finished ones."""
+    """Produces spans stamped with the bound clock; retains recent traces."""
 
-    def __init__(self, clock: Callable[[], float], enabled: bool = True) -> None:
+    #: Tracing cannot be switched off; instrumentation that reads this
+    #: flag always sees ``True``.
+    enabled: ClassVar[bool] = True
+
+    def __init__(self, clock: Callable[[], float]) -> None:
         #: Returns the current *simulated* time (``lambda: sim.now``).
         self.clock = clock
-        self.enabled = enabled
-        self._spans: List[Span] = []
-        #: The same spans bucketed by ``trace_id`` as they are recorded,
-        #: so assembling one query's trace never rescans the others.
+        #: The one store: spans bucketed by ``trace_id`` in recording
+        #: order.  Trace ids are allocated in order, so dict order is
+        #: trace-id order — the eviction order.
         self._by_trace: Dict[int, List[Span]] = {}
         self._next_span_id = 1
         self._next_trace_id = 1
@@ -68,14 +63,10 @@ class Tracer:
         ``parent`` may be a :class:`Span`, a :class:`SpanContext` (as
         received across an RPC boundary), or ``None`` for a root span —
         root spans get a fresh ``trace_id``.  ``stage`` tags the span's
-        window for Table 3 stage re-derivation.
+        window for the Table 3 stage ledger.
         """
-        if not self.enabled:
-            return NOOP_SPAN
         if isinstance(parent, Span):
             parent = parent.context
-        if parent is NOOP_SPAN.context:
-            parent = None
         if parent is None:
             trace_id = self._next_trace_id
             self._next_trace_id += 1
@@ -93,15 +84,21 @@ class Tracer:
         self._next_span_id += 1
         if stage is not None:
             span.attributes[STAGE_KEY] = stage
-        self._spans.append(span)
-        self._by_trace.setdefault(trace_id, []).append(span)
+        bucket = self._by_trace.get(trace_id)
+        if bucket is None:
+            self._by_trace[trace_id] = [span]
+            self._evict()
+        else:
+            bucket.append(span)
         return span
 
     def end(self, span: Span) -> None:
-        """Close ``span`` at the current instant; idempotent, noop-safe."""
-        if span is NOOP_SPAN or span.end is not None:
+        """Close ``span`` at the current instant; idempotent."""
+        if span.end is not None:
             return
         span.end = self.clock()
+        if span.parent_id is None:
+            self._evict()
 
     @contextmanager
     def span(
@@ -122,30 +119,37 @@ class Tracer:
         finally:
             self.end(span)
 
+    def _evict(self) -> None:
+        """Drop the oldest closed traces until at most MAX_TRACES remain.
+
+        A trace is held while the first span it recorded (its root) is
+        open, so an in-flight query never loses spans.
+        """
+        excess = len(self._by_trace) - MAX_TRACES
+        if excess <= 0:
+            return
+        closed = (
+            trace_id for trace_id, spans in self._by_trace.items()
+            if spans[0].end is not None
+        )
+        for trace_id in list(islice(closed, excess)):
+            del self._by_trace[trace_id]
+
     # -- collection -----------------------------------------------------------
 
-    @property
-    def recording(self) -> bool:
-        return self.enabled
-
     def spans(self) -> List[Span]:
-        return list(self._spans)
+        """Every retained span, in recording (``span_id``) order."""
+        return sorted(
+            (span for spans in self._by_trace.values() for span in spans),
+            key=lambda span: span.span_id,
+        )
 
     def trace(self, root: Optional[Span] = None) -> Trace:
-        """The collected spans as a :class:`Trace`.
+        """The retained spans as a :class:`Trace`.
 
         With ``root`` given, only that query's spans (same ``trace_id``)
         are included — a long-lived cluster may serve several queries.
         """
         if root is None:
-            return Trace(self._spans)
+            return Trace(self.spans())
         return Trace(self._by_trace.get(root.trace_id, []))
-
-    def clear(self) -> None:
-        self._spans.clear()
-        self._by_trace.clear()
-
-
-#: Default tracer wired into components when tracing is off: records
-#: nothing, costs (almost) nothing.
-NOOP_TRACER = Tracer(clock=lambda: 0.0, enabled=False)

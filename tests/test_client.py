@@ -71,18 +71,17 @@ class TestConnect:
 
 class TestSessionDefaults:
     def test_session_tracing_applies_to_every_query(self):
-        client = connect(tracing=True)
+        client = connect()
         client.register_dataset(_spec())
         result = client.execute(QUERY)
-        assert result.trace is not None
         assert result.trace.root().name == "query"
 
     def test_per_query_config_not_mutated(self):
-        client = connect(tracing=True)
+        client = connect(retry=RetryPolicy(max_attempts=4, initial_backoff_s=0.01))
         client.register_dataset(_spec())
         config = RunConfig.filter_only()
         client.execute(QUERY, config)
-        assert config.tracing is False  # session default was applied via a copy
+        assert config.retry is None  # session default was applied via a copy
 
     def test_session_faults_and_retry_fill_unset_fields(self):
         client = connect(

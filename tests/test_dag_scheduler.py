@@ -36,6 +36,7 @@ from repro.errors import (
     VerificationError,
 )
 from repro.rpc.retry import RetryPolicy
+from repro.trace import Tracer
 from repro.workloads import (
     TPCH_Q3_FULL,
     TPCH_Q12,
@@ -199,7 +200,9 @@ class TestDagSchedulerUnit:
         from repro.sim import Simulator
 
         sim = Simulator()
-        scheduler = DagScheduler(sim, graph, spec)
+        scheduler = DagScheduler(
+            sim, graph, spec, tracer=Tracer(clock=lambda: sim.now)
+        )
         return sim.run(until=sim.process(scheduler.run()))
 
     def test_stages_run_in_dependency_order_and_values_flow(self):
@@ -572,15 +575,11 @@ class TestSpeculationTieBreak:
         from repro.engine.dag import StageContext
         from repro.engine.scheduler import run_splits
         from repro.sim.kernel import Simulator
-        from repro.sim.metrics import MetricsRegistry, StageAccountant
+        from repro.sim.metrics import MetricsRegistry
 
         sim = Simulator(tie_break=tie_break)
         metrics = MetricsRegistry()
-        ctx = StageContext(
-            sim=sim,
-            metrics=metrics,
-            accountant=StageAccountant(sim, metrics.stages),
-        )
+        ctx = StageContext(sim=sim, metrics=metrics)
 
         def body(seconds, tag):
             yield sim.timeout(seconds)

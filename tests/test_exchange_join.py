@@ -48,6 +48,7 @@ from repro.sim import DEFAULT_COSTS, Link, SimNode, Simulator
 from repro.sim.faults import FaultInjector
 from repro.sql import analyze, parse
 from repro.sql.ast_nodes import TableName
+from repro.trace import Tracer
 from repro.workloads import (
     TPCH_Q3,
     TPCH_Q12,
@@ -366,8 +367,9 @@ def _fabric(drop=0.0, seed=0):
         else None
     )
     link = Link(sim, bandwidth_bps=1e9, latency_s=0.0001, faults=faults)
-    fabric = ExchangeFabric(sim, node, DEFAULT_COSTS)
-    client = RpcClient(sim, node, link, fabric.service, DEFAULT_COSTS)
+    tracer = Tracer(clock=lambda: sim.now)
+    fabric = ExchangeFabric(sim, node, DEFAULT_COSTS, tracer)
+    client = RpcClient(sim, node, link, fabric.service, DEFAULT_COSTS, tracer)
     return sim, fabric, client
 
 

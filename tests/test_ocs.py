@@ -39,6 +39,7 @@ from repro.substrait import (
     SubstraitPlan,
     serialize_plan,
 )
+from repro.trace import Tracer
 
 SCHEMA = Schema(
     [
@@ -204,9 +205,12 @@ class TestFrontendAndStorage:
         storage_sim = SimNode(sim, testbed.storage)
         link_cf = Link(sim, 1.25e9, 1e-4, name="cf")
         link_fs = Link(sim, 1.25e9, 1e-4, name="fs")
-        storage = OcsStorageNode(sim, storage_sim, store, DEFAULT_COSTS)
-        frontend = OcsFrontend(sim, frontend_node, [storage], [link_fs], DEFAULT_COSTS)
-        client = RpcClient(sim, compute, link_cf, frontend.service, DEFAULT_COSTS)
+        tracer = Tracer(clock=lambda: sim.now)
+        storage = OcsStorageNode(sim, storage_sim, store, DEFAULT_COSTS, tracer=tracer)
+        frontend = OcsFrontend(
+            sim, frontend_node, [storage], [link_fs], DEFAULT_COSTS, tracer=tracer
+        )
+        client = RpcClient(sim, compute, link_cf, frontend.service, DEFAULT_COSTS, tracer)
         return sim, client, frontend, storage, link_cf
 
     def test_roundtrip_through_rpc(self, cluster):

@@ -18,7 +18,7 @@ from repro.config import FaultSpec, NodeSpec
 from repro.errors import RpcStatusError
 from repro.rpc import RetryPolicy, RpcClient, RpcService, retrying_call
 from repro.sim import DEFAULT_COSTS, FaultInjector, Link, SimNode, Simulator
-from repro.sim.metrics import StageTimer
+from repro.trace import Tracer, stage_totals
 from repro.workloads import DatasetSpec
 
 QUERY = "SELECT grp, count(*) AS n FROM t GROUP BY grp"
@@ -153,8 +153,9 @@ def rpc():
     client_node = SimNode(sim, _node_spec("client"))
     server_node = SimNode(sim, _node_spec("server"))
     link = Link(sim, bandwidth_bps=1e6, latency_s=0.001)
-    service = RpcService(sim, server_node, "svc", DEFAULT_COSTS)
-    client = RpcClient(sim, client_node, link, service, DEFAULT_COSTS)
+    tracer = Tracer(clock=lambda: sim.now)
+    service = RpcService(sim, server_node, "svc", DEFAULT_COSTS, tracer)
+    client = RpcClient(sim, client_node, link, service, DEFAULT_COSTS, tracer)
     return sim, service, client
 
 
@@ -305,42 +306,56 @@ class TestRetryingCall:
 
 
 class TestStageWindows:
+    """Stage windows are stage-tagged spans; totals union them per stage."""
+
+    @staticmethod
+    def _windows(*edges):
+        """Replay ``(kind, stage, at)`` edges; returns the tracer's trace.
+
+        ``kind`` is ``"begin"`` or ``"end"``; an ``end`` closes the
+        oldest open window of that stage.  A root span holds the trace.
+        """
+        now = [0.0]
+        tracer = Tracer(clock=lambda: now[0])
+        root = tracer.start("query")
+        open_windows = {}
+        for kind, stage, at in edges:
+            now[0] = at
+            if kind == "begin":
+                span = tracer.start(stage, parent=root, stage=stage)
+                open_windows.setdefault(stage, []).append(span)
+            elif open_windows.get(stage):
+                tracer.end(open_windows[stage].pop(0))
+        return tracer.trace(root=root)
+
     def test_single_window_charges_elapsed(self):
-        timer = StageTimer()
-        timer.begin("s", 1.0)
-        timer.end("s", 3.5)
-        assert timer.seconds("s") == pytest.approx(2.5)
+        trace = self._windows(("begin", "s", 1.0), ("end", "s", 3.5))
+        assert stage_totals(trace, elapsed=10.0) == {"s": 2.5}
 
     def test_overlapping_windows_union(self):
         # Two "splits" overlap on [1, 3]; union is [0, 5], not 3 + 4.
-        timer = StageTimer()
-        timer.begin("s", 0.0)
-        timer.begin("s", 1.0)
-        timer.end("s", 3.0)
-        timer.end("s", 5.0)
-        assert timer.seconds("s") == pytest.approx(5.0)
-        assert timer.open_depth("s") == 0
+        trace = self._windows(
+            ("begin", "s", 0.0), ("begin", "s", 1.0),
+            ("end", "s", 3.0), ("end", "s", 5.0),
+        )
+        assert stage_totals(trace, elapsed=10.0) == {"s": 5.0}
 
     def test_pause_and_resume(self):
-        timer = StageTimer()
-        timer.begin("s", 0.0)
-        timer.end("s", 2.0)
-        timer.begin("s", 10.0)
-        timer.end("s", 11.0)
-        assert timer.seconds("s") == pytest.approx(3.0)
+        trace = self._windows(
+            ("begin", "s", 0.0), ("end", "s", 2.0),
+            ("begin", "s", 10.0), ("end", "s", 11.0),
+        )
+        assert stage_totals(trace, elapsed=20.0) == {"s": 3.0}
 
     def test_unmatched_end_is_noop(self):
-        timer = StageTimer()
-        timer.end("s", 5.0)
-        assert timer.seconds("s") == 0.0
-        assert timer.open_depth("s") == 0
+        trace = self._windows(("end", "s", 5.0))
+        assert stage_totals(trace, elapsed=10.0) == {}
 
-    def test_windows_mix_with_charge(self):
-        timer = StageTimer()
-        timer.charge("s", 1.0)
-        timer.begin("s", 0.0)
-        timer.end("s", 0.5)
-        assert timer.seconds("s") == pytest.approx(1.5)
+    def test_open_window_is_not_charged(self):
+        trace = self._windows(
+            ("begin", "s", 0.0), ("end", "s", 0.5), ("begin", "s", 1.0),
+        )
+        assert stage_totals(trace, elapsed=10.0) == {"s": 0.5}
 
 
 # -- end-to-end: faulted queries still answer correctly ------------------------

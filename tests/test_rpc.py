@@ -7,6 +7,7 @@ from repro.errors import RpcError, RpcStatusError
 from repro.rpc import RpcClient, RpcService
 from repro.rpc.channel import FRAME_OVERHEAD_BYTES
 from repro.sim import DEFAULT_COSTS, Link, SimNode, Simulator
+from repro.trace import Tracer
 
 
 def _node_spec(name):
@@ -22,8 +23,9 @@ def setup():
     client_node = SimNode(sim, _node_spec("client"))
     server_node = SimNode(sim, _node_spec("server"))
     link = Link(sim, bandwidth_bps=1e6, latency_s=0.001)
-    service = RpcService(sim, server_node, "echo-service", DEFAULT_COSTS)
-    client = RpcClient(sim, client_node, link, service, DEFAULT_COSTS)
+    tracer = Tracer(clock=lambda: sim.now)
+    service = RpcService(sim, server_node, "echo-service", DEFAULT_COSTS, tracer)
+    client = RpcClient(sim, client_node, link, service, DEFAULT_COSTS, tracer)
     return sim, service, client, link
 
 

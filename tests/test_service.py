@@ -24,7 +24,8 @@ from repro.service import (
     open_loop,
 )
 from repro.service.service import _config_key
-from repro.trace import service_breakdown
+from repro.trace import MAX_TRACES, service_breakdown
+from repro.trace import tracer as tracer_module
 from repro.workloads.datasets import DatasetSpec
 from repro.workloads.laghos import LAGHOS_QUERY, generate_laghos_file
 from repro.workloads.tpch import TPCH_Q1, generate_lineitem
@@ -405,6 +406,63 @@ class TestReporting:
         report = service.report()
         for tenant in report.tenants:
             assert tenant.scan_driver_seconds > 0
+
+
+class TestTraceRetention:
+    """The service's one long-lived tracer is a ring of MAX_TRACES traces."""
+
+    @staticmethod
+    def _serve(service_env, queries: int, active: int):
+        service = QueryService(
+            service_env,
+            ServiceSpec(max_active_queries=active, max_queue_depth=queries),
+        )
+        handles = [
+            service.submit(LAGHOS_QUERY, tenant="t", schema="hpc", at=0.0)
+            for _ in range(queries)
+        ]
+        service.drain()
+        return service, handles
+
+    def test_serving_more_than_n_queries_retains_at_most_n_traces(self, service_env):
+        service, handles = self._serve(service_env, MAX_TRACES + 6, active=4)
+        spans = service.cluster.tracer.spans()
+        assert len({s.trace_id for s in spans}) == MAX_TRACES
+        assert [s.span_id for s in spans] == sorted(s.span_id for s in spans)
+        # The evicted ones are the oldest.
+        evicted = handles[0].result().trace.root().trace_id
+        assert evicted not in {s.trace_id for s in spans}
+
+    def test_open_roots_are_never_evicted_and_handed_out_traces_stay_whole(
+        self, service_env, monkeypatch
+    ):
+        # A ring smaller than the concurrency: every submission's root is
+        # open (queued or running) while far more than N traces are held.
+        monkeypatch.setattr(tracer_module, "MAX_TRACES", 2)
+        service, handles = self._serve(service_env, 12, active=4)
+        assert len({s.trace_id for s in service.cluster.tracer.spans()}) == 2
+        for handle in handles:
+            trace = handle.result().trace
+            # A root evicted while open would leave its children orphaned.
+            trace.validate()
+            assert [s.name for s in trace.roots()] == ["service.query"]
+            assert len(trace.find("queue")) == 1 and len(trace.find("query")) == 1
+
+    def test_breakdown_of_the_retained_traces_matches_the_job_records(
+        self, service_env
+    ):
+        service, handles = self._serve(service_env, MAX_TRACES + 6, active=4)
+        rows = {
+            row.query_id: row
+            for row in service_breakdown(service.cluster.tracer.spans())
+        }
+        assert len(rows) == MAX_TRACES
+        by_id = {handle.query_id: handle for handle in handles}
+        for query_id, row in rows.items():
+            handle = by_id[query_id]
+            assert row.latency_s == pytest.approx(handle.latency_seconds, abs=1e-12)
+            assert row.queue_s == pytest.approx(handle.queue_wait_seconds, abs=1e-12)
+            assert row.status == str(JobStatus.SUCCEEDED)
 
 
 class TestClientFacade:

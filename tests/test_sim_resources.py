@@ -12,9 +12,20 @@ from repro.sim import (
     Resource,
     SimNode,
     Simulator,
-    StageTimer,
     Store,
 )
+from repro.trace import Span, SpanContext, Trace, stage_totals
+
+
+def _stage_trace(*windows):
+    """A trace of stage-tagged spans, one per ``(stage, start, end)``."""
+    return Trace([
+        Span(
+            name=stage, context=SpanContext(trace_id=1, span_id=i),
+            parent_id=None, start=start, end=end, attributes={"stage": stage},
+        )
+        for i, (stage, start, end) in enumerate(windows, start=1)
+    ])
 
 
 @pytest.fixture()
@@ -199,21 +210,17 @@ class TestMetrics:
         with pytest.raises(ValueError):
             reg.add("rows", -1)
 
-    def test_stage_timer_shares_sum_to_one(self):
-        timer = StageTimer()
-        timer.charge("a", 1.0)
-        timer.charge("b", 3.0)
-        shares = timer.shares()
-        assert shares["a"] == pytest.approx(0.25)
-        assert shares["b"] == pytest.approx(0.75)
-        assert sum(shares.values()) == pytest.approx(1.0)
+    def test_stage_totals_scale_overlapping_stages_to_elapsed(self):
+        # Stages overlapping *each other* sum past the wall time (2 + 3
+        # over 4 s); the totals are scaled down to partition it.
+        totals = stage_totals(_stage_trace(("a", 0.0, 2.0), ("b", 1.0, 4.0)), 4.0)
+        assert totals["a"] == pytest.approx(1.6)
+        assert totals["b"] == pytest.approx(2.4)
+        assert sum(totals.values()) == pytest.approx(4.0)
 
-    def test_stage_timer_accumulates(self):
-        timer = StageTimer()
-        timer.charge("x", 1.0)
-        timer.charge("x", 2.0)
-        assert timer.seconds("x") == pytest.approx(3.0)
-        assert timer.total() == pytest.approx(3.0)
+    def test_stage_totals_accumulate_disjoint_windows(self):
+        totals = stage_totals(_stage_trace(("x", 0.0, 1.0), ("x", 2.0, 4.0)), 10.0)
+        assert totals == {"x": 3.0}
 
 
 class TestCostParams:

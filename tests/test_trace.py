@@ -2,21 +2,24 @@
 
 The load-bearing properties:
 
-* tracing off -> ``QueryResult.trace`` is None and simulated timings are
-  *bit-identical* to a traced run (the tracer never touches the simulator);
+* tracing is always on and bounded: ``QueryResult.trace`` is always set,
+  a tracer retains at most ``MAX_TRACES`` traces (never one whose root
+  is open), and retention never changes simulated timings;
 * the span tree is structurally valid (single root, closed, acyclic) and
   the root covers the query wall-clock exactly;
 * every RPC **attempt** gets a span — retries and downgrades are visible;
-* per-stage totals re-derived from stage-tagged spans equal the
-  coordinator's ``stage_seconds`` (the Table 3 cross-check).
+* per-stage totals derived from stage-tagged spans *are* the
+  coordinator's ``stage_seconds`` (the only Table 3 ledger).
 """
 
-import dataclasses
+import ast
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
+import repro
 from repro.arrowsim import RecordBatch
 from repro.bench import Environment, RunConfig
 from repro.bench.table3 import check_trace, run_table3
@@ -24,7 +27,6 @@ from repro.config import FaultSpec
 from repro.errors import StatusCode, TraceError
 from repro.rpc import RetryPolicy
 from repro.trace import (
-    NOOP_SPAN,
     Span,
     SpanContext,
     Trace,
@@ -35,6 +37,7 @@ from repro.trace import (
     stage_totals,
     union_seconds,
 )
+from repro.trace import tracer as tracer_module
 from repro.workloads import DatasetSpec
 
 QUERY = "SELECT grp, count(*) AS n, avg(v) AS m FROM t GROUP BY grp"
@@ -67,16 +70,6 @@ def _run(env, config):
 
 
 class TestTracer:
-    def test_disabled_tracer_hands_out_noop_span(self):
-        tracer = Tracer(clock=lambda: 1.0, enabled=False)
-        span = tracer.start("x")
-        assert span is NOOP_SPAN
-        span.set("k", "v")
-        assert "k" not in span.attributes
-        tracer.end(span)
-        assert tracer.spans() == []
-        assert not tracer.recording
-
     def test_parent_by_span_and_by_context(self):
         clock = iter([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         tracer = Tracer(clock=lambda: next(clock))
@@ -86,10 +79,6 @@ class TestTracer:
         assert child.parent_id == root.span_id
         assert grandchild.parent_id == child.span_id
         assert root.trace_id == child.trace_id == grandchild.trace_id
-        # A noop parent (received from a disabled layer) means "root".
-        orphan = tracer.start("o", parent=NOOP_SPAN.context)
-        assert orphan.parent_id is None
-        assert orphan.trace_id != root.trace_id
 
     def test_span_ids_are_sequential_and_end_is_idempotent(self):
         t = iter(range(100))
@@ -122,6 +111,63 @@ class TestTracer:
         assert len(tracer.trace()) == 3
 
 
+class TestRingRetention:
+    @pytest.fixture()
+    def ring(self, monkeypatch):
+        monkeypatch.setattr(tracer_module, "MAX_TRACES", 3)
+        return Tracer(clock=lambda: 0.0)
+
+    @staticmethod
+    def _closed_trace(tracer):
+        root = tracer.start("q")
+        tracer.end(tracer.start("q.child", parent=root))
+        tracer.end(root)
+        return root
+
+    def test_spans_are_in_span_id_order_across_traces(self):
+        tracer = Tracer(clock=lambda: 0.0)
+        a = tracer.start("a")
+        b = tracer.start("b")
+        tracer.start("a.child", parent=a)
+        tracer.start("b.child", parent=b)
+        assert [s.span_id for s in tracer.spans()] == [1, 2, 3, 4]
+        assert [s.name for s in tracer.spans()] == ["a", "b", "a.child", "b.child"]
+
+    def test_ring_keeps_the_last_n_closed_traces(self, ring):
+        roots = [self._closed_trace(ring) for _ in range(5)]
+        kept = {s.trace_id for s in ring.spans()}
+        assert kept == {r.trace_id for r in roots[-3:]}
+        assert len(ring.spans()) == 3 * 2
+        assert len(ring.trace(root=roots[0])) == 0
+
+    def test_open_root_is_never_evicted(self, ring):
+        held = ring.start("held")
+        ring.start("held.child", parent=held)
+        for _ in range(5):
+            self._closed_trace(ring)
+        ring.start("late.child", parent=held)
+        assert len(ring.trace(root=held)) == 3
+        assert len({s.trace_id for s in ring.spans()}) == 3
+        ring.end(held)
+        assert len(ring.trace(root=held)) == 3
+
+    def test_open_roots_may_exceed_the_ring_until_they_close(self, ring):
+        roots = [ring.start(f"q{i}") for i in range(5)]
+        assert len({s.trace_id for s in ring.spans()}) == 5
+        for root in roots:
+            ring.end(root)
+        assert {s.trace_id for s in ring.spans()} == {r.trace_id for r in roots[-3:]}
+
+    def test_handed_out_trace_survives_eviction(self, ring):
+        root = self._closed_trace(ring)
+        trace = ring.trace(root=root)
+        for _ in range(5):
+            self._closed_trace(ring)
+        assert len(ring.trace(root=root)) == 0
+        assert [s.name for s in trace] == ["q", "q.child"]
+        trace.validate()
+
+
 class TestTraceStructure:
     def _span(self, sid, parent, start, end, **attrs):
         return Span(
@@ -150,25 +196,27 @@ class TestTraceStructure:
 
 
 class TestQueryTraces:
-    def test_trace_off_by_default(self, env):
+    def test_trace_on_by_default(self, env):
         result = _run(env, RunConfig.filter_only())
-        assert result.trace is None
+        result.trace.validate()
+        assert stage_totals(result.trace) == result.stage_seconds
 
-    def test_tracing_never_changes_simulated_timings(self, env):
-        plain = _run(env, RunConfig.filter_only())
-        traced = _run(
-            env, dataclasses.replace(RunConfig.filter_only(), tracing=True)
-        )
+    def test_tracing_never_changes_simulated_timings(self, env, monkeypatch):
+        kept = _run(env, RunConfig.filter_only())
+        # A ring that evicts every closed trace at once: the tracer's
+        # bookkeeping never reaches the simulator.
+        monkeypatch.setattr(tracer_module, "MAX_TRACES", 0)
+        evicting = _run(env, RunConfig.filter_only())
         # Bit-identical, not approximately equal.
-        assert traced.execution_seconds == plain.execution_seconds
-        assert traced.data_moved_bytes == plain.data_moved_bytes
-        assert traced.stage_seconds == plain.stage_seconds
+        assert evicting.execution_seconds == kept.execution_seconds
+        assert evicting.data_moved_bytes == kept.data_moved_bytes
+        assert evicting.stage_seconds == kept.stage_seconds
 
     @pytest.mark.parametrize(
         "config",
         [
-            RunConfig(label="raw", mode="hive-raw", tracing=True),
-            RunConfig(label="ocs", mode="ocs", tracing=True),
+            RunConfig(label="raw", mode="hive-raw"),
+            RunConfig(label="ocs", mode="ocs"),
         ],
         ids=["hive-raw", "ocs"],
     )
@@ -181,14 +229,13 @@ class TestQueryTraces:
         assert root.duration == pytest.approx(result.execution_seconds, abs=1e-15)
         # Every split produced a span parented under the root's trace.
         assert len(trace.find("split-0")) == 1
-        # Spans re-derive the Table 3 stage breakdown exactly.
-        derived = stage_totals(trace, elapsed=result.execution_seconds)
-        for stage, seconds in result.stage_seconds.items():
-            assert derived.get(stage, 0.0) == pytest.approx(seconds, abs=1e-9)
-        assert set(derived) <= set(result.stage_seconds)
+        # The spans are the Table 3 stage breakdown.
+        assert stage_totals(trace, elapsed=result.execution_seconds) == (
+            result.stage_seconds
+        )
 
     def test_ocs_trace_crosses_all_layers(self, env):
-        result = _run(env, RunConfig(label="ocs", mode="ocs", tracing=True))
+        result = _run(env, RunConfig(label="ocs", mode="ocs"))
         trace = result.trace
         # client -> rpc -> frontend server -> storage scan, all linked.
         pushdown = trace.first("pushdown")
@@ -204,7 +251,7 @@ class TestQueryTraces:
 
     def test_retries_are_one_span_per_attempt(self, env):
         config = RunConfig(
-            label="ocs", mode="ocs", tracing=True,
+            label="ocs", mode="ocs",
             faults=FaultSpec(transient_storage_failures={0: 2}),
             retry=RetryPolicy(max_attempts=5, initial_backoff_s=0.01),
         )
@@ -219,7 +266,7 @@ class TestQueryTraces:
 
     def test_downgrade_gets_fallback_span(self, env):
         config = RunConfig(
-            label="ocs", mode="ocs", tracing=True,
+            label="ocs", mode="ocs",
             faults=FaultSpec(permanent_storage_failures=frozenset({0})),
             retry=RetryPolicy(max_attempts=2, initial_backoff_s=0.01),
         )
@@ -235,7 +282,7 @@ class TestQueryTraces:
         assert all(s.status is StatusCode.UNAVAILABLE for s in attempts)
 
     def test_traces_are_deterministic(self, env):
-        config = RunConfig(label="ocs", mode="ocs", tracing=True)
+        config = RunConfig(label="ocs", mode="ocs")
         a, b = _run(env, config).trace, _run(env, config).trace
         assert [(s.name, s.span_id, s.parent_id, s.start, s.end) for s in a] == [
             (s.name, s.span_id, s.parent_id, s.start, s.end) for s in b
@@ -248,7 +295,7 @@ class TestQueryTraces:
 class TestExporters:
     @pytest.fixture()
     def trace(self, env):
-        return _run(env, RunConfig(label="ocs", mode="ocs", tracing=True)).trace
+        return _run(env, RunConfig(label="ocs", mode="ocs")).trace
 
     def test_chrome_export_is_wellformed(self, trace):
         doc = json.loads(export_chrome_trace(trace))
@@ -300,11 +347,35 @@ class TestExporters:
 class TestTable3Trace:
     def test_table3_trace_rederives_stage_totals(self):
         result = run_table3(rows=4096, trace=True)
-        derived = check_trace(result)
-        assert set(derived) <= set(result.stage_seconds)
+        check_trace(result)
+        assert stage_totals(result.trace) == result.stage_seconds
 
     def test_table3_without_trace_flag_has_no_trace(self):
         result = run_table3(rows=4096)
         assert result.trace is None
         with pytest.raises(TraceError):
             check_trace(result)
+
+
+# -- one always-on tracer: no switch, no second ledger ------------------------------
+
+
+def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
+    root = pathlib.Path(repro.__file__).parent
+    banned = {"NOOP_TRACER", "NOOP_SPAN", "StageTimer", "StageAccountant"}
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{relative}:{getattr(node, 'lineno', '?')}"
+            # Names, attributes, definitions and imported aliases.
+            for field in ("id", "attr", "name"):
+                assert getattr(node, field, None) not in banned, where
+            if isinstance(node, ast.keyword):
+                assert node.arg != "tracing", f"{where}: tracing= keyword"
+            if isinstance(node, ast.arg):
+                assert node.arg != "tracing", f"{where}: tracing parameter"
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                assert node.target.id != "tracing", f"{where}: tracing field"
+            if isinstance(node, ast.Attribute) and node.attr == "enabled":
+                owner = ast.unparse(node.value)
+                assert not owner.endswith("tracer"), f"{where}: {owner}.enabled"

@@ -39,6 +39,7 @@ from repro.arrowsim import (
     serialize_batches,
 )
 from repro.compress.registry import get_codec
+from repro.compress.szlike import compress_lossy, decompress_lossy
 from repro.engine import gateway
 from repro.errors import (
     CodecError,
@@ -376,6 +377,12 @@ def _codec_frame(name: str) -> bytes:
     return get_codec(name).compress(serialize_batches([all_types_batch(40)])[:420])
 
 
+def _lossy_frame() -> bytes:
+    values = np.linspace(-3.0, 7.0, 40)
+    values[[5, 17]] = [np.nan, np.inf]
+    return compress_lossy(values, error_bound=0.01)
+
+
 #: decoder -> (callable, a valid input for it, the only error family it may raise)
 DECODERS = {
     "decode_footer": (decode_footer, lambda f: f["footer"], FormatError),
@@ -415,6 +422,7 @@ DECODERS = {
         )
         for name in ("none", "snappy", "gzip", "zstd")
     },
+    "szlike.decompress_lossy": (decompress_lossy, lambda f: _lossy_frame(), CodecError),
 }
 
 
