@@ -1,4 +1,4 @@
-"""Static analysis for the repro codebase: three machine-checked passes.
+"""Static analysis for the repro codebase: four machine-checked passes.
 
 1. **Plan verifier** (:mod:`repro.analysis.verifier`) — schema-propagating
    type checker over logical plans and Substrait IR, pushdown-legality
@@ -9,10 +9,7 @@
 3. **Determinism checker** (:mod:`repro.analysis.determinism`) — digest
    replays and adversarial tie-break runs over the simulator kernel
    (``python -m repro.analysis.determinism``).
-4. **Backend parity harness** (:mod:`repro.analysis.parity`) — fused
-   vs tree-walk execution backends must be digest-identical
-   (``python -m repro.analysis.parity``).
-5. **Race sanitizer** (:mod:`repro.analysis.sanitizer`) — SimTSan, a
+4. **Race sanitizer** (:mod:`repro.analysis.sanitizer`) — SimTSan, a
    vector-clock happens-before detector for same-instant accesses to
    shared simulated state, gated by ``strict_sanitize``
    (``python -m repro.analysis.race``).
@@ -46,9 +43,6 @@ _LAZY = {
     "LintViolation": "repro.analysis.lint",
     "lint_file": "repro.analysis.lint",
     "lint_paths": "repro.analysis.lint",
-    "BackendParityReport": "repro.analysis.parity",
-    "check_backend_parity": "repro.analysis.parity",
-    "check_suite_parity": "repro.analysis.parity",
     "check_dag_determinism": "repro.analysis.determinism",
     "check_service_determinism": "repro.analysis.determinism",
     "run_service_recorded": "repro.analysis.determinism",
@@ -70,9 +64,6 @@ def __getattr__(name: str) -> object:
 
 
 __all__ = [
-    "BackendParityReport",
-    "check_backend_parity",
-    "check_suite_parity",
     "DeterminismReport",
     "DigestRecorder",
     "ReplayReport",

@@ -17,7 +17,6 @@ from repro.connectors.hive import HiveConnector
 from repro.core import OcsConnector, PushdownMonitor, PushdownPolicy
 from repro.engine import Cluster, Coordinator, QueryResult, SchedulerSpec, Session
 from repro.errors import ConfigError, EngineError
-from repro.exec.backend import EXEC_BACKENDS
 from repro.metastore.catalog import HiveMetastore, TableDescriptor
 from repro.objectstore.store import ObjectStore
 from repro.analysis.runtime import strict_sanitize_enabled
@@ -68,10 +67,6 @@ class RunConfig:
     #: process-wide default — on in tests, off in benchmarks (the off
     #: path is zero-cost: digests and simulated time are byte-identical).
     strict_sanitize: Optional[bool] = None
-    #: Compute-side execution backend: "tree" (tree-walk reference) or
-    #: "fused" (single-pass vectorized kernels — see docs/KERNELS.md).
-    #: Both are digest-identical; "tree" stays the default.
-    exec_backend: str = "tree"
     #: DAG-scheduler policy (speculation, stage restarts — see
     #: docs/SCHEDULER.md).  ``None`` keeps the defaults: speculation off,
     #: restart on exchange faults.
@@ -101,11 +96,6 @@ class RunConfig:
             raise ConfigError(
                 f"split_granularity must be 'node' or 'file', "
                 f"got {self.split_granularity!r}"
-            )
-        if self.exec_backend not in EXEC_BACKENDS:
-            raise ConfigError(
-                f"unknown exec backend {self.exec_backend!r}; "
-                f"expected one of {EXEC_BACKENDS}"
             )
 
     # Named configurations used throughout the benches -----------------------
@@ -193,8 +183,8 @@ class Environment:
         )
         connector = self.build_connector(cluster, config)
         coordinator = Coordinator(
-            cluster, {catalog: connector}, exec_backend=config.exec_backend,
-            scheduler=config.scheduler, rewrite=config.rewrite,
+            cluster, {catalog: connector}, scheduler=config.scheduler,
+            rewrite=config.rewrite,
         )
         session = Session(catalog=catalog, schema=schema)
         if not strict_sanitize_enabled(config.strict_sanitize):
@@ -227,8 +217,8 @@ class Environment:
         )
         connector = self.build_connector(cluster, config)
         coordinator = Coordinator(
-            cluster, {catalog: connector}, exec_backend=config.exec_backend,
-            scheduler=config.scheduler, rewrite=config.rewrite,
+            cluster, {catalog: connector}, scheduler=config.scheduler,
+            rewrite=config.rewrite,
         )
         session = Session(catalog=catalog, schema=schema)
         return coordinator.explain(sql, session, analyze=analyze)

@@ -179,8 +179,7 @@ SUITES: Dict[str, Suite] = {entry.name: entry for entry in (
         "default",
         gate=Gate(
             lower=(
-                "sim.*.sim_tree_s",
-                "sim.*.sim_fused_s",
+                "sim.*.sim_s",
                 "sim.*.bytes_moved",
                 "formats.files.*.stored_bytes",
             ),

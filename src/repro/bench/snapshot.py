@@ -2,7 +2,7 @@
 
 ``collect`` runs every gated suite of the registry at CI scale; the
 snapshot is ``{suite name: the doc its run returned}``.  The committed
-snapshot (``BENCH_15.json`` at the repo root) is the previous PR's
+snapshot (``BENCH_23.json`` at the repo root) is the previous PR's
 baseline; CI regenerates the snapshot and ``compare``s it against the
 committed file.  What is compared is what each suite *declares*
 (:class:`~repro.bench.registry.Gate`), failing on:
@@ -23,11 +23,11 @@ committed file.  What is compared is what each suite *declares*
   zero-reuse p99; rewrite-off/on and semi-join digest parity with
   dynamic filters moving strictly fewer bytes;
 * a declared floor: the fused wall-clock speedup below 1.5x — the only
-  machine-dependent gate, expressed as a same-machine tree/fused ratio
-  so CI host speed cancels out (the baseline's speedup is recorded but
-  not ratcheted: best-of-N jitter between reruns exceeds 10%).
+  machine-dependent gate, expressed as a same-machine unfused/fused
+  ratio so CI host speed cancels out (the baseline's speedup is recorded
+  but not ratcheted: best-of-N jitter between reruns exceeds 10%).
 
-Regenerate with ``python -m repro.bench snapshot --out BENCH_15.json``.
+Regenerate with ``python -m repro.bench snapshot --out BENCH_23.json``.
 The committed file also carries, under ``kernels.formats.parent``, the
 Parcel encode/decode wall seconds of the commit before the whole-chunk
 kernels landed, measured on the same machine as its own.
@@ -43,7 +43,7 @@ from repro.errors import ConfigError
 
 __all__ = ["SNAPSHOT_VERSION", "collect", "compare", "render", "run"]
 
-SNAPSHOT_VERSION = 15
+SNAPSHOT_VERSION = 23
 
 #: Relative worsening tolerated on lower-is-better simulated metrics.
 TOLERANCE = 0.10

@@ -262,7 +262,10 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
         cost of a standalone ProjectRel and the materialization of
         computed columns — matching the paper's observation that
         aggregation pushdown recovers the projection regression.
-        Fusion requires every group key to be a plain column.
+        Fusion requires every group key to be a plain column under its own
+        name: the residual plan (a final aggregation, or whatever reads
+        the groups) names the keys as the projection did, so a renaming
+        key (``SELECT DISTINCT s AS c0``) keeps its projection.
         """
         from repro.exec.expressions import ColumnExpr
 
@@ -270,12 +273,10 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
             return
         by_name = dict(pushed.projections)
         if not all(
-            isinstance(by_name.get(key), ColumnExpr) for key in aggregation.key_names
+            key in by_name and by_name[key] == ColumnExpr(key, by_name[key].dtype)
+            for key in aggregation.key_names
         ):
             return
-        aggregation.key_names = [
-            by_name[key].name for key in aggregation.key_names  # type: ignore[union-attr]
-        ]
         arg_expressions = []
         for spec in aggregation.specs:
             if spec.arg is None:

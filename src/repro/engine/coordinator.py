@@ -22,7 +22,7 @@ stage the moment its inputs complete, each under an (untagged)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.analysis.runtime import strict_verify_enabled
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
@@ -44,7 +44,6 @@ from repro.engine.stages import (
     StageBodies,
 )
 from repro.errors import AnalysisError, EngineError, NoSuchCatalogError, PlanError
-from repro.exec.backend import ExecBackend, get_backend
 from repro.plan.nodes import PlanNode, TableScanNode, format_plan
 from repro.plan.optimizer import GlobalOptimizer
 from repro.plan.planner import plan_query
@@ -127,7 +126,6 @@ class Coordinator:
         self,
         cluster: Cluster,
         catalogs: Dict[str, Connector],
-        exec_backend: Union[str, ExecBackend] = "tree",
         scheduler: Optional[SchedulerSpec] = None,
         rewrite: bool = True,
         rewrite_budget: int = 32,
@@ -136,11 +134,8 @@ class Coordinator:
         self.catalogs = dict(catalogs)
         #: Restart/speculation policy handed to every query's scheduler.
         self.scheduler_spec = scheduler if scheduler is not None else SchedulerSpec()
-        #: What each lowered stage does on ``cluster``; ``exec_backend``
-        #: compiles every compute-side operator pipeline before it runs.
-        self.bodies = StageBodies(
-            cluster, get_backend(exec_backend), self.scheduler_spec
-        )
+        #: What each lowered stage does on ``cluster``.
+        self.bodies = StageBodies(cluster, self.scheduler_spec)
         #: Exchange partition count: join tasks per join level.
         self.join_workers = max(1, int(cluster.costs.exchange_partition_count))
         #: Run the rule-driven logical rewriter between parse and
@@ -405,7 +400,11 @@ class Coordinator:
 
     @staticmethod
     def _scalar_literal(batch: RecordBatch) -> Expression:
-        """Literal AST node for an executed scalar subquery's result."""
+        """Literal AST node for an executed scalar subquery's result.
+
+        A NULL result (e.g. ``avg`` over no rows) is the NULL literal: the
+        enclosing comparison is then unknown, as SQL requires.
+        """
         if batch.num_rows != 1:
             raise PlanError(
                 f"scalar subquery returned {batch.num_rows} rows "
@@ -413,9 +412,7 @@ class Coordinator:
             )
         field_ = batch.schema.fields[0]
         value = batch.columns[0].to_pylist()[0]
-        if value is None:
-            raise PlanError("scalar subquery returned NULL")
-        if field_.dtype.name == "date32":
+        if value is not None and field_.dtype.name == "date32":
             import datetime
 
             iso = (

@@ -40,7 +40,7 @@ def presto_operator_cycles(op: Operator, costs: CostParams) -> float:
         # One pass over the page chain: per-row operator overhead is paid
         # once for the whole fused run, and expression cost is charged on
         # the cells *actually evaluated* (short-circuit selection + CSE
-        # mean far fewer cells than the tree-walk equivalent).
+        # mean far fewer cells than the unfused operators evaluate).
         return base + op.eval_cell_ops * costs.vector_op_cycles_per_value
     if isinstance(op, FilterOperator):
         return base + (

@@ -33,7 +33,7 @@ from repro.engine.scheduler import SchedulerSpec, run_splits
 from repro.engine.spi import Connector, ConnectorSplit, PageSourceResult
 from repro.exchange.filters import build_dynamic_filter
 from repro.exchange.partition import hash_partition
-from repro.exec.backend import ExecBackend
+from repro.exec.kernels import fuse_operators
 from repro.exec.operators import (
     HashAggregationOperator,
     HashJoinOperator,
@@ -66,13 +66,8 @@ STAGE_OTHERS = "others"
 class StageBodies:
     """Builds the generator bodies for one coordinator's stages."""
 
-    def __init__(
-        self, cluster: Cluster, backend: ExecBackend, scheduler_spec: SchedulerSpec
-    ) -> None:
+    def __init__(self, cluster: Cluster, scheduler_spec: SchedulerSpec) -> None:
         self.cluster = cluster
-        #: Compiles every compute-side operator pipeline before it runs
-        #: (tree-walk reference vs fused vectorized kernels).
-        self.backend = backend
         self.scheduler_spec = scheduler_spec
 
     def run_pipeline(
@@ -86,13 +81,14 @@ class StageBodies:
     ) -> Generator[Event, Any, List[RecordBatch]]:
         """Run a stage-level operator pipeline inside one execution window.
 
-        Real work first, then the cost charge for the rows the operators
+        Filter/Project runs execute as fused kernels (every compute-side
+        pipeline goes through :func:`fuse_operators`).  Real work first, then the cost charge for the rows the operators
         actually saw.  A zero-cycle charge is skipped unless
         ``always_charge`` (the merge stage always takes its turn on the
         compute cores, even over an empty input).
         """
         cluster = self.cluster
-        ops = self.backend.compile(operators)
+        ops = fuse_operators(operators)
         with cluster.tracer.span(
             name, parent=ctx.span, stage=STAGE_EXECUTION, attributes=attributes
         ):
@@ -269,7 +265,7 @@ class StageBodies:
         # one driver, so the charge is a plain ``execute`` — not spread
         # over the cores like the stage-level pipelines.
         with tracer.span("split-operators", parent=split_span, stage=STAGE_EXECUTION):
-            split_ops = self.backend.compile(branch.physical.split_operators())
+            split_ops = fuse_operators(branch.physical.split_operators())
             out = run_operators(source.batches, split_ops)
             cycles = presto_pipeline_cycles(split_ops, cluster.costs)
             if cycles:
@@ -467,7 +463,7 @@ class StageBodies:
                 op.add_build(build_batch)
             op.finish_build()
             task_ops: List[Operator] = [op]
-            task_ops.extend(self.backend.compile(above_operators()))
+            task_ops.extend(fuse_operators(above_operators()))
             out = run_operators(list(probe_batches), task_ops)
             cycles = presto_pipeline_cycles(task_ops, costs)
             if cycles:
@@ -514,8 +510,8 @@ class StageBodies:
 def _aggregation_cut(ops: List[Operator]) -> int:
     """Index just past the last aggregation operator in a final
     pipeline — the aggregate/merge stage boundary.  Operator fusion
-    never crosses an aggregation, so cutting before compiling yields
-    the same two pipelines on every backend."""
+    never crosses an aggregation, so cutting before fusing changes
+    neither pipeline."""
     cut = 0
     for i, op in enumerate(ops):
         if isinstance(op, HashAggregationOperator):

@@ -25,13 +25,6 @@ from repro.exec.expressions import (
     OrExpr,
 )
 from repro.exec.aggregates import AggregateSpec, grouped_aggregate, global_aggregate
-from repro.exec.backend import (
-    EXEC_BACKENDS,
-    ExecBackend,
-    FusedBackend,
-    TreeWalkBackend,
-    get_backend,
-)
 from repro.exec.kernels import FusedFilterProjectOperator, FusionStats, fuse_operators
 from repro.exec.operators import (
     FilterOperator,
@@ -51,11 +44,8 @@ __all__ = [
     "CastExpr",
     "ColumnExpr",
     "CompareExpr",
-    "EXEC_BACKENDS",
-    "ExecBackend",
     "Expr",
     "FilterOperator",
-    "FusedBackend",
     "FusedFilterProjectOperator",
     "FusionStats",
     "HashAggregationOperator",
@@ -70,9 +60,7 @@ __all__ = [
     "ProjectOperator",
     "SortOperator",
     "TopNOperator",
-    "TreeWalkBackend",
     "fuse_operators",
-    "get_backend",
     "global_aggregate",
     "grouped_aggregate",
     "run_operators",

@@ -127,9 +127,12 @@ class LiteralExpr(Expr):
     def evaluate(self, batch: RecordBatch) -> ColumnArray:
         n = batch.num_rows
         if self.value is None:
-            return ColumnArray(
-                self.dtype, self.dtype.empty_array(n), np.zeros(n, dtype=bool)
+            # Strings fill with "" so comparisons never meet a None.
+            values = (
+                np.full(n, "", dtype=object) if self.dtype is STRING
+                else self.dtype.empty_array(n)
             )
+            return ColumnArray(self.dtype, values, np.zeros(n, dtype=bool))
         if self.dtype is STRING:
             values = np.full(n, str(self.value), dtype=object)
         else:
@@ -330,7 +333,12 @@ class NotExpr(Expr):
 
 @dataclass(frozen=True)
 class InExpr(Expr):
-    """Membership against a literal list (vectorized np.isin)."""
+    """Membership against a literal list (vectorized np.isin).
+
+    SQL 3VL: a match is TRUE; otherwise the result is NULL when the
+    operand is NULL or the list holds a NULL (``x = NULL`` is unknown),
+    else FALSE.  So ``x NOT IN (1, NULL)`` is never TRUE.
+    """
 
     operand: Expr
     values: Tuple[object, ...]
@@ -342,13 +350,17 @@ class InExpr(Expr):
 
     def evaluate(self, batch: RecordBatch) -> ColumnArray:
         col = self.operand.evaluate(batch)
+        present = [v for v in self.values if v is not None]
         if col.dtype is STRING:
-            member = np.isin(col.values.astype(str), [str(v) for v in self.values])
+            member = np.isin(col.values.astype(str), [str(v) for v in present])
         else:
-            member = np.isin(col.values, np.asarray(self.values))
+            member = np.isin(col.values, np.asarray(present))
+        validity = col.validity
+        if len(present) < len(self.values):
+            validity = member if validity is None else (validity & member)
         if self.negated:
             member = ~member
-        return ColumnArray(BOOL, member, col.validity)
+        return ColumnArray(BOOL, member, validity)
 
     def __repr__(self) -> str:
         neg = "NOT " if self.negated else ""

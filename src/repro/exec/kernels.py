@@ -1,12 +1,15 @@
 """Fused vectorized kernels: Filter/Project chains compiled to one pass.
 
-The tree-walk reference path runs each :class:`FilterOperator` /
-:class:`ProjectOperator` separately: every filter evaluates its whole
-predicate over every input row and then copies *every* column of the
-page through ``batch.filter``, and every project re-evaluates shared
-subexpressions from scratch.  The fused path compiles a maximal run of
-filter/project operators into a single :class:`FusedFilterProjectOperator`
-that makes one pass per page with three optimizations:
+This is the one compute-side path: every operator pipeline the engine
+runs goes through :func:`fuse_operators` first.  The unfused
+:class:`FilterOperator` / :class:`ProjectOperator` remain what the OCS
+embedded engine runs (and what a chain falls back to): every filter
+evaluates its whole predicate over every input row and then copies
+*every* column of the page through ``batch.filter``, and every project
+re-evaluates shared subexpressions from scratch.  The compiler turns a
+maximal run of filter/project operators into a single
+:class:`FusedFilterProjectOperator` that makes one pass per page with
+three optimizations:
 
 * **Short-circuit selection** — the conjuncts of each predicate (and the
   predicates of successive filters, including join Bloom probes, which
@@ -27,7 +30,7 @@ that makes one pass per page with three optimizations:
   thereafter, so e.g. a quantity computed in the WHERE clause and
   re-projected in SELECT is computed a single time.
 
-Numeric results are bit-identical to the tree-walk path by construction:
+Numeric results are bit-identical to the unfused operators by construction:
 the fused operator evaluates the *same* :mod:`repro.exec.expressions`
 nodes (the single source of truth for the numeric-semantics contract —
 see ``docs/KERNELS.md``) on row subsets, and every node is row-wise.
@@ -177,7 +180,7 @@ def _inline_single_use(
 
 @dataclass
 class FusionStats:
-    """Cumulative compiler statistics (one instance per FusedBackend)."""
+    """Cumulative compiler statistics (pass one to :func:`fuse_operators`)."""
 
     chains_fused: int = 0
     operators_fused: int = 0
@@ -331,6 +334,11 @@ class _PageRun:
         definition = self.op.cse_meta.get(name)
         if definition is not None:
             col = self.evaluate(definition)
+            # A fresh $cse result feeds the reference that asked for it in
+            # place, as the subtree does in the unfused operators: that
+            # reference is not also charged as a leaf read, so a page whose
+            # later references never run costs no more than unfused.
+            self.op.eval_cell_ops -= self.num_rows
         else:
             col = self.batch.column(name)
             if self.sel is not None:

@@ -92,8 +92,7 @@ class QueryService:
         )
         self.sim = self.cluster.sim
         self.coordinator = Coordinator(
-            self.cluster, {}, exec_backend=self.base_config.exec_backend,
-            scheduler=self.base_config.scheduler,
+            self.cluster, {}, scheduler=self.base_config.scheduler
         )
         self.admission = AdmissionController(self.spec)
         if self.cache is not None:

@@ -619,6 +619,12 @@ class Analyzer:
             values = []
             for item in node.items:
                 resolved = self._resolve(item, scope)
+                if isinstance(resolved, NegExpr) and isinstance(
+                    resolved.operand, LiteralExpr
+                ):
+                    # ``-7`` parses as negation applied to the literal 7.
+                    value = resolved.operand.value
+                    resolved = LiteralExpr(None if value is None else -value, resolved.dtype)
                 if not isinstance(resolved, LiteralExpr):
                     raise AnalysisError("IN list items must be literals")
                 values.append(resolved.value)

@@ -10,7 +10,7 @@ from repro.bench.kernels import MIN_WALL_SPEEDUP
 from repro.bench.snapshot import compare
 
 COMMITTED = json.loads(
-    (pathlib.Path(__file__).parent.parent / "BENCH_15.json").read_text()
+    (pathlib.Path(__file__).parent.parent / "BENCH_23.json").read_text()
 )
 
 
@@ -25,8 +25,7 @@ def _doc(**overrides):
             "sim": {
                 "ocs": {
                     "rows": 100,
-                    "sim_tree_s": 0.2,
-                    "sim_fused_s": 0.19,
+                    "sim_s": 0.19,
                     "bytes_moved": 1000,
                     "digest": "abc",
                 }
@@ -153,8 +152,10 @@ class TestDeclaredGates:
         assert any("join.identical" in v for v in compare(COMMITTED, current))
 
     def test_invariant_published_only_by_the_fresh_doc_binds(self):
-        # ``dag.p99_improves`` is newer than BENCH_15: no baseline value,
+        # A baseline older than ``dag.p99_improves`` has no value for it,
         # but a fresh doc that publishes it false must still fail.
+        baseline = copy.deepcopy(COMMITTED)
+        del baseline["dag"]["p99_improves"]
         current = copy.deepcopy(COMMITTED)
         current["dag"]["p99_improves"] = False
-        assert any("dag.p99_improves" in v for v in compare(COMMITTED, current))
+        assert any("dag.p99_improves" in v for v in compare(baseline, current))

@@ -3,27 +3,19 @@
 Covers the scheduler API's contracts end to end: the verifier rejects
 malformed graphs (cycles, schema-mismatched edges, orphan stages)
 before anything runs; a two-join TPC-H Q3 runs through the stage DAG
-and matches a numpy oracle; speculative split re-execution beats a
+(SQLite referees its rows); speculative split re-execution beats a
 degraded node without ever changing result digests; and a stage hit by
 exchange faults restarts and still matches the fault-free oracle.
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 
-from conftest import (
-    CUSTOMER_ROWS,
-    LINEITEM_FILES,
-    LINEITEM_ROWS,
-    ORDERS_FILES,
-    ORDERS_ROWS,
-)
+from conftest import LINEITEM_ROWS
 from repro.analysis.determinism import canonical_result_digest, check_determinism
 from repro.analysis.verifier import verify_stage_graph
 from repro.arrowsim.dtypes import FLOAT64, INT64
-from repro.arrowsim.record_batch import concat_batches
 from repro.arrowsim.schema import Field, Schema
 from repro.bench.env import Environment, RunConfig
 from repro.config import DEFAULT_TESTBED, FaultSpec
@@ -41,7 +33,6 @@ from repro.workloads import (
     TPCH_Q3_FULL,
     TPCH_Q12,
     DatasetSpec,
-    generate_customer,
     generate_lineitem,
     generate_orders,
 )
@@ -282,70 +273,15 @@ class TestDagSchedulerUnit:
 
 
 # --------------------------------------------------------------------------
-# Two-join TPC-H Q3 through the stage DAG (vs numpy oracle)
+# Two-join TPC-H Q3 through the stage DAG (its rows are refereed by SQLite
+# in every mode: tests/test_sqlite_referee.py)
 # --------------------------------------------------------------------------
-
-
-def _q3_full_oracle():
-    lineitem = concat_batches(
-        [
-            generate_lineitem(LINEITEM_ROWS, seed=17, start_row=i * LINEITEM_ROWS)
-            for i in range(LINEITEM_FILES)
-        ]
-    ).to_pydict()
-    orders = concat_batches(
-        [
-            generate_orders(ORDERS_ROWS, seed=19, start_key=i * ORDERS_ROWS)
-            for i in range(ORDERS_FILES)
-        ]
-    ).to_pydict()
-    customer = generate_customer(CUSTOMER_ROWS, seed=23).to_pydict()
-    cutoff = (np.datetime64("1995-03-15") - np.datetime64("1970-01-01")).astype(int)
-
-    building = {
-        int(k)
-        for k, seg in zip(customer["custkey"], customer["mktsegment"])
-        if seg == "BUILDING"
-    }
-    order_info = {}
-    for key, cust, date, prio in zip(
-        orders["orderkey"],
-        orders["custkey"],
-        orders["orderdate"],
-        orders["shippriority"],
-    ):
-        if date < cutoff and int(cust) in building:
-            order_info[int(key)] = (int(date), int(prio))
-
-    revenue = np.asarray(lineitem["extendedprice"]) * (
-        1.0 - np.asarray(lineitem["discount"])
-    )
-    groups = {}
-    for key, ship, rev in zip(
-        lineitem["orderkey"], lineitem["shipdate"], revenue.tolist()
-    ):
-        if ship > cutoff and int(key) in order_info:
-            groups[int(key)] = groups.get(int(key), 0.0) + rev
-    ranked = sorted(
-        groups.items(), key=lambda kv: (-kv[1], order_info[kv[0]][0], kv[0])
-    )
-    return ranked[:10], order_info
 
 
 class TestTwoJoinEndToEnd:
     @pytest.fixture(scope="class")
     def q3_full(self, small_env):
         return small_env.run(TPCH_Q3_FULL, STATIC, schema="tpch")
-
-    def test_matches_numpy_oracle(self, q3_full):
-        expected, order_info = _q3_full_oracle()
-        got = q3_full.to_pydict()
-        assert got["orderkey"] == [k for k, _ in expected]
-        np.testing.assert_allclose(
-            got["revenue"], [r for _, r in expected], rtol=1e-9
-        )
-        assert got["orderdate"] == [order_info[k][0] for k, _ in expected]
-        assert got["shippriority"] == [order_info[k][1] for k, _ in expected]
 
     def test_result_carries_the_stage_graph(self, q3_full):
         graph = q3_full.stage_graph

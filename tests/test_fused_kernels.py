@@ -20,8 +20,10 @@ from repro.exec import (
     ProjectOperator,
     fuse_operators,
 )
+from repro.engine.costing import presto_pipeline_cycles
 from repro.exec.expressions import ScalarFuncExpr
 from repro.exec.operators import run_operators
+from repro.sim.costmodel import DEFAULT_COSTS
 
 X = ColumnExpr("x", INT64)
 Y = ColumnExpr("y", FLOAT64)
@@ -46,11 +48,19 @@ def _lit(v, dtype=INT64):
 
 
 def run_both(operators, pages):
-    """(tree output, fused output, stats) for the same operator chain."""
+    """(unfused output, fused output, stats) for the same operator chain.
+
+    Also checks the cost guarantee that makes fusion the only compute
+    path: the fused pipeline is never charged more cycles than the
+    unfused operators for the same pages.
+    """
     tree = concat_batches(run_operators(pages, operators))
     stats = FusionStats()
     fused_ops = fuse_operators(operators, stats)
     fused = concat_batches(run_operators(pages, fused_ops))
+    assert presto_pipeline_cycles(fused_ops, DEFAULT_COSTS) <= presto_pipeline_cycles(
+        operators, DEFAULT_COSTS
+    )
     return tree, fused, stats
 
 

@@ -9,7 +9,10 @@ Each test here failed before its fix:
 * ``round`` used ``np.round`` (half-to-even) instead of Presto's
   half-away-from-zero;
 * multi-key group-by / join code packing silently wrapped int64 once
-  the mixed-radix product exceeded 2**63, merging distinct groups.
+  the mixed-radix product exceeded 2**63, merging distinct groups;
+* ``IN`` / ``NOT IN`` ignored a NULL list element (``x NOT IN (1, NULL)``
+  was TRUE for every non-NULL ``x`` other than 1, where SQL says it is
+  never TRUE), and on strings it matched the literal text ``'None'``.
 
 The pushed-vs-local suite at the bottom pins the same semantics through
 the Substrait path: the OCS embedded engine must agree with compute-side
@@ -19,7 +22,7 @@ evaluation on every edge case.
 import numpy as np
 import pytest
 
-from repro.arrowsim import FLOAT64, INT64, Field, RecordBatch, Schema
+from repro.arrowsim import FLOAT64, INT64, STRING, Field, RecordBatch, Schema
 from repro.bench import Environment, RunConfig
 from repro.exec.operators import HashJoinOperator, run_operators
 from repro.exec.aggregates import _group_rows
@@ -202,21 +205,12 @@ def _edge_env():
 
 
 class TestPushedVsLocalSemantics:
-    @pytest.mark.parametrize("backend", ["tree", "fused"])
-    def test_ocs_agrees_with_hive_raw_on_edge_cases(self, backend):
+    def test_ocs_agrees_with_hive_raw_on_edge_cases(self):
         from repro.analysis.determinism import canonical_result_digest
 
         env = _edge_env()
-        raw = env.run(
-            EDGE_QUERY,
-            RunConfig(label="raw", mode="hive-raw", exec_backend=backend),
-            schema="lab",
-        )
-        ocs = env.run(
-            EDGE_QUERY,
-            RunConfig(label="ocs", mode="ocs", exec_backend=backend),
-            schema="lab",
-        )
+        raw = env.run(EDGE_QUERY, RunConfig(label="raw", mode="hive-raw"), schema="lab")
+        ocs = env.run(EDGE_QUERY, RunConfig(label="ocs", mode="ocs"), schema="lab")
         assert canonical_result_digest(raw.batch) == canonical_result_digest(ocs.batch)
         data = raw.batch.to_pydict()
         by_n = {n: (q, m, r, bq) for n, q, m, r, bq in zip(
@@ -226,3 +220,86 @@ class TestPushedVsLocalSemantics:
         assert by_n[-8][:3] == (-1, -1, -8.0)   # -8/7 trunc, mod sign, round(-7.5)
         assert by_n[8][:3] == (1, 1, 9.0)       # round(8.5) away from zero
         assert by_n[0][3] == (2**62 + 1) // 3   # exact big-int division
+
+
+# --------------------------------------------------------------------------
+# IN lists holding NULL: SQL three-valued logic in every evaluation site
+# --------------------------------------------------------------------------
+
+_NULLS_SCHEMA = Schema([Field("k", INT64), Field("s", STRING)])
+
+
+def _nulls_rows(i):
+    """300 rows per file: ``k`` cycles 0..4 with NULLs, ``s`` holds 'a',
+    'b', the literal text 'None' and NULLs."""
+    n = np.arange(300) + 300 * i
+    return {
+        "k": [None if v % 7 == 0 else int(v % 5) for v in n],
+        "s": [[None, "a", "b", "None"][v % 4] if v % 11 else None for v in n],
+    }
+
+
+@pytest.fixture(scope="module")
+def nulls_env():
+    env = Environment()
+    env.add_dataset(
+        DatasetSpec(
+            schema_name="lab",
+            table_name="nulls",
+            bucket="nulls",
+            file_count=2,
+            generator=lambda i: RecordBatch.from_pydict(_NULLS_SCHEMA, _nulls_rows(i)),
+            row_group_rows=128,
+        )
+    )
+    return env
+
+
+def _in_3vl(value, options):
+    """Reference: SQL ``value IN (options)`` as True/False/None."""
+    if value is None:
+        return None
+    if value in [o for o in options if o is not None]:
+        return True
+    return None if None in options else False
+
+
+IN_LIST_MODES = [
+    RunConfig(label="hive-raw", mode="hive-raw"),
+    RunConfig(label="hive-select", mode="hive-select"),
+    RunConfig.filter_only(),
+    RunConfig(label="all-operator", mode="ocs"),
+]
+
+
+class TestInListNulls:
+    @pytest.mark.parametrize("config", IN_LIST_MODES, ids=lambda c: c.label)
+    @pytest.mark.parametrize(
+        "column,options",
+        [("s", ("a", None)), ("k", (1, 2, None)), ("s", ("a", "b")), ("k", (3,))],
+        ids=["str-null", "int-null", "str", "int"],
+    )
+    def test_in_and_not_in_follow_three_valued_logic(
+        self, nulls_env, config, column, options
+    ):
+        rows = [v for i in range(2) for v in _nulls_rows(i)[column]]
+        verdicts = [_in_3vl(v, options) for v in rows]
+        listed = ", ".join("NULL" if o is None else repr(o) for o in options)
+        for negated, expected in (
+            ("", verdicts.count(True)),
+            ("NOT ", verdicts.count(False)),
+        ):
+            sql = f"SELECT count(*) AS n FROM nulls WHERE {column} {negated}IN ({listed})"
+            result = nulls_env.run(sql, config, schema="lab")
+            assert result.to_pydict()["n"] == [expected], sql
+        sql = f"SELECT count(*) AS n FROM nulls WHERE ({column} IN ({listed})) IS NULL"
+        result = nulls_env.run(sql, config, schema="lab")
+        assert result.to_pydict()["n"] == [verdicts.count(None)], sql
+
+    def test_substrait_in_list_carries_null_options(self):
+        from repro.substrait.expressions import SFieldRef, SInList
+        from repro.substrait.serde import decode_expression, encode_expression
+
+        for dtype, options in ((STRING, ("a", None)), (INT64, (1, None, 2))):
+            expr = SInList(SFieldRef(0, dtype), options, dtype, negated=True)
+            assert decode_expression(encode_expression(expr)) == expr

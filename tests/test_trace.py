@@ -361,8 +361,18 @@ class TestTable3Trace:
 
 
 def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
+    # The same walk keeps the one compute path single: no exec-backend
+    # switch, no backend classes, no tree-vs-fused parity harness.
     root = pathlib.Path(repro.__file__).parent
-    banned = {"NOOP_TRACER", "NOOP_SPAN", "StageTimer", "StageAccountant"}
+    banned = {
+        "NOOP_TRACER", "NOOP_SPAN", "StageTimer", "StageAccountant",
+        "exec_backend", "ExecBackend", "TreeWalkBackend", "FusedBackend",
+        "get_backend", "EXEC_BACKENDS",
+    }
+    switches = {"tracing", "exec_backend"}
+    gone = ("repro.analysis.parity", "repro.exec.backend")
+    assert not (root / "analysis" / "parity.py").exists()
+    assert not (root / "exec" / "backend.py").exists()
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -371,11 +381,17 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
             for field in ("id", "attr", "name"):
                 assert getattr(node, field, None) not in banned, where
             if isinstance(node, ast.keyword):
-                assert node.arg != "tracing", f"{where}: tracing= keyword"
+                assert node.arg not in switches, f"{where}: {node.arg}= keyword"
             if isinstance(node, ast.arg):
-                assert node.arg != "tracing", f"{where}: tracing parameter"
+                assert node.arg not in switches, f"{where}: {node.arg} parameter"
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                assert node.target.id != "tracing", f"{where}: tracing field"
+                assert node.target.id not in switches, f"{where}: {node.target.id} field"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or ""]
+                modules += [f"{modules[0]}.{alias.name}" for alias in node.names]
+                assert not any(m.endswith(gone) for m in modules), where
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not any(name in node.value for name in gone), where
             if isinstance(node, ast.Attribute) and node.attr == "enabled":
                 owner = ast.unparse(node.value)
                 assert not owner.endswith("tracer"), f"{where}: {owner}.enabled"
