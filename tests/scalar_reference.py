@@ -15,6 +15,11 @@ also made (each has its own failing-before regression test):
   trailing NULs (same order: both sort by code point);
 * a float chunk holding both ``0.0`` and ``-0.0`` is not DICT-eligible,
   like one holding NaN.
+
+The last section is the per-byte LZ77 matcher/expander and the per-symbol
+Huffman decoder ``repro.compress`` shipped before its whole-block numpy
+kernels, kept verbatim as the referee for those: the production encoder
+must emit the same token stream, the decoders the same bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +31,9 @@ import numpy as np
 
 from repro.arrowsim.array import ColumnArray
 from repro.arrowsim.dtypes import STRING, DataType
+from repro.compress import huffman
 from repro.compress.codec import decode_varint, encode_varint
+from repro.errors import CodecError
 from repro.formats.statistics import ColumnStats
 
 PLAIN, DICT, RLE = 0, 1, 2
@@ -244,3 +251,202 @@ def decode_ipc_column(
         pos += 8  # data_len: the offsets carry the same number
     values, pos = decode_values_plain(dtype, buf, pos, num_rows)
     return ColumnArray(dtype, values, validity), pos
+
+
+# -- LZ77 and Huffman codec kernels ---------------------------------------------------
+
+_HASH_BITS = 15
+_HASH_MULT = np.uint32(0x9E3779B1)
+
+
+def _position_hashes(data: bytes) -> list[int]:
+    """4-byte Fibonacci hash at every position 0..n-4, vectorized."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    n = len(arr)
+    w = (
+        arr[: n - 3].astype(np.uint32)
+        | arr[1 : n - 2].astype(np.uint32) << np.uint32(8)
+        | arr[2 : n - 1].astype(np.uint32) << np.uint32(16)
+        | arr[3:].astype(np.uint32) << np.uint32(24)
+    )
+    h = (w * _HASH_MULT) >> np.uint32(32 - _HASH_BITS)
+    return h.tolist()
+
+
+def _match_length(data: bytes, a: int, b: int, max_len: int) -> int:
+    """Length of the common prefix of data[a:] and data[b:], capped."""
+    length = 0
+    chunk = 64
+    while (
+        length + chunk <= max_len
+        and data[a + length : a + length + chunk] == data[b + length : b + length + chunk]
+    ):
+        length += chunk
+    while length < max_len and data[a + length] == data[b + length]:
+        length += 1
+    return length
+
+
+def _emit_literal(out: bytearray, data: bytes, start: int, end: int) -> None:
+    out += encode_varint((end - start) << 1)
+    out += data[start:end]
+
+
+def _emit_match(out: bytearray, length: int, offset: int) -> None:
+    out += encode_varint((length << 1) | 1)
+    out += encode_varint(offset)
+
+
+def compress_tokens(
+    data: bytes,
+    *,
+    window: int,
+    min_match: int = 4,
+    max_match: int = 65535,
+    max_chain: int = 1,
+    skip_accel: bool = True,
+) -> bytes:
+    """Tokenize ``data``; ``max_chain`` > 1 searches harder for longer matches."""
+    n = len(data)
+    out = bytearray()
+    if n < 16:
+        if n:
+            _emit_literal(out, data, 0, n)
+        return bytes(out)
+
+    hashes = _position_hashes(data)
+    head = [-1] * (1 << _HASH_BITS)
+    prev = [0] * n if max_chain > 1 else None
+
+    i = 0
+    lit_start = 0
+    misses = 0
+    limit = n - 4
+    while i <= limit:
+        h = hashes[i]
+        candidate = head[h]
+        best_len = 0
+        best_off = 0
+        chain = max_chain
+        while candidate >= 0 and chain > 0 and i - candidate <= window:
+            length = _match_length(data, candidate, i, min(max_match, n - i))
+            if length > best_len:
+                best_len = length
+                best_off = i - candidate
+                if length >= 512:  # long enough; stop searching
+                    break
+            if prev is None:
+                break
+            candidate = prev[candidate]
+            chain -= 1
+
+        if prev is not None:
+            prev[i] = head[h]
+        head[h] = i
+
+        if best_len >= min_match:
+            if lit_start < i:
+                _emit_literal(out, data, lit_start, i)
+            _emit_match(out, best_len, best_off)
+            end = i + best_len
+            # Seed the table sparsely inside the match so later data can
+            # still find these positions without paying per-byte cost.
+            stride = 1 if best_len <= 16 else best_len // 16
+            j = i + 1
+            stop = min(end, limit + 1)
+            while j < stop:
+                hj = hashes[j]
+                if prev is not None:
+                    prev[j] = head[hj]
+                head[hj] = j
+                j += stride
+            i = end
+            lit_start = i
+            misses = 0
+        else:
+            misses += 1
+            i += 1 + (misses >> 6 if skip_accel else 0)
+
+    if lit_start < n:
+        _emit_literal(out, data, lit_start, n)
+    return bytes(out)
+
+
+def decompress_tokens(body: bytes, orig_size: int) -> bytes:
+    """Expand a token stream back to the original bytes."""
+    out = bytearray()
+    pos = 0
+    n = len(body)
+    while pos < n:
+        tag, pos = decode_varint(body, pos)
+        length = tag >> 1
+        # Checked before anything is built: a forged length must not allocate.
+        if length > orig_size - len(out):
+            raise CodecError("token stream expands past declared size")
+        if tag & 1:
+            offset, pos = decode_varint(body, pos)
+            if offset <= 0 or offset > len(out):
+                raise CodecError(f"match offset {offset} out of range at {len(out)}")
+            start = len(out) - offset
+            if offset >= length:
+                out += out[start : start + length]
+            else:
+                pattern = bytes(out[start:])
+                repeats, remainder = divmod(length, offset)
+                out += pattern * repeats + pattern[:remainder]
+        else:
+            if pos + length > n:
+                raise CodecError("truncated literal run")
+            out += body[pos : pos + length]
+            pos += length
+    return bytes(out)
+
+
+def huffman_decode(body: bytes, nsymbols: int) -> bytes:
+    """Inverse of :func:`encode` given the original symbol count."""
+    lengths = huffman._unpack_lengths(body[: huffman._NUM_SYMBOLS // 2])
+    payload = body[huffman._NUM_SYMBOLS // 2 :]
+    if nsymbols == 0:
+        return b""
+    # Every symbol costs at least one bit: refuse a forged count before allocating.
+    if nsymbols > 8 * len(payload):
+        raise CodecError(f"Huffman stream declares {nsymbols} symbols in {len(payload)} bytes")
+    present = [(length, sym) for sym, length in enumerate(lengths) if length > 0]
+    if not present:
+        raise CodecError("Huffman stream declares symbols but header is empty")
+    codes = huffman.canonical_codes(lengths)
+    max_len = max(length for length, _ in present)
+    if sum(1 << (max_len - length) for length, _ in present) > 1 << max_len:
+        raise CodecError("Huffman code lengths are over-subscribed")
+
+    # Full prefix table: every max_len-bit word maps to (symbol, code length).
+    table_sym = [0] * (1 << max_len)
+    table_len = [0] * (1 << max_len)
+    for length, sym in present:
+        base = codes[sym] << (max_len - length)
+        for idx in range(base, base + (1 << (max_len - length))):
+            table_sym[idx] = sym
+            table_len[idx] = length
+
+    out = bytearray(nsymbols)
+    acc = 0
+    nbits = 0
+    ptr = 0
+    nbody = len(payload)
+    mask = (1 << max_len) - 1
+    for i in range(nsymbols):
+        while nbits < max_len and ptr < nbody:
+            acc = (acc << 8) | payload[ptr]
+            ptr += 1
+            nbits += 8
+        if nbits >= max_len:
+            idx = (acc >> (nbits - max_len)) & mask
+        else:
+            idx = (acc << (max_len - nbits)) & mask
+        length = table_len[idx]
+        if length == 0 or length > nbits:
+            raise CodecError("corrupt Huffman payload")
+        out[i] = table_sym[idx]
+        nbits -= length
+        acc &= (1 << nbits) - 1
+    return bytes(out)
