@@ -104,7 +104,7 @@ class TestQueryKernels:
         from repro.metastore.catalog import TableDescriptor
         from repro.plan import GlobalOptimizer, plan_query
         from repro.plan.nodes import TableScanNode
-        from repro.sim.metrics import MetricsRegistry
+        from repro.trace import Tracer
 
         descriptor = TableDescriptor(
             schema_name="hpc", table_name="laghos", table_schema=laghos_schema(),
@@ -119,7 +119,8 @@ class TestQueryKernels:
         assert isinstance(node, TableScanNode)
         node.connector_handle = ConnectorTableHandle(descriptor)
         optimizer = OcsPlanOptimizer(PushdownPolicy.all_operators(), 1)
-        rewritten = optimizer.optimize(plan, MetricsRegistry())
+        span = Tracer(clock=lambda: 0.0).start("optimize.local")
+        rewritten = optimizer.optimize(plan, span)
         scan = rewritten
         while scan.children():
             scan = scan.children()[0]

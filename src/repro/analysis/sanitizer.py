@@ -26,7 +26,7 @@ Model
   :meth:`observe` / :meth:`observe_completion` edges.  A kernel
   :class:`~repro.sim.kernel.Barrier` is a global synchronization point:
   it merges every clock dispatched so far.
-* Instrumented shared surfaces (metrics registries, the pushdown
+* Instrumented shared surfaces (span counters, the pushdown
   monitor, exchange buffers, admission ledgers, DAG commit state) call
   :meth:`record_read` / :meth:`record_write` / :meth:`record_update`.
   ``update`` marks commutative read-modify-write mutations (counter
@@ -61,7 +61,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import SanitizerError
 from repro.sim import santrack
-from repro.sim.kernel import Barrier, Event, Process, Simulator
+from repro.sim.kernel import AllOf, Barrier, Event, Process, Simulator
 
 __all__ = [
     "AccessInfo",
@@ -108,7 +108,7 @@ def _line_suppresses(filename: str, lineno: int, label: str) -> bool:
 class AccessInfo:
     """One recorded access, as it appears in a :class:`RaceReport`."""
 
-    #: Stable site label the instrumented surface passed ("metrics.add").
+    #: Stable site label the instrumented surface passed ("span.add").
     site: str
     #: read / write / update.
     kind: str
@@ -303,7 +303,11 @@ class SimTSan:
         self._step_resumed.clear()
 
     def on_resume(self, process: Process, event: Event) -> None:
-        """A process is resuming: merge the event's snapshot, tick, focus."""
+        """A process is resuming: merge the event's snapshot, tick, focus.
+
+        An ``AllOf`` snapshot is only its last child's, but it fires after
+        every child: each child process's clock is merged too.
+        """
         actor = self._actor_for(process)
         clock = self._clocks[actor]
         for k, v in self._event_base.items():
@@ -314,6 +318,10 @@ class SimTSan:
         self._ambient_clock = clock
         self._ambient_name = process.name
         self._step_resumed.append(actor)
+        if isinstance(event, AllOf) and event._exception is None:
+            for child in event.events:
+                if isinstance(child, Process):
+                    self.observe_completion(child)
 
     def on_step_end(self) -> None:
         """Step done: fold everything into the driver's omniscient clock."""

@@ -56,7 +56,6 @@ from repro.formats.reader import footer_length_from_tail, meta_from_tail
 from repro.compress.registry import get_codec
 from repro.metastore.catalog import HiveMetastore
 from repro.plan.nodes import FilterNode, PlanNode, TableScanNode
-from repro.sim.metrics import MetricsRegistry
 from repro.trace import Span
 
 __all__ = ["HiveConnector", "HiveTableHandle"]
@@ -78,10 +77,10 @@ class _HiveOptimizer(ConnectorPlanOptimizer):
     def __init__(self, connector: "HiveConnector") -> None:
         self.connector = connector
 
-    def optimize(self, plan: PlanNode, metrics: MetricsRegistry) -> PlanNode:
-        return self._rewrite(plan, metrics)
+    def optimize(self, plan: PlanNode, span: Span) -> PlanNode:
+        return self._rewrite(plan, span)
 
-    def _rewrite(self, node: PlanNode, metrics: MetricsRegistry) -> PlanNode:
+    def _rewrite(self, node: PlanNode, span: Span) -> PlanNode:
         connector = self.connector
         # Filter directly above a scan: absorb in select mode.
         if (
@@ -93,13 +92,13 @@ class _HiveOptimizer(ConnectorPlanOptimizer):
             scan = self._rewrite_scan(node.source)
             handle = scan.connector_handle
             scan.connector_handle = replace(handle, pushed_filter=node.predicate)
-            metrics.add("hive_filter_pushed", 1)
+            span.add("hive_filter_pushed", 1)
             return scan
         if isinstance(node, TableScanNode):
             return self._rewrite_scan(node)
         source = getattr(node, "source", None)
         if source is not None:
-            return node.with_source(self._rewrite(source, metrics))
+            return node.with_source(self._rewrite(source, span))
         return node
 
     def _rewrite_scan(self, scan: TableScanNode) -> TableScanNode:
@@ -161,12 +160,11 @@ class HiveConnector(Connector):
         self,
         handle: HiveTableHandle,
         split: ConnectorSplit,
-        metrics: MetricsRegistry,
-        trace: Optional[Span] = None,
+        trace: Span,
     ) -> Generator:
         if self.mode == "select" and handle.pushed_filter is not None:
-            return self._select_source(handle, split, metrics, trace)
-        return self._raw_source(handle, split, metrics, trace)
+            return self._select_source(handle, split, trace)
+        return self._raw_source(handle, split, trace)
 
     # -- predicate compatibility ------------------------------------------------
 
@@ -183,7 +181,7 @@ class HiveConnector(Connector):
 
     # -- raw path ---------------------------------------------------------------
 
-    def _raw_source(self, handle, split, metrics, trace=None):
+    def _raw_source(self, handle, split, trace):
         cluster = self.cluster
         costs = cluster.costs
         tracer = cluster.tracer
@@ -255,7 +253,7 @@ class HiveConnector(Connector):
             + values * costs.presto_decode_cycles_per_value
             + costs.decompress_cycles(codec, uncompressed_total)
         )
-        metrics.add("raw_bytes_fetched", len(payload))
+        span.add("raw_bytes_fetched", len(payload))
         return PageSourceResult(
             batches=batches,
             bytes_received=len(payload) + len(tail) + len(tail8),
@@ -264,7 +262,7 @@ class HiveConnector(Connector):
 
     # -- select path --------------------------------------------------------------
 
-    def _select_source(self, handle, split, metrics, trace=None):
+    def _select_source(self, handle, split, trace):
         cluster = self.cluster
         costs = cluster.costs
         tracer = cluster.tracer
@@ -297,8 +295,8 @@ class HiveConnector(Connector):
 
             batch = csv_to_batch(reply.csv_payload, schema)
         ingest = len(reply.csv_payload) * costs.csv_parse_cycles_per_byte
-        metrics.add("s3select_rows_scanned", reply.rows_scanned)
-        metrics.add("s3select_rows_returned", reply.rows_returned)
+        span.add("s3select_rows_scanned", reply.rows_scanned)
+        span.add("s3select_rows_returned", reply.rows_returned)
         return PageSourceResult(
             batches=[batch],
             bytes_received=len(response),

@@ -26,7 +26,6 @@ from repro.metastore.catalog import HiveMetastore
 from repro.ocs.embedded_engine import EmbeddedEngine
 from repro.ocs.frontend import OcsFrontend, PushdownRequest, decode_response, encode_request
 from repro.rpc.retry import RetryPolicy, retrying_call
-from repro.sim.metrics import MetricsRegistry
 from repro.substrait.plan import SubstraitPlan
 from repro.substrait.serde import serialize_plan
 from repro.trace import Span
@@ -101,8 +100,7 @@ class OcsConnector(Connector):
         self,
         handle: OcsTableHandle,
         split: ConnectorSplit,
-        metrics: MetricsRegistry,
-        trace: Span | None = None,
+        trace: Span,
     ) -> Generator:
         cluster = self.cluster
         sim = cluster.sim
@@ -133,12 +131,12 @@ class OcsConnector(Connector):
         )
         yield cluster.compute.execute(generation_cycles, name="substrait-gen")
         substrait_span.set("plan_bytes", len(plan_bytes))
+        substrait_span.add("substrait_plan_bytes", len(plan_bytes))
         tracer.end(substrait_span)
         pushdown_span = tracer.start(
             "pushdown", parent=trace, stage=STAGE_TRANSFER,
             attributes={"node": split.node_index},
         )
-        metrics.add("substrait_plan_bytes", len(plan_bytes))
 
         # (4) Dispatch to OCS over gRPC and await Arrow results, retrying
         # transient failures under the connector's retry policy.
@@ -157,7 +155,7 @@ class OcsConnector(Connector):
         def _note_retry(attempt: int, exc: RpcStatusError, delay: float) -> None:
             nonlocal attempts
             attempts = attempt + 1
-            metrics.add("pushdown_retries", 1)
+            pushdown_span.add("pushdown_retries", 1)
 
         try:
             try:
@@ -187,11 +185,11 @@ class OcsConnector(Connector):
                 # Transient failure that outlived every retry: degrade this
                 # split to raw object GETs + local execution rather than
                 # failing the whole query (paper Section 4's resilience goal).
-                metrics.add("pushdown_fallback_splits", 1)
+                pushdown_span.add("pushdown_fallback_splits", 1)
                 pushdown_span.set("downgraded", True)
                 pushdown_span.set("attempts", getattr(exc, "attempts", attempts))
                 result = yield from self._fallback_source(
-                    handle, split, plan, metrics, parent=pushdown_span
+                    handle, split, plan, parent=pushdown_span
                 )
                 return result
         finally:
@@ -210,17 +208,17 @@ class OcsConnector(Connector):
         pushdown_span.set("rows_scanned", report.rows_scanned)
         pushdown_span.set("rows_returned", report.rows_returned)
         pushdown_span.set("bytes", len(response))
-        metrics.add("ocs_rows_scanned", report.rows_scanned)
-        metrics.add("ocs_rows_returned", report.rows_returned)
-        metrics.add("ocs_stored_bytes_read", report.stored_bytes_read)
-        metrics.add("ocs_row_groups_pruned", report.row_groups_pruned)
-        metrics.add("ocs_row_groups_read", report.row_groups_read)
+        pushdown_span.add("ocs_rows_scanned", report.rows_scanned)
+        pushdown_span.add("ocs_rows_returned", report.rows_returned)
+        pushdown_span.add("ocs_stored_bytes_read", report.stored_bytes_read)
+        pushdown_span.add("ocs_row_groups_pruned", report.row_groups_pruned)
+        pushdown_span.add("ocs_row_groups_read", report.row_groups_read)
         if report.dynamic_rows_pruned:
             pushdown_span.set("dynamic_rows_pruned", report.dynamic_rows_pruned)
-            metrics.add("ocs_dynamic_rows_pruned", report.dynamic_rows_pruned)
+            pushdown_span.add("ocs_dynamic_rows_pruned", report.dynamic_rows_pruned)
         if report.page_cache_hits:
             pushdown_span.set("page_cache_hits", report.page_cache_hits)
-            metrics.add("ocs_page_cache_hits", report.page_cache_hits)
+            pushdown_span.add("ocs_page_cache_hits", report.page_cache_hits)
         self.monitor.record(
             PushdownEvent(
                 table=handle.descriptor.qualified_name,
@@ -246,8 +244,7 @@ class OcsConnector(Connector):
         self,
         handle: OcsTableHandle,
         split: ConnectorSplit,
-        metrics: MetricsRegistry,
-        trace: Span | None = None,
+        trace: Span,
     ) -> Generator:
         """Backup attempt for a straggling split: the raw-GET path.
 
@@ -262,9 +259,9 @@ class OcsConnector(Connector):
         """
         plan = build_pushdown_plan(handle.descriptor, handle.pushed)
         result = yield from self._fallback_source(
-            handle, split, plan, metrics, parent=trace
+            handle, split, plan, parent=trace
         )
-        metrics.add("speculative_fallback_splits", 1)
+        trace.add("speculative_fallback_splits", 1)
         return result
 
     # -- graceful degradation ----------------------------------------------------
@@ -274,8 +271,7 @@ class OcsConnector(Connector):
         handle: OcsTableHandle,
         split: ConnectorSplit,
         plan: SubstraitPlan,
-        metrics: MetricsRegistry,
-        parent: Span | None = None,
+        parent: Span,
     ) -> Generator:
         """Degraded path for one split: raw object GETs + local execution.
 
@@ -313,15 +309,15 @@ class OcsConnector(Connector):
                     parent=span,
                 )
                 payload_bytes += len(blob)
-            metrics.add("fallback_bytes_fetched", payload_bytes)
+            span.add("fallback_bytes_fetched", payload_bytes)
 
             # Execute the pushed plan locally.  Decompression, decode, and
             # operator work the storage node would have absorbed now lands on
             # the compute node, plus per-byte ingest of the raw objects.
             engine = EmbeddedEngine(cluster.store, costs)
             batches, report = engine.execute(plan, bucket, list(split.keys))
-            metrics.add("fallback_rows_scanned", report.rows_scanned)
-            metrics.add("fallback_rows_returned", report.rows_returned)
+            span.add("fallback_rows_scanned", report.rows_scanned)
+            span.add("fallback_rows_returned", report.rows_returned)
             span.set("bytes", payload_bytes)
             span.set("rows_returned", report.rows_returned)
         finally:

@@ -35,7 +35,7 @@ from repro.plan.nodes import (
     PlanNode,
     TableScanNode,
 )
-from repro.sim.metrics import MetricsRegistry
+from repro.trace import Span
 
 __all__ = ["PushdownPolicy", "OcsPlanOptimizer"]
 
@@ -114,7 +114,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
 
     # -- entry point ------------------------------------------------------------
 
-    def optimize(self, plan: PlanNode, metrics: MetricsRegistry) -> PlanNode:
+    def optimize(self, plan: PlanNode, span: Span) -> PlanNode:
         scan, candidates = self.extractor.extract(plan)
         base_handle = scan.connector_handle
         descriptor = base_handle.descriptor
@@ -129,13 +129,13 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
         for candidate in candidates:
             if not still_pushing:
                 break
-            if self._try_push(candidate, pushed, handle, analyzer, metrics):
+            if self._try_push(candidate, pushed, handle, analyzer, span):
                 pushed_candidates.append(candidate)
             else:
                 still_pushing = False
 
         self._finalize(pushed)
-        metrics.add("pushdown_operators", len(pushed.operator_names()))
+        span.add("pushdown_operators", len(pushed.operator_names()))
         residual = self._rebuild_residual(scan, candidates, pushed_candidates, handle)
         if strict_verify_enabled():
             # Equivalence check at the optimizer's exit: pushed + residual
@@ -153,7 +153,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
         pushed: PushedOperators,
         handle: OcsTableHandle,
         analyzer: SelectivityAnalyzer,
-        metrics: MetricsRegistry,
+        span: Span,
     ) -> bool:
         policy = self.policy
         kind = candidate.kind
@@ -166,7 +166,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
             if "filter" not in policy.enabled:
                 return False
             estimate = analyzer.filter_selectivity(candidate.conditions["predicate"])
-            metrics.add("estimated_filter_output_rows", estimate.output_rows)
+            span.add("estimated_filter_output_rows", estimate.output_rows)
             handle.estimated_selectivity = estimate.selectivity
             if policy.use_statistics and (
                 estimate.selectivity > policy.filter_selectivity_threshold
@@ -202,7 +202,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
             if node.phase != "single":
                 return False
             estimate = analyzer.aggregation_cardinality(node.key_names)
-            metrics.add("estimated_groups", estimate.output_rows)
+            span.add("estimated_groups", estimate.output_rows)
             handle.estimated_output_rows = estimate.output_rows
             if policy.use_statistics and (
                 estimate.selectivity > policy.aggregation_selectivity_threshold
@@ -225,7 +225,7 @@ class OcsPlanOptimizer(ConnectorPlanOptimizer):
                 # Per-node top-N over partial aggregates is unsound.
                 return False
             estimate = analyzer.topn_selectivity(candidate.conditions["limit"])
-            metrics.add("estimated_topn_rows", candidate.conditions["limit"])
+            span.add("estimated_topn_rows", candidate.conditions["limit"])
             pushed.topn = (
                 candidate.conditions["limit"],
                 list(candidate.conditions["sort_keys"]),

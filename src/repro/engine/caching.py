@@ -35,7 +35,6 @@ from repro.engine.lowering import Branch, Lowered, MaterializedHandle, StageBody
 from repro.engine.spi import Connector, ConnectorSplit
 from repro.engine.stages import STAGE_OTHERS, STAGE_TRANSFER, StageBodies
 from repro.plan.nodes import format_plan
-from repro.sim.metrics import MetricsRegistry
 from repro.trace import Span
 
 __all__ = ["QueryCache"]
@@ -247,7 +246,6 @@ class QueryCache:
     def lookup_result(
         self,
         lowered: Lowered,
-        metrics: MetricsRegistry,
         root: Span,
     ):
         """DES generator: try the result tier; returns the hit or ``None``.
@@ -291,7 +289,7 @@ class QueryCache:
             cache.account("stale" if resident else "miss", self.tenant, 0)
         else:
             cache.account("hit", self.tenant, hit.nbytes)
-            metrics.add("result_cache_hits", 1)
+            root.add("result_cache_hits", 1)
         for branch in lowered.branches:
             cache.record_table_lookup(
                 branch.table, hits=int(hit is not None), misses=int(hit is None)
@@ -299,7 +297,7 @@ class QueryCache:
         return hit
 
     def fill_result(
-        self, batch: RecordBatch, elapsed: float, metrics: MetricsRegistry, root: Span
+        self, batch: RecordBatch, elapsed: float, root: Span
     ) -> None:
         """Offer a computed result to the tier :meth:`lookup_result` missed."""
         if self._result is None:
@@ -317,7 +315,7 @@ class QueryCache:
             span.set("accepted", filled)
         self.cache.account("fill" if filled else "quota", self.tenant, batch.nbytes)
         if filled:
-            metrics.add("result_cache_fills", 1)
+            root.add("result_cache_fills", 1)
 
     # -- the split tier: stage bodies ------------------------------------------
 
@@ -368,8 +366,8 @@ class QueryCache:
                 span.set("hits", len(out))
                 span.set("bytes", served)
             if out:
-                ctx.metrics.add("split_cache_hits", len(out))
-                ctx.metrics.add("split_cache_bytes_served", served)
+                ctx.span.add("split_cache_hits", len(out))
+                ctx.span.add("split_cache_bytes_served", served)
             for index in fallback:
                 out[index] = yield from self.bodies.run_split(
                     ctx, connector, branch, branch.splits[index]
@@ -460,4 +458,4 @@ class QueryCache:
             span.set("splits", filled)
             span.set("bytes", filled_bytes)
         if filled:
-            ctx.metrics.add("split_cache_fills", filled)
+            ctx.span.add("split_cache_fills", filled)

@@ -23,7 +23,6 @@ from repro.rpc.channel import RpcClient
 from repro.sim.costmodel import CostParams
 from repro.sim.faults import FaultInjector
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Link
 from repro.sim.node import SimNode
 from repro.sim.resources import Resource
@@ -58,7 +57,6 @@ class Cluster:
         #: tie_break/sim_observer feed the determinism harness
         #: (repro.analysis.determinism); production runs use the defaults.
         self.sim = Simulator(tie_break=tie_break, observer=sim_observer)
-        self.metrics = MetricsRegistry()
         #: One tracer shared by every component on the cluster, bound to
         #: the simulated clock.  Always on; it charges no simulated time.
         self.tracer = Tracer(clock=lambda: self.sim.now)

@@ -53,7 +53,6 @@ from repro.rewrite import (
     derived_schema,
     rewrite_statement,
 )
-from repro.sim.metrics import MetricsRegistry
 from repro.sql.analyzer import analyze as analyze_statement
 from repro.sql.ast_nodes import (
     CommonTableExpr,
@@ -64,7 +63,7 @@ from repro.sql.ast_nodes import (
     TableName,
 )
 from repro.sql.parser import parse
-from repro.trace import Trace, render_tree, stage_totals
+from repro.trace import CounterTotals, Trace, counter_totals, render_tree, stage_totals
 
 __all__ = ["Coordinator", "QueryResult"]
 
@@ -80,8 +79,7 @@ class QueryResult:
     splits: int
     plan_before: str
     plan_after: str
-    metrics: MetricsRegistry
-    #: The query's span tree (the Table 3 stage ledger's source).
+    #: The query's span tree (the stage and counter ledgers' source).
     trace: Trace
     #: Per-stage simulated seconds, derived from ``trace``
     #: (:func:`repro.trace.stage_totals`); they partition the wall time.
@@ -91,6 +89,13 @@ class QueryResult:
     utilization: Dict[str, float] = field(default_factory=dict)
     #: The stage graph the query ran through (EXPLAIN renders this).
     stage_graph: Optional[StageGraph] = None
+    #: Per-counter totals over ``trace`` (:func:`repro.trace.counter_totals`),
+    #: summed once when the query ends: a later add by a process that
+    #: outlived the query (a speculative loser) does not change them.
+    metrics: CounterTotals = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.metrics = counter_totals(self.trace)
 
     @property
     def rows(self) -> int:
@@ -165,7 +170,6 @@ class Coordinator:
         sql: str,
         session: Session,
         *,
-        metrics: Optional[MetricsRegistry] = None,
         parent=None,
         query_id: Optional[str] = None,
         tenant: str = "default",
@@ -175,14 +179,14 @@ class Coordinator:
         :meth:`execute` drives one query to completion on an otherwise
         idle cluster; the multi-tenant query service instead spawns many
         of these concurrently on one shared cluster.  Each call gets its
-        own metrics registry and span root (parented under ``parent``
-        when given, so a service-level trace nests the query),
+        own span root (parented under ``parent`` when given, so a
+        service-level trace nests the query) and sums its counters from
+        the spans of that trace,
         ``query_id`` tags resource claims for per-query accounting, and
         ``tenant`` owns the query's cache fills for quota accounting.
         """
         return self._run_query(
-            sql, session, metrics=metrics, parent=parent, query_id=query_id,
-            tenant=tenant,
+            sql, session, parent=parent, query_id=query_id, tenant=tenant,
         )
 
     def explain(self, sql: str, session: Session, analyze: bool = False) -> str:
@@ -208,7 +212,7 @@ class Coordinator:
                 sql, session, root
             )
         lowered = lower(
-            plan, connector, MetricsRegistry(), self.bodies,
+            plan, connector, root, self.bodies,
             QueryCache(self.bodies, "default").add_branch_stages, self.join_workers,
         )
 
@@ -549,7 +553,6 @@ class Coordinator:
         sql: str,
         session: Session,
         *,
-        metrics: Optional[MetricsRegistry] = None,
         parent=None,
         query_id: Optional[str] = None,
         tenant: str = "default",
@@ -558,9 +561,6 @@ class Coordinator:
         sim = cluster.sim
         costs = cluster.costs
         tracer = cluster.tracer
-        # Per-query scoped: consecutive/concurrent queries on one shared
-        # cluster must not see each other's counters.
-        metrics = metrics if metrics is not None else MetricsRegistry()
         cache = QueryCache(self.bodies, tenant)
         query_start = sim.now
         bytes_start = cluster.bytes_to_compute()
@@ -584,7 +584,7 @@ class Coordinator:
                     )
             if prepared.scalar_jobs or prepared.cte_jobs:
                 planned = yield from self._plan_with_subqueries(
-                    prepared, session, metrics, root, query_id, tenant
+                    prepared, session, root, query_id, tenant
                 )
             plan, plan_before, connector = planned
 
@@ -592,9 +592,9 @@ class Coordinator:
             # the stage graph.  The lowering itself is pure (no
             # simulated time); the traversal cost it reports is charged
             # here.
-            with tracer.span("optimize.local", parent=root, stage=STAGE_ANALYSIS):
+            with tracer.span("optimize.local", parent=root, stage=STAGE_ANALYSIS) as local:
                 lowered = lower(
-                    plan, connector, metrics, self.bodies,
+                    plan, connector, local, self.bodies,
                     cache.add_branch_stages, self.join_workers,
                 )
                 if lowered.analysis_nodes:
@@ -604,13 +604,13 @@ class Coordinator:
                     )
 
             # (4b) Coordinator-tier result cache: a hit *is* the result.
-            batch = yield from cache.lookup_result(lowered, metrics, root)
+            batch = yield from cache.lookup_result(lowered, root)
             hit = batch is not None
             if not hit:
-                batch = yield from self._run_graph(lowered, metrics, root, query_id)
+                batch = yield from self._run_graph(lowered, root, query_id)
             elapsed = sim.now - query_start
             if not hit:
-                cache.fill_result(batch, elapsed, metrics, root)
+                cache.fill_result(batch, elapsed, root)
             # Captured while the root is open, so ring retention cannot
             # have evicted it; the root span closes in this same copy.
             trace = tracer.trace(root=root)
@@ -619,17 +619,16 @@ class Coordinator:
             execution_seconds=elapsed,
             # Delta over the link ledger: exact for a dedicated cluster;
             # on a shared cluster concurrent queries interleave on the
-            # link, so the service reports per-query movement from the
-            # per-query ``bytes_received`` counter instead.
+            # link, and the per-query figure is the ``bytes_received``
+            # counter.
             data_moved_bytes=cluster.bytes_to_compute() - bytes_start,
             splits=0 if hit else lowered.total_splits,
             plan_before=plan_before,
             plan_after=lowered.plan_after,
-            metrics=metrics,
             trace=trace,
             # The stage spans partition the wall time (a nested
-            # sub-execution shares its parent's trace, so its stages are
-            # the parent's too).
+            # sub-execution shares its parent's trace, so its stages and
+            # counts are the parent's too).
             stage_seconds=stage_totals(trace, elapsed),
             utilization=self._utilization(lowered.has_exchange and not hit),
             stage_graph=lowered.graph,
@@ -639,7 +638,6 @@ class Coordinator:
         self,
         prepared: _Prepared,
         session: Session,
-        metrics: MetricsRegistry,
         root,
         query_id: Optional[str],
         tenant: str,
@@ -647,15 +645,15 @@ class Coordinator:
         """(1b) Rewriter-requested sub-executions, then planning.
 
         Uncorrelated scalar subqueries and materialized CTE bodies run
-        as nested queries on this same cluster, on the parent's metrics
-        registry and query id: their transfers, splits and stage time
-        are this query's.
+        as nested queries on this same cluster, in the parent's trace and
+        under its query id: their transfers, splits, counts and stage
+        time are this query's.
         """
 
         def run(statement: SelectStatement):
             return self._run_query(
-                statement.to_sql(), session, metrics=metrics, parent=root,
-                query_id=query_id, tenant=tenant,
+                statement.to_sql(), session, parent=root, query_id=query_id,
+                tenant=tenant,
             )
 
         if prepared.scalar_jobs:
@@ -686,13 +684,11 @@ class Coordinator:
     def _run_graph(
         self,
         lowered: Lowered,
-        metrics: MetricsRegistry,
         root,
         query_id: Optional[str],
     ):
         """(5-6) Charge split scheduling, run the graph, gather the result."""
         cluster = self.cluster
-        retries_start = cluster.exchange.retries
         with cluster.tracer.span("schedule", parent=root, stage=STAGE_OTHERS) as schedule:
             schedule.set("splits", lowered.total_splits)
             schedule.set("stages", len(lowered.graph))
@@ -700,7 +696,7 @@ class Coordinator:
                 lowered.total_splits * cluster.costs.schedule_cycles_per_split,
                 name="schedule",
             )
-        metrics.add("splits", lowered.total_splits)
+        root.add("splits", lowered.total_splits)
 
         # Any ready stage launches the instant its inputs complete;
         # stage-level restart and split speculation are the scheduler's
@@ -710,17 +706,11 @@ class Coordinator:
             lowered.graph,
             self.scheduler_spec,
             tracer=cluster.tracer,
-            metrics=metrics,
             parent=root,
             query_id=query_id,
         )
         stage_results = yield from scheduler.run()
         results = stage_results[lowered.result_stage]
-        # Retries on the exchange link, attributed to this query's window
-        # (exact on a dedicated cluster, like the data-moved ledger).
-        retries_delta = cluster.exchange.retries - retries_start
-        if retries_delta:
-            metrics.add("exchange_retries", retries_delta)
         if not results:
             return RecordBatch.empty(lowered.output_schema)
         return concat_batches(results)

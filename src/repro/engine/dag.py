@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.arrowsim.schema import Schema
 from repro.errors import PlanError
-from repro.sim.metrics import MetricsRegistry
 
 __all__ = [
     "STAGE_KINDS",
@@ -69,11 +68,11 @@ class StageContext:
     ``attempt`` counts restarts: 0 on the first run, incremented each
     time the scheduler restarts the stage after a restartable fault.
     ``span`` is the stage's enclosing trace span so stage bodies can
-    parent their own child spans under it.
+    parent their own child spans under it and count stage-level work on
+    it (``span.add``).
     """
 
     sim: Any
-    metrics: MetricsRegistry
     parent: Any = None
     span: Any = None
     query_id: Optional[str] = None

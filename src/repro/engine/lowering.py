@@ -109,7 +109,7 @@ class Lowered:
 def lower(
     plan: PlanNode,
     connector: Connector,
-    metrics: Any,
+    span: Any,
     bodies: Any,
     add_branch: Callable[[StageGraph, Connector, Branch, bool, Optional[str]], str],
     workers: int,
@@ -120,14 +120,14 @@ def lower(
     adds the stage(s) realizing one scan branch: ``finish`` runs the
     branch plan's final operators inside the branch (join branches),
     ``gate`` names a stage the scan must wait for (the dynamic-filter
-    handshake).  ``metrics`` is handed to the connector's local
-    optimizer untouched; ``workers`` is the exchange partition count
-    (join tasks per level).
+    handshake).  ``span`` is handed to the connector's local optimizer,
+    which counts its decisions on it; ``workers`` is the exchange
+    partition count (join tasks per level).
     """
     graph = StageGraph()
     joins = _join_chain(plan)
 
-    branches, analysis_nodes = _scan_branches(plan, joins, connector, metrics)
+    branches, analysis_nodes = _scan_branches(plan, joins, connector, span)
     if not joins:
         plan = branches[0].plan
 
@@ -195,7 +195,7 @@ def lower(
 
 
 def _scan_branches(
-    plan: PlanNode, joins: List[JoinNode], connector: Connector, metrics: Any
+    plan: PlanNode, joins: List[JoinNode], connector: Connector, span: Any
 ) -> Tuple[List[Branch], int]:
     """The scan branches plus the plan-node count the optimizer walked.
 
@@ -220,7 +220,7 @@ def _scan_branches(
         )
         if optimizer is not None and not material:
             analysis_nodes += _count_nodes(branch_plan)
-            branch_plan = optimizer.optimize(branch_plan, metrics)
+            branch_plan = optimizer.optimize(branch_plan, span)
         physical = fragment_plan(branch_plan)
         handle = physical.scan.connector_handle
         branches.append(

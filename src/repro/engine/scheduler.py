@@ -55,7 +55,6 @@ from repro.engine.dag import Stage, StageContext, StageGraph
 from repro.errors import ConfigError, ExchangeFaultError
 from repro.sim import santrack
 from repro.sim.kernel import AnyOf, Event, Process, Simulator
-from repro.sim.metrics import MetricsRegistry
 from repro.trace import Tracer
 
 __all__ = ["SchedulerSpec", "DagScheduler", "run_splits"]
@@ -114,7 +113,6 @@ class DagScheduler:
         spec: Optional[SchedulerSpec] = None,
         *,
         tracer: Tracer,
-        metrics: Optional[MetricsRegistry] = None,
         parent: Optional[Any] = None,
         query_id: Optional[str] = None,
     ) -> None:
@@ -122,7 +120,6 @@ class DagScheduler:
         self.graph = graph
         self.spec = spec if spec is not None else SchedulerSpec()
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.parent = parent
         self.query_id = query_id
 
@@ -192,7 +189,9 @@ class DagScheduler:
         The stage span is per-attempt, attribute-tagged with the attempt
         number, so a trace of a restarted query shows both attempts.
         Stage spans carry no ``stage`` tag: the bodies tag their own
-        Table 3 windows, which a whole-stage window would swallow.
+        Table 3 windows, which a whole-stage window would swallow.  Each
+        restart is counted (``stage_restarts``) on the attempt span it
+        opened.
         """
         attempt = 0
         while True:
@@ -202,9 +201,10 @@ class DagScheduler:
                     parent=self.parent,
                     attributes={"kind": stage.kind, "attempt": attempt},
                 ) as span:
+                    if attempt:
+                        span.add("stage_restarts", 1)
                     ctx = StageContext(
                         sim=self.sim,
-                        metrics=self.metrics,
                         parent=self.parent,
                         span=span,
                         query_id=self.query_id,
@@ -215,7 +215,6 @@ class DagScheduler:
                 attempt += 1
                 if attempt > self.spec.max_stage_restarts:
                     raise
-                self.metrics.add("stage_restarts", 1)
 
 
 def run_splits(
@@ -345,7 +344,7 @@ def run_splits(
                     )
                     settle(i, primary, backup)
                 else:
-                    ctx.metrics.add("speculative_wins", 1)
+                    ctx.span.add("speculative_wins", 1)
                     settle(i, backup, primary)
             pending.clear()
 
@@ -372,6 +371,6 @@ def run_splits(
                 backup = launch_backup(i)
                 if backup is not None:
                     backups[i] = backup
-                    ctx.metrics.add("speculative_backups", 1)
+                    ctx.span.add("speculative_backups", 1)
 
     return results

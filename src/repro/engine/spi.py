@@ -23,7 +23,6 @@ from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Schema
 from repro.metastore.catalog import TableDescriptor
 from repro.plan.nodes import PlanNode
-from repro.sim.metrics import MetricsRegistry
 from repro.trace import Span
 
 __all__ = [
@@ -80,8 +79,12 @@ class ConnectorPlanOptimizer(ABC):
     """Connector hook into the coordinator's local-optimization phase."""
 
     @abstractmethod
-    def optimize(self, plan: PlanNode, metrics: MetricsRegistry) -> PlanNode:
-        """Rewrite ``plan`` (e.g. collapse pushdown-eligible operators)."""
+    def optimize(self, plan: PlanNode, span: Span) -> PlanNode:
+        """Rewrite ``plan`` (e.g. collapse pushdown-eligible operators).
+
+        ``span`` is the local-optimization span; decisions are counted
+        on it (``span.add``).
+        """
 
 
 class Connector(ABC):
@@ -102,13 +105,13 @@ class Connector(ABC):
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
-        metrics: MetricsRegistry,
-        trace: Optional[Span] = None,
+        trace: Span,
     ) -> Generator:
         """DES generator resolving to a :class:`PageSourceResult`.
 
         ``trace`` is the split's span; connectors parent their data-path
-        spans (IR generation, RPC attempts, fallback GETs) under it.
+        spans (IR generation, RPC attempts, fallback GETs) under it and
+        count each piece of work on the span that did it.
         """
 
     def plan_optimizer(self) -> Optional[ConnectorPlanOptimizer]:
@@ -119,8 +122,7 @@ class Connector(ABC):
         self,
         handle: ConnectorTableHandle,
         split: ConnectorSplit,
-        metrics: MetricsRegistry,
-        trace: Optional[Span] = None,
+        trace: Span,
     ) -> Optional[Generator]:
         """An *alternative* page source for straggler speculation.
 

@@ -242,7 +242,6 @@ class StageBodies:
     ) -> Generator[Event, Any, List[RecordBatch]]:
         cluster = self.cluster
         tracer = cluster.tracer
-        metrics = ctx.metrics
         # Data acquisition: storage round trip + page materialization.
         # Concurrent splits each open transfer windows; stage totals union
         # overlapping windows so wall-clock is charged once, not once per
@@ -250,7 +249,7 @@ class StageBodies:
         # IR generation out as the substrait stage), so only the ingest
         # tail is tagged here.
         source: PageSourceResult = yield cluster.sim.process(
-            factory(branch.handle, split, metrics, trace=split_span),
+            factory(branch.handle, split, trace=split_span),
             name=f"page-source-{split.split_id}",
         )
         with tracer.span(
@@ -259,7 +258,7 @@ class StageBodies:
         ):
             if source.ingest_cycles:
                 yield cluster.compute.execute(source.ingest_cycles, name="ingest")
-        metrics.add("bytes_received", source.bytes_received)
+        split_span.add("bytes_received", source.bytes_received)
 
         # Split-local operators (real work + cost charge).  A split holds
         # one driver, so the charge is a plain ``execute`` — not spread
@@ -271,7 +270,7 @@ class StageBodies:
             if cycles:
                 yield cluster.compute.execute(cycles, name="split-ops")
         for op in split_ops:
-            metrics.add(f"rows_into_{op.name}", op.rows_in)
+            split_span.add(f"rows_into_{op.name}", op.rows_in)
         return out
 
     # -- join stages -----------------------------------------------------------
@@ -289,8 +288,8 @@ class StageBodies:
                 dyn = build_dynamic_filter(list(build_batches), join.right_keys[0])
                 probe_dtype = base.handle.table_schema.field(probe_key).dtype
                 pushed.dynamic_filter = dyn.to_expression(probe_key, probe_dtype)
-                ctx.metrics.add("dynamic_filter_build_rows", dyn.build_rows)
-                ctx.metrics.add("dynamic_filter_distinct_keys", dyn.distinct_keys)
+                ctx.span.add("dynamic_filter_build_rows", dyn.build_rows)
+                ctx.span.add("dynamic_filter_distinct_keys", dyn.distinct_keys)
                 if ctx.parent is not None:
                     ctx.parent.set("dynamic_filter_keys", dyn.distinct_keys)
             return build_batches
@@ -367,8 +366,8 @@ class StageBodies:
                 parts = [fabric.drain(exchange_id, p) for p in range(workers)]
                 span.set("bytes", page_bytes)
                 span.set("pages", len(put_procs))
-                ctx.metrics.add("exchange_bytes", page_bytes)
-                ctx.metrics.add("exchange_pages", len(put_procs))
+                span.add("exchange_bytes", page_bytes)
+                span.add("exchange_pages", len(put_procs))
             return parts
 
         return run
@@ -471,7 +470,7 @@ class StageBodies:
             span.set("build_rows", op.build_rows)
             span.set("probe_rows", op.rows_in)
             for task_op in task_ops:
-                ctx.metrics.add(f"rows_into_{task_op.name}", task_op.rows_in)
+                span.add(f"rows_into_{task_op.name}", task_op.rows_in)
         return out
 
     # -- the aggregate/merge tail ----------------------------------------------

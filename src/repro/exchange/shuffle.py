@@ -116,7 +116,6 @@ class ExchangeFabric:
         self.pages_received = 0
         self.bytes_received = 0
         self.duplicate_pages = 0
-        self.retries = 0
 
     def create(self, num_partitions: int) -> int:
         """Register a new exchange; returns its id."""
@@ -151,15 +150,16 @@ class ExchangeFabric:
         seq: int,
         batches: List[RecordBatch],
         policy: RetryPolicy,
-        parent: "Span | SpanContext | None" = None,
+        parent: Optional[Span] = None,
     ) -> ProcessGenerator:
         """DES generator (``yield from``): ship one page, with backpressure.
 
         The caller's node pays Arrow serialization CPU, then the page
-        races the retry policy across the exchange link.  Returns the
-        framed page size in bytes (what actually crossed the wire, minus
-        RPC framing overhead).  Raises :class:`ExchangeFaultError` when
-        the retry budget is exhausted.
+        races the retry policy across the exchange link; each retry is
+        counted (``exchange_retries``) on ``parent``, the exchange span.
+        Returns the framed page size in bytes (what actually crossed the
+        wire, minus RPC framing overhead).  Raises
+        :class:`ExchangeFaultError` when the retry budget is exhausted.
         """
         body = serialize_batches(batches)
         page = encode_page(
@@ -178,6 +178,11 @@ class ExchangeFabric:
         inflight = self._inflight.get(exchange_id)
         if inflight is None:
             raise ExchangeError(f"unknown exchange {exchange_id}")
+
+        def count_retry(attempt: int, exc: RpcStatusError, delay: float) -> None:
+            if parent is not None:
+                parent.add("exchange_retries", 1)
+
         with inflight.request(owner=f"put:{sender}:{seq}") as slot:
             yield slot
             try:
@@ -186,7 +191,7 @@ class ExchangeFabric:
                     self.METHOD,
                     page,
                     policy,
-                    on_retry=self._count_retry,
+                    on_retry=count_retry,
                     parent=parent,
                 )
             except RpcStatusError as exc:
@@ -196,9 +201,6 @@ class ExchangeFabric:
                     f"{getattr(exc, 'attempts', '?')} attempts: {exc}"
                 ) from exc
         return len(page)
-
-    def _count_retry(self, attempt: int, exc: RpcStatusError, delay: float) -> None:
-        self.retries += 1
 
     # -- receiving side ---------------------------------------------------
 

@@ -15,9 +15,9 @@ The service composes four pieces:
 * a **concurrent scheduler** dispatching queued queries as execution
   slots free up, under a FIFO or fair-share policy, with storage-queue
   backpressure;
-* per-query scoping: each query gets its own metrics registry, span
-  root, and resource-accounting tag, so concurrent queries stay
-  attributable on the shared substrate;
+* per-query scoping: each query gets its own span root (its counters
+  are summed from that trace alone) and resource-accounting tag, so
+  concurrent queries stay attributable on the shared substrate;
 * deterministic replay: the service schedules everything through the
   DES kernel, so a seeded workload produces an identical event digest
   on every replay (``repro.analysis.determinism`` machinery applies).
@@ -37,7 +37,6 @@ from repro.engine.session import Session
 from repro.errors import AdmissionError, ConfigError, QueueTimeoutError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.jobs import JobStatus, QueryHandle, QueryJob
-from repro.sim.metrics import MetricsRegistry
 
 __all__ = ["QueryService"]
 
@@ -335,7 +334,6 @@ class QueryService:
                 self.coordinator.query_process(
                     job.sql,
                     session,
-                    metrics=MetricsRegistry(),
                     parent=job.span,
                     query_id=job.query_id,
                     tenant=job.tenant,

@@ -16,7 +16,6 @@ Public surface:
   transfer ledger (the source of every "data movement" number we report).
 * :class:`~repro.sim.node.SimNode` — a machine with cores and a disk.
 * :class:`~repro.sim.costmodel.CostParams` — calibrated per-operation costs.
-* :class:`~repro.sim.metrics.MetricsRegistry` — counters/timers per query.
 """
 
 from repro.sim.kernel import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
@@ -25,19 +24,16 @@ from repro.sim.network import Link, TransferLedger, TransferRecord
 from repro.sim.node import SimNode
 from repro.sim.costmodel import CostParams, DEFAULT_COSTS
 from repro.sim.faults import FaultInjector
-from repro.sim.metrics import Counter, MetricsRegistry
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "CostParams",
     "DEFAULT_COSTS",
     "Event",
     "FaultInjector",
     "Interrupt",
     "Link",
-    "MetricsRegistry",
     "Process",
     "Request",
     "Resource",

@@ -1,14 +1,15 @@
 """Process-wide handle to the active race sanitizer (SimTSan).
 
-Instrumented shared surfaces (``sim/metrics.py``, ``core/monitor.py``,
-``exchange/shuffle.py``, ``service/admission.py``, the DAG scheduler)
-live below :mod:`repro.analysis` in the import graph, so they cannot
-import the sanitizer directly without a cycle.  This tiny module — no
-imports, no simulation state — holds the one mutable slot they poll:
+Instrumented shared surfaces (span counters in ``trace/span.py``,
+``core/monitor.py``, ``exchange/shuffle.py``, ``service/admission.py``,
+the DAG scheduler) live below :mod:`repro.analysis` in the import
+graph, so they cannot import the sanitizer directly without a cycle.
+This tiny module — no imports, no simulation state — holds the one
+mutable slot they poll:
 
     sanitizer = santrack.active()
     if sanitizer is not None:
-        sanitizer.record_update(key, "metrics.add")
+        sanitizer.record_update(key, "span.add")
 
 When no sanitizer is installed (every benchmark, by default) the poll
 is a single function call returning ``None``; nothing is recorded and

@@ -12,15 +12,19 @@ Three exporters: the in-memory collector (``tracer.trace()`` /
 ``QueryResult.trace``), a Chrome ``chrome://tracing`` JSON file, and a
 text tree renderer surfaced as ``EXPLAIN ANALYZE``.
 
-Tracing is always on and is the only stage ledger: Table 3's
-``stage_seconds`` are derived from stage-tagged spans.  Each tracer keeps
+Tracing is always on and is the only stage and counter ledger: Table
+3's ``stage_seconds`` are derived from stage-tagged spans, and
+``QueryResult.metrics`` sums the counts each span recorded
+(:func:`counter_totals`).  Each tracer keeps
 the last :data:`~repro.trace.tracer.MAX_TRACES` traces (ring retention)
 and never touches the simulation.  See ``docs/OBSERVABILITY.md`` for the
 span taxonomy.
 """
 
 from repro.trace.analysis import (
+    CounterTotals,
     ServiceQueryBreakdown,
+    counter_totals,
     service_breakdown,
     stage_totals,
     stage_windows,
@@ -36,6 +40,7 @@ from repro.trace.span import STAGE_KEY, Span, SpanContext, Trace
 from repro.trace.tracer import MAX_TRACES, Tracer
 
 __all__ = [
+    "CounterTotals",
     "MAX_TRACES",
     "STAGE_KEY",
     "ServiceQueryBreakdown",
@@ -44,6 +49,7 @@ __all__ = [
     "Trace",
     "Tracer",
     "chrome_trace_events",
+    "counter_totals",
     "export_chrome_trace",
     "render_tree",
     "service_breakdown",

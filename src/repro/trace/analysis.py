@@ -1,4 +1,4 @@
-"""Trace analysis: the Table 3 stage breakdown, derived from span trees.
+"""Trace analysis: stage breakdown and counter totals, derived from span trees.
 
 Spans tagged with a ``stage`` attribute are the only stage ledger.  The
 paper's breakdown attributes wall time with *union-window* semantics:
@@ -6,19 +6,27 @@ windows of the same stage opened by concurrent splits are unioned, so an
 interval of wall clock is charged once, not once per split.
 :func:`stage_totals` is that union over the tagged spans, and is what
 ``QueryResult.stage_seconds`` reports.
+
+Spans are also the only counter ledger: each count sits on the span of
+the work it measures (:meth:`~repro.trace.span.Span.add`), and
+:func:`counter_totals` sums them into ``QueryResult.metrics``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.sim import santrack
 from repro.trace.span import Span, Trace
 
 __all__ = [
     "stage_windows",
     "union_seconds",
     "stage_totals",
+    "CounterTotals",
+    "counter_totals",
     "ServiceQueryBreakdown",
     "service_breakdown",
 ]
@@ -78,6 +86,46 @@ def stage_totals(trace: Trace, elapsed: Optional[float] = None) -> Dict[str, flo
         scale = elapsed / total
         totals = {stage: seconds * scale for stage, seconds in totals.items()}
     return totals
+
+
+class CounterTotals(Mapping[str, float]):
+    """One query's counters summed over its spans (read-only, name order)."""
+
+    def __init__(self, totals: Dict[str, float]) -> None:
+        self._totals = dict(sorted(totals.items()))
+
+    def __getitem__(self, name: str) -> float:
+        return self._totals[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._totals)
+
+    def __len__(self) -> int:
+        return len(self._totals)
+
+    def value(self, name: str) -> float:
+        """The total of ``name`` (0.0 when nothing counted it)."""
+        return self._totals.get(name, 0.0)
+
+    def snapshot(self) -> Dict[str, float]:
+        """Every total, keyed in name order (zero-valued keys included)."""
+        return dict(self._totals)
+
+
+def counter_totals(trace: Trace) -> CounterTotals:
+    """Per-counter sums over every span of ``trace``: ``QueryResult.metrics``.
+
+    Every amount is an integer, so the sum is exact in any span order.
+    Each read is recorded for SimTSan.
+    """
+    sanitizer = santrack.active()
+    totals: Dict[str, float] = {}
+    for span in trace.spans:
+        for name, amount in (span.counters or {}).items():
+            if sanitizer is not None:
+                sanitizer.record_read(("counter", id(span), name), "counter_totals")
+            totals[name] = totals.get(name, 0.0) + amount
+    return CounterTotals(totals)
 
 
 # --------------------------------------------------------------------------

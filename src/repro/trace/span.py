@@ -1,9 +1,10 @@
 """Spans and traces: the data model of the distributed tracing subsystem.
 
 A :class:`Span` is one named, timed operation in *simulated* time with a
-parent link and free-form attributes (rows, bytes, attempt number, node
-index, ...).  A :class:`Trace` is the queryable collection of spans that
-one query run produced — the structure behind ``QueryResult.trace``,
+parent link, free-form attributes (rows, bytes, attempt number, node
+index, ...) and the counts of the work it did (:meth:`Span.add`).  A
+:class:`Trace` is the queryable collection of spans that one query run
+produced — the structure behind ``QueryResult.trace``, ``QueryResult.metrics``,
 ``EXPLAIN ANALYZE``, and the exporters in :mod:`repro.trace.export`.
 
 Span identifiers are small sequential integers assigned by the tracer,
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.errors import StatusCode, TraceError
+from repro.sim import santrack
 
 __all__ = ["SpanContext", "Span", "Trace", "STAGE_KEY"]
 
@@ -49,6 +51,9 @@ class Span:
     end: Optional[float] = None
     attributes: Dict[str, object] = field(default_factory=dict)
     status: StatusCode = StatusCode.OK
+    #: Counts of the work this span did, apart from ``attributes`` so
+    #: renderers and digests never see them; ``None`` until :meth:`add`.
+    counters: Optional[Dict[str, float]] = None
 
     @property
     def span_id(self) -> int:
@@ -73,6 +78,23 @@ class Span:
 
     def set(self, key: str, value: object) -> "Span":
         self.attributes[key] = value
+        return self
+
+    def add(self, name: str, amount: float) -> "Span":
+        """Count ``amount`` of ``name`` against this span's work.
+
+        ``add(name, 0)`` still creates the key; counts never decrease.
+        Recorded for SimTSan as a commutative update.
+        """
+        sanitizer = santrack.active()
+        if sanitizer is not None:
+            sanitizer.record_update(("counter", id(self), name), "span.add")
+        if amount < 0:
+            raise ValueError(f"counter {name!r} cannot decrease (got {amount})")
+        counters = self.counters
+        if counters is None:
+            counters = self.counters = {}
+        counters[name] = counters.get(name, 0) + amount
         return self
 
     def record_error(self, code: "StatusCode | str") -> "Span":

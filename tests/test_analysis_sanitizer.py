@@ -12,7 +12,7 @@ from repro.analysis.sanitizer import SimTSan
 from repro.bench.env import Environment, RunConfig
 from repro.errors import SanitizerError
 from repro.sim import santrack
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import AllOf, Simulator
 from repro.workloads.datasets import DatasetSpec
 from repro.workloads.laghos import generate_laghos_file
 
@@ -193,6 +193,23 @@ class TestHappensBefore:
 
             sim.process(writer(), name="w")
             sim.process(late(), name="l")
+            sim.run()
+        assert reports == []
+
+    def test_all_of_orders_the_waiter_after_every_child(self):
+        # Two children finish at one instant; the first one's update must
+        # be ordered before the waiter's read, not only the last one's.
+        reports = []
+        with _sanitized_sim(sink=reports) as (sim, san):
+            def child(tag):
+                yield sim.timeout(0.5)
+                san.record_update(KEY, f"t.{tag}")
+
+            def waiter():
+                yield AllOf(sim, [sim.process(child(t), name=t) for t in "ab"])
+                san.record_read(KEY, "t.waiter")
+
+            sim.process(waiter(), name="w")
             sim.run()
         assert reports == []
 

@@ -22,7 +22,7 @@ from repro.plan.nodes import (
     TableScanNode,
     TopNNode,
 )
-from repro.sim.metrics import MetricsRegistry
+from repro.trace import Tracer
 from repro.sql import analyze, parse
 
 SCHEMA = Schema(
@@ -68,7 +68,8 @@ def _attach(plan):
 def optimize(sql, policy, nodes=1):
     plan = make_plan(sql)
     optimizer = OcsPlanOptimizer(policy, storage_node_count=nodes)
-    return optimizer.optimize(plan, MetricsRegistry())
+    span = Tracer(clock=lambda: 0.0).start("optimize.local")
+    return optimizer.optimize(plan, span)
 
 
 def scan_of(plan):

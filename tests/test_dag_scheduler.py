@@ -511,11 +511,12 @@ class TestSpeculationTieBreak:
         from repro.engine.dag import StageContext
         from repro.engine.scheduler import run_splits
         from repro.sim.kernel import Simulator
-        from repro.sim.metrics import MetricsRegistry
+        from repro.trace import Tracer, counter_totals
 
         sim = Simulator(tie_break=tie_break)
-        metrics = MetricsRegistry()
-        ctx = StageContext(sim=sim, metrics=metrics)
+        tracer = Tracer(clock=lambda: sim.now)
+        span = tracer.start("stage:scan")
+        ctx = StageContext(sim=sim, span=span)
 
         def body(seconds, tag):
             yield sim.timeout(seconds)
@@ -545,7 +546,7 @@ class TestSpeculationTieBreak:
 
         proc = sim.process(driver(), name="driver")
         sim.run()
-        return proc.value, metrics.snapshot(), sim.now
+        return proc.value, counter_totals(tracer.trace(span)).snapshot(), sim.now
 
     def test_tie_settles_for_primary_under_both_policies(self):
         fifo_outs, fifo_metrics, fifo_now = self._run("fifo")

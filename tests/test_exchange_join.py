@@ -47,7 +47,7 @@ from repro.sim import DEFAULT_COSTS, Link, SimNode, Simulator
 from repro.sim.faults import FaultInjector
 from repro.sql import analyze, parse
 from repro.sql.ast_nodes import TableName
-from repro.trace import Tracer
+from repro.trace import Tracer, counter_totals
 from repro.workloads import (
     TPCH_Q3,
     TPCH_Q12,
@@ -406,14 +406,22 @@ class TestExchangeFabric:
         sim, fabric, client = _fabric(drop=0.4, seed=11)
         ex = fabric.create(1)
         policy = RetryPolicy(max_attempts=8)
+        span = fabric.tracer.start("exchange")
 
         def sender():
             for seq in range(8):
-                yield from fabric.put(client, ex, 0, 0, seq, [_page(seq)], policy)
+                yield from fabric.put(
+                    client, ex, 0, 0, seq, [_page(seq)], policy, parent=span
+                )
             return None
 
         sim.run(until=sim.process(sender()))
-        assert fabric.retries > 0  # the drops really happened
+        trace = fabric.tracer.trace(span)
+        retried = [
+            s for s in trace.find("rpc:exchange.put") if s.attributes["attempt"] > 1
+        ]
+        # The drops really happened, each counted on the exchange span.
+        assert counter_totals(trace).value("exchange_retries") == len(retried) > 0
         assert fabric.drain(ex, 0).rows == 80  # and every page landed
 
     def test_exhausted_retries_surface_as_exchange_fault(self):

@@ -8,13 +8,12 @@ from repro.sim import (
     DEFAULT_COSTS,
     CostParams,
     Link,
-    MetricsRegistry,
     Resource,
     SimNode,
     Simulator,
     Store,
 )
-from repro.trace import Span, SpanContext, Trace, stage_totals
+from repro.trace import Span, SpanContext, Trace, Tracer, counter_totals, stage_totals
 
 
 def _stage_trace(*windows):
@@ -198,17 +197,23 @@ class TestSimNode:
 
 class TestMetrics:
     def test_counters(self):
-        reg = MetricsRegistry()
-        reg.add("rows", 10)
-        reg.add("rows", 5)
-        assert reg.value("rows") == 15
-        assert reg.value("missing") == 0
-        assert reg.snapshot() == {"rows": 15}
+        tracer = Tracer(clock=lambda: 0.0)
+        root = tracer.start("query")
+        tracer.start("split-0", parent=root).add("rows", 10).add("empty", 0)
+        tracer.start("split-1", parent=root).add("rows", 5)
+        totals = counter_totals(tracer.trace(root))
+        assert totals.value("rows") == 15
+        assert totals.value("missing") == 0
+        # A zero-valued count still names its key; values are floats.
+        assert totals.snapshot() == {"empty": 0.0, "rows": 15.0}
+        assert all(type(v) is float for v in totals.snapshot().values())
+        # Counters never leak into the attributes renderers print.
+        assert all(not span.attributes for span in tracer.trace(root))
 
     def test_counter_rejects_negative(self):
-        reg = MetricsRegistry()
+        span = Tracer(clock=lambda: 0.0).start("query")
         with pytest.raises(ValueError):
-            reg.add("rows", -1)
+            span.add("rows", -1)
 
     def test_stage_totals_scale_overlapping_stages_to_elapsed(self):
         # Stages overlapping *each other* sum past the wall time (2 + 3

@@ -361,18 +361,24 @@ class TestTable3Trace:
 
 
 def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
-    # The same walk keeps the one compute path single: no exec-backend
-    # switch, no backend classes, no tree-vs-fused parity harness.
+    # The same walk keeps the one compute path single (no exec-backend
+    # switch, no backend classes, no tree-vs-fused parity harness) and
+    # the spans the only counter ledger: no registry, no ``metrics``
+    # argument threaded through the layers, no fabric-wide retry tally.
     root = pathlib.Path(repro.__file__).parent
     banned = {
         "NOOP_TRACER", "NOOP_SPAN", "StageTimer", "StageAccountant",
         "exec_backend", "ExecBackend", "TreeWalkBackend", "FusedBackend",
-        "get_backend", "EXEC_BACKENDS",
+        "get_backend", "EXEC_BACKENDS", "MetricsRegistry",
     }
     switches = {"tracing", "exec_backend"}
-    gone = ("repro.analysis.parity", "repro.exec.backend")
+    ledger_args = switches | {"metrics"}
+    gone = ("repro.analysis.parity", "repro.exec.backend", "repro.sim.metrics")
     assert not (root / "analysis" / "parity.py").exists()
     assert not (root / "exec" / "backend.py").exists()
+    assert not (root / "sim" / "metrics.py").exists()
+    #: attribute name -> the classes that define it (field or ``self.x =``).
+    owners = {}
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -381,9 +387,9 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
             for field in ("id", "attr", "name"):
                 assert getattr(node, field, None) not in banned, where
             if isinstance(node, ast.keyword):
-                assert node.arg not in switches, f"{where}: {node.arg}= keyword"
+                assert node.arg not in ledger_args, f"{where}: {node.arg}= keyword"
             if isinstance(node, ast.arg):
-                assert node.arg not in switches, f"{where}: {node.arg} parameter"
+                assert node.arg not in ledger_args, f"{where}: {node.arg} parameter"
             if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                 assert node.target.id not in switches, f"{where}: {node.target.id} field"
             if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -395,3 +401,16 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
             if isinstance(node, ast.Attribute) and node.attr == "enabled":
                 owner = ast.unparse(node.value)
                 assert not owner.endswith("tracer"), f"{where}: {owner}.enabled"
+            if isinstance(node, ast.ClassDef):
+                for inner in ast.walk(node):
+                    if isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
+                        owners.setdefault(inner.target.id, set()).add(node.name)
+                    elif (
+                        isinstance(inner, ast.Attribute)
+                        and isinstance(inner.ctx, ast.Store)
+                        and ast.unparse(inner.value) == "self"
+                    ):
+                        owners.setdefault(inner.attr, set()).add(node.name)
+    # The one per-query counter view, summed from the query's trace.
+    assert owners.get("metrics") == {"QueryResult"}
+    assert "ExchangeFabric" not in owners.get("retries", set())
