@@ -17,8 +17,10 @@ module turns that claim into a checked invariant:
   state — a genuine ordering hazard, not a formatting difference.
 
 Run the built-in harness with ``python -m repro.analysis.determinism``.
-It covers three suites: a quickstart-style seeded sensor workload under
-full OCS pushdown (``query``), one straggler trial of the dag bench with
+It covers four suites: a quickstart-style seeded sensor workload under
+full OCS pushdown (``query``), the same query on the no-pushdown
+baseline under seeded link drops that its gateway reads retry through
+(``faulted-baseline``), one straggler trial of the dag bench with
 speculation on (``dag``, via :func:`check_dag_determinism`), and a
 seeded multi-tenant service run (``service``, via
 :func:`check_service_determinism` — there the adversarial LIFO replay
@@ -379,9 +381,24 @@ def _check_query_suite() -> DeterminismReport:
     )
 
 
+def _check_faulted_baseline_suite() -> DeterminismReport:
+    """hive-raw under link drops: retries, backoff jitter and all replay."""
+    from repro.bench.env import RunConfig
+    from repro.config import FaultSpec
+    from repro.rpc.retry import RetryPolicy
+
+    config = RunConfig(
+        label="faulted-baseline", mode="hive-raw",
+        faults=FaultSpec(link_drop_probability=0.2, seed=3),
+        retry=RetryPolicy(max_attempts=10, initial_backoff_s=0.005),
+    )
+    return check_determinism(_build_harness_env(), HARNESS_QUERY, config, schema="lab")
+
+
 def main() -> int:
     suites = [
         ("query", _check_query_suite),
+        ("faulted-baseline", _check_faulted_baseline_suite),
         ("dag", check_dag_determinism),
         ("service", check_service_determinism),
     ]

@@ -60,7 +60,10 @@ class RunConfig:
     #: Injected faults for this run; ``None`` keeps the cluster healthy
     #: (and the Figure 5/6 numbers bit-identical to a fault-free build).
     faults: Optional[FaultSpec] = None
-    #: ocs only: deadline/backoff policy for pushdown RPCs.
+    #: Retry policy for every storage RPC in every mode, and for the
+    #: exchange puts of joins.  Its per-call deadline applies to the
+    #: pushdown dispatch and exchange puts only; S3-gateway reads retry
+    #: without it (see ``Connector.gateway_policy``).
     retry: Optional[RetryPolicy] = None
     #: Run SimTSan (repro.analysis.sanitizer), the happens-before race
     #: detector, over this run's simulator.  None defers to the
@@ -233,10 +236,13 @@ class Environment:
         """
         if config.mode == "hive-raw":
             return HiveConnector(
-                cluster, self.metastore, mode="raw", prune_columns=config.prune_columns
+                cluster, self.metastore, mode="raw",
+                prune_columns=config.prune_columns, retry_policy=config.retry,
             )
         if config.mode == "hive-select":
-            return HiveConnector(cluster, self.metastore, mode="select")
+            return HiveConnector(
+                cluster, self.metastore, mode="select", retry_policy=config.retry
+            )
         if config.mode == "ocs":
             policy = config.policy or PushdownPolicy.all_operators()
             return OcsConnector(

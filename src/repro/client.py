@@ -69,7 +69,8 @@ def connect(
     * ``testbed`` / ``costs`` — hardware and cost model (Table 1 defaults);
     * ``faults`` — fault injection applied to every query unless a query
       config carries its own :class:`~repro.config.FaultSpec`;
-    * ``retry`` — deadline/backoff policy for pushdown RPCs;
+    * ``retry`` — retry policy for every storage RPC in every mode (its
+      deadline applies to pushdown dispatches and exchange puts only);
     * ``catalog`` — catalog name queries resolve against;
     * ``service`` — admission/scheduling limits for :meth:`Client.submit`
       (defaults apply when omitted; see :class:`~repro.config.ServiceSpec`).

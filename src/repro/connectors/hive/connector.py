@@ -4,19 +4,26 @@ Two scan modes, matching the paper's baselines:
 
 * ``raw`` — no pushdown: the PageSourceProvider fetches the Parcel
   footer then the column chunks over ranged GETs and decodes everything
-  on the compute node.  With ``prune_columns=False`` it fetches entire
-  objects, reproducing the paper's "entire files are often transferred"
-  no-pushdown baseline.
+  on the compute node with :func:`~repro.formats.reader.decode_row_group`,
+  the decoder :class:`~repro.formats.ParcelReader` uses.  With
+  ``prune_columns=False`` it fetches the footer and *every* column chunk
+  over those ranged GETs, reproducing the paper's "entire files are often
+  transferred" no-pushdown baseline.
 * ``select`` — S3-Select-class pushdown: the local optimizer absorbs an
   eligible WHERE filter (and the column projection) into the table
   handle; rows come back as CSV and are re-parsed on the compute node.
   Aggregation/top-N can never be absorbed — the Hive connector's ceiling
   (paper Section 2.4).
+
+Every gateway call in both modes retries through
+:func:`~repro.rpc.retry.retrying_call` under the connector's
+``gateway_policy`` (see :class:`~repro.engine.spi.Connector`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Generator, List, Optional
 
 from repro.arrowsim.dtypes import FLOAT64
@@ -40,29 +47,15 @@ from repro.engine.spi import (
     PageSourceResult,
 )
 from repro.errors import ConfigError
-from repro.exec.expressions import (
-    AndExpr,
-    ColumnExpr,
-    CompareExpr,
-    Expr,
-    InExpr,
-    IsNullExpr,
-    LiteralExpr,
-    NotExpr,
-    OrExpr,
-)
-from repro.formats.encoding import decode_chunk
-from repro.formats.reader import footer_length_from_tail, meta_from_tail
-from repro.compress.registry import get_codec
+from repro.exec.expressions import Expr
+from repro.formats.reader import decode_row_group, footer_length_from_tail, meta_from_tail
 from repro.metastore.catalog import HiveMetastore
+from repro.objectstore.s3select import SELECT_PREDICATE_NODES, csv_to_batch
 from repro.plan.nodes import FilterNode, PlanNode, TableScanNode
+from repro.rpc.retry import RetryPolicy, retrying_call
 from repro.trace import Span
 
 __all__ = ["HiveConnector", "HiveTableHandle"]
-
-_S3_SELECT_SAFE = (
-    AndExpr, OrExpr, NotExpr, CompareExpr, InExpr, IsNullExpr, ColumnExpr, LiteralExpr,
-)
 
 
 @dataclass
@@ -128,9 +121,11 @@ class HiveConnector(Connector):
         metastore: HiveMetastore,
         mode: str = "raw",
         prune_columns: bool = True,
+        retry_policy: RetryPolicy | None = None,
     ) -> None:
         if mode not in ("raw", "select"):
             raise ConfigError(f"unknown hive scan mode {mode!r}")
+        super().__init__(retry_policy)
         self.cluster = cluster
         self.metastore = metastore
         self.mode = mode
@@ -169,7 +164,7 @@ class HiveConnector(Connector):
     # -- predicate compatibility ------------------------------------------------
 
     def _select_compatible(self, scan: TableScanNode, predicate: Expr) -> bool:
-        if not all(isinstance(n, _S3_SELECT_SAFE) for n in predicate.walk()):
+        if not all(isinstance(n, SELECT_PREDICATE_NODES) for n in predicate.walk()):
             return False
         if self.cluster.s3_gateway.select_service.strict_types:
             schema = scan.table_schema
@@ -179,6 +174,12 @@ class HiveConnector(Connector):
                 return False
         return True
 
+    def _gateway_call(self, method: str, request: bytes, span: Span) -> Generator:
+        """One S3-gateway RPC, retried under ``gateway_policy``."""
+        return retrying_call(
+            self.cluster.s3_client, method, request, self.gateway_policy, parent=span
+        )
+
     # -- raw path ---------------------------------------------------------------
 
     def _raw_source(self, handle, split, trace):
@@ -187,7 +188,6 @@ class HiveConnector(Connector):
         tracer = cluster.tracer
         (key,) = split.keys
         bucket = handle.descriptor.bucket
-        client = cluster.s3_client
 
         # One TRANSFER-tagged span covers the whole fetch: this path has
         # no IR-generation pause, so the span mirrors the coordinator's
@@ -198,54 +198,47 @@ class HiveConnector(Connector):
         )
         try:
             # Two ranged GETs for metadata: footer length, then the footer.
-            tail8 = yield client.call(
-                S3Gateway.GET_TAIL, encode_tail_request(bucket, key, 8), parent=span
+            tail8 = yield from self._gateway_call(
+                S3Gateway.GET_TAIL, encode_tail_request(bucket, key, 8), span
             )
             footer_len = footer_length_from_tail(tail8)
-            tail = yield client.call(
-                S3Gateway.GET_TAIL,
-                encode_tail_request(bucket, key, footer_len + 8),
-                parent=span,
+            tail = yield from self._gateway_call(
+                S3Gateway.GET_TAIL, encode_tail_request(bucket, key, footer_len + 8), span
             )
             meta = meta_from_tail(tail)
 
+            # One ranged GET for every wanted column chunk.
             columns = [c for c in handle.columns if c in meta.schema]
-            ranges = []
-            chunk_index = []  # (row group, column, ChunkMeta)
-            for rg_i, rg in enumerate(meta.row_groups):
-                for name in columns:
-                    chunk = rg.chunks[meta.schema.index_of(name)]
-                    ranges.append((chunk.offset, chunk.compressed_size))
-                    chunk_index.append((rg_i, name, chunk))
-            payload = yield client.call(
-                S3Gateway.GET_RANGES,
-                encode_ranges_request(bucket, key, ranges),
-                parent=span,
+            chunks = [
+                rg.chunks[meta.schema.index_of(n)] for rg in meta.row_groups for n in columns
+            ]
+            ranges = [(chunk.offset, chunk.compressed_size) for chunk in chunks]
+            payload = yield from self._gateway_call(
+                S3Gateway.GET_RANGES, encode_ranges_request(bucket, key, ranges), span
             )
             span.set("bytes", len(payload) + len(tail) + len(tail8))
         finally:
             tracer.end(span)
 
         # Decode locally (real work), charge the compute-side scan path.
-        batches: List[RecordBatch] = []
+        # The reply holds the chunks back to back, in request order.
+        starts = dict(zip(
+            (chunk.offset for chunk in chunks),
+            accumulate((chunk.compressed_size for chunk in chunks), initial=0),
+        ))
         view = memoryview(payload)  # chunks reach the codec without a copy
-        offset = 0
-        values = 0
-        uncompressed_total = 0
-        by_rg: dict = {}
-        for (rg_i, name, chunk) in chunk_index:
-            framed = view[offset : offset + chunk.compressed_size]
-            offset += chunk.compressed_size
-            raw = get_codec(chunk.codec).decompress(framed)
-            uncompressed_total += len(raw)
-            num_rows = meta.row_groups[rg_i].num_rows
-            column = decode_chunk(meta.schema.field(name).dtype, raw, num_rows)
-            by_rg.setdefault(rg_i, {})[name] = column
-            values += num_rows
-        for rg_i in sorted(by_rg):
-            cols = by_rg[rg_i]
-            schema = meta.schema.select(columns)
-            batches.append(RecordBatch(schema, [cols[n] for n in columns]))
+
+        def stored(chunk):
+            start = starts[chunk.offset]
+            return view[start : start + chunk.compressed_size]
+
+        batches: List[RecordBatch] = [
+            decode_row_group(meta, rg_index, columns, stored)
+            for rg_index in range(len(meta.row_groups) if columns else 0)
+        ]
+        # decode_row_group held each chunk to its footer's uncompressed_size.
+        uncompressed_total = sum(chunk.uncompressed_size for chunk in chunks)
+        values = meta.num_rows * len(columns)
 
         codec = handle.descriptor.codec
         ingest = (
@@ -280,9 +273,7 @@ class HiveConnector(Connector):
             attributes={"key": key},
         )
         try:
-            response = yield cluster.s3_client.call(
-                S3Gateway.SELECT, request, parent=span
-            )
+            response = yield from self._gateway_call(S3Gateway.SELECT, request, span)
         finally:
             tracer.end(span)
         reply: SelectReply = decode_select_reply(response)
@@ -291,8 +282,6 @@ class HiveConnector(Connector):
         schema = descriptor.table_schema.select(handle.columns)
         batch = RecordBatch.empty(schema)
         if reply.csv_payload:
-            from repro.objectstore.s3select import csv_to_batch
-
             batch = csv_to_batch(reply.csv_payload, schema)
         ingest = len(reply.csv_payload) * costs.csv_parse_cycles_per_byte
         span.add("s3select_rows_scanned", reply.rows_scanned)

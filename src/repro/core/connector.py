@@ -8,7 +8,6 @@ Arrow stream into engine pages for the residual operators.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Generator, List
 
 from repro.analysis.runtime import strict_verify_enabled
@@ -47,15 +46,12 @@ class OcsConnector(Connector):
         split_granularity: str = "node",
         retry_policy: RetryPolicy | None = None,
     ) -> None:
+        super().__init__(retry_policy)
         self.cluster = cluster
         self.metastore = metastore
         self.policy = policy if policy is not None else PushdownPolicy.all_operators()
         #: Sliding-window history; share one across runs to accumulate.
         self.monitor = monitor if monitor is not None else PushdownMonitor()
-        #: Deadline/backoff policy for the pushdown RPC; the default has
-        #: no per-call deadline, so healthy runs are byte-identical to a
-        #: retry-free connector.
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         #: "node": one pushdown request per storage node over all its
         #: files (default; matches the paper's measured data movement).
         #: "file": one request per file — Presto's classic per-split
@@ -296,17 +292,13 @@ class OcsConnector(Connector):
             attributes={"downgraded": True, "keys": len(split.keys)},
         )
         try:
-            # Raw GETs keep the retry budget but drop the per-call deadline:
-            # whole-object fetches are legitimately slower than pushdown
-            # calls, and the degraded path must not re-enter a timeout loop.
-            get_policy = replace(self.retry_policy, deadline_s=None)
             payload_bytes = 0
             for key in split.keys:
                 size = int(cluster.store.head_object(bucket, key)["size"])
                 request = encode_ranges_request(bucket, key, [(0, size)])
                 blob = yield from retrying_call(
-                    cluster.s3_client, S3Gateway.GET_RANGES, request, get_policy,
-                    parent=span,
+                    cluster.s3_client, S3Gateway.GET_RANGES, request,
+                    self.gateway_policy, parent=span,
                 )
                 payload_bytes += len(blob)
             span.add("fallback_bytes_fetched", payload_bytes)

@@ -167,11 +167,10 @@ def lower(
     if joins:
         tail_physical, segments = _fragment_above(plan, joins)
         segments.append(tail_physical)
-        retry = getattr(connector, "retry_policy", None) or RetryPolicy()
         for index, join in enumerate(joins):
             probe_source = _add_join_level(
                 graph, bodies, index, join, segments[index], probe_source,
-                sources[index + 1], workers, retry,
+                sources[index + 1], workers, connector.retry_policy,
             )
 
     result_stage = _add_tail_stages(

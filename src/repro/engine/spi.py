@@ -16,13 +16,14 @@ Mirrors the Presto SPI surface the paper builds on (Section 3.4):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional
 
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Schema
 from repro.metastore.catalog import TableDescriptor
 from repro.plan.nodes import PlanNode
+from repro.rpc.retry import RetryPolicy
 from repro.trace import Span
 
 __all__ = [
@@ -91,6 +92,19 @@ class Connector(ABC):
     """A pluggable storage backend."""
 
     name: str = "connector"
+    #: Retry policy of this connector's storage RPCs and of the exchange
+    #: puts of joins over its tables (no deadline by default).
+    retry_policy: RetryPolicy = RetryPolicy()
+
+    def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
+        if retry_policy is not None:
+            self.retry_policy = retry_policy
+        #: Every S3-gateway call (GET_TAIL, GET_RANGES, SELECT) in every mode
+        #: retries under ``retry_policy`` *without* its per-call deadline.
+        #: Only the pushdown dispatch has a fallback below it, so only there
+        #: can a timeout buy a faster path; a gateway read is the fallback or
+        #: the baseline, and a deadline would just fail a slow read.
+        self.gateway_policy = replace(self.retry_policy, deadline_s=None)
 
     @abstractmethod
     def get_table_handle(self, schema: str, table: str) -> ConnectorTableHandle:

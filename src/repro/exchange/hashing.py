@@ -13,6 +13,7 @@ import zlib
 import numpy as np
 
 from repro.arrowsim.array import ColumnArray
+from repro.exec.expressions import positive_zero
 
 __all__ = ["mix64", "hash_column", "combine_hashes"]
 
@@ -40,10 +41,8 @@ def hash_column(column: ColumnArray) -> np.ndarray:
     if values.dtype.kind in ("i", "u"):
         raw = values.astype(np.int64, copy=False).view(np.uint64)
     elif values.dtype.kind == "f":
-        # Hash the bit pattern; normalize -0.0 so equal keys hash equally.
-        normalized = values.astype(np.float64, copy=True)
-        normalized[normalized == 0.0] = 0.0  # simlint: ignore[float-eq]
-        raw = normalized.view(np.uint64)
+        # Hash the bit pattern, with -0.0 made +0.0 so equal keys hash equally.
+        raw = positive_zero(values).view(np.uint64)
     elif values.dtype.kind == "b":
         raw = values.astype(np.uint64)
     else:

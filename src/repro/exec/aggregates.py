@@ -7,7 +7,8 @@ worker merges them into *final* results — that merge is exactly the
 is pushed down.
 
 Group ids are built by factorizing each key column (NULL is its own
-group; float keys group by bit pattern so NaN == NaN) and fusing the
+group; float keys group by bit pattern so NaN == NaN, after -0.0 is made
++0.0 as SQL ``=`` requires) and fusing the
 per-column codes with a mixed-radix combine.  Per-group reduction uses
 ``np.bincount`` / ``ufunc.at`` — no Python-level per-row loops.
 """
@@ -24,6 +25,7 @@ from repro.arrowsim.dtypes import DataType, FLOAT64, INT64, STRING
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Field, Schema
 from repro.errors import ExecutionError
+from repro.exec.expressions import positive_zero
 
 __all__ = ["AggregateSpec", "grouped_aggregate", "global_aggregate"]
 
@@ -88,8 +90,10 @@ def _factorize(col: ColumnArray) -> Tuple[np.ndarray, int]:
     if col.dtype is STRING:
         values = values.astype(str)
     elif col.dtype.is_floating:
-        # Bit-pattern identity: NaNs with equal bits share a group.
-        values = np.ascontiguousarray(values).view(np.uint64 if values.dtype == np.float64 else np.uint32)
+        # Bit-pattern identity: NaNs with equal bits share a group, and
+        # -0.0 joins +0.0's group because SQL ``=`` holds them equal.
+        bits = np.uint64 if values.dtype == np.float64 else np.uint32
+        values = positive_zero(values, values.dtype).view(bits)
     _, codes = np.unique(values, return_inverse=True)
     codes = codes.astype(np.int64).reshape(-1)
     size = int(codes.max()) + 1 if len(codes) else 0

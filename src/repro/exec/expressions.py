@@ -41,6 +41,7 @@ __all__ = [
     "IsNullExpr",
     "CastExpr",
     "arithmetic_result_type",
+    "positive_zero",
 ]
 
 _NUMERIC_RANK = {"int32": 0, "int64": 1, "float32": 2, "float64": 3}
@@ -58,6 +59,19 @@ def arithmetic_result_type(op: str, left: DataType, right: DataType) -> DataType
 
     winner = max(left.name, right.name, key=lambda n: _NUMERIC_RANK[n])
     return {"int32": INT32, "int64": INT64, "float32": FLOAT32, "float64": FLOAT64}[winner]
+
+
+def positive_zero(values: np.ndarray, dtype: "np.dtype | type" = np.float64) -> np.ndarray:
+    """A ``dtype`` copy of float ``values`` with ``-0.0`` made ``+0.0``.
+
+    SQL ``=`` (:class:`CompareExpr`, IEEE ``==``) holds the two zeros
+    equal.  Every path that keys rows by a float's bits — join codes,
+    exchange hashes, group and DISTINCT codes — goes through this first,
+    so none of them disagrees with ``=``.
+    """
+    out = np.array(values, dtype=dtype)
+    out[out == 0.0] = 0.0  # simlint: ignore[float-eq]
+    return out
 
 
 class Expr:

@@ -22,7 +22,7 @@ from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.arrowsim.schema import Field, Schema
 from repro.errors import ExecutionError
 from repro.exec.aggregates import AggregateSpec, grouped_aggregate
-from repro.exec.expressions import Expr
+from repro.exec.expressions import Expr, positive_zero
 
 __all__ = [
     "Operator",
@@ -256,11 +256,7 @@ class HashJoinOperator(Operator):
         if col.dtype.name == "string":
             return values.astype(str)
         if col.dtype.is_floating:
-            # Normalize -0.0 so it equals +0.0, matching SQL equality and
-            # the exchange/Bloom hashing (hash_column does the same).
-            normalized = np.asarray(values, dtype=np.float64).copy()
-            normalized[normalized == 0.0] = 0.0  # simlint: ignore[float-eq]
-            return _sortable_bits(normalized)
+            return _sortable_bits(positive_zero(values))
         return values
 
     def _key_codes(

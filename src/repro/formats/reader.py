@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.arrowsim.schema import Schema
 from repro.compress.registry import get_codec
 from repro.errors import FormatError
 from repro.formats.encoding import decode_chunk
-from repro.formats.metadata import MAGIC, ParcelMeta, decode_footer
+from repro.formats.metadata import MAGIC, ChunkMeta, ParcelMeta, decode_footer
 from repro.formats.statistics import ColumnStats
 from repro.wire import Reader
 
-__all__ = ["ParcelReader", "footer_length_from_tail", "meta_from_tail"]
+__all__ = ["ParcelReader", "decode_row_group", "footer_length_from_tail", "meta_from_tail"]
 
 
 def footer_length_from_tail(tail8: bytes) -> int:
@@ -39,6 +39,38 @@ def meta_from_tail(tail: bytes) -> ParcelMeta:
     return decode_footer(tail[len(tail) - 8 - footer_len : len(tail) - 8])
 
 
+def decode_row_group(
+    meta: ParcelMeta,
+    rg_index: int,
+    names: Sequence[str],
+    stored: Callable[[ChunkMeta], bytes],
+) -> RecordBatch:
+    """Decode the ``names`` columns of one row group: the one chunk-decode loop.
+
+    ``stored(chunk)`` returns a chunk's stored bytes: a slice of the whole
+    object (:class:`ParcelReader`) or of a ranged-GET reply (the Hive raw
+    path).  Each chunk is decompressed, held to the footer's
+    ``uncompressed_size`` (:class:`FormatError` if it differs) and decoded.
+    """
+    if not 0 <= rg_index < len(meta.row_groups):
+        raise FormatError(
+            f"row group {rg_index} out of range ({len(meta.row_groups)} groups)"
+        )
+    rg = meta.row_groups[rg_index]
+    schema = meta.schema.select(names)
+    columns = []
+    for name in names:
+        chunk = rg.chunks[meta.schema.index_of(name)]
+        raw = get_codec(chunk.codec).decompress(stored(chunk))
+        if len(raw) != chunk.uncompressed_size:
+            raise FormatError(
+                f"chunk for {name!r} decompressed to {len(raw)} bytes, "
+                f"footer says {chunk.uncompressed_size}"
+            )
+        columns.append(decode_chunk(schema.field(name).dtype, raw, rg.num_rows))
+    return RecordBatch(schema, columns)
+
+
 class ParcelReader:
     """Random-access reader over in-memory Parcel file bytes.
 
@@ -55,8 +87,6 @@ class ParcelReader:
         self._buf = memoryview(buf)
         # What follows the head magic is a tail that must hold the footer.
         self.meta: ParcelMeta = meta_from_tail(self._buf[4:])
-        #: Bytes a reader must fetch before any data: footer + magic.
-        self.footer_bytes = footer_length_from_tail(buf[-8:]) + 12
 
     # -- introspection ---------------------------------------------------------
 
@@ -103,25 +133,12 @@ class ParcelReader:
         self, rg_index: int, columns: Optional[Sequence[str]] = None
     ) -> RecordBatch:
         """Decode one row group, restricted to ``columns`` if given."""
-        if not 0 <= rg_index < self.num_row_groups:
-            raise FormatError(
-                f"row group {rg_index} out of range ({self.num_row_groups} groups)"
-            )
-        rg = self.meta.row_groups[rg_index]
         names = list(columns) if columns is not None else self.schema.names()
-        schema = self.schema.select(names)
-        out_columns = []
-        for name in names:
-            chunk = rg.chunks[self.schema.index_of(name)]
-            framed = self._buf[chunk.offset : chunk.offset + chunk.compressed_size]
-            raw = get_codec(chunk.codec).decompress(framed)
-            if len(raw) != chunk.uncompressed_size:
-                raise FormatError(
-                    f"chunk for {name!r} decompressed to {len(raw)} bytes, "
-                    f"footer says {chunk.uncompressed_size}"
-                )
-            out_columns.append(decode_chunk(schema.field(name).dtype, raw, rg.num_rows))
-        return RecordBatch(schema, out_columns)
+        buf = self._buf
+        return decode_row_group(
+            self.meta, rg_index, names,
+            lambda chunk: buf[chunk.offset : chunk.offset + chunk.compressed_size],
+        )
 
     def read_table(self, columns: Optional[Sequence[str]] = None) -> RecordBatch:
         """Decode and concatenate every row group."""
@@ -132,8 +149,3 @@ class ParcelReader:
             self.read_row_group(i, columns) for i in range(self.num_row_groups)
         ]
         return concat_batches(batches)
-
-    def iter_row_groups(self, columns: Optional[Sequence[str]] = None):
-        """Yield (rg_index, RecordBatch) pairs."""
-        for i in range(self.num_row_groups):
-            yield i, self.read_row_group(i, columns)

@@ -34,17 +34,15 @@ from repro.exec.expressions import (
 from repro.formats.reader import ParcelReader
 from repro.objectstore.store import ObjectStore
 
-__all__ = ["S3SelectRequest", "S3SelectResult", "S3SelectService", "rows_to_csv", "rows_to_json", "csv_to_batch", "json_to_batch"]
+__all__ = [
+    "SELECT_PREDICATE_NODES", "S3SelectRequest", "S3SelectResult", "S3SelectService",
+    "rows_to_csv", "csv_to_batch",
+]
 
-_ALLOWED_PREDICATE_NODES = (
-    AndExpr,
-    OrExpr,
-    NotExpr,
-    CompareExpr,
-    InExpr,
-    IsNullExpr,
-    ColumnExpr,
-    LiteralExpr,
+#: The only expression nodes a Select WHERE clause may hold: filters over
+#: plain columns and literals.
+SELECT_PREDICATE_NODES = (
+    AndExpr, OrExpr, NotExpr, CompareExpr, InExpr, IsNullExpr, ColumnExpr, LiteralExpr,
 )
 
 
@@ -52,16 +50,15 @@ _ALLOWED_PREDICATE_NODES = (
 class S3SelectRequest:
     """One SELECT <columns> FROM s3object WHERE <predicate> request.
 
-    ``output_format`` is "csv" or "json" (JSON Lines) — the two
-    row-oriented serializations the real API offers (Section 2.2: results
-    "returned in traditional row-oriented formats (CSV, JSON)").
+    Rows always come back as CSV, one of the row-oriented formats the
+    real API offers (Section 2.2: results "returned in traditional
+    row-oriented formats (CSV, JSON)").
     """
 
     bucket: str
     key: str
     columns: Sequence[str]
     predicate: Optional[Expr] = None
-    output_format: str = "csv"
 
 
 @dataclass
@@ -92,7 +89,7 @@ class S3SelectService:
 
     def _validate_predicate(self, predicate: Expr) -> None:
         for node in predicate.walk():
-            if not isinstance(node, _ALLOWED_PREDICATE_NODES):
+            if not isinstance(node, SELECT_PREDICATE_NODES):
                 raise SelectError(
                     f"S3 Select cannot evaluate {type(node).__name__} "
                     "(only filters over plain columns are supported)"
@@ -151,17 +148,8 @@ class S3SelectService:
             if batches
             else RecordBatch.empty(reader.schema.select(columns))
         )
-        if request.output_format == "csv":
-            payload = rows_to_csv(result)
-        elif request.output_format == "json":
-            payload = rows_to_json(result)
-        else:
-            raise SelectError(
-                f"unsupported output format {request.output_format!r} "
-                "(csv and json only)"
-            )
         return S3SelectResult(
-            csv_payload=payload,
+            csv_payload=rows_to_csv(result),
             batch=result,
             rows_scanned=rows_scanned,
             rows_returned=result.num_rows,
@@ -180,48 +168,6 @@ def rows_to_csv(batch: RecordBatch) -> bytes:
     for row in zip(*columns):
         lines.append(",".join("" if v is None else _csv_value(v) for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def rows_to_json(batch: RecordBatch) -> bytes:
-    """JSON Lines serialization (the API's other row-oriented format).
-
-    Heavier on the wire than CSV (field names repeat per row) — which is
-    the point: row-oriented transports scale poorly next to Arrow.
-    """
-    import json
-
-    if batch.num_rows == 0:
-        return b""
-    names = batch.schema.names()
-    columns = [col.to_pylist() for col in batch.columns]
-    lines = []
-    for row in zip(*columns):
-        record = {}
-        for name, value in zip(names, row):
-            if isinstance(value, float) and value != value:  # NaN
-                value = None
-            record[name] = value
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-def json_to_batch(payload: bytes, schema) -> RecordBatch:
-    """Parse a JSON Lines Select payload back into a typed batch."""
-    import json
-
-    columns: List[List[object]] = [[] for _ in schema]
-    for line in payload.decode("utf-8").splitlines():
-        if not line:
-            continue
-        record = json.loads(line)
-        for i, field in enumerate(schema):
-            value = record.get(field.name)
-            if value is not None and field.dtype.name != "string" and not field.dtype.is_floating and not isinstance(value, bool):
-                value = int(value)
-            columns[i].append(value)
-    return RecordBatch.from_pydict(
-        schema, {f.name: columns[i] for i, f in enumerate(schema)}
-    )
 
 
 def _csv_value(value: object) -> str:

@@ -137,6 +137,12 @@ DIALECT: Tuple[Difference, ...] = (
         "renaming projection into the pushed aggregation; the residual plan "
         "read a missing column.  Fixed in OcsPlanOptimizer._fuse_projection.",
     ),
+    Difference(
+        "signed zero in GROUP BY and DISTINCT", "finding",
+        "group and DISTINCT codes keyed floats by their bits, so -0.0 made a "
+        "group apart from 0.0 although `=` holds them equal.  Fixed in "
+        "exec.aggregates._factorize through exec.expressions.positive_zero.",
+    ),
 )
 
 

@@ -147,6 +147,23 @@ class TestBenchSuites:
         # Speculation really produced same-instant event runs to break.
         assert report.baseline.max_simultaneous > 1
 
+    def test_faulted_baseline_suite_replays_the_healthy_answer(self):
+        # hive-raw under link drops: retries and their jittered backoff
+        # replay event for event, and LIFO changes nothing either.
+        from repro.analysis.determinism import (
+            HARNESS_QUERY, _build_harness_env, _check_faulted_baseline_suite,
+        )
+
+        report = _check_faulted_baseline_suite()
+        report.raise_if_failed()
+        healthy = run_recorded(
+            _build_harness_env(), HARNESS_QUERY,
+            RunConfig(label="healthy", mode="hive-raw"), schema="lab",
+        )
+        assert report.baseline.result_digest == healthy.result_digest
+        # The drops cost retries: more events than the healthy run.
+        assert report.baseline.events > healthy.events
+
     def test_service_suite_full_slo_digest_identity(self):
         # The service claim is stronger than result parity: the SLO
         # digest folds in per-query latencies and queue waits, so a

@@ -1,13 +1,21 @@
 """Unit tests for the Hive-class connector (raw + select paths)."""
 
+import dataclasses
+import struct
+
 import numpy as np
 import pytest
 
 from repro.arrowsim import RecordBatch
 from repro.bench import Environment, RunConfig
+from repro.config import FaultSpec
 from repro.connectors.hive import HiveConnector, HiveTableHandle
 from repro.engine import Cluster
-from repro.errors import ConfigError
+from repro.errors import ConfigError, FormatError, StatusCode
+from repro.formats import ParcelReader
+from repro.formats.metadata import MAGIC, encode_footer
+from repro.formats.reader import meta_from_tail
+from repro.rpc import RetryPolicy
 from repro.workloads import DatasetSpec
 
 
@@ -127,3 +135,75 @@ class TestSelectPath:
         )
         assert result.metrics.value("s3select_rows_scanned") == 12000
         assert result.metrics.value("s3select_rows_returned") == 50
+
+
+class TestOneReadPath:
+    """Both Hive modes read through the code the OCS path uses."""
+
+    QUERY = "SELECT grp, count(*) AS n, sum(score) AS s FROM events GROUP BY grp"
+    MODES = {
+        "hive-raw": RunConfig(label="raw", mode="hive-raw"),
+        "hive-raw-unpruned": RunConfig(label="raw", mode="hive-raw", prune_columns=False),
+        "hive-select": RunConfig(label="select", mode="hive-select"),
+    }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gateway_calls_retry_under_the_run_retry_policy(self, int_env, mode):
+        config = self.MODES[mode]
+        healthy = int_env.run(self.QUERY, config, schema="app")
+        faulted = int_env.run(
+            self.QUERY,
+            dataclasses.replace(
+                config,
+                faults=FaultSpec(link_drop_probability=0.2, seed=3),
+                retry=RetryPolicy(max_attempts=10, initial_backoff_s=0.005),
+            ),
+            schema="app",
+        )
+        got, want = faulted.to_pydict(), healthy.to_pydict()
+        assert sorted(zip(*got.values())) == sorted(zip(*want.values()))
+        attempts = [s for s in faulted.trace if s.name.startswith("rpc:s3.")]
+        assert attempts and all("attempt" in s.attributes for s in attempts)
+        assert any(s.status is StatusCode.UNAVAILABLE for s in attempts)
+        assert any(s.attributes["attempt"] > 1 for s in attempts)
+
+    def test_gateway_reads_retry_without_the_pushdown_deadline(self, int_env):
+        # A deadline no gateway round trip can meet: only the pushdown
+        # dispatch may time out; a Hive read has nothing below it.
+        retry = RetryPolicy(max_attempts=2, deadline_s=1e-9)
+        cluster = Cluster(int_env.store, int_env.testbed, int_env.costs)
+        connector = HiveConnector(cluster, int_env.metastore, retry_policy=retry)
+        assert connector.retry_policy is retry
+        assert connector.gateway_policy.deadline_s is None
+        assert connector.gateway_policy.max_attempts == 2
+        config = dataclasses.replace(RunConfig.none(), retry=retry)
+        result = int_env.run(self.QUERY, config, schema="app")
+        assert result.rows == 5
+
+    def test_footer_that_misstates_a_chunk_size_fails_typed(self):
+        env = Environment()
+        env.add_dataset(
+            DatasetSpec(
+                schema_name="app", table_name="events", bucket="b",
+                file_count=1, generator=_int_file, row_group_rows=1000,
+            )
+        )
+        key = env.metastore.get_table("app", "events").files[0]
+        data = env.store.get_object("b", key)
+        meta = meta_from_tail(data)
+        rg = meta.row_groups[0]
+        chunk = rg.chunks[meta.schema.index_of("grp")]
+        rg.chunks[meta.schema.index_of("grp")] = dataclasses.replace(
+            chunk, uncompressed_size=chunk.uncompressed_size + 7
+        )
+        footer = encode_footer(meta)
+        footer_len = struct.unpack("<I", data[-8:-4])[0]
+        body = data[: len(data) - 8 - footer_len]
+        env.store.put_object("b", key, body + footer + struct.pack("<I", len(footer)) + MAGIC)
+        stored = env.store.get_object("b", key)
+
+        with pytest.raises(FormatError, match="footer says") as reader_error:
+            ParcelReader(stored).read_row_group(0, ["grp"])
+        with pytest.raises(FormatError, match="footer says") as raw_error:
+            env.run("SELECT grp FROM events", RunConfig.none(), schema="app")
+        assert str(raw_error.value) == str(reader_error.value)

@@ -25,7 +25,7 @@ from repro.connectors.hive import HiveConnector
 from repro.core import PushdownPolicy
 from repro.engine import Cluster, Coordinator, Session, Stage
 from repro.engine.lowering import lower
-from repro.engine.spi import ConnectorSplit
+from repro.engine.spi import Connector, ConnectorSplit
 from repro.errors import ReproError, StatusCode
 from repro.plan.nodes import TableScanNode
 from repro.plan.optimizer import GlobalOptimizer
@@ -159,6 +159,8 @@ class _StubBodies:
 
 
 class _StubConnector:
+    retry_policy = Connector.retry_policy  # the SPI attribute lower() reads
+
     def __init__(self, dynamic_filters=False):
         self.policy = SimpleNamespace(dynamic_filters=dynamic_filters)
 

@@ -119,49 +119,3 @@ class TestDeterminism:
             b = env.run(QUERY, config, schema="s")
             assert a.execution_seconds == b.execution_seconds
             assert a.stage_seconds == b.stage_seconds
-
-
-class TestJsonSelectTransport:
-    def test_json_roundtrip_through_service(self, env):
-        from repro.objectstore import S3SelectRequest, S3SelectService
-        from repro.objectstore.s3select import json_to_batch
-
-        descriptor = env.metastore.get_table("s", "t")
-        service = S3SelectService(env.store, strict_types=False)
-        result = service.select(
-            S3SelectRequest(
-                bucket="b", key=descriptor.files[0], columns=["grp", "v"],
-                output_format="json",
-            )
-        )
-        parsed = json_to_batch(
-            result.csv_payload, descriptor.table_schema.select(["grp", "v"])
-        )
-        assert parsed.num_rows == result.rows_returned
-        assert parsed.column("grp").to_pylist()[:5] == result.batch.column(
-            "grp"
-        ).to_pylist()[:5]
-
-    def test_json_heavier_than_csv(self, env):
-        from repro.objectstore import S3SelectRequest, S3SelectService
-
-        descriptor = env.metastore.get_table("s", "t")
-        service = S3SelectService(env.store, strict_types=False)
-        csv = service.select(
-            S3SelectRequest("b", descriptor.files[0], ["grp", "v"])
-        )
-        json_ = service.select(
-            S3SelectRequest("b", descriptor.files[0], ["grp", "v"], output_format="json")
-        )
-        assert len(json_.csv_payload) > len(csv.csv_payload)
-
-    def test_unknown_format_rejected(self, env):
-        from repro.errors import SelectError
-        from repro.objectstore import S3SelectRequest, S3SelectService
-
-        descriptor = env.metastore.get_table("s", "t")
-        service = S3SelectService(env.store, strict_types=False)
-        with pytest.raises(SelectError):
-            service.select(
-                S3SelectRequest("b", descriptor.files[0], ["grp"], output_format="xml")
-            )

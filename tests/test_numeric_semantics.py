@@ -12,7 +12,9 @@ Each test here failed before its fix:
   the mixed-radix product exceeded 2**63, merging distinct groups;
 * ``IN`` / ``NOT IN`` ignored a NULL list element (``x NOT IN (1, NULL)``
   was TRUE for every non-NULL ``x`` other than 1, where SQL says it is
-  never TRUE), and on strings it matched the literal text ``'None'``.
+  never TRUE), and on strings it matched the literal text ``'None'``;
+* group and DISTINCT codes keyed floats by their bits, so ``-0.0`` made
+  a group apart from ``0.0`` although ``=`` holds them equal.
 
 The pushed-vs-local suite at the bottom pins the same semantics through
 the Substrait path: the OCS embedded engine must agree with compute-side
@@ -25,7 +27,7 @@ import pytest
 from repro.arrowsim import FLOAT64, INT64, STRING, Field, RecordBatch, Schema
 from repro.bench import Environment, RunConfig
 from repro.exec.operators import HashJoinOperator, run_operators
-from repro.exec.aggregates import _group_rows
+from repro.exec.aggregates import AggregateSpec, _group_rows, grouped_aggregate
 from repro.exec.expressions import ArithExpr, ColumnExpr, LiteralExpr, ScalarFuncExpr
 from repro.workloads.datasets import DatasetSpec
 from repro.arrowsim.record_batch import concat_batches
@@ -178,6 +180,36 @@ SELECT n,
        big / 3 AS bigq
 FROM edges
 """
+
+
+class TestSignedZeroKeys:
+    """-0.0 and 0.0 are one key in every aggregation phase."""
+
+    COUNT = [AggregateSpec("count", None, "n")]
+
+    def test_partial_phase_makes_one_group(self):
+        batch = _float_batch("f", [0.0, -0.0, 1.5, -0.0])
+        out = grouped_aggregate(batch, ["f"], self.COUNT, phase="partial").to_pydict()
+        assert sorted(zip(out["f"], out["n"])) == [(0.0, 3), (1.5, 1)]
+
+    def test_final_merge_joins_partials_that_saw_different_zeros(self):
+        # One storage node saw only -0.0, another only 0.0: the partials
+        # each hold one zero group, and only the final merge can join them.
+        left = grouped_aggregate(_float_batch("f", [-0.0, -0.0]), ["f"], self.COUNT, "partial")
+        right = grouped_aggregate(_float_batch("f", [0.0, 1.5]), ["f"], self.COUNT, "partial")
+        merged = grouped_aggregate(
+            concat_batches([left, right]), ["f"], self.COUNT, phase="final"
+        ).to_pydict()
+        assert sorted(zip(merged["f"], merged["n"])) == [(0.0, 3), (1.5, 1)]
+
+    def test_distinct_count_sees_one_zero(self):
+        batch = RecordBatch.from_arrays({
+            "g": np.zeros(4, dtype=np.int64),
+            "f": np.asarray([0.0, -0.0, 1.5, 0.0]),
+        })
+        spec = AggregateSpec("count", "f", "n", input_dtype=FLOAT64, distinct=True)
+        out = grouped_aggregate(batch, ["g"], [spec]).to_pydict()
+        assert out["n"] == [2]
 
 
 def _edge_env():

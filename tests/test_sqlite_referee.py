@@ -6,26 +6,29 @@ Two corpora, both refereed by :mod:`sqlite_referee`:
   TPC-H Q1, Q3, Q3_FULL, Q4, Q6, Q12, Q18 and the two queries at the
   parser's depth ceiling — on the standing ``small_env`` fixture;
 * a **seeded generated corpus** over two small NULL-heavy tables, plus a
-  negative mode of ill-typed statements that must fail typed.
+  negative mode of ill-typed statements that must fail typed, and a
+  slice of it replayed under link drops with retries (the fault axis).
 
 ``python -m pytest -m slow tests/test_sqlite_referee.py`` runs the long
-generated corpus.
+generated corpus and the long fault-axis run.
 """
 
 import datetime
 import pathlib
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
 from repro.arrowsim import DATE32, FLOAT64, INT64, STRING, Field, RecordBatch, Schema
+from repro.analysis.determinism import canonical_result_digest
 from repro.bench import Environment, RunConfig
-from repro.config import CacheSpec
+from repro.config import CacheSpec, FaultSpec
 from repro.errors import ReproError
+from repro.rpc import RetryPolicy
 from repro.sql.parser import MAX_EXPRESSION_DEPTH
 from repro.workloads import (
     DEEPWATER_QUERY,
@@ -594,6 +597,106 @@ def test_long_generated_run_agrees_with_sqlite(fuzz_env, fuzz_referee):
         except AssertionError as exc:
             failures.append(f"seed {seed}: {exc}")
     assert not failures, f"{len(failures)} seeds disagree:\n\n" + "\n\n".join(failures[:5])
+
+
+# -- the fault axis -------------------------------------------------------------
+#
+# Pushdown is transparent: every mode returns the healthy answer under link
+# drops once its retries absorb them.  The referee modes answer to SQLite;
+# hive-select, whose CSV transport reads an empty string back as NULL,
+# answers to its own healthy run (without the LIMIT, whose tied rows may
+# legitimately differ when splits arrive in another order).
+
+LINK_DROPS = FaultSpec(link_drop_probability=0.2, seed=3)
+DROP_RETRY = RetryPolicy(max_attempts=10, initial_backoff_s=0.005)
+FAULT_MODES = {**MODES, "hive-select": RunConfig(label="hive-select", mode="hive-select")}
+FAULT_TIER1_SEEDS = 12
+FAULT_SLOW_SEEDS = 40
+
+
+def agree_under_link_drops(env, referee, case, mode):
+    """``case`` gives the healthy answer in ``mode`` under ``LINK_DROPS``."""
+    config = FAULT_MODES[mode]
+    faulted = replace(config, faults=LINK_DROPS, retry=DROP_RETRY)
+    try:
+        if mode == "hive-select":
+            sql = _LIMIT.sub("", case.engine)
+            got = env.run(sql, faulted, schema="fz").batch
+            want = env.run(sql, config, schema="fz").batch
+            assert canonical_result_digest(got) == canonical_result_digest(want)
+        else:
+            result = env.run(case.engine, faulted, schema="fz")
+            referee.check(result.batch, case.sqlite, order=case.order, limit=case.limit)
+    except Exception as exc:
+        raise AssertionError(f"[{mode} under link drops] {case.engine}\n{exc}") from exc
+
+
+@pytest.mark.parametrize("mode", FAULT_MODES)
+@pytest.mark.parametrize("seed", range(FAULT_TIER1_SEEDS))
+def test_generated_query_survives_link_drops(fuzz_env, fuzz_referee, seed, mode):
+    agree_under_link_drops(fuzz_env, fuzz_referee, Generator(seed).case(), mode)
+
+
+@pytest.mark.slow
+def test_long_generated_run_survives_link_drops(fuzz_env, fuzz_referee):
+    failures = []
+    for seed in range(FAULT_TIER1_SEEDS, FAULT_TIER1_SEEDS + FAULT_SLOW_SEEDS):
+        case = Generator(seed).case()
+        for mode in FAULT_MODES:
+            try:
+                agree_under_link_drops(fuzz_env, fuzz_referee, case, mode)
+            except AssertionError as exc:
+                failures.append(f"seed {seed}: {exc}")
+    assert not failures, f"{len(failures)} runs disagree:\n\n" + "\n\n".join(failures[:5])
+
+
+# -- signed zero -----------------------------------------------------------------
+#
+# SQL ``=`` holds -0.0 equal to +0.0, so grouping, DISTINCT and
+# count(DISTINCT) must make them one value too.  ``z_none``/``z_zstd``:
+# two files each of a float column cycling 0.0, -0.0, 1.5, NULL in 16-row
+# row groups, stored plain and under zstd.
+
+ZEROS = Schema([Field("f", FLOAT64), Field("k", INT64)])
+ZERO_CYCLE = (0.0, -0.0, 1.5, None)
+SIGNED_ZERO = {
+    "group-by": "SELECT f AS c0, count(*) AS c1 FROM {t} GROUP BY f",
+    "distinct": "SELECT DISTINCT f AS c0 FROM {t}",
+    "count-distinct": "SELECT count(DISTINCT f) AS c0 FROM {t}",
+    "grouped-count-distinct": "SELECT k AS c0, count(DISTINCT f) AS c1 FROM {t} GROUP BY k",
+    "equality": "SELECT count(*) AS c0 FROM {t} WHERE f = -0.0",
+}
+
+
+def _zeros_file(i):
+    n = 48
+    return RecordBatch.from_pydict(ZEROS, {
+        "f": [ZERO_CYCLE[j % 4] for j in range(n)],
+        "k": [(i + j) % 3 for j in range(n)],
+    })
+
+
+@pytest.fixture(scope="module")
+def zeros_env():
+    env = Environment()
+    for codec in ("none", "zstd"):
+        env.add_dataset(DatasetSpec(
+            schema_name="fz", table_name=f"z_{codec}", bucket="fz", file_count=2,
+            generator=_zeros_file, codec=codec, row_group_rows=16,
+        ))
+    return env
+
+
+@pytest.fixture(scope="module")
+def zeros_referee(zeros_env):
+    return Referee(zeros_env)
+
+
+@pytest.mark.parametrize("codec", ("none", "zstd"))
+@pytest.mark.parametrize("name", SIGNED_ZERO)
+def test_signed_zero_is_one_value(zeros_env, zeros_referee, name, codec):
+    sql = SIGNED_ZERO[name].format(t=f"z_{codec}")
+    agree_everywhere(zeros_env, zeros_referee, Case(sql, sql))
 
 
 # -- the negative mode ----------------------------------------------------------

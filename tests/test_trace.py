@@ -365,6 +365,9 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
     # switch, no backend classes, no tree-vs-fused parity harness) and
     # the spans the only counter ledger: no registry, no ``metrics``
     # argument threaded through the layers, no fabric-wide retry tally.
+    # It also keeps one RPC path: ``retrying_call`` is the only caller of
+    # ``RpcClient.call``, so no storage or exchange call skips the retry
+    # policy.
     root = pathlib.Path(repro.__file__).parent
     banned = {
         "NOOP_TRACER", "NOOP_SPAN", "StageTimer", "StageAccountant",
@@ -379,6 +382,7 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
     assert not (root / "sim" / "metrics.py").exists()
     #: attribute name -> the classes that define it (field or ``self.x =``).
     owners = {}
+    rpc_callers = []
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root).as_posix()
         for node in ast.walk(ast.parse(path.read_text())):
@@ -398,6 +402,8 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
                 assert not any(m.endswith(gone) for m in modules), where
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert not any(name in node.value for name in gone), where
+            if isinstance(node, ast.Attribute) and node.attr == "call":
+                rpc_callers.append(where)
             if isinstance(node, ast.Attribute) and node.attr == "enabled":
                 owner = ast.unparse(node.value)
                 assert not owner.endswith("tracer"), f"{where}: {owner}.enabled"
@@ -414,3 +420,4 @@ def test_no_tracing_switch_and_no_second_stage_ledger_under_src():
     # The one per-query counter view, summed from the query's trace.
     assert owners.get("metrics") == {"QueryResult"}
     assert "ExchangeFabric" not in owners.get("retries", set())
+    assert [where.split(":")[0] for where in rpc_callers] == ["rpc/retry.py"], rpc_callers
