@@ -58,7 +58,7 @@ class CacheEntry:
 
 @dataclass
 class CacheStats:
-    """Deterministic counters surfaced by benches and the SLO report."""
+    """Deterministic per-tier totals (:meth:`~repro.cache.manager.CacheManager.stats`)."""
 
     hits: int = 0
     misses: int = 0

@@ -25,14 +25,15 @@ from — and a lookup whose recomputed signature differs drops the entry
 (both tiers see the same bumped counters, so one PUT or one stats
 refresh invalidates everywhere).
 
-Accounting is a callback seam: the query service points ``accountant``
-at its admission controller so per-tenant hit/miss/fill/refusal
-counters land in the same ledgers the SLO report reads.
+A tier with a zero budget is off: it stores nothing and every lookup
+misses.  Each tier keeps its own totals (:attr:`ByteBudgetCache.stats`);
+what one query got from the cache is counted on its spans
+(``result_cache_*``, ``split_cache_*``, ``ocs_page_cache_hits``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.config import CacheSpec
 from repro.cache.budget import ByteBudgetCache, VersionSignature
@@ -44,11 +45,6 @@ __all__ = [
     "object_version_signature",
     "table_version_signature",
 ]
-
-#: accountant(event, tenant, nbytes) with event in
-#: {"hit", "miss", "fill", "stale", "quota"}.
-Accountant = Callable[[str, str, int], None]
-
 
 def object_version_signature(
     store: ObjectStore, bucket: str, keys: Sequence[str]
@@ -74,19 +70,18 @@ class CacheManager:
     def __init__(self, spec: CacheSpec) -> None:
         self.spec = spec
         self.results = ByteBudgetCache(
-            spec.result_budget_bytes if spec.enable_results else 0,
+            spec.result_budget_bytes,
             policy=spec.policy,
             reservations=spec.tenant_reservations,
             name="result",
         )
         self.splits = ByteBudgetCache(
-            spec.split_budget_bytes if spec.enable_splits else 0,
+            spec.split_budget_bytes,
             policy=spec.policy,
             reservations=spec.tenant_reservations,
             name="split",
         )
         self._storage: Dict[int, ByteBudgetCache] = {}
-        self.accountant: Optional[Accountant] = None
         #: Per-table lookup ledger (table -> [lookups, hits]), fed by the
         #: coordinator's run path only (EXPLAIN probes are pure peeks).
         #: The adaptive controller reads it to bias pushdown decisions
@@ -100,7 +95,7 @@ class CacheManager:
         tier = self._storage.get(node_index)
         if tier is None:
             tier = ByteBudgetCache(
-                self.spec.storage_budget_bytes if self.spec.enable_storage else 0,
+                self.spec.storage_budget_bytes,
                 policy=self.spec.policy,
                 reservations=self.spec.tenant_reservations,
                 name=f"storage:{node_index}",
@@ -125,10 +120,6 @@ class CacheManager:
         return ("page", bucket, keys, fingerprint)
 
     # -- accounting --------------------------------------------------------
-
-    def account(self, event: str, tenant: str, nbytes: int) -> None:
-        if self.accountant is not None:
-            self.accountant(event, tenant, nbytes)
 
     def record_table_lookup(self, table: str, *, hits: int, misses: int) -> None:
         """Fold one run's cache outcomes for ``table`` into the ledger."""

@@ -235,7 +235,8 @@ class CacheSpec:
     canonical Substrait fingerprint + object versions) and the
     storage-tier page cache on each OCS node (pushed-subplan Arrow
     result pages keyed by object/row-group/fingerprint).  Budgets are
-    byte ceilings enforced by deterministic eviction; per-tenant
+    byte ceilings enforced by deterministic eviction (a zero budget
+    turns that tier off); per-tenant
     reservations are eviction *floors* — no tenant's resident bytes can
     be evicted below its reservation by another tenant's fills.
     """
@@ -252,13 +253,6 @@ class CacheSpec:
     #: tenant name -> bytes of coordinator-tier residency that other
     #: tenants' fills may never evict.
     tenant_reservations: Mapping[str, int] = field(default_factory=dict)
-    #: Serve whole-query results from the coordinator tier.
-    enable_results: bool = True
-    #: Serve/fill per-split pages at the coordinator tier (the tier
-    #: behind partial-hit hybrid plans).
-    enable_splits: bool = True
-    #: Serve/fill pushed-subplan pages at the OCS storage tier.
-    enable_storage: bool = True
 
     def __post_init__(self) -> None:
         self.validate()
@@ -287,9 +281,6 @@ class CacheSpec:
             self.storage_budget_bytes,
             self.policy,
             tuple(sorted(self.tenant_reservations.items())),
-            self.enable_results,
-            self.enable_splits,
-            self.enable_storage,
         )
 
 

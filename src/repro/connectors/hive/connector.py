@@ -216,7 +216,6 @@ class HiveConnector(Connector):
             payload = yield from self._gateway_call(
                 S3Gateway.GET_RANGES, encode_ranges_request(bucket, key, ranges), span
             )
-            span.set("bytes", len(payload) + len(tail) + len(tail8))
         finally:
             tracer.end(span)
 
@@ -277,8 +276,6 @@ class HiveConnector(Connector):
         finally:
             tracer.end(span)
         reply: SelectReply = decode_select_reply(response)
-        span.set("bytes", len(response))
-        span.set("rows_returned", reply.rows_returned)
         schema = descriptor.table_schema.select(handle.columns)
         batch = RecordBatch.empty(schema)
         if reply.csv_payload:

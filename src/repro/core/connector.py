@@ -126,7 +126,6 @@ class OcsConnector(Connector):
             + plan.expression_node_count() * costs.substrait_cycles_per_expression
         )
         yield cluster.compute.execute(generation_cycles, name="substrait-gen")
-        substrait_span.set("plan_bytes", len(plan_bytes))
         substrait_span.add("substrait_plan_bytes", len(plan_bytes))
         tracer.end(substrait_span)
         pushdown_span = tracer.start(
@@ -201,19 +200,14 @@ class OcsConnector(Connector):
         )
 
         pushdown_span.set("attempts", attempts)
-        pushdown_span.set("rows_scanned", report.rows_scanned)
-        pushdown_span.set("rows_returned", report.rows_returned)
-        pushdown_span.set("bytes", len(response))
         pushdown_span.add("ocs_rows_scanned", report.rows_scanned)
         pushdown_span.add("ocs_rows_returned", report.rows_returned)
         pushdown_span.add("ocs_stored_bytes_read", report.stored_bytes_read)
         pushdown_span.add("ocs_row_groups_pruned", report.row_groups_pruned)
         pushdown_span.add("ocs_row_groups_read", report.row_groups_read)
         if report.dynamic_rows_pruned:
-            pushdown_span.set("dynamic_rows_pruned", report.dynamic_rows_pruned)
             pushdown_span.add("ocs_dynamic_rows_pruned", report.dynamic_rows_pruned)
         if report.page_cache_hits:
-            pushdown_span.set("page_cache_hits", report.page_cache_hits)
             pushdown_span.add("ocs_page_cache_hits", report.page_cache_hits)
         self.monitor.record(
             PushdownEvent(
@@ -233,7 +227,6 @@ class OcsConnector(Connector):
             batches=batches,
             bytes_received=len(response),
             ingest_cycles=ingest,
-            transfer_seconds=sim.now - t1,
         )
 
     def speculative_page_source(
@@ -278,11 +271,9 @@ class OcsConnector(Connector):
         the query only pays more data movement and compute-side CPU.
         """
         cluster = self.cluster
-        sim = cluster.sim
         costs = cluster.costs
         tracer = cluster.tracer
         bucket = handle.descriptor.bucket
-        t0 = sim.now
         # Transfer-tagged: a speculative backup has no pushdown span
         # around it, and under a downgraded one the window nests.
         span = tracer.start(
@@ -310,8 +301,6 @@ class OcsConnector(Connector):
             batches, report = engine.execute(plan, bucket, list(split.keys))
             span.add("fallback_rows_scanned", report.rows_scanned)
             span.add("fallback_rows_returned", report.rows_returned)
-            span.set("bytes", payload_bytes)
-            span.set("rows_returned", report.rows_returned)
         finally:
             tracer.end(span)
         ingest = (
@@ -322,5 +311,4 @@ class OcsConnector(Connector):
             batches=batches,
             bytes_received=payload_bytes,
             ingest_cycles=ingest,
-            transfer_seconds=sim.now - t0,
         )

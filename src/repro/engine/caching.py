@@ -276,7 +276,6 @@ class QueryCache:
             "cache-lookup", parent=root, stage=STAGE_OTHERS,
             attributes={"tier": "result"},
         ) as lookup:
-            resident = cache.results.entry(key) is not None
             hit = cache.results.get(key, tenant=self.tenant, versions=versions)
             lookup.set("hit", hit is not None)
             yield cluster.compute.execute(costs.cache_lookup_cycles, name="cache-lookup")
@@ -285,10 +284,7 @@ class QueryCache:
                     hit.nbytes * costs.cache_serve_cycles_per_byte,
                     name="cache-serve",
                 )
-        if hit is None:
-            cache.account("stale" if resident else "miss", self.tenant, 0)
-        else:
-            cache.account("hit", self.tenant, hit.nbytes)
+        if hit is not None:
             root.add("result_cache_hits", 1)
         for branch in lowered.branches:
             cache.record_table_lookup(
@@ -313,7 +309,6 @@ class QueryCache:
             )
             span.set("bytes", batch.nbytes)
             span.set("accepted", filled)
-        self.cache.account("fill" if filled else "quota", self.tenant, batch.nbytes)
         if filled:
             root.add("result_cache_fills", 1)
 
@@ -334,37 +329,29 @@ class QueryCache:
             cluster = self.cluster
             cache = self.cache
             costs = cluster.costs
-            tenant = self.tenant
             out: Dict[int, List[RecordBatch]] = {}
             fallback: List[int] = []
             served = 0
             with cluster.tracer.span(
                 "cache-lookup", parent=ctx.span, stage=STAGE_TRANSFER,
                 attributes={"tier": "split", "splits": len(hits)},
-            ) as span:
+            ):
                 for index in hits:
-                    key = branch.keys.split_keys[index]
-                    resident = cache.splits.entry(key) is not None
                     value = cache.splits.get(
-                        key, tenant=tenant,
+                        branch.keys.split_keys[index], tenant=self.tenant,
                         versions=self._split_versions(branch, branch.splits[index]),
                     )
                     if value is None:
-                        cache.account("stale" if resident else "miss", tenant, 0)
                         fallback.append(index)
                         continue
-                    nbytes = sum(b.nbytes for b in value)
-                    cache.account("hit", tenant, nbytes)
                     out[index] = list(value)
-                    served += nbytes
+                    served += sum(b.nbytes for b in value)
                 cycles = (
                     len(hits) * costs.cache_lookup_cycles
                     + served * costs.cache_serve_cycles_per_byte
                 )
                 if cycles:
                     yield cluster.compute.execute(cycles, name="cache-serve")
-                span.set("hits", len(out))
-                span.set("bytes", served)
             if out:
                 ctx.span.add("split_cache_hits", len(out))
                 ctx.span.add("split_cache_bytes_served", served)
@@ -431,8 +418,8 @@ class QueryCache:
         """Offer each scanned split's post-operator batches to the cache.
 
         Fills are best-effort: a refusal (budget or another tenant's
-        reservation floor) is accounted, never raised.  Pure bookkeeping
-        — no simulated time passes.
+        reservation floor) is counted by the tier, never raised.  Pure
+        bookkeeping — no simulated time passes.
         """
         cache = self.cache
         assert cache is not None
@@ -451,11 +438,9 @@ class QueryCache:
                     versions=self._split_versions(branch, branch.splits[index]),
                     cost=float(sum(b.num_rows for b in batches)),
                 )
-                cache.account("fill" if ok else "quota", self.tenant, nbytes)
                 if ok:
                     filled += 1
                     filled_bytes += nbytes
-            span.set("splits", filled)
             span.set("bytes", filled_bytes)
         if filled:
             ctx.span.add("split_cache_fills", filled)

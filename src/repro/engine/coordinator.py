@@ -690,7 +690,6 @@ class Coordinator:
         """(5-6) Charge split scheduling, run the graph, gather the result."""
         cluster = self.cluster
         with cluster.tracer.span("schedule", parent=root, stage=STAGE_OTHERS) as schedule:
-            schedule.set("splits", lowered.total_splits)
             schedule.set("stages", len(lowered.graph))
             yield cluster.compute.execute(
                 lowered.total_splits * cluster.costs.schedule_cycles_per_split,

@@ -73,7 +73,6 @@ class StageContext:
     """
 
     sim: Any
-    parent: Any = None
     span: Any = None
     query_id: Optional[str] = None
     attempt: int = 0

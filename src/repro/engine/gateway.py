@@ -211,7 +211,7 @@ class S3Gateway:
 
     # -- handlers ------------------------------------------------------------
 
-    def _handle_get_tail(self, payload: bytes, trace: Optional[SpanContext] = None):
+    def _handle_get_tail(self, payload: bytes, trace: SpanContext):
         bucket, key, nbytes = decode_tail_request(payload)
         data = self.store.get_object(bucket, key)
         nbytes = min(nbytes, len(data))
@@ -231,7 +231,7 @@ class S3Gateway:
             self.tracer.end(span)
         return response
 
-    def _handle_get_ranges(self, payload: bytes, trace: Optional[SpanContext] = None):
+    def _handle_get_ranges(self, payload: bytes, trace: SpanContext):
         bucket, key, ranges = decode_ranges_request(payload)
         response = b"".join(
             self.store.get_object_range(bucket, key, start, length)
@@ -252,7 +252,7 @@ class S3Gateway:
             self.tracer.end(span)
         return response
 
-    def _handle_select(self, payload: bytes, trace: Optional[SpanContext] = None):
+    def _handle_select(self, payload: bytes, trace: SpanContext):
         bucket, key, columns, table_columns, sexpr, registry = decode_select_request(payload)
         predicate: Optional[Expr] = None
         if sexpr is not None:

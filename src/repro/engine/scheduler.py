@@ -205,7 +205,6 @@ class DagScheduler:
                         span.add("stage_restarts", 1)
                     ctx = StageContext(
                         sim=self.sim,
-                        parent=self.parent,
                         span=span,
                         query_id=self.query_id,
                         attempt=attempt,

@@ -72,8 +72,6 @@ class PageSourceResult:
     #: Compute-side cycles to materialize the pages (CSV parse, Arrow
     #: deserialize, or Parcel decode — charged by the worker driver).
     ingest_cycles: float = 0.0
-    #: Simulated seconds spent between request and last byte (stage info).
-    transfer_seconds: float = 0.0
 
 
 class ConnectorPlanOptimizer(ABC):

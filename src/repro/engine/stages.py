@@ -252,10 +252,7 @@ class StageBodies:
             factory(branch.handle, split, trace=split_span),
             name=f"page-source-{split.split_id}",
         )
-        with tracer.span(
-            "ingest", parent=split_span, stage=STAGE_TRANSFER,
-            attributes={"bytes": source.bytes_received},
-        ):
+        with tracer.span("ingest", parent=split_span, stage=STAGE_TRANSFER):
             if source.ingest_cycles:
                 yield cluster.compute.execute(source.ingest_cycles, name="ingest")
         split_span.add("bytes_received", source.bytes_received)
@@ -290,8 +287,6 @@ class StageBodies:
                 pushed.dynamic_filter = dyn.to_expression(probe_key, probe_dtype)
                 ctx.span.add("dynamic_filter_build_rows", dyn.build_rows)
                 ctx.span.add("dynamic_filter_distinct_keys", dyn.distinct_keys)
-                if ctx.parent is not None:
-                    ctx.parent.set("dynamic_filter_keys", dyn.distinct_keys)
             return build_batches
             yield  # pragma: no cover - marks this body as a generator
 
@@ -364,8 +359,6 @@ class StageBodies:
                     framed = yield AllOf(sim, put_procs)
                     page_bytes = sum(framed)
                 parts = [fabric.drain(exchange_id, p) for p in range(workers)]
-                span.set("bytes", page_bytes)
-                span.set("pages", len(put_procs))
                 span.add("exchange_bytes", page_bytes)
                 span.add("exchange_pages", len(put_procs))
             return parts
@@ -468,7 +461,6 @@ class StageBodies:
             if cycles:
                 yield cluster.compute.execute(cycles, name=f"join-task-{index}")
             span.set("build_rows", op.build_rows)
-            span.set("probe_rows", op.rows_in)
             for task_op in task_ops:
                 span.add(f"rows_into_{task_op.name}", task_op.rows_in)
         return out

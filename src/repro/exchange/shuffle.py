@@ -204,9 +204,7 @@ class ExchangeFabric:
 
     # -- receiving side ---------------------------------------------------
 
-    def _handle_put(
-        self, payload: bytes, trace: Optional[SpanContext] = None
-    ) -> ProcessGenerator:
+    def _handle_put(self, payload: bytes, trace: SpanContext) -> ProcessGenerator:
         page = decode_page(payload)
         buffer = self._buffers.get((page.exchange_id, page.partition))
         if buffer is None:

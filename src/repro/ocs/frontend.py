@@ -135,9 +135,8 @@ class OcsFrontend:
         self.tracer = tracer
         self.service = RpcService(sim, node, "ocs-frontend", costs, tracer=tracer)
         self.service.register(self.METHOD, self._handle_execute)
-        self.requests_served = 0
 
-    def _handle_execute(self, payload: bytes, trace: Optional[SpanContext] = None):
+    def _handle_execute(self, payload: bytes, trace: SpanContext):
         request = decode_request(payload)
         if not 0 <= request.node_index < len(self.storage_nodes):
             raise OcsError(f"no storage node {request.node_index}")
@@ -190,5 +189,4 @@ class OcsFrontend:
         yield link.transfer(
             storage.node.name, self.node.name, len(response), label="plan-result"
         )
-        self.requests_served += 1
         return response

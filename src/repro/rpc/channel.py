@@ -20,14 +20,13 @@ status code on failure; the server opens a child span under the caller's
 :class:`~repro.trace.SpanContext`, which propagates as an extra dispatch
 argument — the simulated analogue of gRPC metadata headers, already
 budgeted inside :data:`FRAME_OVERHEAD_BYTES` so propagation moves no
-extra simulated bytes.  Handlers that want the context declare a second
-parameter ``(payload, trace)``; single-argument handlers keep working.
+extra simulated bytes.  Every handler takes ``(payload, trace)``, the
+second argument being the server span's context.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Callable, Dict, Generator, Optional, Tuple
+from typing import Callable, Dict, Generator, Optional
 
 from repro.errors import LinkDropError, RpcError, RpcStatusError, StatusCode
 from repro.sim import santrack
@@ -43,25 +42,9 @@ __all__ = ["RpcService", "RpcClient", "FRAME_OVERHEAD_BYTES"]
 #: HTTP/2-ish envelope).
 FRAME_OVERHEAD_BYTES = 64
 
-#: A handler receives the request payload (and optionally the caller's
-#: span context) and returns response bytes.
-Handler = Callable[..., Generator]
-
-
-def _wants_trace(handler: Handler) -> bool:
-    """True when ``handler`` accepts a second (trace-context) argument."""
-    try:
-        params = inspect.signature(handler).parameters.values()
-    except (TypeError, ValueError):
-        return False
-    positional = [
-        p
-        for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if len(positional) >= 2:
-        return True
-    return any(p.kind is p.VAR_POSITIONAL for p in params)
+#: A handler receives the request payload and the server span's context
+#: and returns a process generator that yields the response bytes.
+Handler = Callable[[bytes, SpanContext], Generator]
 
 
 class RpcService:
@@ -80,15 +63,12 @@ class RpcService:
         self.name = name
         self.costs = costs
         self.tracer = tracer
-        self._handlers: Dict[str, Tuple[Handler, bool]] = {}
-        self.calls_served = 0
+        self._handlers: Dict[str, Handler] = {}
 
     def register(self, method: str, handler: Handler) -> None:
         if method in self._handlers:
             raise RpcError(f"method {method!r} already registered on {self.name}")
-        # Arity is inspected once here, not per call: legacy single-arg
-        # handlers stay valid, two-arg handlers receive the span context.
-        self._handlers[method] = (handler, _wants_trace(handler))
+        self._handlers[method] = handler
 
     def dispatch(self, method: str, payload: bytes, trace: Optional[SpanContext] = None):
         """Server-side processing generator: overhead + handler.
@@ -97,12 +77,11 @@ class RpcService:
         the server-side span is parented under it so one query's spans
         form a single tree across node boundaries.
         """
-        entry = self._handlers.get(method)
-        if entry is None:
+        handler = self._handlers.get(method)
+        if handler is None:
             raise RpcStatusError(
                 StatusCode.UNIMPLEMENTED, f"{self.name} has no method {method!r}"
             )
-        handler, wants_trace = entry
         span = self.tracer.start(
             f"{self.name}.server:{method}",
             parent=trace,
@@ -110,8 +89,9 @@ class RpcService:
         )
         try:
             yield self.node.execute(self.costs.rpc_cycles_per_message, name=f"rpc:{method}")
-            work = handler(payload, span.context) if wants_trace else handler(payload)
-            response = yield self.sim.process(work, name=f"{self.name}:{method}")
+            response = yield self.sim.process(
+                handler(payload, span.context), name=f"{self.name}:{method}"
+            )
             if not isinstance(response, (bytes, bytearray)):
                 raise RpcStatusError(
                     StatusCode.INTERNAL,
@@ -125,7 +105,6 @@ class RpcService:
             raise
         finally:
             self.tracer.end(span)
-        self.calls_served += 1
         return bytes(response)
 
 

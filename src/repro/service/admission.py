@@ -13,14 +13,16 @@ at its arrival instant against three limits from
 A violated limit produces a typed :class:`~repro.errors.AdmissionError`
 subclass — the caller sees a stable ``code`` (``ADMISSION_QUEUE_FULL``,
 ``ADMISSION_TENANT_LIMIT``, ``ADMISSION_MEMORY_BUDGET``), never a parsed
-message.  The controller also keeps the per-tenant ledgers (running
-counts, service received, first/last activity) that the fair-share
-scheduler and the SLO reporter read.
+message.  The controller also keeps what admission and the fair-share
+scheduler read per tenant (in-flight and running counts, admitted
+memory, service received).  Outcomes are not kept here: the job records
+are the service's one outcome ledger, and the SLO report derives each
+tenant's row from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.config import ServiceSpec
@@ -38,7 +40,7 @@ __all__ = ["TenantState", "AdmissionController"]
 
 @dataclass
 class TenantState:
-    """Per-tenant ledger: admission counters + scheduler inputs."""
+    """Per-tenant admission and scheduler inputs."""
 
     name: str
     #: Queued + running queries (what the in-flight cap bounds).
@@ -47,30 +49,15 @@ class TenantState:
     running: int = 0
     #: Sum of memory estimates over admitted (queued + running) queries.
     memory_admitted: int = 0
-    submitted: int = 0
-    completed: int = 0
-    failed: int = 0
-    rejected: int = 0
-    timed_out: int = 0
     #: Simulated execution seconds served to completed queries
     #: (fair-share "service received" signal).
     served_seconds: float = 0.0
-    first_submit: Optional[float] = None
-    last_finish: Optional[float] = None
-    rejections_by_code: Dict[str, int] = field(default_factory=dict)
-    #: Cache-quota ledger (fed by :meth:`AdmissionController.record_cache`
-    #: through the cache manager's accountant seam).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_fills: int = 0
-    cache_stale_drops: int = 0
-    cache_quota_refusals: int = 0
-    cache_bytes_served: int = 0
-    cache_bytes_filled: int = 0
+    #: Queries that finished with a result (fair-share tie-break).
+    completed: int = 0
 
 
 class AdmissionController:
-    """Stateless checks + stateful per-tenant ledgers."""
+    """Stateless checks + per-tenant admission state."""
 
     def __init__(self, spec: ServiceSpec) -> None:
         self.spec = spec
@@ -98,9 +85,6 @@ class AdmissionController:
             state = TenantState(name=name)
             self._tenants[name] = state
         return state
-
-    def tenants(self) -> Dict[str, TenantState]:
-        return dict(self._tenants)
 
     # -- the admission decision ------------------------------------------------
 
@@ -138,59 +122,22 @@ class AdmissionController:
 
     # -- ledger transitions ----------------------------------------------------
 
-    def record_submit(self, job: QueryJob, now: float) -> None:
-        self._track("u", job.tenant, "admission.record_submit")
-        state = self.tenant(job.tenant)
-        state.submitted += 1
-        if state.first_submit is None:
-            state.first_submit = now
-
     def admit(self, job: QueryJob) -> None:
         self._track("u", job.tenant, "admission.admit")
         state = self.tenant(job.tenant)
         state.inflight += 1
         state.memory_admitted += job.memory_bytes
 
-    def record_reject(self, job: QueryJob, error: AdmissionError) -> None:
-        self._track("u", job.tenant, "admission.record_reject")
-        state = self.tenant(job.tenant)
-        state.rejected += 1
-        code = str(error.code)
-        state.rejections_by_code[code] = state.rejections_by_code.get(code, 0) + 1
-
-    def record_cache(self, event: str, tenant: str, nbytes: int) -> None:
-        """Cache-quota accounting (the cache manager's accountant seam).
-
-        ``event`` is one of hit/miss/fill/stale/quota; bytes accumulate
-        for hits (served) and fills so the SLO report can show how much
-        of a tenant's traffic the cache absorbed.
-        """
-        self._track("u", tenant, "admission.record_cache")
-        state = self.tenant(tenant)
-        if event == "hit":
-            state.cache_hits += 1
-            state.cache_bytes_served += nbytes
-        elif event == "miss":
-            state.cache_misses += 1
-        elif event == "fill":
-            state.cache_fills += 1
-            state.cache_bytes_filled += nbytes
-        elif event == "stale":
-            state.cache_stale_drops += 1
-        elif event == "quota":
-            state.cache_quota_refusals += 1
-
     def record_dispatch(self, job: QueryJob) -> None:
         self._track("u", job.tenant, "admission.record_dispatch")
         self.tenant(job.tenant).running += 1
 
-    def release(self, job: QueryJob, now: float) -> None:
+    def release(self, job: QueryJob) -> None:
         """Return the job's admission holdings at its terminal transition."""
         self._track("u", job.tenant, "admission.release")
         state = self.tenant(job.tenant)
         state.inflight -= 1
         state.memory_admitted -= job.memory_bytes
-        state.last_finish = now
         if job.status is JobStatus.SUCCEEDED:
             state.running -= 1
             state.completed += 1
@@ -198,6 +145,3 @@ class AdmissionController:
                 state.served_seconds += job.result.execution_seconds
         elif job.status is JobStatus.FAILED:
             state.running -= 1
-            state.failed += 1
-        elif job.status is JobStatus.TIMED_OUT:
-            state.timed_out += 1

@@ -94,10 +94,6 @@ class QueryService:
             self.cluster, {}, scheduler=self.base_config.scheduler
         )
         self.admission = AdmissionController(self.spec)
-        if self.cache is not None:
-            # Per-tenant quota accounting: hit/miss/fill/refusal counters
-            # land in the same ledgers the SLO report reads.
-            self.cache.accountant = self.admission.record_cache
         self.jobs: List[QueryJob] = []
         self._queue: List[QueryJob] = []
         self._active = 0
@@ -186,10 +182,8 @@ class QueryService:
     # below carry targeted suppressions; any ledger access that does
     # not go through these serialized transitions is still checked.
     def _admit(self, job: QueryJob) -> None:
-        now = self.sim.now
         tracer = self.cluster.tracer
-        job.submitted = now
-        self.admission.record_submit(job, now)  # simtsan: ignore[admission.record_submit]
+        job.submitted = self.sim.now
         # Lifecycle spans deliberately outlive this function: the root
         # closes at the job's terminal transition, the queue span at
         # dispatch (or timeout/rejection).
@@ -228,7 +222,6 @@ class QueryService:
         job.status = JobStatus.REJECTED
         job.error = error
         job.finished = self.sim.now
-        self.admission.record_reject(job, error)  # simtsan: ignore[admission.record_reject]
         span = job.span
         span.record_error(str(error.code))
         span.set("status", str(job.status))
@@ -247,7 +240,7 @@ class QueryService:
             f"{self.spec.queue_timeout_s}s in the run queue"
         )
         job.finished = self.sim.now
-        self.admission.release(job, self.sim.now)  # simtsan: ignore[admission.release]
+        self.admission.release(job)  # simtsan: ignore[admission.release]
         tracer = self.cluster.tracer
         if job.queue_span is not None:
             tracer.end(job.queue_span)
@@ -351,7 +344,7 @@ class QueryService:
         job.finished = self.sim.now
         job.span.set("status", str(job.status))
         self._active -= 1
-        self.admission.release(job, self.sim.now)  # simtsan: ignore[admission.release]
+        self.admission.release(job)  # simtsan: ignore[admission.release]
         tracer.end(job.span)
         job.completion.succeed(None)
         self._pump()

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.report import format_table
 from repro.service.jobs import JobStatus, QueryJob
+from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.service import QueryService
@@ -204,50 +206,64 @@ def _query_stat(job: QueryJob) -> QueryStat:
     )
 
 
-def build_report(service: "QueryService") -> SLOReport:
-    """Assemble the SLO report from a drained service's job records."""
-    stats = [_query_stat(job) for job in service.jobs]
-    drivers = service.cluster.scan_drivers
+def _tenant_slo(name: str, jobs: List[QueryJob], drivers: Resource) -> TenantSLO:
+    """One tenant's row, derived from the records of its arrived jobs."""
+    done = [j for j in jobs if j.status is JobStatus.SUCCEEDED]
+    rejected = [j for j in jobs if j.status is JobStatus.REJECTED]
+    latencies = [j.latency_seconds for j in done]
+    # The active window runs from the first arrival to the last terminal
+    # transition a query held admission through (a rejection held none).
+    first_submit = min(j.submitted for j in jobs)
+    finishes = [
+        j.finished for j in jobs
+        if j.status is not JobStatus.REJECTED and j.finished is not None
+    ]
+    window = max(finishes) - first_submit if finishes else 0.0
+    return TenantSLO(
+        tenant=name,
+        submitted=len(jobs),
+        completed=len(done),
+        failed=sum(1 for j in jobs if j.status is JobStatus.FAILED),
+        rejected=len(rejected),
+        timed_out=sum(1 for j in jobs if j.status is JobStatus.TIMED_OUT),
+        rejections_by_code=dict(
+            Counter(str(getattr(j.error, "code", None)) for j in rejected)
+        ),
+        p50_latency_s=percentile(latencies, 50),
+        p95_latency_s=percentile(latencies, 95),
+        p99_latency_s=percentile(latencies, 99),
+        mean_queue_wait_s=(
+            sum(j.queue_wait_seconds for j in done) / len(done) if done else 0.0
+        ),
+        mean_execution_s=(
+            sum(_execution_seconds(j) for j in done) / len(done) if done else 0.0
+        ),
+        throughput_qps=(len(done) / window if window > 0 else 0.0),
+        scan_driver_seconds=sum(drivers.busy_seconds(j.query_id) for j in jobs),
+    )
 
-    tenants: List[TenantSLO] = []
-    for name in sorted(service.admission.tenants()):
-        state = service.admission.tenant(name)
-        jobs = [job for job in service.jobs if job.tenant == name]
-        done = [j for j in jobs if j.status is JobStatus.SUCCEEDED]
-        latencies = [j.latency_seconds for j in done]
-        window = 0.0
-        if state.first_submit is not None and state.last_finish is not None:
-            window = state.last_finish - state.first_submit
-        tenants.append(
-            TenantSLO(
-                tenant=name,
-                submitted=state.submitted,
-                completed=state.completed,
-                failed=state.failed,
-                rejected=state.rejected,
-                timed_out=state.timed_out,
-                rejections_by_code=dict(state.rejections_by_code),
-                p50_latency_s=percentile(latencies, 50),
-                p95_latency_s=percentile(latencies, 95),
-                p99_latency_s=percentile(latencies, 99),
-                mean_queue_wait_s=(
-                    sum(j.queue_wait_seconds for j in done) / len(done)
-                    if done else 0.0
-                ),
-                mean_execution_s=(
-                    sum(_execution_seconds(j) for j in done) / len(done)
-                    if done else 0.0
-                ),
-                throughput_qps=(len(done) / window if window > 0 else 0.0),
-                scan_driver_seconds=sum(
-                    drivers.busy_seconds(j.query_id) for j in jobs
-                ),
-            )
+
+def build_report(service: "QueryService") -> SLOReport:
+    """Assemble the SLO report from a drained service's job records.
+
+    The job records are the only outcome ledger: a tenant is listed once
+    one of its submissions has arrived, and every number in its row is
+    derived from those jobs.
+    """
+    stats = [_query_stat(job) for job in service.jobs]
+    arrived = [job for job in service.jobs if job.submitted is not None]
+    tenants = [
+        _tenant_slo(
+            name,
+            [job for job in arrived if job.tenant == name],
+            service.cluster.scan_drivers,
         )
+        for name in sorted({job.tenant for job in arrived})
+    ]
 
     done_stats = [s for s in stats if s.status == str(JobStatus.SUCCEEDED)]
     latencies = [s.latency_s for s in done_stats]
-    submits = [job.submitted for job in service.jobs if job.submitted is not None]
+    submits = [job.submitted for job in arrived]
     finishes = [job.finished for job in service.jobs if job.finished is not None]
     makespan = (max(finishes) - min(submits)) if submits and finishes else 0.0
     return SLOReport(

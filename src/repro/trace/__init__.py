@@ -23,9 +23,7 @@ span taxonomy.
 
 from repro.trace.analysis import (
     CounterTotals,
-    ServiceQueryBreakdown,
     counter_totals,
-    service_breakdown,
     stage_totals,
     stage_windows,
     union_seconds,
@@ -43,7 +41,6 @@ __all__ = [
     "CounterTotals",
     "MAX_TRACES",
     "STAGE_KEY",
-    "ServiceQueryBreakdown",
     "Span",
     "SpanContext",
     "Trace",
@@ -52,7 +49,6 @@ __all__ = [
     "counter_totals",
     "export_chrome_trace",
     "render_tree",
-    "service_breakdown",
     "stage_totals",
     "stage_windows",
     "union_seconds",

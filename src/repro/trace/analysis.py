@@ -15,11 +15,10 @@ the work it measures (:meth:`~repro.trace.span.Span.add`), and
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.sim import santrack
-from repro.trace.span import Span, Trace
+from repro.trace.span import Trace
 
 __all__ = [
     "stage_windows",
@@ -27,8 +26,6 @@ __all__ = [
     "stage_totals",
     "CounterTotals",
     "counter_totals",
-    "ServiceQueryBreakdown",
-    "service_breakdown",
 ]
 
 
@@ -126,73 +123,3 @@ def counter_totals(trace: Trace) -> CounterTotals:
                 sanitizer.record_read(("counter", id(span), name), "counter_totals")
             totals[name] = totals.get(name, 0.0) + amount
     return CounterTotals(totals)
-
-
-# --------------------------------------------------------------------------
-# Service traces: many per-query trees in one tracer
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, kw_only=True)
-class ServiceQueryBreakdown:
-    """Span-derived timing of one query under the multi-tenant service.
-
-    Re-derives, from the span tree alone, the numbers the SLO reporter
-    computes from job records: total latency, time spent queued behind
-    admission, and execution time on the cluster.  ``queue_s +
-    execution_s <= latency_s``; the gap (if any) is service bookkeeping
-    at the admission instant, which is zero-width in simulated time.
-    """
-
-    trace_id: int
-    tenant: str
-    query_id: str
-    label: str
-    status: Optional[str]
-    latency_s: float
-    queue_s: float
-    execution_s: float
-
-
-def service_breakdown(spans: List[Span]) -> List[ServiceQueryBreakdown]:
-    """Per-query breakdowns from a service tracer's flat span list.
-
-    The service opens one ``service.query`` root per submission (each
-    with its own trace id), a ``queue`` child covering admission-to-
-    dispatch, and the coordinator's ``query`` child covering execution.
-    Returns one row per root, in root start order (arrival order).
-    """
-    by_trace: Dict[int, List[Span]] = {}
-    for span in spans:
-        by_trace.setdefault(span.trace_id, []).append(span)
-    rows: List[ServiceQueryBreakdown] = []
-    for members in by_trace.values():
-        root = next(
-            (s for s in members if s.name == "service.query" and s.parent_id is None),
-            None,
-        )
-        if root is None or root.end is None:
-            continue
-        queue = sum(
-            s.duration for s in members
-            if s.name == "queue" and s.parent_id == root.span_id
-        )
-        execution = sum(
-            s.duration for s in members
-            if s.name == "query" and s.parent_id == root.span_id
-        )
-        status = root.attributes.get("status")
-        rows.append(
-            ServiceQueryBreakdown(
-                trace_id=root.trace_id,
-                tenant=str(root.attributes.get("tenant", "")),
-                query_id=str(root.attributes.get("query_id", "")),
-                label=str(root.attributes.get("label", "")),
-                status=str(status) if status is not None else None,
-                latency_s=root.duration,
-                queue_s=queue,
-                execution_s=execution,
-            )
-        )
-    rows.sort(key=lambda r: (r.query_id, r.trace_id))
-    return rows

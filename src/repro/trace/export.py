@@ -20,9 +20,10 @@ from repro.trace.span import STAGE_KEY, Span, Trace
 
 __all__ = ["render_tree", "chrome_trace_events", "export_chrome_trace", "write_chrome_trace"]
 
-#: Attributes surfaced inline in the text tree (order matters).
+#: Attributes surfaced inline in the text tree (order matters); every
+#: counter follows them, in name order.
 _TREE_ATTRS = (
-    "attempt", "code", "rows_scanned", "rows_returned", "rows", "bytes",
+    "attempt", "code", "rows_scanned", "rows_returned", "bytes",
     "plan_bytes", "splits", "node", "downgraded",
 )
 
@@ -42,6 +43,8 @@ def _span_label(span: Span) -> str:
     for key in _TREE_ATTRS:
         if key in span.attributes:
             parts.append(f"{key}={span.attributes[key]}")
+    for name, amount in sorted((span.counters or {}).items()):
+        parts.append(f"{name}={amount}")
     if span.status is not StatusCode.OK:
         parts.append(f"status={span.status}")
     return "  ".join(parts)
@@ -74,12 +77,14 @@ def chrome_trace_events(trace: Trace) -> List[Dict[str, object]]:
 
     Timestamps are simulated microseconds; the ``tid`` groups spans by
     their root split/query lineage via the parent chain's top-level span.
+    ``args`` holds the span's attributes, then its counters in name order.
     """
     events: List[Dict[str, object]] = []
     for span in trace.spans:
         args: Dict[str, object] = {
             k: v for k, v in span.attributes.items() if k != STAGE_KEY
         }
+        args.update(sorted((span.counters or {}).items()))
         if span.stage is not None:
             args["stage"] = span.stage
         if span.status is not StatusCode.OK:

@@ -51,8 +51,9 @@ class Span:
     end: Optional[float] = None
     attributes: Dict[str, object] = field(default_factory=dict)
     status: StatusCode = StatusCode.OK
-    #: Counts of the work this span did, apart from ``attributes`` so
-    #: renderers and digests never see them; ``None`` until :meth:`add`.
+    #: Counts of the work this span did, kept apart from ``attributes``
+    #: (no attribute repeats a counter; the exporters print both);
+    #: ``None`` until :meth:`add`.
     counters: Optional[Dict[str, float]] = None
 
     @property

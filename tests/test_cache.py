@@ -111,7 +111,7 @@ class TestByteBudgetCache:
 class TestPartialHitHybridPlan:
     def test_partial_hit_splits_into_cached_and_residual(self):
         env = _build_env()
-        spec = CacheSpec(enable_results=False)  # force the split tier
+        spec = CacheSpec(result_budget_bytes=0)  # force the split tier
         oracle = env.run(SQL, _config(None), "tpch")
         oracle_digest = canonical_result_digest(oracle.batch)
 
@@ -183,26 +183,26 @@ class TestVersionedInvalidation:
 
 
 class TestServiceTenantAccounting:
-    def test_hits_and_fills_land_in_tenant_ledgers(self):
+    def test_hits_and_fills_land_in_per_query_counters(self):
         env = _build_env(files=2, rows=2_000)
         service = QueryService(
             env,
             ServiceSpec(),
             base_config=RunConfig(label="svc", mode="ocs", cache=CacheSpec()),
         )
-        service.submit(SQL, schema="tpch", tenant="analytics")
-        service.drain()
-        analytics = service.admission.tenant("analytics")
-        assert analytics.cache_fills >= 1
-        assert analytics.cache_hits == 0
+        analytics = service.submit(SQL, schema="tpch", tenant="analytics")
+        cold = analytics.result().metrics
+        assert cold.value("result_cache_fills") + cold.value("split_cache_fills") >= 1
+        assert cold.value("result_cache_hits") == cold.value("split_cache_hits") == 0
 
-        service.submit(SQL, schema="tpch", tenant="bi")
-        service.drain()
-        bi = service.admission.tenant("bi")
-        assert bi.cache_hits == 1
-        assert bi.cache_bytes_served > 0
+        bi = service.submit(SQL, schema="tpch", tenant="bi")
+        warm = bi.result().metrics
+        assert warm.value("result_cache_hits") == 1
+        assert warm.value("result_cache_fills") == 0
+        assert service.cache.results.stats.bytes_served > 0
         # The fill stays attributed to the tenant that paid for it.
-        assert service.admission.tenant("analytics").cache_hits == 0
+        assert service.cache.results.tenant_bytes("analytics") > 0
+        assert service.cache.results.tenant_bytes("bi") == 0
 
 
 class TestCachedRunDeterminism:

@@ -51,7 +51,7 @@ DYNAMIC = RunConfig(
 )
 #: A budget no other test uses, so the session-shared environment hands
 #: this module its own (initially cold) cache manager.
-SPLIT_CACHE = CacheSpec(enable_results=False, split_budget_bytes=127 * MB)
+SPLIT_CACHE = CacheSpec(result_budget_bytes=0, split_budget_bytes=127 * MB)
 
 SCALAR = (
     "SELECT COUNT(*) AS n FROM orders "
@@ -315,7 +315,7 @@ def test_pushed_plan_is_fingerprinted_once_per_branch(small_env, monkeypatch):
     # branch's fingerprint, and no pushdown request reaches the OCS side
     # (which fingerprints for its own tier) to blur the count.
     config = dataclasses.replace(
-        FULL, cache=CacheSpec(enable_storage=False, split_budget_bytes=126 * MB)
+        FULL, cache=CacheSpec(storage_budget_bytes=0, split_budget_bytes=126 * MB)
     )
     small_env.run(TPCH_Q3_FULL, config, schema="tpch")
     calls = []

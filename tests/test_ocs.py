@@ -224,7 +224,8 @@ class TestFrontendAndStorage:
         batches = deserialize_batches(arrow)
         assert sum(b.num_rows for b in batches) == 400
         assert report.rows_scanned == 400
-        assert frontend.requests_served == 1
+        served = [s.name for s in frontend.tracer.spans()]
+        assert served.count("ocs-frontend.server:ocs.execute") == 1
         assert storage.plans_executed == 1
         assert sim.now > 0
         # Results crossed the compute<->frontend link.

@@ -163,7 +163,7 @@ class TestDeadlines:
     def test_deadline_exceeded_on_slow_server(self, rpc):
         sim, service, client = rpc
 
-        def slow(payload):
+        def slow(payload, trace):
             yield sim.timeout(1.0)
             return b"late"
 
@@ -178,7 +178,7 @@ class TestDeadlines:
     def test_fast_call_beats_deadline(self, rpc):
         sim, service, client = rpc
 
-        def fast(payload):
+        def fast(payload, trace):
             yield sim.timeout(0.01)
             return b"ok"
 
@@ -189,7 +189,7 @@ class TestDeadlines:
 
     def test_nonpositive_deadline_fails_immediately(self, rpc):
         sim, service, client = rpc
-        service.register("m", lambda p: iter(()))
+        service.register("m", lambda p, trace: iter(()))
         with pytest.raises(RpcStatusError) as info:
             sim.run(until=client.call("m", b"", deadline_s=0.0))
         assert info.value.code == "DEADLINE_EXCEEDED"
@@ -197,7 +197,7 @@ class TestDeadlines:
     def test_handler_error_propagates_despite_deadline(self, rpc):
         sim, service, client = rpc
 
-        def boom(payload):
+        def boom(payload, trace):
             yield sim.timeout(0.01)
             raise ValueError("kaput")
 
@@ -209,7 +209,7 @@ class TestDeadlines:
     def test_no_deadline_path_unchanged(self, rpc):
         sim, service, client = rpc
 
-        def echo(payload):
+        def echo(payload, trace):
             yield sim.timeout(0)
             return payload
 
@@ -229,7 +229,7 @@ class TestRetryingCall:
         sim, service, client = rpc
         calls = {"n": 0}
 
-        def flaky(payload):
+        def flaky(payload, trace):
             calls["n"] += 1
             yield sim.timeout(0.001)
             if calls["n"] <= 2:
@@ -257,7 +257,7 @@ class TestRetryingCall:
         sim, service, client = rpc
         calls = {"n": 0}
 
-        def reject(payload):
+        def reject(payload, trace):
             calls["n"] += 1
             yield sim.timeout(0)
             raise RpcStatusError("INVALID_ARGUMENT", "bad plan")
@@ -273,7 +273,7 @@ class TestRetryingCall:
     def test_exhaustion_reports_attempts(self, rpc):
         sim, service, client = rpc
 
-        def down(payload):
+        def down(payload, trace):
             yield sim.timeout(0)
             raise RpcStatusError("UNAVAILABLE", "still down")
 
@@ -287,7 +287,7 @@ class TestRetryingCall:
     def test_deadline_inside_policy_retries_each_attempt(self, rpc):
         sim, service, client = rpc
 
-        def slow(payload):
+        def slow(payload, trace):
             yield sim.timeout(1.0)
             return b"late"
 

@@ -33,19 +33,20 @@ class TestRpc:
     def test_echo(self, setup):
         sim, service, client, _ = setup
 
-        def echo(payload):
+        def echo(payload, trace):
             yield sim.timeout(0)
             return b"echo:" + payload
 
         service.register("echo", echo)
         response = sim.run(until=client.call("echo", b"hello"))
         assert response == b"echo:hello"
-        assert service.calls_served == 1
+        served = [s.name for s in service.tracer.spans()]
+        assert served.count("echo-service.server:echo") == 1
 
     def test_server_work_advances_clock(self, setup):
         sim, service, client, _ = setup
 
-        def slow(payload):
+        def slow(payload, trace):
             yield sim.timeout(5.0)
             return b"done"
 
@@ -56,7 +57,7 @@ class TestRpc:
     def test_transfer_bytes_on_ledger(self, setup):
         sim, service, client, link = setup
 
-        def big(payload):
+        def big(payload, trace):
             yield sim.timeout(0)
             return b"x" * 1000
 
@@ -74,7 +75,7 @@ class TestRpc:
     def test_handler_exception_maps_to_status(self, setup):
         sim, service, client, _ = setup
 
-        def boom(payload):
+        def boom(payload, trace):
             yield sim.timeout(0)
             raise ValueError("kaput")
 
@@ -87,7 +88,7 @@ class TestRpc:
     def test_non_bytes_response_rejected(self, setup):
         sim, service, client, _ = setup
 
-        def bad(payload):
+        def bad(payload, trace):
             yield sim.timeout(0)
             return 42
 
@@ -97,14 +98,14 @@ class TestRpc:
 
     def test_duplicate_registration(self, setup):
         _, service, _, _ = setup
-        service.register("m", lambda p: iter(()))
+        service.register("m", lambda p, trace: iter(()))
         with pytest.raises(RpcError):
-            service.register("m", lambda p: iter(()))
+            service.register("m", lambda p, trace: iter(()))
 
     def test_concurrent_calls_serialize_on_link(self, setup):
         sim, service, client, _ = setup
 
-        def payload_heavy(payload):
+        def payload_heavy(payload, trace):
             yield sim.timeout(0)
             return b"y" * 500_000
 

@@ -24,7 +24,7 @@ from repro.service import (
     open_loop,
 )
 from repro.service.service import _config_key
-from repro.trace import MAX_TRACES, service_breakdown
+from repro.trace import MAX_TRACES
 from repro.trace import tracer as tracer_module
 from repro.workloads.datasets import DatasetSpec
 from repro.workloads.laghos import LAGHOS_QUERY, generate_laghos_file
@@ -64,6 +64,19 @@ MIXED_TEMPLATES = (
     QueryTemplate(tenant="analytics", sql=TPCH_Q1, schema="tpch", label="q1"),
     QueryTemplate(tenant="hpc", sql=LAGHOS_QUERY, schema="hpc", label="laghos"),
 )
+
+
+def _assert_lifecycle_spans_match(handle) -> None:
+    """The query's own trace times it exactly as its job record does:
+    the ``service.query`` root spans the latency, its ``queue`` child
+    the queue wait."""
+    trace = handle.result().trace
+    root = trace.root()
+    (queue,) = [s for s in trace.children(root) if s.name == "queue"]
+    assert root.name == "service.query"
+    assert root.attributes["status"] == str(JobStatus.SUCCEEDED)
+    assert root.duration == handle.latency_seconds
+    assert queue.duration == handle.queue_wait_seconds
 
 
 class TestSpec:
@@ -377,7 +390,7 @@ class TestReporting:
         text = report.format()
         assert "p50" in text and "tenant" in text
 
-    def test_service_breakdown_matches_job_records(self, service_env):
+    def test_lifecycle_spans_match_job_records(self, service_env):
         spec = ServiceSpec(max_active_queries=2)
         service = QueryService(service_env, spec)
         handles = [
@@ -385,18 +398,24 @@ class TestReporting:
             for _ in range(3)
         ]
         service.drain()
-        rows = {
-            row.query_id: row
-            for row in service_breakdown(service.cluster.tracer.spans())
-        }
-        assert len(rows) == 3
+        # The third query waited for a slot, so the queue span is not empty.
+        assert handles[2].queue_wait_seconds > 0
         for handle in handles:
-            row = rows[handle.query_id]
-            assert row.latency_s == pytest.approx(handle.latency_seconds, abs=1e-12)
-            assert row.queue_s == pytest.approx(
-                handle.queue_wait_seconds, abs=1e-12
-            )
-            assert row.status == str(JobStatus.SUCCEEDED)
+            _assert_lifecycle_spans_match(handle)
+
+    def test_failed_query_counts_in_report_and_tenant_row(self, service_env):
+        service = QueryService(service_env, ServiceSpec())
+        service.submit(TPCH_Q1, tenant="t", schema="tpch", at=0.0)
+        bad = service.submit(
+            "SELECT no_such_column FROM lineitem", tenant="t", schema="tpch", at=0.0
+        )
+        report = service.report()
+        assert bad.status() == str(JobStatus.FAILED)
+        assert (report.completed, report.failed) == (1, 1)
+        tenant = report.tenant("t")
+        assert (tenant.submitted, tenant.completed, tenant.failed) == (2, 1, 1)
+        assert tenant.rejected == tenant.timed_out == 0
+        assert "failed: 1" in report.format()
 
     def test_per_tenant_driver_seconds_attributed(self, service_env):
         spec = ServiceSpec(max_active_queries=2)
@@ -452,17 +471,14 @@ class TestTraceRetention:
         self, service_env
     ):
         service, handles = self._serve(service_env, MAX_TRACES + 6, active=4)
-        rows = {
-            row.query_id: row
-            for row in service_breakdown(service.cluster.tracer.spans())
-        }
-        assert len(rows) == MAX_TRACES
-        by_id = {handle.query_id: handle for handle in handles}
-        for query_id, row in rows.items():
-            handle = by_id[query_id]
-            assert row.latency_s == pytest.approx(handle.latency_seconds, abs=1e-12)
-            assert row.queue_s == pytest.approx(handle.queue_wait_seconds, abs=1e-12)
-            assert row.status == str(JobStatus.SUCCEEDED)
+        retained = {s.trace_id for s in service.cluster.tracer.spans()}
+        kept = [
+            handle for handle in handles
+            if handle.result().trace.root().trace_id in retained
+        ]
+        assert len(kept) == MAX_TRACES
+        for handle in kept:
+            _assert_lifecycle_spans_match(handle)
 
 
 class TestClientFacade:

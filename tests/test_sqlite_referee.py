@@ -538,7 +538,7 @@ def fuzz_referee(fuzz_env):
 
 
 #: A cache tier per sampled query: whole results, or split/storage pages.
-CACHE_SPECS = (CacheSpec(), CacheSpec(enable_results=False))
+CACHE_SPECS = (CacheSpec(), CacheSpec(result_budget_bytes=0))
 
 
 def agree_everywhere(env, referee, case, cached=None):

@@ -247,7 +247,7 @@ class TestQueryTraces:
         assert scan.attributes["rows_scanned"] > 0
         # The server span nests inside the client attempt in time too.
         assert rpc.start <= server.start <= server.end <= rpc.end
-        assert trace.first("substrait.generate").attributes["plan_bytes"] > 0
+        assert trace.first("substrait.generate").counters["substrait_plan_bytes"] > 0
 
     def test_retries_are_one_span_per_attempt(self, env):
         config = RunConfig(
@@ -275,7 +275,7 @@ class TestQueryTraces:
         trace.validate()
         fallback = trace.first("fallback.raw_get")
         assert fallback.attributes["downgraded"] is True
-        assert fallback.attributes["bytes"] > 0
+        assert fallback.counters["fallback_bytes_fetched"] > 0
         # The failed attempts still show, parented under the pushdown span.
         attempts = trace.find("rpc:ocs.execute")
         assert len(attempts) == 2
@@ -320,6 +320,20 @@ class TestExporters:
         assert any("└─" in line or "├─" in line for line in lines)
         assert any("ocs.scan[0]" in line for line in lines)
         assert any("stage=substrait_generation" in line for line in lines)
+
+    def test_counters_render_after_attributes(self, env, trace):
+        pushdown = trace.first("pushdown")
+        rows = pushdown.counters["ocs_rows_scanned"]
+        assert rows > 0 and "rows_scanned" not in pushdown.attributes
+        text = env.explain(
+            QUERY, RunConfig(label="ocs", mode="ocs"), schema="s", analyze=True
+        )
+        (line,) = [line for line in text.splitlines() if "─ pushdown  " in line]
+        assert f"ocs_rows_scanned={rows}" in line
+        assert line.index("node=") < line.index("ocs_row_groups_read=")
+        assert line.index("ocs_row_groups_read=") < line.index("ocs_rows_scanned=")
+        by_name = {e["name"]: e for e in chrome_trace_events(trace)}
+        assert by_name["pushdown"]["args"]["ocs_rows_scanned"] == rows
 
     def test_explain_analyze_renders_tree_and_stages(self, env):
         text = env.explain(
