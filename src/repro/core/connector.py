@@ -36,6 +36,8 @@ class OcsConnector(Connector):
     """Connector exposing OCS's extended pushdown to the engine."""
 
     name = "ocs"
+    #: The page source waits on the storage node's pushdown engine.
+    page_source_blocks = True
 
     def __init__(
         self,

@@ -118,7 +118,10 @@ class Cluster:
             tracer=self.tracer,
         )
         #: Presto processes each split through a single-threaded driver;
-        #: this pool is the worker's scan concurrency (cost model doc).
+        #: this pool is the worker's scan concurrency (cost model doc).  A
+        #: split holds a driver only for compute-side work: after the page
+        #: source returns when it blocks on storage (OCS pushdown), for the
+        #: whole split otherwise (``Connector.page_source_blocks``).
         self.scan_drivers = Resource(self.sim, costs.scan_stream_concurrency)
 
         #: Worker-to-worker shuffle path.  The exchange fabric lives on

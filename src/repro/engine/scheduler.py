@@ -19,8 +19,10 @@ Three responsibilities, all stage-generic:
   pushdown slowly) and, once a split's *service* time exceeds a
   threshold derived from the completed splits' service durations,
   launches a *backup* attempt for it.  Time spent queued for a scan
-  driver never counts — backups run on spare capacity, bypassing the
-  driver queue, so only genuinely slow service may trigger them.
+  driver never counts, wherever in the split the wait falls: each
+  split's :class:`ServiceClock` is paused while it queues.  Backups run
+  on spare capacity, bypassing the driver queue, so only genuinely slow
+  service may trigger them.
   First result wins; the loser is interrupted.  Backups must be
   digest-identical to primaries (the OCS connector's backup is the raw
   GET + embedded-engine fallback, which produces byte-identical
@@ -57,7 +59,7 @@ from repro.sim import santrack
 from repro.sim.kernel import AnyOf, Event, Process, Simulator
 from repro.trace import Tracer
 
-__all__ = ["SchedulerSpec", "DagScheduler", "run_splits"]
+__all__ = ["SchedulerSpec", "DagScheduler", "ServiceClock", "run_splits"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -216,6 +218,33 @@ class DagScheduler:
                     raise
 
 
+class ServiceClock:
+    """One split's service clock: it runs while the split works and is
+    paused while the split is queued for a scan driver.
+
+    ``start`` is the instant service would have begun had the split never
+    queued (``now - start`` is the service time so far), or ``None`` while
+    it is paused.  A split queued for its driver before any work — the
+    raw path — pauses at zero served seconds, so ``start`` is exactly the
+    instant it got the driver.
+    """
+
+    __slots__ = ("start", "_served")
+
+    def __init__(self, now: float) -> None:
+        self.start: Optional[float] = now
+        self._served = 0.0
+
+    def pause(self, now: float) -> None:
+        assert self.start is not None, "service clock paused twice"
+        self._served += now - self.start
+        self.start = None
+
+    def resume(self, now: float) -> None:
+        assert self.start is None, "service clock resumed while running"
+        self.start = now - self._served
+
+
 def run_splits(
     ctx: StageContext,
     spec: SchedulerSpec,
@@ -223,7 +252,7 @@ def run_splits(
     launch_primary: Callable[[int], Process],
     launch_backup: Callable[[int], Optional[Process]],
     *,
-    service_starts: Optional[List[Optional[float]]] = None,
+    clocks: Optional[Sequence[ServiceClock]] = None,
 ) -> Generator[Event, Any, List[Any]]:
     """DES generator: run a stage's split fan-out, speculating on stragglers.
 
@@ -245,13 +274,16 @@ def run_splits(
     keeping healthy-cluster replays byte-identical with speculation on
     or off.
 
-    Straggler detection is *service-time* based.  ``service_starts`` is
-    a shared list the split bodies stamp (``sim.now``) when they acquire
-    a scan driver and actually begin work; time spent queued for a
-    driver never counts toward straggling (a healthy-but-busy cluster
-    must not speculate — backups bypass the driver queue, so a false
-    positive would change healthy timings).  When ``service_starts`` is
-    omitted, launch time doubles as service start.
+    Straggler detection is *service-time* based.  ``clocks`` holds one
+    :class:`ServiceClock` per split, started at launch; the split body
+    pauses its clock while it is queued for a scan driver and resumes it
+    when the driver is granted, wherever in the split that wait falls
+    (before the page source on the raw path, after it when the page
+    source blocks on storage).  Time queued for a driver never counts
+    toward straggling (a healthy-but-busy cluster must not speculate —
+    backups bypass the driver queue, so a false positive would change
+    healthy timings).  When ``clocks`` is omitted, launch time doubles
+    as service start.
 
     The straggler *threshold* is frozen the first time a quorum
     (``ceil(quorum * n)``) of primaries has finished: ``multiplier *
@@ -262,9 +294,8 @@ def run_splits(
     n = len(tasks)
     if n == 0:
         return []
-    start = sim.now
-    if service_starts is None:
-        service_starts = [start] * n
+    if clocks is None:
+        clocks = [ServiceClock(sim.now) for _ in range(n)]
     primaries: List[Process] = [launch_primary(i) for i in range(n)]
     backups: Dict[int, Process] = {}
     results: List[Any] = [None] * n
@@ -287,10 +318,15 @@ def run_splits(
         if loser is not None and loser.is_alive:
             loser.interrupt("speculation lost")
 
+    def service_seconds(index: int) -> float:
+        started = clocks[index].start
+        assert started is not None, "a split finished while queued for a driver"
+        return sim.now - started
+
     def next_deadline() -> Optional[float]:
         """Earliest instant an un-backed-up split could turn straggler.
 
-        A split not yet in service (queued for a driver) starts at the
+        A split not in service (queued for a driver) resumes at the
         earliest *now*, so ``now + threshold`` bounds its deadline; the
         wake then re-checks actual service clocks and re-sleeps if it
         was early.  Spurious wakes consume no simulated resources, so
@@ -299,7 +335,7 @@ def run_splits(
         if threshold is None:
             return None
         candidates = [
-            (service_starts[i] if service_starts[i] is not None else sim.now)
+            (clocks[i].start if clocks[i].start is not None else sim.now)
             + threshold
             for i in range(n)
             if not settled[i] and i not in backups
@@ -321,8 +357,7 @@ def run_splits(
                 continue
             primary, backup = primaries[i], backups.get(i)
             if primary.triggered:
-                started = service_starts[i]
-                durations.append(sim.now - (started if started is not None else start))
+                durations.append(service_seconds(i))
                 settle(i, primary, backup)
             elif backup is not None and backup.triggered:
                 # Primary still alive at this wake; its own completion
@@ -337,10 +372,7 @@ def run_splits(
                 primary, backup = primaries[i], backups.get(i)
                 assert backup is not None
                 if primary.triggered:
-                    started = service_starts[i]
-                    durations.append(
-                        sim.now - (started if started is not None else start)
-                    )
+                    durations.append(service_seconds(i))
                     settle(i, primary, backup)
                 else:
                     ctx.span.add("speculative_wins", 1)
@@ -358,7 +390,7 @@ def run_splits(
             for i in range(n):
                 if settled[i] or i in backups:
                     continue
-                started = service_starts[i]
+                started = clocks[i].start
                 # The wake timer fires at ``now + (deadline - now)``,
                 # which IEEE-rounds a hair below ``started + threshold``;
                 # the relative epsilon keeps the comparison from missing

@@ -90,6 +90,15 @@ class Connector(ABC):
     """A pluggable storage backend."""
 
     name: str = "connector"
+    #: Whether the page source blocks on computation at storage (a pushdown
+    #: round trip) before it delivers pages.  Such a split holds no scan
+    #: driver while it waits, as a Presto driver whose page source is
+    #: blocked yields its thread: it takes one only after the page source
+    #: returns, for ingest and the split-local operators.  Otherwise (the
+    #: default) the split holds its driver from before the page source
+    #: opens, because the page source *is* the worker's ingest stream —
+    #: the Hive raw path's single stream is the no-pushdown calibration.
+    page_source_blocks: bool = False
     #: Retry policy of this connector's storage RPCs and of the exchange
     #: puts of joins over its tables (no deadline by default).
     retry_policy: RetryPolicy = RetryPolicy()

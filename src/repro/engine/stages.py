@@ -29,7 +29,7 @@ from repro.engine.costing import presto_pipeline_cycles
 from repro.engine.dag import StageContext
 from repro.engine.lowering import Branch, StageBody
 from repro.engine.physical import PhysicalPlan
-from repro.engine.scheduler import SchedulerSpec, run_splits
+from repro.engine.scheduler import SchedulerSpec, ServiceClock, run_splits
 from repro.engine.spi import Connector, ConnectorSplit, PageSourceResult
 from repro.exchange.filters import build_dynamic_filter
 from repro.exchange.partition import hash_partition
@@ -163,17 +163,14 @@ class StageBodies:
             type(connector).speculative_page_source
             is not Connector.speculative_page_source
         )
-        # Stamped by each split when it acquires a scan driver, so
-        # the scheduler's straggler clock measures service time, not
+        # Paused by each split while it queues for a scan driver, so the
+        # scheduler's straggler clock measures service time, not
         # driver-queue wait.
-        service_starts: List[Optional[float]] = [None] * len(splits)
+        clocks = [ServiceClock(sim.now) for _ in splits]
 
         def launch_primary(i: int) -> Process:
-            def note_start(now: float) -> None:
-                service_starts[i] = now
-
             return sim.process(
-                self.run_split(ctx, connector, branch, splits[i], note_start),
+                self.run_split(ctx, connector, branch, splits[i], clocks[i]),
                 name=f"split-{splits[i].split_id}",
             )
 
@@ -188,7 +185,7 @@ class StageBodies:
         return (
             yield from run_splits(
                 ctx, self.scheduler_spec, splits, launch_primary, launch_backup,
-                service_starts=service_starts,
+                clocks=clocks,
             )
         )
 
@@ -198,10 +195,17 @@ class StageBodies:
         connector: Connector,
         branch: Branch,
         split: ConnectorSplit,
-        on_service_start: Optional[Callable[[float], None]] = None,
+        clock: Optional[ServiceClock] = None,
         speculative: bool = False,
     ) -> Generator[Event, Any, List[RecordBatch]]:
-        """One split attempt: acquire a scan driver, fetch, run operators.
+        """One split attempt: fetch pages, ingest them, run operators.
+
+        The split's compute-side work — ingest and the split-local
+        operators — runs on a scan driver.  A connector whose page source
+        blocks on storage (:attr:`Connector.page_source_blocks`) takes the
+        driver only once the page source returns, so splits waiting on
+        storage overlap; otherwise the driver is held from before the page
+        source opens.  ``clock`` is paused while the split queues for it.
 
         A ``speculative`` backup reads through the connector's
         alternative page source and runs on spare driver capacity: the
@@ -217,41 +221,41 @@ class StageBodies:
         factory = (
             connector.speculative_page_source if speculative else connector.page_source
         )
+
+        def take_driver(held: ExitStack) -> Generator[Event, Any, None]:
+            if speculative:
+                return
+            if clock is not None:
+                clock.pause(cluster.sim.now)
+            yield held.enter_context(cluster.scan_drivers.request(owner=ctx.query_id))
+            if clock is not None:
+                clock.resume(cluster.sim.now)
+
         try:
             with ExitStack() as held:
-                if not speculative:
-                    yield held.enter_context(
-                        cluster.scan_drivers.request(owner=ctx.query_id)
-                    )
-                    if on_service_start is not None:
-                        on_service_start(cluster.sim.now)
-                out = yield from self._split_body(
-                    ctx, branch, split, split_span, factory
+                if not connector.page_source_blocks:
+                    yield from take_driver(held)
+                # Data acquisition: storage round trip + page
+                # materialization.  The page source tags its own spans
+                # (the OCS one splits IR generation out as the substrait
+                # stage); stage totals union concurrent splits' windows.
+                source: PageSourceResult = yield cluster.sim.process(
+                    factory(branch.handle, split, trace=split_span),
+                    name=f"page-source-{split.split_id}",
                 )
+                if connector.page_source_blocks:
+                    yield from take_driver(held)
+                out = yield from self._split_work(branch, split_span, source)
         finally:
             cluster.tracer.end(split_span)
         return out
 
-    def _split_body(
-        self,
-        ctx: StageContext,
-        branch: Branch,
-        split: ConnectorSplit,
-        split_span: Span,
-        factory: Callable[..., Any],
+    def _split_work(
+        self, branch: Branch, split_span: Span, source: PageSourceResult
     ) -> Generator[Event, Any, List[RecordBatch]]:
+        """A split's driver-side work: ingest the pages, run the operators."""
         cluster = self.cluster
         tracer = cluster.tracer
-        # Data acquisition: storage round trip + page materialization.
-        # Concurrent splits each open transfer windows; stage totals union
-        # overlapping windows so wall-clock is charged once, not once per
-        # split.  The page source tags its own spans (the OCS one splits
-        # IR generation out as the substrait stage), so only the ingest
-        # tail is tagged here.
-        source: PageSourceResult = yield cluster.sim.process(
-            factory(branch.handle, split, trace=split_span),
-            name=f"page-source-{split.split_id}",
-        )
         with tracer.span("ingest", parent=split_span, stage=STAGE_TRANSFER):
             if source.ingest_cycles:
                 yield cluster.compute.execute(source.ingest_cycles, name="ingest")

@@ -80,13 +80,17 @@ class ParcelReader:
     movement is measured.
     """
 
-    def __init__(self, buf: bytes) -> None:
+    def __init__(self, buf: bytes, meta: Optional[ParcelMeta] = None) -> None:
+        """``meta``, when given, is ``buf``'s own footer parsed earlier (a
+        memo kept per stored object); the head magic is checked either way."""
         if len(buf) < 12 or buf[:4] != MAGIC:
             raise FormatError("not a Parcel file (bad magic)")
         #: Chunks are handed to the codec as views: no copy before decode.
         self._buf = memoryview(buf)
         # What follows the head magic is a tail that must hold the footer.
-        self.meta: ParcelMeta = meta_from_tail(self._buf[4:])
+        self.meta: ParcelMeta = (
+            meta if meta is not None else meta_from_tail(self._buf[4:])
+        )
 
     # -- introspection ---------------------------------------------------------
 

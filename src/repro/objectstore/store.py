@@ -9,7 +9,7 @@ S3's ``list-objects-v2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import (
     BucketAlreadyExistsError,
@@ -37,6 +37,10 @@ class StoredObject:
     data: bytes
     metadata: Dict[str, str] = field(default_factory=dict)
     version: int = 1
+    #: A reader's parse of ``data`` (the Parcel footer), memoised on the
+    #: object.  A re-PUT makes a new object, so a memo never outlives the
+    #: bytes it was parsed from.
+    footer: Any = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:

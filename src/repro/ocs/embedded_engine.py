@@ -289,7 +289,10 @@ class EmbeddedEngine:
 
         out: List[RecordBatch] = []
         for key in keys:
-            reader = ParcelReader(self.store.get_object(bucket, key))
+            obj = self.store.bucket(bucket).get(key)
+            # Each stored object's footer is parsed once, on first read.
+            reader = ParcelReader(obj.data, obj.footer)
+            obj.footer = reader.meta
             for name in columns:
                 if name not in reader.schema:
                     raise OcsPlanRejectedError(

@@ -75,8 +75,11 @@ class TenantSLO:
     #: Completed queries per simulated second of the tenant's active
     #: window (first submission to last completion).
     throughput_qps: float = 0.0
-    #: Scan-driver slot seconds this tenant consumed on the shared
-    #: cluster — the fairness signal the scheduler balances.
+    #: Scan-driver slot seconds this tenant's queries held on the shared
+    #: cluster: compute-side driver time only (ingest and split-local
+    #: operators; a raw split's whole fetch too), never an OCS split's
+    #: wait on storage.  A reported column; the fair scheduler balances
+    #: ``TenantState.served_seconds`` (execution seconds) instead.
     scan_driver_seconds: float = 0.0
 
 

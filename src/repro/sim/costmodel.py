@@ -14,7 +14,11 @@ asymmetries the paper's evaluation hinges on:
    cores.  ``presto_*`` constants are therefore much larger than the
    ``ocs_*``/vectorized ones, and the compute node's scan ingest is capped
    at ``scan_stream_concurrency`` concurrent split streams (Presto
-   processes each split through a single-threaded driver pipeline).
+   processes each split through a single-threaded driver pipeline).  A
+   driver is held for compute-side work only: a raw split holds it for
+   its whole fetch-and-ingest stream, an OCS split only once its
+   pushdown round trip has returned, so pushdowns to different storage
+   nodes overlap.
 
 2. **Transport asymmetry.**  The S3-Select-class path returns row-oriented
    CSV (expensive to serialize on the storage node and parse on the
@@ -91,7 +95,11 @@ class CostParams:
     #: Concurrent single-threaded split drivers ingesting remote data.
     #: The paper's no-pushdown baseline moves 24 GB in 2,710 s (~9 MB/s
     #: end to end), which is single-stream territory — their deployment's
-    #: ingest path did not scale with splits, so neither does ours.
+    #: ingest path did not scale with splits, so neither does ours.  A
+    #: driver is held only while a split works on the compute node: a
+    #: split whose page source blocks on storage (OCS pushdown) takes one
+    #: after the round trip, for ingest and its split-local operators;
+    #: a raw split holds one for its whole stream.
     scan_stream_concurrency: int = 1
 
     # -- Transport serialization ---------------------------------------------

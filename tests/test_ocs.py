@@ -15,7 +15,7 @@ from repro.arrowsim import (
 )
 from repro.arrowsim.ipc import deserialize_batches
 from repro.config import DEFAULT_TESTBED
-from repro.errors import OcsPlanRejectedError
+from repro.errors import FormatError, OcsPlanRejectedError
 from repro.formats import write_table
 from repro.objectstore import ObjectStore
 from repro.ocs import EmbeddedEngine, OcsFrontend, OcsStorageNode, PushdownRequest
@@ -193,6 +193,56 @@ class TestEmbeddedEngine:
         )
         with pytest.raises(Exception):
             engine.execute(plan, "data", KEYS)
+
+
+class TestFooterMemo:
+    """Each stored object's footer is parsed once; a re-PUT parses again."""
+
+    @staticmethod
+    def _batch(n, start):
+        return RecordBatch(
+            SCHEMA,
+            [
+                ColumnArray(INT64, np.arange(start, start + n)),
+                ColumnArray(FLOAT64, np.linspace(0.0, 1.0, n)),
+                ColumnArray(STRING, np.array(["g"] * n, dtype=object)),
+            ],
+        )
+
+    def test_footer_is_parsed_once_per_object(self, engine, store, monkeypatch):
+        import repro.formats.reader as reader
+
+        parses = []
+        decode = reader.decode_footer
+        monkeypatch.setattr(
+            reader, "decode_footer", lambda buf: parses.append(1) or decode(buf)
+        )
+        plan = SubstraitPlan(root=ReadRel("t", base_struct(), (0,)))
+        for _ in range(3):
+            engine.execute(plan, "data", KEYS)
+        assert len(parses) == len(KEYS)
+
+    def test_reput_is_read_with_its_new_footer(self, engine, store):
+        plan = SubstraitPlan(root=ReadRel("t", base_struct(), (0,)))
+        engine.execute(plan, "data", KEYS)  # memoise both footers
+        store.put_object(
+            "data", KEYS[0], write_table([self._batch(30, 1000)], row_group_rows=7)
+        )
+        batches, report = engine.execute(plan, "data", KEYS[:1])
+        assert batches[0].to_pydict()["c0"] == list(range(1000, 1030))
+        assert report.row_groups_read == 5
+
+    def test_corrupted_reput_still_fails(self, engine, store):
+        plan = SubstraitPlan(root=ReadRel("t", base_struct(), (0,)))
+        engine.execute(plan, "data", KEYS)
+        good = write_table([self._batch(30, 0)])
+        # Valid head magic, damaged footer-length word in the tail.
+        store.put_object("data", KEYS[0], good[:-8] + b"\xff\xff\xff\x7f" + good[-4:])
+        with pytest.raises(FormatError):
+            engine.execute(plan, "data", KEYS[:1])
+        store.put_object("data", KEYS[0], b"NOPE" + good[4:])
+        with pytest.raises(FormatError):
+            engine.execute(plan, "data", KEYS[:1])
 
 
 class TestFrontendAndStorage:
