@@ -17,16 +17,18 @@ module turns that claim into a checked invariant:
   state — a genuine ordering hazard, not a formatting difference.
 
 Run the built-in harness with ``python -m repro.analysis.determinism``.
-It covers four suites: a quickstart-style seeded sensor workload under
+It covers five suites: a quickstart-style seeded sensor workload under
 full OCS pushdown (``query``), the same query on the no-pushdown
 baseline under seeded link drops that its gateway reads retry through
 (``faulted-baseline``), one straggler trial of the dag bench with
-speculation on (``dag``, via :func:`check_dag_determinism`), and a
+speculation on (``dag``, via :func:`check_dag_determinism`), a
 seeded multi-tenant service run (``service``, via
 :func:`check_service_determinism` — there the adversarial LIFO replay
 must reproduce the *entire* SLO digest, timings included, because
 same-instant submission and dispatch ordering is exactly what admission
-control serializes).
+control serializes), and that service run with the plan tier on
+(``service-repeat``), where the repeated statements must hit the tier in
+every replay.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "check_dag_determinism",
     "run_service_recorded",
     "check_service_determinism",
+    "check_service_repeat_determinism",
     "main",
 ]
 
@@ -126,6 +129,8 @@ class ReplayReport:
     result_digest: str
     execution_seconds: float
     max_simultaneous: int
+    #: Statements served by the plan tier (service runs with a cache).
+    plan_hits: int = 0
 
     @property
     def final_digest(self) -> str:
@@ -277,7 +282,7 @@ def check_dag_determinism(seed: int = 0) -> DeterminismReport:
 
 
 def run_service_recorded(
-    *, queries: int = 8, seed: int = 0, tie_break: str = "fifo"
+    *, queries: int = 8, seed: int = 0, tie_break: str = "fifo", cache: Any = None
 ) -> ReplayReport:
     """One seeded multi-tenant service run with a recorder attached.
 
@@ -286,7 +291,7 @@ def run_service_recorded(
     runs must reproduce all of it — not just result rows — because
     admission control serializes same-instant submissions by dispatch
     order, and that serialization must not depend on the tie-break
-    policy.
+    policy.  ``cache`` is the service's :class:`~repro.config.CacheSpec`.
     """
     from repro.bench.service import submit_two_tenant_load
     from repro.config import ServiceSpec
@@ -298,6 +303,7 @@ def run_service_recorded(
         seed=seed,
         tie_break=tie_break,
         observer=recorder,
+        cache=cache,
     )
     # report() drains the service, which is what actually runs the
     # simulation — snapshot the recorder only afterwards.
@@ -309,6 +315,7 @@ def run_service_recorded(
         result_digest=report.digest(),
         execution_seconds=service.sim.now,
         max_simultaneous=recorder.max_simultaneous,
+        plan_hits=service.cache.plans.stats.hits if service.cache is not None else 0,
     )
 
 
@@ -319,6 +326,38 @@ def check_service_determinism(queries: int = 8, seed: int = 0) -> DeterminismRep
             queries=queries, seed=seed, tie_break=tie_break
         )
     )
+
+
+def check_service_repeat_determinism(
+    queries: int = 8, seed: int = 0
+) -> DeterminismReport:
+    """The service suite with the plan tier alone on: its two templates
+    repeat, so the repeats are served prepared plans in all three
+    replays (a replay without a hit exercised nothing and fails)."""
+    from repro.config import CacheSpec
+
+    plans_only = CacheSpec(
+        result_budget_bytes=0, split_budget_bytes=0, storage_budget_bytes=0
+    )
+    replays: List[ReplayReport] = []
+
+    def replay(tie_break: str) -> ReplayReport:
+        report = run_service_recorded(
+            queries=queries, seed=seed, tie_break=tie_break, cache=plans_only
+        )
+        replays.append(report)
+        return report
+
+    report = _check(replay)
+    hits = [r.plan_hits for r in replays]
+    report.notes.append(
+        "plan-tier hits (fifo, fifo, lifo): " + ", ".join(map(str, hits))
+    )
+    if not all(hits):
+        raise DeterminismError(
+            f"a service-repeat replay served no prepared plan (hits {hits})"
+        )
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -401,6 +440,7 @@ def main() -> int:
         ("faulted-baseline", _check_faulted_baseline_suite),
         ("dag", check_dag_determinism),
         ("service", check_service_determinism),
+        ("service-repeat", check_service_repeat_determinism),
     ]
     ok = True
     for name, check in suites:

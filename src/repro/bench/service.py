@@ -22,9 +22,9 @@ import dataclasses
 from typing import Any, Dict, Optional
 
 from repro.analysis.determinism import DigestRecorder
-from repro.bench.env import Environment
+from repro.bench.env import Environment, RunConfig
 from repro.bench.scales import SCALES
-from repro.config import ServiceSpec
+from repro.config import CacheSpec, ServiceSpec
 from repro.service import QueryService, QueryTemplate, open_loop
 from repro.service.slo import QueryStat, SLOReport, TenantSLO
 from repro.workloads import (
@@ -56,9 +56,11 @@ def submit_two_tenant_load(
     mean_interarrival_s: float = 0.05,
     tie_break: str = "fifo",
     observer: Any = None,
+    cache: Optional[CacheSpec] = None,
 ) -> QueryService:
     """Stand the two-tenant service up and submit its open-loop load.
 
+    ``cache`` configures the service's caches (none by default).
     Nothing has run yet when this returns: ``service.report()`` (or
     ``drain()``) is what drives the simulation.
     """
@@ -76,7 +78,10 @@ def submit_two_tenant_load(
         )
     )
     env.add_dataset(laghos_spec(LAGHOS_FILES, LAGHOS_ROWS, 11, bucket="hpc"))
-    service = QueryService(env, spec, tie_break=tie_break, observer=observer)
+    service = QueryService(
+        env, spec, tie_break=tie_break, observer=observer,
+        base_config=RunConfig(label="service", mode="ocs", cache=cache),
+    )
     open_loop(
         service,
         TEMPLATES,

@@ -3,7 +3,7 @@
 A :class:`CacheManager` is built from a :class:`~repro.config.CacheSpec`
 and *outlives individual queries and clusters* — the bench environment
 and the query service hold one manager across runs so reuse is possible
-at all.  It owns three tiers of :class:`~repro.cache.budget.ByteBudgetCache`:
+at all.  It owns four tiers of :class:`~repro.cache.budget.ByteBudgetCache`:
 
 * ``results`` — coordinator tier, whole-query result batches keyed by a
   composite of every branch's canonical Substrait fingerprint, the
@@ -13,6 +13,13 @@ at all.  It owns three tiers of :class:`~repro.cache.budget.ByteBudgetCache`:
   split keys)``.  This is the tier behind partial-hit hybrid plans: the
   cached fraction of a scan is served locally from here while only the
   residual splits are pushed to storage.
+* ``plans`` — coordinator tier, prepared plans keyed by the
+  whitespace-normalised statement text, the session's catalog and
+  schema, and the planning identity of the coordinator and connector
+  (pushdown mode, policy, split granularity, rewrite): the optimized
+  plan plus each scan branch's pushed operators, serialized Substrait
+  and canonical fingerprint.  A hit skips parse through the connector's
+  local optimizer and the page source's Substrait generation.
 * per-node ``storage`` tiers — on each OCS node, serialized pushed-
   subplan result pages keyed by ``(bucket, object keys, fingerprint of
   the deserialized plan)``; a hit skips the disk read and the engine
@@ -26,25 +33,34 @@ from — and a lookup whose recomputed signature differs drops the entry
 refresh invalidates everywhere).
 
 A tier with a zero budget is off: it stores nothing and every lookup
-misses.  Each tier keeps its own totals (:attr:`ByteBudgetCache.stats`);
+misses.  The plan tier's budget is fixed (:data:`PLAN_BUDGET_BYTES`), so
+it is on under every spec.  Each tier keeps its own totals (:attr:`ByteBudgetCache.stats`);
 what one query got from the cache is counted on its spans
-(``result_cache_*``, ``split_cache_*``, ``ocs_page_cache_hits``).
+(``result_cache_*``, ``split_cache_*``, ``plan_cache_hits``,
+``ocs_page_cache_hits``).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
-from repro.config import CacheSpec
+from repro.config import MB, CacheSpec
 from repro.cache.budget import ByteBudgetCache, VersionSignature
 from repro.metastore.catalog import TableDescriptor
 from repro.objectstore.store import ObjectStore
 
 __all__ = [
+    "PLAN_BUDGET_BYTES",
     "CacheManager",
     "object_version_signature",
     "table_version_signature",
 ]
+
+#: Budget of the prepared-plan tier.  An entry is a few KB (the plans and
+#: their Substrait), so this holds a few hundred statements: more than any
+#: service's template set.
+PLAN_BUDGET_BYTES = 1 * MB
+
 
 def object_version_signature(
     store: ObjectStore, bucket: str, keys: Sequence[str]
@@ -81,6 +97,12 @@ class CacheManager:
             reservations=spec.tenant_reservations,
             name="split",
         )
+        self.plans = ByteBudgetCache(
+            PLAN_BUDGET_BYTES,
+            policy=spec.policy,
+            reservations=spec.tenant_reservations,
+            name="plan",
+        )
         self._storage: Dict[int, ByteBudgetCache] = {}
         #: Per-table lookup ledger (table -> [lookups, hits]), fed by the
         #: coordinator's run path only (EXPLAIN probes are pure peeks).
@@ -114,6 +136,12 @@ class CacheManager:
         table: str, pushed_fingerprint: str, plan_signature: str, keys: Tuple[str, ...]
     ) -> Hashable:
         return ("split", table, pushed_fingerprint, plan_signature, keys)
+
+    @staticmethod
+    def plan_key(
+        statement: str, catalog: str, schema: str, identity: Hashable
+    ) -> Hashable:
+        return ("plan", statement, catalog, schema, identity)
 
     @staticmethod
     def storage_key(bucket: str, keys: Tuple[str, ...], fingerprint: str) -> Hashable:
@@ -160,6 +188,7 @@ class CacheManager:
         return {
             "result": self.results.stats.as_dict(),
             "split": self.splits.stats.as_dict(),
+            "plan": self.plans.stats.as_dict(),
             "storage": storage,
             "tables": self.table_stats(),
         }
@@ -167,6 +196,7 @@ class CacheManager:
     def clear(self) -> None:
         self.results.clear()
         self.splits.clear()
+        self.plans.clear()
         for tier in self._storage.values():
             tier.clear()
         self._tables.clear()

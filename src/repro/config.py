@@ -238,7 +238,9 @@ class CacheSpec:
     byte ceilings enforced by deterministic eviction (a zero budget
     turns that tier off); per-tenant
     reservations are eviction *floors* — no tenant's resident bytes can
-    be evicted below its reservation by another tenant's fills.
+    be evicted below its reservation by another tenant's fills.  Any
+    spec also turns the coordinator's prepared-plan tier on, at the fixed
+    budget :data:`repro.cache.manager.PLAN_BUDGET_BYTES`.
     """
 
     #: Coordinator-tier budget over whole-query result entries.

@@ -142,6 +142,13 @@ class HiveConnector(Connector):
     def plan_optimizer(self) -> ConnectorPlanOptimizer:
         return _HiveOptimizer(self)
 
+    def plan_identity(self) -> tuple:
+        """Scan mode, column pruning and S3 Select's float64 gap."""
+        return (
+            "hive", self.mode, self.prune_columns,
+            self.cluster.s3_gateway.select_service.strict_types,
+        )
+
     def get_splits(self, handle: HiveTableHandle) -> List[ConnectorSplit]:
         node_count = len(self.cluster.storage_nodes)
         return [

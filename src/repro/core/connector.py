@@ -73,6 +73,15 @@ class OcsConnector(Connector):
             split_granularity=self.split_granularity,
         )
 
+    def plan_identity(self) -> tuple:
+        """Pushdown mode, policy (dynamic filters included), split
+        granularity and the storage node count the aggregation phase
+        depends on."""
+        return (
+            "ocs", self.policy, self.split_granularity,
+            len(self.cluster.storage_nodes),
+        )
+
     def get_splits(self, handle: OcsTableHandle) -> List[ConnectorSplit]:
         """One split per storage node ("node" granularity, default) or one
         per file ("file" granularity, Presto's classic split model)."""
@@ -110,30 +119,37 @@ class OcsConnector(Connector):
         # charging the generation cost (Table 3's second row).  The page
         # source's time is split between two stage windows: the
         # substrait span covers IR generation, then the pushdown span
-        # the transfer window up to this page source's return.
-        substrait_span = tracer.start(
-            "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
-        )
-        plan = build_pushdown_plan(handle.descriptor, pushed)
-        if strict_verify_enabled():
-            # Connector/OCS boundary: the IR about to ship must type-check
-            # against what the logical layer decided to push.
-            from repro.analysis.verifier import verify_substrait_plan
+        # the transfer window up to this page source's return.  A handle
+        # from a plan-tier hit carries its IR already serialized: it
+        # ships as it is, with no generation and no charge.
+        plan_bytes = handle.substrait
+        plan = None
+        if plan_bytes is None:
+            substrait_span = tracer.start(
+                "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
+            )
+            plan = build_pushdown_plan(handle.descriptor, pushed)
+            if strict_verify_enabled():
+                # Connector/OCS boundary: the IR about to ship must
+                # type-check against what the logical layer decided to push.
+                from repro.analysis.verifier import verify_substrait_plan
 
-            verify_substrait_plan(plan)
-        plan_bytes = serialize_plan(plan)
-        generation_cycles = (
-            costs.substrait_fixed_cycles
-            + plan.relation_count() * costs.substrait_cycles_per_relation
-            + plan.expression_node_count() * costs.substrait_cycles_per_expression
-        )
-        yield cluster.compute.execute(generation_cycles, name="substrait-gen")
-        substrait_span.add("substrait_plan_bytes", len(plan_bytes))
-        tracer.end(substrait_span)
+                verify_substrait_plan(plan)
+            plan_bytes = serialize_plan(plan)
+            generation_cycles = (
+                costs.substrait_fixed_cycles
+                + plan.relation_count() * costs.substrait_cycles_per_relation
+                + plan.expression_node_count() * costs.substrait_cycles_per_expression
+            )
+            yield cluster.compute.execute(generation_cycles, name="substrait-gen")
+            substrait_span.add("substrait_plan_bytes", len(plan_bytes))
+            tracer.end(substrait_span)
         pushdown_span = tracer.start(
             "pushdown", parent=trace, stage=STAGE_TRANSFER,
             attributes={"node": split.node_index},
         )
+        if plan is None:
+            pushdown_span.add("substrait_plan_bytes", len(plan_bytes))
 
         # (4) Dispatch to OCS over gRPC and await Arrow results, retrying
         # transient failures under the connector's retry policy.
@@ -185,6 +201,8 @@ class OcsConnector(Connector):
                 pushdown_span.add("pushdown_fallback_splits", 1)
                 pushdown_span.set("downgraded", True)
                 pushdown_span.set("attempts", getattr(exc, "attempts", attempts))
+                if plan is None:
+                    plan = build_pushdown_plan(handle.descriptor, pushed)
                 result = yield from self._fallback_source(
                     handle, split, plan, parent=pushdown_span
                 )

@@ -128,6 +128,10 @@ class OcsTableHandle(ConnectorTableHandle):
     #: Selectivity estimates recorded at decision time (monitoring).
     estimated_selectivity: Optional[float] = None
     estimated_output_rows: Optional[int] = None
+    #: Serialized Substrait of ``pushed``, set only on the copy a plan-tier
+    #: hit hands its scan branch: the page source ships these bytes as they
+    #: are and charges no generation.
+    substrait: Optional[bytes] = None
 
     def __post_init__(self) -> None:
         if self.pushed is None:

@@ -3,11 +3,21 @@
 One :class:`QueryCache` serves one query.  Lowering reaches it through
 a single call — :meth:`QueryCache.add_branch_stages`, "the stage(s) for
 this scan branch -> source id" — and the query process through
+:meth:`QueryCache.plan_probe`, :meth:`QueryCache.lookup_plan` and
+:meth:`QueryCache.fill_plan` around planning and
 :meth:`QueryCache.lookup_result` / :meth:`QueryCache.fill_result`
 around the whole graph.  Keys, pushed-plan fingerprints, version
 signatures, the cached/residual/``cache-union`` stage bodies and every
 cache span and charge live here; with no cache on the cluster a branch
 is simply one scan stage.
+
+The plan tier keeps a statement's :class:`PreparedPlan`: the optimized
+plan and each scan branch's locally optimized plan, pushed operators,
+serialized Substrait and canonical fingerprint.  A hit replaces parsing
+through the local optimizer, and the Substrait generation of every
+split, with one lookup charge.  Statements whose plans embed run-time
+results (scalar subqueries, materialized CTEs) and plans with a
+dynamic-filter-gated branch are never stored.
 
 When the cluster carries a split cache and some (or all) of a branch's
 splits are resident, the branch lowers *hybrid*: a cached-local stage
@@ -22,7 +32,7 @@ branch's own version signature does not cover.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -31,13 +41,81 @@ from repro.arrowsim.schema import Schema
 from repro.cache.budget import VersionSignature
 from repro.cache.manager import CacheManager, table_version_signature
 from repro.engine.dag import Stage, StageContext, StageGraph
-from repro.engine.lowering import Branch, Lowered, MaterializedHandle, StageBody
+from repro.engine.lowering import (
+    Branch,
+    Lowered,
+    MaterializedHandle,
+    PreparedBranch,
+    StageBody,
+)
+from repro.engine.session import Session
 from repro.engine.spi import Connector, ConnectorSplit
 from repro.engine.stages import STAGE_OTHERS, STAGE_TRANSFER, StageBodies
-from repro.plan.nodes import format_plan
+from repro.errors import EngineError
+from repro.plan.nodes import PlanNode, format_plan
 from repro.trace import Span
 
-__all__ = ["QueryCache"]
+__all__ = ["PreparedPlan", "QueryCache"]
+
+
+@dataclass(frozen=True)
+class PreparedPlan:
+    """One statement's planning output, as the plan tier keeps it.
+
+    ``plan`` is the globally optimized plan (its join tree shapes the
+    exchange and join stages); ``branches`` hold each scan branch after
+    the connector's local optimizer.  ``counters`` are what the local
+    optimizer counted, added again on a hit so that a query counts the
+    same pushdown decisions whether it planned or not.
+    """
+
+    plan: PlanNode
+    plan_before: str
+    branches: Tuple[PreparedBranch, ...]
+    counters: Tuple[Tuple[str, float], ...]
+
+
+def _tables_signature(store: Any, descriptors: Any) -> VersionSignature:
+    """Version signature of every table in ``descriptors``: each one's
+    descriptor version and data-object write counters, once."""
+    versions: Dict[Tuple[str, int], None] = {}
+    for descriptor in descriptors:
+        versions.update(dict.fromkeys(table_version_signature(store, descriptor)))
+    return tuple(versions)
+
+
+def _pushed_fingerprint(handle: Any) -> str:
+    """Canonical fingerprint of the plan ``handle`` pushes ("-" for none)."""
+    pushed = getattr(handle, "pushed", None)
+    if pushed is None:
+        return "-"
+    from repro.core.translator import build_pushdown_plan
+    from repro.substrait.fingerprint import fingerprint_plan
+
+    return fingerprint_plan(build_pushdown_plan(handle.descriptor, pushed))
+
+
+def _prepare(branch: Branch) -> PreparedBranch:
+    """What the plan tier keeps of a planned branch: for a pushed branch,
+    a copy of its handle carrying the serialized Substrait, and the
+    fingerprint lowering already derived (the branch's own handle stays
+    as it is: its query generates the IR in the page source as usual)."""
+    handle = branch.handle
+    pushed = getattr(handle, "pushed", None)
+    if pushed is None:
+        return PreparedBranch(branch.plan, handle, "-")
+    from repro.core.translator import build_pushdown_plan
+    from repro.substrait.fingerprint import fingerprint_plan
+    from repro.substrait.serde import serialize_plan
+
+    plan = build_pushdown_plan(handle.descriptor, pushed)
+    if branch.keys is not None:
+        fingerprint = branch.keys.pushed_fingerprint
+    else:
+        fingerprint = fingerprint_plan(plan)
+    return PreparedBranch(
+        branch.plan, replace(handle, substrait=serialize_plan(plan)), fingerprint
+    )
 
 
 @dataclass
@@ -63,6 +141,8 @@ class QueryCache:
         self.tenant = tenant
         #: (key, version signature) of a result-tier miss awaiting its fill.
         self._result: Optional[Tuple[Hashable, VersionSignature]] = None
+        #: (key, statement text) of a plan-tier miss awaiting its fill.
+        self._plan: Optional[Tuple[Hashable, str]] = None
 
     # -- lowering: one scan branch -> stage(s) ---------------------------------
 
@@ -166,13 +246,10 @@ class QueryCache:
         split_tier = cache.splits.budget_bytes > 0 and bool(branch.splits)
         if not split_tier and cache.results.budget_bytes <= 0:
             return None
-        fingerprint = "-"
-        pushed = getattr(branch.handle, "pushed", None)
-        if pushed is not None:
-            from repro.core.translator import build_pushdown_plan
-            from repro.substrait.fingerprint import fingerprint_plan
-
-            fingerprint = fingerprint_plan(build_pushdown_plan(descriptor, pushed))
+        if branch.prepared is not None:
+            fingerprint = branch.prepared.fingerprint
+        else:
+            fingerprint = _pushed_fingerprint(branch.handle)
         split_keys: Optional[List[Hashable]] = None
         if split_tier:
             plan_sig = hashlib.sha256(
@@ -224,22 +301,115 @@ class QueryCache:
         descriptor — with no way to version what the query read,
         serving a cached result could silently survive a write.
         """
-        store = self.cluster.store
         parts: List[str] = []
-        versions: Dict[Tuple[str, int], None] = {}
         for branch in lowered.branches:
             if branch.keys is None:
                 return None
-            descriptor = branch.handle.descriptor
             parts.append(f"{branch.table}={branch.keys.pushed_fingerprint}")
-            versions.update(dict.fromkeys(table_version_signature(store, descriptor)))
         body = "\n".join(
             parts + [lowered.plan_after, ",".join(lowered.output_schema.names())]
         )
         key = CacheManager.result_key(
             hashlib.sha256(body.encode("utf-8")).hexdigest()
         )
-        return key, tuple(versions)
+        return key, _tables_signature(
+            self.cluster.store, (b.handle.descriptor for b in lowered.branches)
+        )
+
+    # -- the plan tier, around planning ----------------------------------------
+
+    def plan_probe(
+        self, statement: str, session: Session, identity: Optional[Hashable]
+    ) -> bool:
+        """Key ``statement`` for the plan tier; whether a lookup follows.
+
+        ``statement`` is the whitespace-normalised text, planned for
+        ``session`` by a coordinator and connector with planning
+        ``identity`` (``None``: the connector declares none, and the
+        tier is skipped).  The caller charges the lookup's
+        ``cache_lookup_cycles`` before :meth:`lookup_plan`.
+        """
+        if self.cache is None or identity is None:
+            return False
+        key = CacheManager.plan_key(statement, session.catalog, session.schema, identity)
+        self._plan = (key, statement)
+        return True
+
+    def lookup_plan(self, connector: Connector, parent: Span) -> Optional[PreparedPlan]:
+        """The prepared plan :meth:`plan_probe` keyed, or ``None``.
+
+        A resident entry is checked against the current version
+        signature of every table it scans (read through ``connector``),
+        so a PUT to any of their objects, a statistics refresh or a
+        dropped table turns it stale.  Pure bookkeeping: no simulated
+        time.
+        """
+        if self._plan is None:
+            return None
+        assert self.cache is not None
+        tier = self.cache.plans
+        key = self._plan[0]
+        cluster = self.cluster
+        with cluster.tracer.span(
+            "cache-lookup", parent=parent, attributes={"tier": "plan"}
+        ) as lookup:
+            resident = tier.entry(key)
+            versions = None
+            if resident is not None:
+                try:
+                    versions = _tables_signature(cluster.store, [
+                        connector.get_table_handle(
+                            b.handle.descriptor.schema_name, b.handle.descriptor.table_name
+                        ).descriptor
+                        for b in resident.value.branches
+                    ])
+                except EngineError:
+                    versions = ()  # a table left the catalog
+            entry = tier.get(key, tenant=self.tenant, versions=versions)
+            lookup.set("hit", entry is not None)
+            if entry is not None:
+                lookup.add("plan_cache_hits", 1)
+        return entry
+
+    def fill_plan(
+        self, plan: PlanNode, plan_before: str, lowered: Lowered, local: Span, root: Span
+    ) -> None:
+        """Offer a miss's planning output to the tier :meth:`lookup_plan` missed.
+
+        ``local`` is the local-optimization span whose counters the entry
+        keeps.  A plan whose base scan a dynamic filter gates is not
+        stored: its pushed plan is completed at run time.  Pure
+        bookkeeping: no simulated time.
+        """
+        if self._plan is None or lowered.dynamic_filter:
+            return
+        assert self.cache is not None
+        key, statement = self._plan
+        branches = tuple(_prepare(branch) for branch in lowered.branches)
+        entry = PreparedPlan(
+            plan=plan,
+            plan_before=plan_before,
+            branches=branches,
+            counters=tuple(sorted((local.counters or {}).items())),
+        )
+        nbytes = len(statement) + len(plan_before) + len(lowered.plan_after) + sum(
+            len(getattr(b.handle, "substrait", None) or b"") for b in branches
+        )
+        with self.cluster.tracer.span(
+            "cache-fill", parent=root, attributes={"tier": "plan"}
+        ) as span:
+            filled = self.cache.plans.put(
+                key, entry, nbytes=nbytes, tenant=self.tenant,
+                versions=_tables_signature(
+                    self.cluster.store, (b.handle.descriptor for b in branches)
+                ),
+                cost=float(
+                    lowered.analysis_nodes
+                    * self.cluster.costs.plan_analysis_cycles_per_node
+                ),
+            )
+            span.set("bytes", nbytes)
+            span.set("accepted", filled)
 
     # -- the result tier, around the whole graph -------------------------------
 

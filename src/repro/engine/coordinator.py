@@ -6,6 +6,11 @@ to a stage graph** -> hand the graph to the DAG scheduler -> gather
 results.  All real computation happens inline; all timing comes from
 the DES.
 
+With a plan tier configured, a statement already planned against
+unchanged tables skips everything from parse through the local
+optimizer: the query process looks its prepared plan up first and
+lowers it as stored (:meth:`repro.engine.caching.QueryCache.lookup_plan`).
+
 This module owns the front half of that pipeline, the query process
 that strings the phases together, and EXPLAIN rendering.  The rest lives
 beside it: :mod:`repro.engine.lowering` turns every plan — single-table
@@ -22,7 +27,7 @@ stage the moment its inputs complete, each under an (untagged)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.analysis.runtime import strict_verify_enabled
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
@@ -62,6 +67,7 @@ from repro.sql.ast_nodes import (
     SelectStatement,
     TableName,
 )
+from repro.sql.lexer import normalize_whitespace
 from repro.sql.parser import parse
 from repro.trace import CounterTotals, Trace, counter_totals, render_tree, stage_totals
 
@@ -568,40 +574,62 @@ class Coordinator:
         with tracer.span(
             "query", parent=parent, attributes={"sql": " ".join(sql.split())}
         ) as root:
-            # (0) Coordination overhead ("others" in Table 3), then
-            # (1-3) parse, rewrite, analyze, logical plan, global
-            # optimization.  These run inline (instantaneous in
-            # simulated time) — their spans are zero-width markers
-            # recording pipeline structure.
+            # (0) Coordination overhead ("others" in Table 3), then the
+            # plan tier, and on a miss (1-3) parse, rewrite, analyze,
+            # logical plan, global optimization.  These run inline
+            # (instantaneous in simulated time) — their spans are
+            # zero-width markers recording pipeline structure.
             with tracer.span("startup", parent=root, stage=STAGE_OTHERS) as startup:
+                home = self.catalogs.get(session.catalog)
+                lookup = cache.cache is not None and home is not None and cache.plan_probe(
+                    normalize_whitespace(sql), session, self._plan_identity(home)
+                )
+                # The lookup is charged with the coordination, in one
+                # request: an extra hop here would reverse same-instant
+                # queries under the LIFO tie-break.
                 yield cluster.compute.execute(
-                    costs.coordinator_fixed_cycles, name="coordinate"
+                    costs.coordinator_fixed_cycles
+                    + (costs.cache_lookup_cycles if lookup else 0),
+                    name="coordinate",
                 )
-                prepared = self._prepare_statement(sql, session, tracer, startup)
-                if not prepared.scalar_jobs and not prepared.cte_jobs:
-                    planned = self._plan_prepared(
-                        prepared, session, tracer, startup, materialized={}
+                entry = cache.lookup_plan(home, startup) if lookup else None
+                if entry is None:
+                    prepared = self._prepare_statement(sql, session, tracer, startup)
+                    subqueries = bool(prepared.scalar_jobs or prepared.cte_jobs)
+                    if not subqueries:
+                        planned = self._plan_prepared(
+                            prepared, session, tracer, startup, materialized={}
+                        )
+            if entry is not None:
+                plan, plan_before, connector = entry.plan, entry.plan_before, home
+            else:
+                if subqueries:
+                    planned = yield from self._plan_with_subqueries(
+                        prepared, session, root, query_id, tenant
                     )
-            if prepared.scalar_jobs or prepared.cte_jobs:
-                planned = yield from self._plan_with_subqueries(
-                    prepared, session, root, query_id, tenant
-                )
-            plan, plan_before, connector = planned
+                plan, plan_before, connector = planned
 
             # (4) Connector-specific (local) optimization + lowering to
             # the stage graph.  The lowering itself is pure (no
             # simulated time); the traversal cost it reports is charged
-            # here.
+            # here.  A prepared plan lowers as stored: no optimizer runs,
+            # and its recorded decision counters are added instead.
             with tracer.span("optimize.local", parent=root, stage=STAGE_ANALYSIS) as local:
                 lowered = lower(
                     plan, connector, local, self.bodies,
                     cache.add_branch_stages, self.join_workers,
+                    prepared=None if entry is None else entry.branches,
                 )
-                if lowered.analysis_nodes:
+                if entry is not None:
+                    for name, amount in entry.counters:
+                        local.add(name, amount)
+                elif lowered.analysis_nodes:
                     yield cluster.compute.execute(
                         lowered.analysis_nodes * costs.plan_analysis_cycles_per_node,
                         name="local-opt",
                     )
+            if entry is None and not subqueries and connector is home:
+                cache.fill_plan(plan, plan_before, lowered, local, root)
 
             # (4b) Coordinator-tier result cache: a hit *is* the result.
             batch = yield from cache.lookup_result(lowered, root)
@@ -633,6 +661,15 @@ class Coordinator:
             utilization=self._utilization(lowered.has_exchange and not hit),
             stage_graph=lowered.graph,
         )
+
+    def _plan_identity(self, connector: Connector) -> Optional[Hashable]:
+        """What shapes a plan through ``connector`` besides the statement
+        and its tables: the connector's settings, the rewriter's and the
+        join fan-out; ``None`` when the connector declares no identity."""
+        identity = connector.plan_identity()
+        if identity is None:
+            return None
+        return (identity, self.rewrite, self.rewrite_budget, self.join_workers)
 
     def _plan_with_subqueries(
         self,

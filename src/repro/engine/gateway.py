@@ -301,7 +301,7 @@ class S3Gateway:
         try:
             yield link.transfer(self.frontend.name, node.name, len(payload), label="select-req")
             yield node.read_disk(result.stored_bytes_scanned, name="select-scan")
-            yield node.execute_spread(cpu, name="select")
+            yield node.execute_spread(cpu)
             yield link.transfer(node.name, self.frontend.name, len(reply), label="select-result")
         finally:
             self.tracer.end(span)

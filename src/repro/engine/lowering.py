@@ -26,7 +26,7 @@ to the tail.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.runtime import strict_verify_enabled
 from repro.arrowsim.record_batch import RecordBatch
@@ -50,6 +50,7 @@ __all__ = [
     "Branch",
     "Lowered",
     "MaterializedHandle",
+    "PreparedBranch",
     "StageBody",
     "lower",
 ]
@@ -75,6 +76,25 @@ class MaterializedHandle:
     batches: List[RecordBatch] = field(default_factory=list)
 
 
+@dataclass(frozen=True)
+class PreparedBranch:
+    """One scan branch's planning output, as the plan tier keeps it.
+
+    Nothing here is mutated by a query that runs it: the plan tier stores
+    no plan whose pushed operators change at run time (a dynamic-filter
+    target).
+    """
+
+    #: The branch plan after the connector's local optimizer.
+    plan: PlanNode
+    #: The handle the branch scans through; for a pushed branch a copy
+    #: carrying its serialized Substrait.
+    handle: Any
+    #: Canonical fingerprint of the pushed plan ("-" when nothing is
+    #: pushed).
+    fingerprint: str
+
+
 @dataclass
 class Branch:
     """One scan branch of the lowered graph (base table or join build)."""
@@ -88,6 +108,8 @@ class Branch:
     #: Owned by whatever ``add_branch`` realized the branch: identity it
     #: derived once at lowering and needs again on the run path.
     keys: Any = None
+    #: The planning output the branch was lowered from (a plan-tier hit).
+    prepared: Optional[PreparedBranch] = None
 
 
 @dataclass
@@ -104,6 +126,9 @@ class Lowered:
     output_schema: Schema
     result_stage: str
     has_exchange: bool
+    #: A dynamic filter gates the base scan: its pushed plan is completed
+    #: at run time, from the build side's data.
+    dynamic_filter: bool = False
 
 
 def lower(
@@ -113,6 +138,7 @@ def lower(
     bodies: Any,
     add_branch: Callable[[StageGraph, Connector, Branch, bool, Optional[str]], str],
     workers: int,
+    prepared: Optional[Sequence[PreparedBranch]] = None,
 ) -> Lowered:
     """Lower an optimized logical plan to a typed stage graph.
 
@@ -122,12 +148,21 @@ def lower(
     ``gate`` names a stage the scan must wait for (the dynamic-filter
     handshake).  ``span`` is handed to the connector's local optimizer,
     which counts its decisions on it; ``workers`` is the exchange
-    partition count (join tasks per level).
+    partition count (join tasks per level).  ``prepared`` holds each
+    scan branch's locally optimized plan from an earlier lowering of the
+    same statement; the optimizer then does not run (no analysis nodes).
     """
     graph = StageGraph()
     joins = _join_chain(plan)
 
-    branches, analysis_nodes = _scan_branches(plan, joins, connector, span)
+    if prepared is None:
+        branches, analysis_nodes = _scan_branches(plan, joins, connector, span)
+    else:
+        branches = [
+            _branch(index, entry.plan, entry.handle, connector, entry)
+            for index, entry in enumerate(prepared)
+        ]
+        analysis_nodes = 0
     if not joins:
         plan = branches[0].plan
 
@@ -185,6 +220,7 @@ def lower(
         output_schema=plan.output_schema(),
         result_stage=result_stage,
         has_exchange=bool(joins),
+        dynamic_filter=gate is not None,
     )
     if strict_verify_enabled():
         from repro.analysis.verifier import verify_stage_graph
@@ -220,19 +256,32 @@ def _scan_branches(
         if optimizer is not None and not material:
             analysis_nodes += _count_nodes(branch_plan)
             branch_plan = optimizer.optimize(branch_plan, span)
-        physical = fragment_plan(branch_plan)
-        handle = physical.scan.connector_handle
         branches.append(
-            Branch(
-                stage_id=f"scan:{index}:{physical.scan.table.table}",
-                table=physical.scan.table.table,
-                plan=branch_plan,
-                physical=physical,
-                handle=handle,
-                splits=[] if material else connector.get_splits(handle),
-            )
+            _branch(index, branch_plan, _leftmost_scan(branch_plan).connector_handle,
+                    connector)
         )
     return branches, analysis_nodes
+
+
+def _branch(
+    index: int,
+    plan: PlanNode,
+    handle: Any,
+    connector: Connector,
+    prepared: Optional[PreparedBranch] = None,
+) -> Branch:
+    """The scan branch over ``plan``'s scan, read through ``handle``."""
+    physical = fragment_plan(plan)
+    material = isinstance(handle, MaterializedHandle)
+    return Branch(
+        stage_id=f"scan:{index}:{physical.scan.table.table}",
+        table=physical.scan.table.table,
+        plan=plan,
+        physical=physical,
+        handle=handle,
+        splits=[] if material else connector.get_splits(handle),
+        prepared=prepared,
+    )
 
 
 def _dynamic_filter_gate(

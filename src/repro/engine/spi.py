@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Hashable, List, Optional
 
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Schema
@@ -137,6 +137,16 @@ class Connector(ABC):
 
     def plan_optimizer(self) -> Optional[ConnectorPlanOptimizer]:
         """The connector's local optimizer, if it has one."""
+        return None
+
+    def plan_identity(self) -> Optional[Hashable]:
+        """Every setting of this connector that shapes a statement's plan,
+        or ``None`` (the default): its statements skip the plan tier.
+
+        The plan tier (:mod:`repro.cache`) keys prepared plans on it:
+        connectors built from different run configurations share one
+        cache manager, and must never be served each other's plans.
+        """
         return None
 
     def speculative_page_source(

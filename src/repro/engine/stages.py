@@ -95,7 +95,7 @@ class StageBodies:
             out = run_operators(batches, ops)
             cycles = presto_pipeline_cycles(ops, cluster.costs)
             if cycles or always_charge:
-                yield cluster.compute.execute_spread(cycles, name=name)
+                yield cluster.compute.execute_spread(cycles)
         return out
 
     # -- scan stages -----------------------------------------------------------

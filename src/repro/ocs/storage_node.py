@@ -125,8 +125,7 @@ class OcsStorageNode:
                 try:
                     yield self.node.execute_spread(
                         self.costs.cache_lookup_cycles
-                        + len(arrow) * self.costs.ocs_cache_serve_cycles_per_byte,
-                        name="cache-serve",
+                        + len(arrow) * self.costs.ocs_cache_serve_cycles_per_byte
                     )
                 finally:
                     self.tracer.end(span)
@@ -156,7 +155,7 @@ class OcsStorageNode:
                 report.total_cpu_cycles
                 + len(arrow) * self.costs.arrow_serialize_cycles_per_byte
             )
-            yield self.node.execute_spread(cpu, name="plan")
+            yield self.node.execute_spread(cpu)
         finally:
             self.tracer.end(span)
         encode = self.tracer.start(

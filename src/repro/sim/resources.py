@@ -11,7 +11,7 @@ the primitive under the simulated RPC channels.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Event, Simulator
@@ -91,6 +91,26 @@ class Resource:
         else:
             self._waiters.append(req)
         return req
+
+    def claim(self, count: int) -> Tuple[List[Request], List[Request]]:
+        """Claim ``count`` slots at once: ``(granted, queued)`` requests.
+
+        The same as ``count`` successive :meth:`request` calls, except that
+        a slot granted on the spot fires no event: the caller learns of it
+        from the return value.  A queued request fires when a release
+        grants it, as usual.  Release every request when done.
+        """
+        granted: List[Request] = []
+        queued: List[Request] = []
+        for _ in range(count):
+            req = Request(self)
+            if self.in_use < self.capacity:
+                self._grant(req)
+                granted.append(req)
+            else:
+                self._waiters.append(req)
+                queued.append(req)
+        return granted, queued
 
     def _grant(self, req: Request) -> None:
         self._note_change()

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, List
 
 from repro.errors import LexError
 
-__all__ = ["Token", "TokenKind", "Lexer", "tokenize", "KEYWORDS"]
+__all__ = [
+    "Token", "TokenKind", "Lexer", "tokenize", "normalize_whitespace", "KEYWORDS",
+]
 
 
 class TokenKind:
@@ -172,3 +175,27 @@ class Lexer:
 def tokenize(text: str) -> List[Token]:
     """Scan ``text`` into a token list ending with EOF."""
     return list(Lexer(text).tokens())
+
+
+#: Literals and comments first, so whitespace inside them is never a gap.
+_TEXT_PIECES = re.compile(r"'(?:[^']|'')*'|\"[^\"]*\"|--[^\n]*|\s+|[^\s'\"-]+|.", re.S)
+
+
+def normalize_whitespace(text: str) -> str:
+    """``text`` with every run of whitespace and line comments between
+    tokens made one space, and none at either end.
+
+    String literals and delimited identifiers keep their bytes, so two
+    statements normalise alike only when they scan to the same tokens.
+    """
+    parts: List[str] = []
+    gap = False
+    for piece in _TEXT_PIECES.findall(text):
+        if piece.isspace() or piece.startswith("--"):
+            gap = True
+            continue
+        if gap and parts:
+            parts.append(" ")
+        gap = False
+        parts.append(piece)
+    return "".join(parts)

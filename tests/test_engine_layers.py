@@ -310,14 +310,17 @@ def test_lower_layers_do_not_import_the_coordinator():
 def test_pushed_plan_is_fingerprinted_once_per_branch(small_env, monkeypatch):
     from repro.substrait import fingerprint
 
-    # Both coordinator tiers on.  The counted run is a result-tier hit:
-    # lowering, the lookup ledger and the result key all need every
+    # Both coordinator page tiers on.  The counted run is a result-tier
+    # hit that misses the plan tier (emptied below; a plan-tier hit takes
+    # every fingerprint from its entry: test_plan_cache.py): lowering, the
+    # lookup ledger, the result key and the plan-tier fill all need every
     # branch's fingerprint, and no pushdown request reaches the OCS side
     # (which fingerprints for its own tier) to blur the count.
     config = dataclasses.replace(
         FULL, cache=CacheSpec(storage_budget_bytes=0, split_budget_bytes=126 * MB)
     )
     small_env.run(TPCH_Q3_FULL, config, schema="tpch")
+    small_env.cache_manager(config.cache).plans.clear()
     calls = []
     original = fingerprint.fingerprint_plan
     monkeypatch.setattr(
@@ -326,4 +329,5 @@ def test_pushed_plan_is_fingerprinted_once_per_branch(small_env, monkeypatch):
     )
     result = small_env.run(TPCH_Q3_FULL, config, schema="tpch")
     assert result.metrics.value("result_cache_hits") == 1
+    assert result.metrics.value("plan_cache_hits") == 0
     assert len(calls) == 3  # orders, lineitem, customer

@@ -537,8 +537,14 @@ def fuzz_referee(fuzz_env):
     return Referee(fuzz_env)
 
 
-#: A cache tier per sampled query: whole results, or split/storage pages.
-CACHE_SPECS = (CacheSpec(), CacheSpec(result_budget_bytes=0))
+#: A cache tier per sampled query: whole results, split/storage pages, or
+#: prepared plans alone (every spec has the plan tier on, so a warm run
+#: also lowers a stored plan).
+CACHE_SPECS = (
+    CacheSpec(),
+    CacheSpec(result_budget_bytes=0),
+    CacheSpec(result_budget_bytes=0, split_budget_bytes=0, storage_budget_bytes=0),
+)
 
 
 def agree_everywhere(env, referee, case, cached=None):
@@ -579,7 +585,7 @@ SLOW_SEEDS = 2000
 
 
 def _agree_on_seed(env, referee, seed):
-    cached = CACHE_SPECS[seed // 4 % 2] if seed % 4 == 0 else None
+    cached = CACHE_SPECS[seed // 4 % len(CACHE_SPECS)] if seed % 4 == 0 else None
     agree_everywhere(env, referee, Generator(seed).case(), cached)
 
 
