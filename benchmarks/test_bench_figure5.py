@@ -59,3 +59,9 @@ def test_figure5_speedup_ordering(benchmark, figure5_env, dataset):
     benchmark.extra_info["speedup_vs_filter_only"] = filter_only / final
     assert none > filter_only, "filter pushdown must beat no pushdown"
     assert filter_only > final, "full pushdown must beat filter-only"
+    if "+projection" in times:
+        # Figure 5(b)/(c): pushing the projection without the aggregation
+        # that consumes it is slower than pushing the filter alone.
+        projection = times["+projection"]
+        benchmark.extra_info["projection_over_filter_only"] = projection / filter_only
+        assert projection > filter_only, "+projection must be slower than filter-only"

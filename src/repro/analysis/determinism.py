@@ -17,7 +17,7 @@ module turns that claim into a checked invariant:
   state — a genuine ordering hazard, not a formatting difference.
 
 Run the built-in harness with ``python -m repro.analysis.determinism``.
-It covers five suites: a quickstart-style seeded sensor workload under
+It covers six suites: a quickstart-style seeded sensor workload under
 full OCS pushdown (``query``), the same query on the no-pushdown
 baseline under seeded link drops that its gateway reads retry through
 (``faulted-baseline``), one straggler trial of the dag bench with
@@ -28,7 +28,10 @@ must reproduce the *entire* SLO digest, timings included, because
 same-instant submission and dispatch ordering is exactly what admission
 control serializes), and that service run with the plan tier on
 (``service-repeat``), where the repeated statements must hit the tier in
-every replay.
+every replay, and a service run whose statements arrive in same-instant
+duplicate pairs with every cache tier on (``service-tied``, via
+:func:`check_service_tied_determinism`): the Poisson arrivals of the
+other service suites never tie.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ __all__ = [
     "run_service_recorded",
     "check_service_determinism",
     "check_service_repeat_determinism",
+    "run_service_tied_recorded",
+    "check_service_tied_determinism",
     "main",
 ]
 
@@ -305,6 +310,40 @@ def run_service_recorded(
         observer=recorder,
         cache=cache,
     )
+    return _service_replay(service, recorder, tie_break)
+
+
+def run_service_tied_recorded(*, tie_break: str = "fifo") -> ReplayReport:
+    """Every service template submitted twice at t=0, every cache tier on.
+
+    All four statements are admitted at once, and each pair misses the
+    result tier at one instant and races to fill it.
+    """
+    from repro.bench.service import TEMPLATES, submit_two_tenant_load
+    from repro.config import CacheSpec, ServiceSpec
+
+    recorder = DigestRecorder()
+    service = submit_two_tenant_load(
+        ServiceSpec(max_active_queries=2 * len(TEMPLATES), max_queue_depth=8),
+        queries=0,
+        seed=0,
+        tie_break=tie_break,
+        observer=recorder,
+        cache=CacheSpec(),
+    )
+    for template in TEMPLATES:
+        for copy in range(2):
+            service.submit(
+                template.sql,
+                tenant=template.tenant,
+                schema=template.schema,
+                label=f"{template.display_label}-{copy}",
+                at=0.0,
+            )
+    return _service_replay(service, recorder, tie_break)
+
+
+def _service_replay(service: Any, recorder: DigestRecorder, tie_break: str) -> ReplayReport:
     # report() drains the service, which is what actually runs the
     # simulation — snapshot the recorder only afterwards.
     report = service.report()
@@ -358,6 +397,20 @@ def check_service_repeat_determinism(
             f"a service-repeat replay served no prepared plan (hits {hits})"
         )
     return report
+
+
+def check_service_tied_determinism() -> DeterminismReport:
+    """Same-instant duplicate statements with every cache tier on.
+
+    The LIFO replay must reproduce the whole SLO digest: no cache tier
+    may add a same-instant hop, since each such hop reverses a tied pair
+    under LIFO and lets it trade latencies.  The pairs arrive at t=0,
+    where an uncached run keeps them in order.  A pair arriving later
+    crosses one more tied hop (its arrival timeout) and trades places
+    under LIFO with or without caches: a contended resource (the link
+    to the frontend) grants same-instant requests in dispatch order.
+    """
+    return _check(lambda tie_break: run_service_tied_recorded(tie_break=tie_break))
 
 
 # --------------------------------------------------------------------------
@@ -441,6 +494,7 @@ def main() -> int:
         ("dag", check_dag_determinism),
         ("service", check_service_determinism),
         ("service-repeat", check_service_repeat_determinism),
+        ("service-tied", check_service_tied_determinism),
     ]
     ok = True
     for name, check in suites:

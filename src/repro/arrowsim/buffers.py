@@ -92,31 +92,44 @@ def read_array(reader: Reader, dtype: np.dtype, count: int) -> np.ndarray:
     return view
 
 
-def read_validity(reader: Reader, num_rows: int) -> np.ndarray:
-    """Packed validity bits -> bool array of ``num_rows``."""
+def read_validity(
+    reader: Reader, num_rows: int, selection: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Packed validity bits -> bool array of ``num_rows``, or of the rows
+    at the ascending positions ``selection``."""
     packed = read_array(reader, np.dtype(np.uint8), (num_rows + 7) // 8)
-    return np.unpackbits(packed)[:num_rows].astype(bool)
+    if selection is None:
+        return np.unpackbits(packed)[:num_rows].astype(bool)
+    # np.packbits fills each byte from its most significant bit.
+    return ((packed[selection >> 3] >> (7 - (selection & 7))) & 1).astype(bool)
 
 
-def read_strings(reader: Reader, count: int) -> np.ndarray:
+def read_strings(
+    reader: Reader, count: int, selection: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Inverse of :func:`pack_strings` at the cursor: an object array of ``str``.
 
     The offsets must start at 0 and never decrease, and the data they
-    span must lie inside the buffer.
+    span must lie inside the buffer and be UTF-8.  ``selection``
+    (ascending positions) builds only the items at those positions.
     """
     offsets = read_array(reader, np.dtype("<i4"), count + 1)
     if offsets[0] != 0 or bool((offsets[1:] < offsets[:-1]).any()):
         reader.fail("string offsets do not start at 0 or decrease")
-    bounds = offsets.tolist()
-    data = bytes(reader.take(bounds[-1]))
+    if selection is None:
+        bounds = offsets.tolist()
+        starts, ends = bounds, bounds[1:]
+    else:
+        starts, ends = offsets[selection].tolist(), offsets[selection + 1].tolist()
+    data = bytes(reader.take(int(offsets[-1])))
     try:
         text = str(data, "utf-8")
         if len(text) == len(data):  # ASCII: character index == byte index
-            items = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+            items = [text[a:b] for a, b in zip(starts, ends)]
         else:
-            items = [str(data[a:b], "utf-8") for a, b in zip(bounds, bounds[1:])]
+            items = [str(data[a:b], "utf-8") for a, b in zip(starts, ends)]
     except UnicodeDecodeError as exc:
         reader.fail(f"string data is not UTF-8: {exc}")
-    values = np.empty(count, dtype=object)
+    values = np.empty(len(ends), dtype=object)
     values[:] = items
     return values

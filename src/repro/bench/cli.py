@@ -4,7 +4,7 @@
     python -m repro.bench figure5 --scale medium --dataset laghos
     python -m repro.bench table3 --trace --trace-out t3.json
     python -m repro.bench join --scale smoke --query q12 --seed 1
-    python -m repro.bench snapshot --check BENCH_32.json
+    python -m repro.bench snapshot --check BENCH_33.json
 
 One parser, built from the suite registry: every suite takes ``--scale``
 (its own scale names) plus exactly the flags it declares, so a flag a

@@ -2,7 +2,7 @@
 
 ``collect`` runs every gated suite of the registry at CI scale; the
 snapshot is ``{suite name: the doc its run returned}``.  The committed
-snapshot (``BENCH_32.json`` at the repo root) is the previous PR's
+snapshot (``BENCH_33.json`` at the repo root) is the previous PR's
 baseline; CI regenerates the snapshot and ``compare``s it against the
 committed file.  What is compared is what each suite *declares*
 (:class:`~repro.bench.registry.Gate`), failing on:
@@ -27,7 +27,7 @@ committed file.  What is compared is what each suite *declares*
   ratio so CI host speed cancels out (the baseline's speedup is recorded
   but not ratcheted: best-of-N jitter between reruns exceeds 10%).
 
-Regenerate with ``python -m repro.bench snapshot --out BENCH_32.json``.
+Regenerate with ``python -m repro.bench snapshot --out BENCH_33.json``.
 The committed file also carries, under ``kernels.formats.parent``, the
 Parcel encode/decode wall seconds of the commit before the whole-chunk
 kernels landed, measured on the same machine as its own.
@@ -43,7 +43,7 @@ from repro.errors import ConfigError
 
 __all__ = ["SNAPSHOT_VERSION", "collect", "compare", "render", "run"]
 
-SNAPSHOT_VERSION = 32
+SNAPSHOT_VERSION = 33
 
 #: Relative worsening tolerated on lower-is-better simulated metrics.
 TOLERANCE = 0.10

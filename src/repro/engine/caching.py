@@ -420,6 +420,12 @@ class QueryCache:
     ):
         """DES generator: try the result tier; returns the hit or ``None``.
 
+        A hit is charged its lookup and its serve in one compute request.
+        A miss charges nothing here: the caller adds
+        :attr:`unpaid_lookup_cycles` to its next request, since each extra
+        request is one more same-instant hop, and each such hop reverses
+        two same-instant queries under the LIFO tie-break.
+
         Also feeds the per-table lookup ledger the adaptive controller
         reads.  The split peeks are pure, so recording them here (run
         path only) keeps EXPLAIN side-effect free.
@@ -448,10 +454,10 @@ class QueryCache:
         ) as lookup:
             hit = cache.results.get(key, tenant=self.tenant, versions=versions)
             lookup.set("hit", hit is not None)
-            yield cluster.compute.execute(costs.cache_lookup_cycles, name="cache-lookup")
             if hit is not None:
                 yield cluster.compute.execute(
-                    hit.nbytes * costs.cache_serve_cycles_per_byte,
+                    costs.cache_lookup_cycles
+                    + hit.nbytes * costs.cache_serve_cycles_per_byte,
                     name="cache-serve",
                 )
         if hit is not None:
@@ -461,6 +467,13 @@ class QueryCache:
                 branch.table, hits=int(hit is not None), misses=int(hit is None)
             )
         return hit
+
+    @property
+    def unpaid_lookup_cycles(self) -> float:
+        """The cycles of a result-tier lookup that missed (0 without one)."""
+        if self._result is None:
+            return 0.0
+        return self.cluster.costs.cache_lookup_cycles
 
     def fill_result(
         self, batch: RecordBatch, elapsed: float, root: Span

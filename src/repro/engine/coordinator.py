@@ -635,7 +635,9 @@ class Coordinator:
             batch = yield from cache.lookup_result(lowered, root)
             hit = batch is not None
             if not hit:
-                batch = yield from self._run_graph(lowered, root, query_id)
+                batch = yield from self._run_graph(
+                    lowered, root, query_id, cache.unpaid_lookup_cycles
+                )
             elapsed = sim.now - query_start
             if not hit:
                 cache.fill_result(batch, elapsed, root)
@@ -723,13 +725,19 @@ class Coordinator:
         lowered: Lowered,
         root,
         query_id: Optional[str],
+        lookup_cycles: float = 0.0,
     ):
-        """(5-6) Charge split scheduling, run the graph, gather the result."""
+        """(5-6) Charge split scheduling, run the graph, gather the result.
+
+        ``lookup_cycles`` (a result-tier miss) join the scheduling charge
+        in one request (:meth:`QueryCache.lookup_result`).
+        """
         cluster = self.cluster
         with cluster.tracer.span("schedule", parent=root, stage=STAGE_OTHERS) as schedule:
             schedule.set("stages", len(lowered.graph))
             yield cluster.compute.execute(
-                lowered.total_splits * cluster.costs.schedule_cycles_per_split,
+                lookup_cycles
+                + lowered.total_splits * cluster.costs.schedule_cycles_per_split,
                 name="schedule",
             )
         root.add("splits", lowered.total_splits)

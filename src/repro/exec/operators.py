@@ -152,10 +152,13 @@ class FilterOperator(Operator):
             )
         self.predicate = predicate
 
-    def _process(self, batch: RecordBatch) -> RecordBatch:
+    def mask(self, batch: RecordBatch) -> np.ndarray:
+        """The rows of ``batch`` the predicate keeps: TRUE, not NULL."""
         result = self.predicate.evaluate(batch)
-        mask = result.values.astype(bool) & result.is_valid()
-        return batch.filter(mask)
+        return result.values.astype(bool) & result.is_valid()
+
+    def _process(self, batch: RecordBatch) -> RecordBatch:
+        return batch.filter(self.mask(batch))
 
 
 class HashAggregationOperator(Operator):

@@ -187,7 +187,9 @@ def _encode_fixed(
 # -- decoders ------------------------------------------------------------------
 
 
-def _decode_dict(dtype: DataType, r: Reader, count: int) -> np.ndarray:
+def _decode_dict(
+    dtype: DataType, r: Reader, count: int, selection: Optional[np.ndarray]
+) -> np.ndarray:
     dict_size = r.u32()
     if dtype is STRING:
         dictionary = read_strings(r, dict_size)
@@ -198,10 +200,12 @@ def _decode_dict(dtype: DataType, r: Reader, count: int) -> np.ndarray:
         r.fail("dictionary empty but indices present")
     if count and indices.max() >= dict_size:
         r.fail("dictionary index out of range")
-    return dictionary[indices]
+    return dictionary[indices if selection is None else indices[selection]]
 
 
-def _decode_rle(dtype: DataType, r: Reader, count: int) -> np.ndarray:
+def _decode_rle(
+    dtype: DataType, r: Reader, count: int, selection: Optional[np.ndarray]
+) -> np.ndarray:
     nruns = r.varint()
     width = dtype.byte_width
     remaining = r.remaining
@@ -236,7 +240,11 @@ def _decode_rle(dtype: DataType, r: Reader, count: int) -> np.ndarray:
     if total != count:
         r.fail(f"RLE expanded to {total} values, expected {count}")
     run_values = np.ascontiguousarray(run_octets).view(dtype.numpy_dtype).reshape(nruns)
-    return np.repeat(run_values, run_lengths)
+    if selection is None:
+        return np.repeat(run_values, run_lengths)
+    # The run holding each selected position: the first run ending past it.
+    run_ends = np.cumsum(run_lengths, dtype=np.int64)
+    return run_values[np.searchsorted(run_ends, selection, side="right")]
 
 
 # -- chunk assembly ---------------------------------------------------------
@@ -276,25 +284,43 @@ def encode_chunk(column: ColumnArray, lossy_error: Optional[float] = None) -> by
     return encode_chunk_with_stats(column, lossy_error)[0]
 
 
-def decode_chunk(dtype: DataType, body: bytes, num_values: int) -> ColumnArray:
-    """Inverse of :func:`encode_chunk`."""
+def decode_chunk(
+    dtype: DataType,
+    body: bytes,
+    num_values: int,
+    selection: Optional[np.ndarray] = None,
+) -> ColumnArray:
+    """Inverse of :func:`encode_chunk`.
+
+    ``selection``, ascending positions in ``[0, num_values)``, decodes
+    only those rows: the result equals the full decode taken at
+    ``selection``, and the body is checked exactly as a full decode
+    checks it.
+    """
+    if selection is not None and len(selection) and not (
+        0 <= selection[0] and selection[-1] < num_values
+    ):
+        raise FormatError(f"selection outside the chunk's {num_values} values")
     r = Reader(body, FormatError)
-    validity = read_validity(r, num_values) if r.u8() else None
+    validity = read_validity(r, num_values, selection) if r.u8() else None
     encoding = r.u8()
     if encoding == PLAIN and dtype is STRING:
-        values = read_strings(r, num_values)
+        values = read_strings(r, num_values, selection)
     elif encoding == PLAIN:
-        values = read_array(r, dtype.numpy_dtype, num_values).copy()
+        values = read_array(r, dtype.numpy_dtype, num_values)
+        values = values.copy() if selection is None else values[selection]
     elif encoding == DICT:
-        values = _decode_dict(dtype, r, num_values)
+        values = _decode_dict(dtype, r, num_values, selection)
     elif encoding == RLE and dtype is not STRING:
-        values = _decode_rle(dtype, r, num_values)
+        values = _decode_rle(dtype, r, num_values, selection)
     elif encoding == SZ:
         from repro.compress.szlike import decompress_lossy
 
         values = decompress_lossy(bytes(r.take(r.remaining)))
         if len(values) != num_values:
             r.fail(f"SZ chunk decoded {len(values)} values, expected {num_values}")
+        if selection is not None:
+            values = values[selection]
     else:
         r.fail(f"unknown chunk encoding {encoding} for {dtype}")
     r.done()

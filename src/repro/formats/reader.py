@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.arrowsim.schema import Schema
 from repro.compress.registry import get_codec
@@ -44,13 +46,15 @@ def decode_row_group(
     rg_index: int,
     names: Sequence[str],
     stored: Callable[[ChunkMeta], bytes],
+    selection: Optional[np.ndarray] = None,
 ) -> RecordBatch:
     """Decode the ``names`` columns of one row group: the one chunk-decode loop.
 
     ``stored(chunk)`` returns a chunk's stored bytes: a slice of the whole
     object (:class:`ParcelReader`) or of a ranged-GET reply (the Hive raw
     path).  Each chunk is decompressed, held to the footer's
-    ``uncompressed_size`` (:class:`FormatError` if it differs) and decoded.
+    ``uncompressed_size`` (:class:`FormatError` if it differs) and decoded,
+    at the ascending row positions ``selection`` only when given.
     """
     if not 0 <= rg_index < len(meta.row_groups):
         raise FormatError(
@@ -67,7 +71,9 @@ def decode_row_group(
                 f"chunk for {name!r} decompressed to {len(raw)} bytes, "
                 f"footer says {chunk.uncompressed_size}"
             )
-        columns.append(decode_chunk(schema.field(name).dtype, raw, rg.num_rows))
+        columns.append(
+            decode_chunk(schema.field(name).dtype, raw, rg.num_rows, selection)
+        )
     return RecordBatch(schema, columns)
 
 
@@ -134,14 +140,19 @@ class ParcelReader:
     # -- data access ---------------------------------------------------------------
 
     def read_row_group(
-        self, rg_index: int, columns: Optional[Sequence[str]] = None
+        self,
+        rg_index: int,
+        columns: Optional[Sequence[str]] = None,
+        selection: Optional[np.ndarray] = None,
     ) -> RecordBatch:
-        """Decode one row group, restricted to ``columns`` if given."""
+        """Decode one row group, restricted to ``columns`` if given, and to
+        the rows at the ascending positions ``selection`` if given."""
         names = list(columns) if columns is not None else self.schema.names()
         buf = self._buf
         return decode_row_group(
             self.meta, rg_index, names,
             lambda chunk: buf[chunk.offset : chunk.offset + chunk.compressed_size],
+            selection,
         )
 
     def read_table(self, columns: Optional[Sequence[str]] = None) -> RecordBatch:

@@ -4,7 +4,10 @@ Lowers relations back onto the shared vectorized kernels
 (:mod:`repro.exec`) against Parcel objects.  Field references are
 positional, so after every relation the intermediate batch is renamed to
 ``c0..cN``; ``ReadRel``'s best-effort filter drives row-group pruning
-against chunk statistics before any chunk is decoded.
+against chunk statistics before any chunk is decoded.  A ``FilterRel``
+directly on a ``ReadRel`` is evaluated inside the read (late
+materialisation): each row group decodes the condition's columns, then
+the other columns only at the rows it keeps.
 
 Execution is real; the returned :class:`OcsCostReport` itemizes the
 virtual work (stored bytes streamed, decompression, per-operator cycles)
@@ -15,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.arrowsim.dtypes import BOOL, DataType
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
@@ -195,13 +200,17 @@ class EmbeddedEngine:
             return self._execute_read(rel, registry, bucket, keys, report)
 
         if isinstance(rel, FilterRel):
-            inputs = self._execute_rel(rel.input, registry, bucket, keys, report)
             types = rel.input.output_types()
             predicate = lower_expression(rel.condition, types, registry)
             if predicate.dtype is not BOOL:
                 raise OcsPlanRejectedError("filter condition must be boolean")
             op = FilterOperator(predicate)
-            out = run_operators(inputs, [op])
+            if isinstance(rel.input, ReadRel):
+                # Late materialisation: the read evaluates the filter.
+                out = self._execute_read(rel.input, registry, bucket, keys, report, op)
+            else:
+                inputs = self._execute_rel(rel.input, registry, bucket, keys, report)
+                out = run_operators(inputs, [op])
             report.compute_cycles += (
                 op.rows_in * predicate.node_count() * costs.vector_op_cycles_per_value
             )
@@ -209,8 +218,7 @@ class EmbeddedEngine:
                 # This FilterRel carries a dynamic join filter: attribute
                 # its eliminations so the monitor can report what the
                 # build side saved the network.
-                rows_out = sum(b.num_rows for b in out)
-                report.dynamic_rows_pruned += op.rows_in - rows_out
+                report.dynamic_rows_pruned += op.rows_in - op.rows_out
             return [_positional(b) for b in out]
 
         if isinstance(rel, ProjectRel):
@@ -273,7 +281,14 @@ class EmbeddedEngine:
         bucket: str,
         keys: Sequence[str],
         report: OcsCostReport,
+        filter_op: Optional[FilterOperator] = None,
     ) -> List[RecordBatch]:
+        """Decode the surviving row groups, filtered by ``filter_op`` if given.
+
+        With a filter each row group is decoded in two steps: the columns
+        the condition reads, for every row, then the other columns only
+        at the rows it keeps.  Decode is charged per value materialised.
+        """
         costs = self.costs
         columns = rel.output_names()
         bounds = {}
@@ -286,6 +301,12 @@ class EmbeddedEngine:
             for pos_name, bound in raw_bounds.items():
                 ordinal = int(pos_name[1:])
                 bounds[columns[ordinal]] = bound
+        if filter_op is not None:
+            refs = filter_op.predicate.column_refs()
+            # A condition reading no column is evaluated beside the first.
+            read_first = [i for i in range(len(columns)) if f"c{i}" in refs] or list(
+                range(len(columns))
+            )[:1]
 
         out: List[RecordBatch] = []
         for key in keys:
@@ -309,7 +330,17 @@ class EmbeddedEngine:
                     report.row_groups_pruned += 1
                     continue
                 report.row_groups_read += 1
-                batch = reader.read_row_group(rg_index, columns)
+                if filter_op is None:
+                    batch = _positional(reader.read_row_group(rg_index, columns))
+                    rows = batch.num_rows
+                    decoded = rows * len(columns)
+                else:
+                    batch, rows = self._read_filtered(
+                        reader, rg_index, columns, read_first, filter_op
+                    )
+                    decoded = rows * len(read_first) + batch.num_rows * (
+                        len(columns) - len(read_first)
+                    )
                 stored = reader.chunk_bytes(rg_index, columns)
                 uncompressed = reader.uncompressed_chunk_bytes(rg_index, columns)
                 codec = reader.meta.row_groups[rg_index].chunks[0].codec
@@ -317,17 +348,47 @@ class EmbeddedEngine:
                 report.uncompressed_bytes += uncompressed
                 report.scan_cycles += (
                     stored * costs.ocs_scan_cycles_per_stored_byte
-                    + batch.num_rows * len(columns) * costs.ocs_decode_cycles_per_value
+                    + decoded * costs.ocs_decode_cycles_per_value
                 )
                 report.decompress_cycles += costs.decompress_cycles(codec, uncompressed)
-                report.rows_scanned += batch.num_rows
-                out.append(_positional(batch))
+                report.rows_scanned += rows
+                out.append(batch)
         if not out:
             schema = Schema(
                 [Field(f"c{i}", t) for i, t in enumerate(rel.output_types())]
             )
             out.append(RecordBatch.empty(schema))
         return out
+
+    @staticmethod
+    def _read_filtered(
+        reader: ParcelReader,
+        rg_index: int,
+        columns: Sequence[str],
+        read_first: Sequence[int],
+        filter_op: FilterOperator,
+    ) -> Tuple[RecordBatch, int]:
+        """One row group through ``filter_op``: (kept rows, rows scanned).
+
+        The ``read_first`` columns (by ordinal) are decoded in full and
+        the condition evaluated on them; the others are decoded only at
+        the positions it keeps.
+        """
+        fields = [
+            Field(f"c{i}", f.dtype, f.nullable)
+            for i, f in enumerate(reader.schema.select(columns))
+        ]
+        head = reader.read_row_group(rg_index, [columns[i] for i in read_first])
+        head = RecordBatch(Schema([fields[i] for i in read_first]), head.columns)
+        keep = np.flatnonzero(filter_op.mask(head))
+        filter_op.rows_in += head.num_rows
+        filter_op.rows_out += len(keep)
+        read_later = [i for i in range(len(columns)) if i not in read_first]
+        tail = reader.read_row_group(rg_index, [columns[i] for i in read_later], keep)
+        kept = dict(zip(read_first, head.take(keep).columns))
+        kept.update(zip(read_later, tail.columns))
+        batch = RecordBatch(Schema(fields), [kept[i] for i in range(len(columns))])
+        return batch, head.num_rows
 
     def _execute_aggregate(
         self,

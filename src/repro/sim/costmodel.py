@@ -62,7 +62,14 @@ class CostParams:
     #: between per-stored-byte and per-value matters for Figure 6:
     #: compression shrinks only the byte-proportional part.
     ocs_scan_cycles_per_stored_byte: float = 100.0
-    #: Decode + vector materialization per value in the embedded engine.
+    #: Decode + vector materialization per value *materialised* by the
+    #: embedded engine.  Under a pushed filter a row group decodes the
+    #: filter's columns for every row and the other columns only for the
+    #: rows it keeps, so the Laghos full-pushdown point above now charges
+    #: about 1.07e10 x 3.44 / 5 = 7.4e9 values (3 of 5 columns read by
+    #: the filter, 22% of rows kept): 4.2e12 cycles = 372 s.  The
+    #: constant was fitted when every value was materialised and is not
+    #: refitted here (docs/COSTMODEL.md §3).
     ocs_decode_cycles_per_value: float = 240.0
     #: One vectorized primitive (comparison, arithmetic op) per value.
     vector_op_cycles_per_value: float = 8.0

@@ -8,6 +8,7 @@ from repro.analysis.determinism import (
     canonical_result_digest,
     check_determinism,
     check_service_determinism,
+    check_service_tied_determinism,
     run_recorded,
     run_service_recorded,
 )
@@ -173,6 +174,14 @@ class TestBenchSuites:
         assert not report.ordering_hazard
         assert report.adversarial.result_digest == report.baseline.result_digest
         assert report.baseline.events > 0
+        report.raise_if_failed()
+
+    def test_service_tied_suite_full_slo_digest_identity(self):
+        # Duplicate statements arriving at one instant race on the result
+        # tier: the LIFO replay must not let a pair trade latencies.
+        report = check_service_tied_determinism()
+        assert report.baseline.max_simultaneous > 1
+        assert report.adversarial.result_digest == report.baseline.result_digest
         report.raise_if_failed()
 
     def test_service_recorder_snapshot_after_drain(self):

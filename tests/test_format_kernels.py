@@ -34,6 +34,7 @@ from repro.arrowsim import (
     serialize_batches,
 )
 from repro.arrowsim import ipc
+from repro.arrowsim.buffers import pack_validity
 from repro.compress.codec import encode_varint
 from repro.compress.registry import get_codec
 from repro.errors import CodecError, ReproError
@@ -559,6 +560,109 @@ class TestHostileInput:
         with pytest.raises(ReproError) as caught:
             ipc._decode_column(wire, 0, dtype, num_rows)
         assert caught.value.code == "FORMAT"
+
+
+# -- selection decoders --------------------------------------------------------------
+
+
+@st.composite
+def _selections(draw, n: int) -> np.ndarray:
+    """Ascending row positions: none, one, every row, or a random subset."""
+    kind = draw(st.sampled_from(["empty", "single", "all", "random"]))
+    if kind == "empty" or n == 0:
+        return np.empty(0, dtype=np.int64)
+    if kind == "single":
+        return np.array([draw(st.integers(0, n - 1))], dtype=np.int64)
+    if kind == "all":
+        return np.arange(n, dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.05, 0.3, 0.9])))
+
+
+def _forced_bodies(column: ColumnArray):
+    """(encoding, body) for every encoding the column can be written in."""
+    dtype, values = column.dtype, column.values
+    encoders = {PLAIN: ref.encode_values_plain, DICT: ref.encode_dict}
+    if dtype is not STRING:
+        encoders[RLE] = ref.encode_rle
+    validity = pack_validity(column.validity)
+    for tag, encode in encoders.items():
+        yield tag, validity + bytes([tag]) + encode(dtype, values)
+
+
+class TestSelection:
+    """``decode_chunk(..., selection=s)`` is the full decode taken at ``s``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_full_decode_taken_at_selection(self, data):
+        column = data.draw(columns())
+        n = len(column)
+        selection = data.draw(_selections(n))
+        bodies = [(None, encode_chunk(column)), *_forced_bodies(column)]
+        for _, body in bodies:
+            full = decode_chunk(column.dtype, body, n)
+            picked = decode_chunk(column.dtype, body, n, selection=selection)
+            assert _same_bits(picked, full.take(selection))
+
+    @pytest.mark.parametrize(
+        "dtype,encoding",
+        [
+            (dtype, encoding)
+            for dtype in (INT64, FLOAT64, DATE32, BOOL, STRING)
+            for encoding in (PLAIN, DICT, RLE)
+            if not (dtype is STRING and encoding == RLE)  # RLE is fixed-width only
+        ],
+        ids=lambda v: {PLAIN: "plain", DICT: "dict", RLE: "rle"}.get(v, str(v)),
+    )
+    def test_every_encoding_and_type_with_nulls(self, dtype, encoding):
+        pool = _edges(dtype)[:4]
+        runs = np.repeat(np.arange(len(pool)), [37, 1, 90, 12][: len(pool)])
+        values = np.empty(len(runs), dtype=object if dtype is STRING else dtype.numpy_dtype)
+        for i, index in enumerate(runs):
+            values[i] = pool[index]
+        n = len(values)
+        column = ColumnArray(dtype, values, np.arange(n) % 5 != 2)
+        (body,) = [b for tag, b in _forced_bodies(column) if tag == encoding]
+        assert body[0] == 1 and body[1 + (n + 7) // 8] == encoding
+        full = decode_chunk(dtype, body, n)
+        rng = np.random.default_rng(3)
+        for selection in (
+            np.empty(0, dtype=np.int64),
+            np.array([n - 1]),
+            np.arange(n),
+            np.flatnonzero(rng.random(n) < 0.2),
+        ):
+            picked = decode_chunk(dtype, body, n, selection=selection)
+            assert _same_bits(picked, full.take(selection))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_CHUNKS))
+    def test_hostile_chunk_fails_typed_without_allocating(self, case):
+        dtype, body, num_values = HOSTILE_CHUNKS[case]
+        selection = np.array([0] if num_values else [], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ReproError) as caught:
+                decode_chunk(dtype, body, num_values, selection=selection)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert caught.value.code in ("FORMAT", "CODEC")
+        assert peak < 1 << 20
+
+    def test_every_truncation_fails_typed(self):
+        for dtype, body, num_values in _valid_bodies():
+            selection = np.arange(0, num_values, 3)
+            decode_chunk(dtype, body, num_values, selection=selection)
+            for cut in range(len(body)):
+                with pytest.raises(ReproError):
+                    decode_chunk(dtype, body[:cut], num_values, selection=selection)
+
+    def test_selection_outside_the_chunk_fails_typed(self):
+        body = encode_chunk(ColumnArray(INT64, np.arange(8, dtype=np.int64)))
+        for selection in ([8], [-1], [0, 9]):
+            with pytest.raises(ReproError):
+                decode_chunk(INT64, body, 8, selection=np.array(selection))
 
 
 # -- one analysis per chunk ----------------------------------------------------------------

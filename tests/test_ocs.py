@@ -15,10 +15,13 @@ from repro.arrowsim import (
 )
 from repro.arrowsim.ipc import deserialize_batches
 from repro.config import DEFAULT_TESTBED
+from repro.arrowsim.record_batch import concat_batches
 from repro.errors import FormatError, OcsPlanRejectedError
-from repro.formats import write_table
+from repro.exec.operators import FilterOperator, run_operators
+from repro.formats import ParcelReader, write_table
 from repro.objectstore import ObjectStore
 from repro.ocs import EmbeddedEngine, OcsFrontend, OcsStorageNode, PushdownRequest
+from repro.ocs.embedded_engine import _extract_range_bounds, _positional, lower_expression
 from repro.ocs.frontend import decode_response, encode_request, encode_response
 from repro.rpc import RpcClient
 from repro.sim import DEFAULT_COSTS, Link, SimNode, Simulator
@@ -243,6 +246,138 @@ class TestFooterMemo:
         store.put_object("data", KEYS[0], b"NOPE" + good[4:])
         with pytest.raises(FormatError):
             engine.execute(plan, "data", KEYS[:1])
+
+
+def _decode_all_then_filter(store, plan, bucket, keys):
+    """The reference: decode every requested column of every row, then run
+    the plan's filters bottom-up; also the innermost filter's pruning
+    bounds, predicate and the column count it reads (at least one)."""
+    filters = []
+    rel = plan.root
+    while isinstance(rel, FilterRel):
+        filters.append(rel)
+        rel = rel.input
+    assert isinstance(rel, ReadRel), type(rel).__name__
+    columns, types = rel.output_names(), rel.output_types()
+    batches = [
+        _positional(ParcelReader(store.bucket(bucket).get(key).data).read_table(columns))
+        for key in keys
+    ]
+    predicates = [
+        lower_expression(f.condition, types, plan.registry) for f in reversed(filters)
+    ]
+    for predicate in predicates:
+        batches = run_operators(batches, [FilterOperator(predicate)])
+    bounds = {}
+    if rel.best_effort_filter is not None:
+        lowered = lower_expression(rel.best_effort_filter, types, plan.registry)
+        for name, bound in _extract_range_bounds(lowered).items():
+            bounds[columns[int(name[1:])]] = bound
+    return concat_batches(batches), rel, bounds, predicates[0]
+
+
+def _late_materialised_values(store, read, bounds, predicate, bucket, keys):
+    """rows x predicate columns + survivors x other columns, over the row
+    groups min/max pruning keeps."""
+    columns = read.output_names()
+    reads = len(predicate.column_refs()) or 1
+    values = 0
+    for key in keys:
+        reader = ParcelReader(store.bucket(bucket).get(key).data)
+        for rg in range(reader.num_row_groups):
+            if not all(
+                reader.row_group_stats(rg, name).range_may_overlap(low, high)
+                for name, (low, high) in bounds.items()
+            ):
+                continue
+            batch = _positional(reader.read_row_group(rg, columns))
+            kept = int(FilterOperator(predicate).mask(batch).sum())
+            values += batch.num_rows * reads + kept * (len(columns) - reads)
+    return values
+
+
+class TestLateMaterialisation:
+    """Read -> Filter decodes the columns the condition does not read only
+    at the rows it keeps, and charges decode per value materialised."""
+
+    @pytest.fixture(scope="class")
+    def captured(self):
+        import dataclasses
+
+        from repro.bench.env import Environment, RunConfig
+        from repro.core import PushdownPolicy
+        from repro.workloads import (
+            DEEPWATER_QUERY, LAGHOS_QUERY, TPCH_Q3, TPCH_Q6, customer_spec,
+            deepwater_spec, laghos_spec, lineitem_spec, orders_spec,
+        )
+
+        plans = []
+        original = EmbeddedEngine.execute
+
+        def spy(engine, plan, bucket, keys):
+            plans.append((engine.store, plan, bucket, tuple(keys)))
+            return original(engine, plan, bucket, keys)
+
+        env = Environment()
+        for spec in (
+            laghos_spec(2, 3_000, 1, row_group_rows=512),
+            deepwater_spec(2, 3_000, 1, row_group_rows=512),
+            lineitem_spec(2, 3_000, 1, row_group_rows=512),
+            orders_spec(2, 1_500, 1, row_group_rows=512),
+            customer_spec(1, 500, 1, row_group_rows=512),
+        ):
+            env.add_dataset(spec)
+        filters = RunConfig(label="filter", mode="ocs", policy=PushdownPolicy.filter_only())
+        dynamic = dataclasses.replace(
+            filters, policy=dataclasses.replace(filters.policy, dynamic_filters=True)
+        )
+        out = {}
+        for name, sql, schema, config in (
+            ("laghos", LAGHOS_QUERY, "hpc", filters),
+            ("deepwater", DEEPWATER_QUERY, "hpc", filters),
+            ("q6", TPCH_Q6, "tpch", filters),
+            ("q3-dynamic", TPCH_Q3, "tpch", dynamic),
+        ):
+            EmbeddedEngine.execute = spy
+            try:
+                env.run(sql, config, schema)
+            finally:
+                EmbeddedEngine.execute = original
+            out[name] = list(plans)
+            plans.clear()
+        return out
+
+    @pytest.mark.parametrize("query", ["laghos", "deepwater", "q6", "q3-dynamic"])
+    def test_batches_and_decode_charge(self, captured, query):
+        assert captured[query]
+        bloom = False
+        for store, plan, bucket, keys in captured[query]:
+            batches, report = EmbeddedEngine(store, DEFAULT_COSTS).execute(plan, bucket, keys)
+            expected, read, bounds, inner = _decode_all_then_filter(store, plan, bucket, keys)
+            (got,) = batches if batches else (None,)
+            assert got is not None and got.num_rows == expected.num_rows
+            assert all(a.equals(b) for a, b in zip(got.columns, expected.columns))
+            values = _late_materialised_values(store, read, bounds, inner, bucket, keys)
+            assert report.scan_cycles == pytest.approx(
+                report.stored_bytes_read * DEFAULT_COSTS.ocs_scan_cycles_per_stored_byte
+                + values * DEFAULT_COSTS.ocs_decode_cycles_per_value,
+                rel=1e-12,
+            )
+            # Fewer values than decoding every requested column in full.
+            assert values < report.rows_scanned * len(read.output_names())
+            bloom = bloom or report.dynamic_rows_pruned > 0
+        assert bloom == (query == "q3-dynamic")
+
+    def test_condition_reading_no_column(self, engine):
+        # A constant condition is evaluated beside the first column.
+        read = ReadRel("t", base_struct(), (0, 1, 2))
+        plan = SubstraitPlan(root=FilterRel(read, SLiteral(True, BOOL)))
+        batches, report = engine.execute(plan, "data", KEYS[:1])
+        assert batches[0].num_rows == report.rows_scanned == 200
+        assert report.scan_cycles == pytest.approx(
+            report.stored_bytes_read * DEFAULT_COSTS.ocs_scan_cycles_per_stored_byte
+            + 200 * 3 * DEFAULT_COSTS.ocs_decode_cycles_per_value
+        )
 
 
 class TestFrontendAndStorage:

@@ -289,3 +289,32 @@ class TestService:
         assert service.cache.plans.stats == stats
         assert lifo.digest() == report.digest()
         assert len({canonical_result_digest(h.result().batch) for h in handles}) == 1
+
+    def test_result_tier_keeps_tied_submissions_in_order(self):
+        # With every tier on, the two same-instant statements also miss
+        # the result tier; that lookup must add no same-instant hop either.
+        def run(tie_break: str):
+            service = QueryService(
+                _build_env(files=2, rows=2_000), ServiceSpec(max_active_queries=4),
+                base_config=RunConfig(label="svc", mode="ocs", cache=CacheSpec()),
+                tie_break=tie_break,
+            )
+            handles = [
+                service.submit(SQL, schema="tpch", tenant=tenant, at=0.0)
+                for tenant in ("a", "b")
+            ]
+            results = [h.result() for h in handles]
+            for result in results:
+                (lookup,) = [
+                    span for span in result.trace
+                    if span.name == "cache-lookup"
+                    and span.attributes.get("tier") == "result"
+                ]
+                assert lookup.attributes["hit"] is False
+            return [r.execution_seconds for r in results], service.report()
+
+        fifo_latencies, fifo = run("fifo")
+        lifo_latencies, lifo = run("lifo")
+        assert fifo_latencies[0] != fifo_latencies[1]
+        assert lifo_latencies == fifo_latencies
+        assert lifo.digest() == fifo.digest()

@@ -537,6 +537,36 @@ def fuzz_referee(fuzz_env):
     return Referee(fuzz_env)
 
 
+def _stored_encodings(env):
+    """{(table, column): encodings of its chunks}, read from the chunk bodies."""
+    from repro.compress.registry import get_codec
+    from repro.formats import ParcelReader
+
+    seen = {}
+    for key in env.store.list_objects("fz"):
+        data = env.store.get_object("fz", key)
+        reader = ParcelReader(data)
+        table = key.split("/")[1]
+        for rg in reader.meta.row_groups:
+            for field, chunk in zip(reader.schema, rg.chunks):
+                body = get_codec(chunk.codec).decompress(
+                    data[chunk.offset : chunk.offset + chunk.compressed_size]
+                )
+                # u8 has_validity [packed bits] u8 encoding
+                at = 1 + (rg.num_rows + 7) // 8 if body[0] else 1
+                seen.setdefault((table, field.name), set()).add(body[at])
+    return seen
+
+
+def test_generated_tables_store_every_encoding(fuzz_env):
+    # The late-materialising OCS read decodes PLAIN, DICT and RLE chunks
+    # at selected rows: each must be on the refereed tables.
+    from repro.formats.encoding import DICT, PLAIN, RLE
+
+    seen = _stored_encodings(fuzz_env)
+    assert set().union(*seen.values()) >= {PLAIN, DICT, RLE}
+
+
 #: A cache tier per sampled query: whole results, split/storage pages, or
 #: prepared plans alone (every spec has the plan tier on, so a warm run
 #: also lowers a stored plan).
