@@ -1,9 +1,11 @@
 """Static analysis for the repro codebase: four machine-checked passes.
 
 1. **Plan verifier** (:mod:`repro.analysis.verifier`) — schema-propagating
-   type checker over logical plans and Substrait IR, pushdown-legality
-   rules, and the pushed+residual ≡ pre-plan equivalence check, gated by
-   the ``strict_verify`` flag (:mod:`repro.analysis.runtime`).
+   type checker over logical plans, pushdown-legality rules, and the
+   pushed+residual ≡ pre-plan equivalence check, gated by the
+   ``strict_verify`` flag (:mod:`repro.analysis.runtime`).  Substrait IR
+   has its own always-on typed check,
+   :func:`repro.substrait.validator.validate_plan`.
 2. **Simulation-safety linter** (:mod:`repro.analysis.lint`) — AST rules
    for sim-reachable code (``python -m repro.analysis.lint src tests``).
 3. **Determinism checker** (:mod:`repro.analysis.determinism`) — digest
@@ -28,7 +30,6 @@ from repro.analysis.verifier import (
     verify_logical_plan,
     verify_optimized_plan,
     verify_pushdown,
-    verify_substrait_plan,
 )
 
 #: lint/determinism names resolve lazily so ``python -m repro.analysis.lint``
@@ -89,5 +90,4 @@ __all__ = [
     "verify_logical_plan",
     "verify_optimized_plan",
     "verify_pushdown",
-    "verify_substrait_plan",
 ]

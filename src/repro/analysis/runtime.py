@@ -1,9 +1,12 @@
 """Process-wide strictness switches for the analysis passes.
 
 ``strict_verify`` gates the plan verifier
-(:mod:`repro.analysis.verifier`), wired into three hot spots —
-global-optimizer exit, the connector's local optimizer, and the
-connector/OCS Substrait boundary.  Tests flip it on globally (see
+(:mod:`repro.analysis.verifier`), wired into two hot spots —
+global-optimizer exit and the connector's local optimizer — and the
+typed Substrait check (:func:`repro.substrait.validator.validate_plan`)
+over plans the connector runs locally (fallback, speculation): those
+never cross the OCS frontend, which checks every other plan always.
+Tests flip it on globally (see
 ``tests/conftest.py``) so the whole suite runs verified; benchmarks
 leave it off, which must be performance-neutral: every call site checks
 :func:`strict_verify_enabled` *before* doing any work.

@@ -1,6 +1,7 @@
 """Plan verifier: schema-propagating type checker + pushdown legality.
 
-Three layers of machine-checked invariants, one per plan representation:
+Two layers of machine-checked invariants, one per plan representation
+above the wire:
 
 * :func:`verify_logical_plan` — walks a logical plan
   (:mod:`repro.plan.nodes`) bottom-up, recomputing every node's output
@@ -12,12 +13,10 @@ Three layers of machine-checked invariants, one per plan representation:
   against the pushdown-legality rules: grouping keys must be a subset of
   the pushed pipeline's columns, multi-split aggregation must ship
   partial states, and nothing may ride above a partial aggregation.
-* :func:`verify_substrait_plan` — re-runs the structural validator, then
-  type-checks the IR: field-ref ordinals must carry the input's dtype,
-  function anchors must resolve to the signature recomputed from actual
-  argument types, measure output dtypes must match aggregate semantics,
-  and sort/fetch relations may only appear in the root zone (top-N is
-  exactly ``FetchRel(SortRel(...))`` — the sort+fetch adjacency rule).
+
+The Substrait IR has one typed check of its own,
+:func:`repro.substrait.validator.validate_plan`, which the OCS frontend
+runs on every request.
 
 :func:`verify_optimized_plan` is the equivalence check wired in at the
 connector optimizer's exit: pushed operators + residual plan must
@@ -33,20 +32,14 @@ table handles are consumed duck-typed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.arrowsim.dtypes import BOOL, FLOAT64, INT64, DataType
+from repro.arrowsim.dtypes import BOOL, DataType
 from repro.arrowsim.schema import Field, Schema
-from repro.errors import (
-    ExpressionError,
-    SubstraitError,
-    ValidationError,
-    VerificationError,
-)
+from repro.errors import ExpressionError, VerificationError
 from repro.exchange.filters import BloomProbeExpr
 from repro.exec.aggregates import AggregateSpec
 from repro.exec.expressions import (
-    SCALAR_FUNCTION_NAMES,
     AndExpr,
     ArithExpr,
     CastExpr,
@@ -75,33 +68,11 @@ from repro.plan.nodes import (
     TableScanNode,
     TopNNode,
 )
-from repro.substrait.expressions import (
-    SCAST,
-    SBloomProbe,
-    SExpression,
-    SFieldRef,
-    SFunctionCall,
-    SInList,
-    SLiteral,
-)
-from repro.substrait.functions import signature
-from repro.substrait.plan import SubstraitPlan
-from repro.substrait.relations import (
-    AggregateRel,
-    FetchRel,
-    FilterRel,
-    ProjectRel,
-    ReadRel,
-    Relation,
-    SortRel,
-)
-from repro.substrait.validator import validate_plan
 
 __all__ = [
     "check_expression",
     "verify_logical_plan",
     "verify_pushdown",
-    "verify_substrait_plan",
     "verify_optimized_plan",
     "verify_exchange_boundary",
     "verify_stage_graph",
@@ -111,18 +82,6 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Expression checking (logical IR)
 # --------------------------------------------------------------------------
-
-_ARITH_NAME_TO_OP = {
-    "add": "+",
-    "subtract": "-",
-    "multiply": "*",
-    "divide": "/",
-    "modulus": "%",
-}
-_BOOL_RESULT_FUNCTIONS = frozenset(
-    {"equal", "not_equal", "lt", "lte", "gt", "gte", "and", "or", "not",
-     "is_null", "is_not_null"}
-)
 
 
 def check_expression(expr: Expr, schema: Schema) -> DataType:
@@ -545,195 +504,6 @@ def verify_pushdown(pushed: Any, table_schema: Schema, split_count: int = 1) -> 
     if pushed.limit is not None and pushed.limit < 0:
         raise VerificationError(f"negative pushed limit {pushed.limit}")
     return schema
-
-
-# --------------------------------------------------------------------------
-# Substrait IR checking
-# --------------------------------------------------------------------------
-
-
-def _typed_sexpr(
-    expr: SExpression, input_types: Sequence[DataType], plan: SubstraitPlan
-) -> DataType:
-    if isinstance(expr, SFieldRef):
-        if not 0 <= expr.ordinal < len(input_types):
-            raise VerificationError(
-                f"field ordinal {expr.ordinal} out of range "
-                f"(width {len(input_types)})"
-            )
-        actual = input_types[expr.ordinal]
-        if expr.dtype is not actual:
-            raise VerificationError(
-                f"field ref ${expr.ordinal} typed {expr.dtype}, input is {actual}"
-            )
-        return actual
-    if isinstance(expr, SLiteral):
-        return expr.dtype
-    if isinstance(expr, SCAST):
-        _typed_sexpr(expr.operand, input_types, plan)
-        return expr.dtype
-    if isinstance(expr, SBloomProbe):
-        _typed_sexpr(expr.operand, input_types, plan)
-        if expr.dtype is not BOOL:
-            raise VerificationError(f"bloom probe must be BOOL, got {expr.dtype}")
-        return BOOL
-    if isinstance(expr, SInList):
-        operand = _typed_sexpr(expr.operand, input_types, plan)
-        if operand is not expr.option_dtype:
-            raise VerificationError(
-                f"IN-list options typed {expr.option_dtype}, operand is {operand}"
-            )
-        return BOOL
-    if isinstance(expr, SFunctionCall):
-        name = plan.registry.name_of(expr.anchor)
-        declared_sig = plan.registry.signature_of(expr.anchor)
-        arg_types = [_typed_sexpr(a, input_types, plan) for a in expr.args]
-        try:
-            expected_sig = signature(name, arg_types)
-        except SubstraitError as exc:
-            raise VerificationError(str(exc)) from exc
-        if expected_sig != declared_sig:
-            raise VerificationError(
-                f"function anchor {expr.anchor} declares {declared_sig!r} but "
-                f"arguments recompute to {expected_sig!r}"
-            )
-        expected = _scalar_result_dtype(name, arg_types)
-        if expr.dtype is not expected:
-            raise VerificationError(
-                f"{name}({', '.join(str(t) for t in arg_types)}) must be "
-                f"{expected}, call claims {expr.dtype}"
-            )
-        return expected
-    raise VerificationError(f"unknown Substrait expression {type(expr).__name__}")
-
-
-def _scalar_result_dtype(name: str, arg_types: Sequence[DataType]) -> DataType:
-    if name in _BOOL_RESULT_FUNCTIONS:
-        return BOOL
-    if name in _ARITH_NAME_TO_OP:
-        if len(arg_types) != 2:
-            raise VerificationError(f"{name} takes two arguments")
-        try:
-            return arithmetic_result_type(
-                _ARITH_NAME_TO_OP[name], arg_types[0], arg_types[1]
-            )
-        except ExpressionError as exc:
-            raise VerificationError(str(exc)) from exc
-    if name == "negate":
-        return arg_types[0]
-    if name in SCALAR_FUNCTION_NAMES:
-        try:
-            return scalar_function_dtype(name, arg_types[0])
-        except ExpressionError as exc:
-            raise VerificationError(str(exc)) from exc
-    raise VerificationError(f"unknown scalar function {name!r}")
-
-
-def _measure_result_dtype(func: str, arg_types: Sequence[DataType]) -> DataType:
-    if func == "count":
-        return INT64
-    if func in ("avg", "variance", "stddev"):
-        return FLOAT64
-    if not arg_types:
-        raise VerificationError(f"aggregate {func!r} requires an argument")
-    if func == "sum":
-        return FLOAT64 if arg_types[0].is_floating else INT64
-    if func in ("min", "max"):
-        return arg_types[0]
-    raise VerificationError(f"unknown aggregate {func!r}")
-
-
-def _typed_rel(
-    rel: Relation, plan: SubstraitPlan, order_zone: str
-) -> List[DataType]:
-    """Type-check a relation subtree; returns its output dtypes.
-
-    ``order_zone`` enforces sort+fetch adjacency: ``"fetch"`` (the plan
-    root: fetch and sort allowed), ``"sort"`` (directly under a fetch:
-    sort allowed), ``"none"`` (anywhere else: neither).
-    """
-    if isinstance(rel, FetchRel):
-        if order_zone != "fetch":
-            raise VerificationError(
-                "fetch relation outside the root zone (top-N requires "
-                "sort+fetch adjacency at the plan root)"
-            )
-        return _typed_rel(rel.input, plan, "sort")
-    if isinstance(rel, SortRel):
-        if order_zone == "none":
-            raise VerificationError(
-                "sort relation below other operators (top-N requires "
-                "sort+fetch adjacency at the plan root)"
-            )
-        types = _typed_rel(rel.input, plan, "none")
-        for sort_field in rel.sort_fields:
-            if not 0 <= sort_field.ordinal < len(types):
-                raise VerificationError(
-                    f"sort ordinal {sort_field.ordinal} out of range"
-                )
-        return types
-    if isinstance(rel, ReadRel):
-        base_types = list(rel.base_schema.types)
-        types = [base_types[i] for i in rel.projection]
-        if rel.best_effort_filter is not None:
-            if _typed_sexpr(rel.best_effort_filter, types, plan) is not BOOL:
-                raise VerificationError("best-effort filter must be BOOL")
-        return types
-    if isinstance(rel, FilterRel):
-        types = _typed_rel(rel.input, plan, "none")
-        if _typed_sexpr(rel.condition, types, plan) is not BOOL:
-            raise VerificationError(f"filter condition must be BOOL: {rel.condition!r}")
-        return types
-    if isinstance(rel, ProjectRel):
-        types = _typed_rel(rel.input, plan, "none")
-        return [_typed_sexpr(e, types, plan) for e in rel.expressions_]
-    if isinstance(rel, AggregateRel):
-        types = _typed_rel(rel.input, plan, "none")
-        out: List[DataType] = [types[i] for i in rel.grouping]
-        for measure in rel.measures:
-            arg_types = [_typed_sexpr(a, types, plan) for a in measure.args]
-            declared_sig = plan.registry.signature_of(measure.anchor)
-            try:
-                expected_sig = signature(measure.function, arg_types)
-            except SubstraitError as exc:
-                raise VerificationError(str(exc)) from exc
-            if expected_sig != declared_sig:
-                raise VerificationError(
-                    f"measure anchor {measure.anchor} declares "
-                    f"{declared_sig!r} but arguments recompute to "
-                    f"{expected_sig!r}"
-                )
-            expected = _measure_result_dtype(measure.function, arg_types)
-            if measure.output_dtype is not expected:
-                raise VerificationError(
-                    f"measure {measure.function} must emit {expected}, "
-                    f"declares {measure.output_dtype}"
-                )
-            if measure.phase == "partial" and measure.function == "avg":
-                out.extend([FLOAT64, INT64])
-            elif measure.phase == "partial" and measure.function in (
-                "variance", "stddev",
-            ):
-                out.extend([FLOAT64, FLOAT64, INT64])
-            else:
-                out.append(expected)
-        return out
-    raise VerificationError(f"unknown relation node {type(rel).__name__}")
-
-
-def verify_substrait_plan(plan: SubstraitPlan) -> List[DataType]:
-    """Structural validation + full dtype recomputation over the IR."""
-    try:
-        validate_plan(plan)
-    except ValidationError as exc:
-        raise VerificationError(f"structural validation failed: {exc}") from exc
-    types = _typed_rel(plan.root, plan, "fetch")
-    if plan.root_names and len(plan.root_names) != len(types):
-        raise VerificationError(
-            f"root names ({len(plan.root_names)}) disagree with verified "
-            f"output width ({len(types)})"
-        )
-    return types
 
 
 # --------------------------------------------------------------------------

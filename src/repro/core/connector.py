@@ -27,6 +27,7 @@ from repro.ocs.frontend import OcsFrontend, PushdownRequest, decode_response, en
 from repro.rpc.retry import RetryPolicy, retrying_call
 from repro.substrait.plan import SubstraitPlan
 from repro.substrait.serde import serialize_plan
+from repro.substrait.validator import validate_plan
 from repro.trace import Span
 
 __all__ = ["OcsConnector"]
@@ -129,12 +130,6 @@ class OcsConnector(Connector):
                 "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
             )
             plan = build_pushdown_plan(handle.descriptor, pushed)
-            if strict_verify_enabled():
-                # Connector/OCS boundary: the IR about to ship must
-                # type-check against what the logical layer decided to push.
-                from repro.analysis.verifier import verify_substrait_plan
-
-                verify_substrait_plan(plan)
             plan_bytes = serialize_plan(plan)
             generation_cycles = (
                 costs.substrait_fixed_cycles
@@ -317,6 +312,9 @@ class OcsConnector(Connector):
             # Execute the pushed plan locally.  Decompression, decode, and
             # operator work the storage node would have absorbed now lands on
             # the compute node, plus per-byte ingest of the raw objects.
+            if strict_verify_enabled():
+                # A plan run here never crosses the frontend's check.
+                validate_plan(plan)
             engine = EmbeddedEngine(cluster.store, costs)
             batches, report = engine.execute(plan, bucket, list(split.keys))
             span.add("fallback_rows_scanned", report.rows_scanned)

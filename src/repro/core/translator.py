@@ -34,7 +34,6 @@ from repro.substrait.relations import (
     SortField,
     SortRel,
 )
-from repro.substrait.validator import validate_plan
 
 __all__ = ["build_pushdown_plan"]
 
@@ -42,7 +41,10 @@ __all__ = ["build_pushdown_plan"]
 def build_pushdown_plan(
     descriptor: TableDescriptor, pushed: PushedOperators
 ) -> SubstraitPlan:
-    """Translate the handle's pushed operator chain into validated IR."""
+    """Translate the handle's pushed operator chain into IR.
+
+    The plan is checked where it enters storage, at the OCS frontend.
+    """
     registry = FunctionRegistry()
     table_schema = descriptor.table_schema
 
@@ -147,7 +149,5 @@ def build_pushdown_plan(
     if pushed.limit is not None and pushed.topn is None:
         rel = FetchRel(rel, 0, pushed.limit)
 
-    plan = SubstraitPlan(root=rel, registry=registry, root_names=list(names))
-    validate_plan(plan)
-    return plan
+    return SubstraitPlan(root=rel, registry=registry, root_names=list(names))
 

@@ -31,12 +31,15 @@ from repro.sim.node import SimNode
 from repro.substrait.convert import expression_to_substrait, substrait_to_expression
 from repro.substrait.expressions import SExpression
 from repro.substrait.functions import FunctionRegistry
+from repro.substrait.plan import SubstraitPlan
+from repro.substrait.relations import FilterRel, NamedStruct, ReadRel
 from repro.substrait.serde import (
     encode_expression,
     put_declarations,
     read_declarations,
     read_expression,
 )
+from repro.substrait.validator import validate_plan
 from repro.trace import SpanContext, Tracer
 from repro.wire import Reader, put_str, put_varint
 
@@ -261,8 +264,14 @@ class S3Gateway:
             from repro.formats.reader import ParcelReader
 
             reader = ParcelReader(self.store.get_object(bucket, key))
-            types = [reader.schema.field(n).dtype for n in table_columns]
-            predicate = substrait_to_expression(sexpr, table_columns, types, registry)
+            base = NamedStruct.from_schema(reader.schema.select(table_columns))
+            # The predicate crosses the pushed plans' typed check, as a
+            # filter over the object's columns: BOOL, every ref in range.
+            read = ReadRel(key, base, tuple(range(len(base))))
+            validate_plan(SubstraitPlan(FilterRel(read, sexpr), registry))
+            predicate = substrait_to_expression(
+                sexpr, table_columns, list(base.types), registry
+            )
 
         result = self.select_service.select(
             S3SelectRequest(bucket=bucket, key=key, columns=columns, predicate=predicate)

@@ -48,6 +48,11 @@ class AggregateSpec:
             raise ExecutionError(f"unknown aggregate function {self.func!r}")
         if self.func != "count" and self.arg is None:
             raise ExecutionError(f"{self.func}(*) is not defined")
+        numeric = self.input_dtype is None or self.input_dtype.is_numeric
+        if self.func in ("sum", "avg", "variance", "stddev") and not numeric:
+            raise ExecutionError(
+                f"{self.func} requires a numeric argument, got {self.input_dtype}"
+            )
 
     @property
     def output_dtype(self) -> DataType:

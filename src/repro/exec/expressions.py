@@ -438,6 +438,8 @@ def scalar_function_dtype(name: str, operand: DataType) -> DataType:
     """Result type of ``name(operand)``."""
     if name not in _SCALAR_FUNCS:
         raise ExpressionError(f"unknown scalar function {name!r}")
+    if not operand.is_numeric:
+        raise ExpressionError(f"{name} requires a numeric argument, got {operand}")
     _, preserves = _SCALAR_FUNCS[name]
     return operand if preserves else FLOAT64
 

@@ -146,7 +146,9 @@ class OcsFrontend:
                 # The node's embedded engine is refusing work; raw object
                 # GETs through the S3 gateway are unaffected.
                 raise RpcStatusError(StatusCode.UNAVAILABLE, fault)
-        # Parse + validate the plan (real work) and charge frontend CPU.
+        # Parse and check the plan (real work) and charge frontend CPU.
+        # Plan bytes enter from outside here: nothing reaches a storage
+        # node before the typed check passes.
         decode_span = self.tracer.start(
             "ocs.decode_plan",
             parent=trace,

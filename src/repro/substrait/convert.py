@@ -155,8 +155,6 @@ def substrait_to_expression(
             if name in _NAME_TO_ARITH:
                 op = _NAME_TO_ARITH[name]
                 dtype = arithmetic_result_type(op, args[0].dtype, args[1].dtype)
-                if node.dtype is not dtype:
-                    dtype = node.dtype  # plan-declared type wins (date math)
                 return ArithExpr(op, args[0], args[1], dtype)
             if name in _NAME_TO_CMP:
                 return CompareExpr(_NAME_TO_CMP[name], args[0], args[1])

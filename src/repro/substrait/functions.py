@@ -106,8 +106,8 @@ class FunctionRegistry:
 
     def name_of(self, anchor: int) -> str:
         """Bare function name for an anchor (namespace and types stripped)."""
-        sig = self.signature_of(anchor)
-        return sig.split(":")[1]
+        # A malformed signature from the wire names no function ("").
+        return self.signature_of(anchor).partition(":")[2].partition(":")[0]
 
     def signature_of(self, anchor: int) -> str:
         try:

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 from repro.arrowsim.dtypes import DataType
 from repro.arrowsim.schema import Field, Schema
 from repro.errors import SubstraitError
+from repro.exec.aggregates import AggregateSpec
 from repro.substrait.expressions import SExpression
 
 __all__ = [
@@ -141,6 +142,24 @@ class AggregateMeasure:
     #: "single" | "partial" — what the storage side should emit.
     phase: str = "single"
 
+    def spec(self) -> AggregateSpec:
+        """This measure as the aggregate kernel runs it, its argument typed
+        as declared."""
+        arg = self.args[0] if self.args else None
+        return AggregateSpec(
+            self.function,
+            None if arg is None else "$arg",
+            "$m",
+            None if arg is None else arg.dtype,
+            self.distinct,
+        )
+
+    def output_types(self) -> List[DataType]:
+        """The columns this measure emits: its value, or its partial state."""
+        if self.phase == "partial":
+            return [f.dtype for f in self.spec().partial_fields()]
+        return [self.output_dtype]
+
 
 @dataclass(frozen=True)
 class AggregateRel(Relation):
@@ -151,16 +170,9 @@ class AggregateRel(Relation):
     measures: Tuple[AggregateMeasure, ...]
 
     def output_types(self) -> List[DataType]:
-        from repro.arrowsim.dtypes import FLOAT64, INT64
-
         types = [self.input.output_types()[i] for i in self.grouping]
         for m in self.measures:
-            if m.phase == "partial" and m.function == "avg":
-                types.extend([FLOAT64, INT64])  # (sum, count) state pair
-            elif m.phase == "partial" and m.function in ("variance", "stddev"):
-                types.extend([FLOAT64, FLOAT64, INT64])  # (sum, sumsq, count)
-            else:
-                types.append(m.output_dtype)
+            types.extend(m.output_types())
         return types
 
     def expressions(self) -> Tuple[SExpression, ...]:

@@ -12,12 +12,11 @@ from repro.analysis.verifier import (
     verify_logical_plan,
     verify_optimized_plan,
     verify_pushdown,
-    verify_substrait_plan,
 )
 from repro.arrowsim.dtypes import BOOL, FLOAT64, INT64
 from repro.arrowsim.schema import Field, Schema
 from repro.core.handle import OcsTableHandle, PushedAggregation, PushedOperators
-from repro.errors import VerificationError
+from repro.errors import ValidationError, VerificationError
 from repro.exec.aggregates import AggregateSpec
 from repro.exec.expressions import (
     ArithExpr,
@@ -50,6 +49,7 @@ from repro.substrait.relations import (
     SortField,
     SortRel,
 )
+from repro.substrait.validator import validate_plan
 
 SCHEMA = Schema(
     [
@@ -230,7 +230,7 @@ class TestVerifyPushdown:
             verify_pushdown(PushedOperators(columns=["humidity"]), SCHEMA)
 
 
-# -- verify_substrait_plan ----------------------------------------------------
+# -- the typed Substrait check (repro.substrait.validator.validate_plan) ---------
 
 
 def _base_struct():
@@ -242,9 +242,11 @@ def _read(projection=(0, 1, 2)):
 
 
 class TestVerifySubstraitPlan:
+    """Seeded IR mutations the typed Substrait check must reject."""
+
     def test_topn_plan_passes(self):
         root = FetchRel(SortRel(_read(), (SortField(1, True),)), 0, 5)
-        types = verify_substrait_plan(SubstraitPlan(root=root))
+        types = validate_plan(SubstraitPlan(root=root))
         assert types == [INT64, FLOAT64, FLOAT64]
 
     def test_filtered_read_passes(self):
@@ -255,7 +257,7 @@ class TestVerifySubstraitPlan:
             dtype=BOOL,
         )
         plan = SubstraitPlan(root=FilterRel(_read(), condition), registry=registry)
-        assert verify_substrait_plan(plan) == [INT64, FLOAT64, FLOAT64]
+        assert validate_plan(plan) == [INT64, FLOAT64, FLOAT64]
 
     def test_sort_separated_from_fetch_rejected(self):
         # Mutation: a rewrite slid a filter between sort and fetch — the
@@ -269,14 +271,14 @@ class TestVerifySubstraitPlan:
         root = FetchRel(
             FilterRel(SortRel(_read(), (SortField(1, True),)), condition), 0, 5
         )
-        with pytest.raises(VerificationError, match="adjacency"):
-            verify_substrait_plan(SubstraitPlan(root=root, registry=registry))
+        with pytest.raises(ValidationError, match="adjacency"):
+            validate_plan(SubstraitPlan(root=root, registry=registry))
 
     def test_dropped_sort_leaves_fetch_as_plain_limit(self):
         # Dropping the sort under a fetch is legal IR (it is LIMIT without
         # ORDER BY) — but the dtype mutation below is not.
         root = FetchRel(_read(), 0, 5)
-        assert verify_substrait_plan(SubstraitPlan(root=root))
+        assert validate_plan(SubstraitPlan(root=root))
 
     def test_field_ref_dtype_swap_rejected(self):
         registry = FunctionRegistry()
@@ -287,8 +289,8 @@ class TestVerifySubstraitPlan:
             dtype=BOOL,
         )
         plan = SubstraitPlan(root=FilterRel(_read(), condition), registry=registry)
-        with pytest.raises(VerificationError, match="field ref"):
-            verify_substrait_plan(plan)
+        with pytest.raises(ValidationError, match="field ref"):
+            validate_plan(plan)
 
     def test_signature_mismatch_rejected(self):
         registry = FunctionRegistry()
@@ -300,8 +302,8 @@ class TestVerifySubstraitPlan:
             dtype=BOOL,
         )
         plan = SubstraitPlan(root=FilterRel(_read(), condition), registry=registry)
-        with pytest.raises(VerificationError, match="recompute"):
-            verify_substrait_plan(plan)
+        with pytest.raises(ValidationError, match="recompute"):
+            validate_plan(plan)
 
     def test_mixed_measure_phases_rejected(self):
         registry = FunctionRegistry()
@@ -327,8 +329,8 @@ class TestVerifySubstraitPlan:
                 ),
             ),
         )
-        with pytest.raises(VerificationError, match="mix phases"):
-            verify_substrait_plan(SubstraitPlan(root=rel, registry=registry))
+        with pytest.raises(ValidationError, match="mix phases"):
+            validate_plan(SubstraitPlan(root=rel, registry=registry))
 
     def test_consistent_measure_phases_pass(self):
         registry = FunctionRegistry()
@@ -345,14 +347,14 @@ class TestVerifySubstraitPlan:
                 ),
             ),
         )
-        types = verify_substrait_plan(SubstraitPlan(root=rel, registry=registry))
+        types = validate_plan(SubstraitPlan(root=rel, registry=registry))
         # Partial avg ships its (sum, count) state pair.
         assert types == [INT64, FLOAT64, INT64]
 
     def test_root_names_width_checked(self):
         plan = SubstraitPlan(root=_read(), root_names=["only_one"])
-        with pytest.raises(VerificationError, match="root names"):
-            verify_substrait_plan(plan)
+        with pytest.raises(ValidationError, match="root names"):
+            validate_plan(plan)
 
 
 # -- verify_optimized_plan ----------------------------------------------------

@@ -194,7 +194,7 @@ class TestEmbeddedEngine:
         plan = SubstraitPlan(
             root=ReadRel("t", base_struct(), (0, 1)), root_names=["only"]
         )
-        with pytest.raises(Exception):
+        with pytest.raises(OcsPlanRejectedError, match="plan names 1 columns"):
             engine.execute(plan, "data", KEYS)
 
 
@@ -380,6 +380,60 @@ class TestLateMaterialisation:
         )
 
 
+def _false_type_plans():
+    """Well-formed plans whose declared types are false.
+
+    Each one, run anyway, returns wrong values or fails untyped: an INT64
+    ``add`` truncates ``x + 0.5`` to zeros, a STRING one stringifies it, a
+    FLOAT64 ref to ``grp`` compares strings with floats, ``sum(grp)`` adds
+    strings, and a sort under a filter is read as a top-N.
+    """
+    def read(*projection):
+        return ReadRel("t", base_struct(), projection)
+
+    def plan(root, registry):
+        return SubstraitPlan(root=root, registry=registry)
+
+    def add_declared(dtype):
+        registry = FunctionRegistry()
+        add = registry.anchor_for("add", [FLOAT64, FLOAT64])
+        call = SFunctionCall(add, (SFieldRef(0, FLOAT64), SLiteral(0.5, FLOAT64)), dtype)
+        return plan(ProjectRel(read(1), (call,)), registry)
+
+    def measure(function, arg_dtype, ordinal, output):
+        registry = FunctionRegistry()
+        arg_types = [] if arg_dtype is None else [arg_dtype]
+        args = () if arg_dtype is None else (SFieldRef(0, arg_dtype),)
+        anchor = registry.anchor_for(function, arg_types)
+        agg = AggregateRel(
+            read(ordinal), (), (AggregateMeasure(anchor, function, args, output),)
+        )
+        return plan(agg, registry)
+
+    def gt_filter(ordinal, ref_dtype=FLOAT64, anchor_types=(FLOAT64, FLOAT64), sort=False):
+        registry = FunctionRegistry()
+        gt = registry.anchor_for("gt", list(anchor_types))
+        cond = SFunctionCall(gt, (SFieldRef(0, ref_dtype), SLiteral(0.5, FLOAT64)), BOOL)
+        if sort:
+            source = SortRel(read(ordinal), (SortField(0, descending=True),))
+            return plan(FetchRel(FilterRel(source, cond), 0, 5), registry)
+        return plan(FilterRel(read(ordinal), cond), registry)
+
+    return {
+        "add-declared-int64": add_declared(INT64),
+        "add-declared-string": add_declared(STRING),
+        "float-ref-over-string": gt_filter(2),
+        "sum-over-string": measure("sum", STRING, 2, INT64),
+        "sort-under-filter": gt_filter(1, sort=True),
+        "count-declared-string": measure("count", None, 0, STRING),
+        "min-fp64-declared-int64": measure("min", FLOAT64, 1, INT64),
+        "anchor-mismatch": gt_filter(1, anchor_types=(INT64, INT64)),
+    }
+
+
+FALSE_TYPE_PLANS = _false_type_plans()
+
+
 class TestFrontendAndStorage:
     @pytest.fixture()
     def cluster(self, store):
@@ -457,6 +511,23 @@ class TestFrontendAndStorage:
             sim.run(until=client.call(OcsFrontend.METHOD, payload))
         assert caught.value.code == StatusCode.INTERNAL
 
+    @pytest.mark.parametrize("case", sorted(FALSE_TYPE_PLANS))
+    def test_plan_with_false_types_never_reaches_storage(self, cluster, case):
+        sim, client, frontend, storage, _ = cluster
+        from repro.errors import RpcStatusError, StatusCode, ValidationError
+
+        request = encode_request(
+            PushdownRequest(serialize_plan(FALSE_TYPE_PLANS[case]), "data", tuple(KEYS), 0)
+        )
+        with pytest.raises(RpcStatusError) as caught:
+            sim.run(until=client.call(OcsFrontend.METHOD, request))
+        assert caught.value.code == StatusCode.INTERNAL
+        assert isinstance(caught.value.__cause__, ValidationError)
+        assert storage.plans_executed == 0
+        assert storage.node.disk_bytes_read == 0
+        assert storage.node.cpu_seconds_charged == 0
+        assert frontend.storage_links[0].ledger.total_bytes(label="plan-dispatch") == 0
+
     def test_storage_charges_disk_and_cpu(self, cluster):
         sim, client, frontend, storage, _ = cluster
         plan = SubstraitPlan(root=ReadRel("t", base_struct(), (0, 1, 2)))
@@ -466,6 +537,76 @@ class TestFrontendAndStorage:
         sim.run(until=client.call(OcsFrontend.METHOD, request))
         assert storage.node.disk_bytes_read > 0
         assert storage.node.cpu_seconds_charged > 0
+
+
+def _forged_select_request(table_columns, sexpr, registry) -> bytes:
+    """An ``s3.select`` frame whose predicate was never checked against
+    ``table_columns`` (``encode_select_request`` builds only valid ones)."""
+    from repro.substrait.serde import encode_expression, put_declarations
+    from repro.wire import put_str, put_varint
+
+    out = bytearray()
+    put_str(out, "data")
+    put_str(out, KEYS[0])
+    for names in (["id"], table_columns):
+        put_varint(out, len(names))
+        for name in names:
+            put_str(out, name)
+    out.append(1)
+    put_declarations(out, registry)
+    payload = encode_expression(sexpr)
+    put_varint(out, len(payload))
+    out += payload
+    return bytes(out)
+
+
+class TestSelectBoundary:
+    """The S3 select predicate crosses the pushed plans' typed check."""
+
+    @staticmethod
+    def _requests():
+        from repro.engine.gateway import encode_select_request
+        from repro.exec.expressions import ArithExpr, ColumnExpr, LiteralExpr
+
+        registry = FunctionRegistry()
+        lt = registry.anchor_for("lt", [FLOAT64, FLOAT64])
+        past_the_end = SFunctionCall(
+            lt, (SFieldRef(1, FLOAT64), SLiteral(0.5, FLOAT64)), BOOL
+        )
+        doubled = ArithExpr(
+            "*", ColumnExpr("x", FLOAT64), LiteralExpr(2.0, FLOAT64), FLOAT64
+        )
+        return {
+            "ordinal-past-table-columns": _forged_select_request(
+                ["id"], past_the_end, registry
+            ),
+            "non-boolean": encode_select_request(
+                "data", KEYS[0], ["id"], ["id", "x"], doubled
+            ),
+        }
+
+    @pytest.mark.parametrize("case", ["ordinal-past-table-columns", "non-boolean"])
+    def test_hostile_predicate_is_refused_typed(self, store, case):
+        from repro.engine.gateway import S3Gateway
+        from repro.errors import RpcStatusError, StatusCode, ValidationError
+
+        sim = Simulator()
+        testbed = DEFAULT_TESTBED
+        tracer = Tracer(clock=lambda: sim.now)
+        storage = SimNode(sim, testbed.storage)
+        gateway = S3Gateway(
+            sim, SimNode(sim, testbed.frontend), [storage],
+            [Link(sim, 1.25e9, 1e-4, name="fs")], store, DEFAULT_COSTS, tracer=tracer,
+        )
+        client = RpcClient(
+            sim, SimNode(sim, testbed.compute), Link(sim, 1.25e9, 1e-4, name="cf"),
+            gateway.service, DEFAULT_COSTS, tracer,
+        )
+        with pytest.raises(RpcStatusError) as caught:
+            sim.run(until=client.call(S3Gateway.SELECT, self._requests()[case]))
+        assert caught.value.code == StatusCode.INTERNAL
+        assert isinstance(caught.value.__cause__, ValidationError)
+        assert storage.disk_bytes_read == 0
 
 
 class TestFrameBounds:

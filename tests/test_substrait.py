@@ -1,10 +1,15 @@
 """Unit + property tests for the Substrait IR: build, validate, serde."""
 
+import ast
+import pathlib
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arrowsim import BOOL, FLOAT64, INT64, STRING
+import repro
+from repro.arrowsim import BOOL, DATE32, FLOAT64, INT32, INT64, STRING
 from repro.errors import SerdeError, SubstraitError, ValidationError
 from repro.substrait import (
     AggregateMeasure,
@@ -88,7 +93,7 @@ class TestFunctions:
 
 class TestValidation:
     def test_valid_plan(self):
-        assert validate_plan(simple_plan()) == 2
+        assert validate_plan(simple_plan()) == [INT64, FLOAT64]
 
     def test_bad_projection_ordinal(self):
         plan = SubstraitPlan(root=ReadRel("t", BASE, (0, 9)))
@@ -116,7 +121,7 @@ class TestValidation:
         read = ReadRel("t", BASE, (0,))
         expr = SFunctionCall(99, (SFieldRef(0, INT64),), BOOL)
         plan = SubstraitPlan(root=FilterRel(read, expr))
-        with pytest.raises(SubstraitError):
+        with pytest.raises(ValidationError, match="unknown function anchor 99"):
             validate_plan(plan)
 
     def test_measure_name_anchor_mismatch(self):
@@ -133,6 +138,20 @@ class TestValidation:
         plan = SubstraitPlan(root=ReadRel("t", BASE, (0, 1)), root_names=["only_one"])
         with pytest.raises(ValidationError):
             validate_plan(plan)
+
+    @pytest.mark.parametrize("dtype", [INT32, DATE32])
+    def test_integer_literal_must_fit_its_type(self, dtype):
+        # The wire carries integers as i64; broadcasting 2**40 into an
+        # int32 column would overflow inside the engine.
+        struct = NamedStruct(("n",), (dtype,), (False,))
+        registry = FunctionRegistry()
+        gt = registry.anchor_for("gt", [dtype, dtype])
+        fits = SFunctionCall(gt, (SFieldRef(0, dtype), SLiteral(2**31 - 1, dtype)), BOOL)
+        validate_plan(SubstraitPlan(FilterRel(ReadRel("t", struct, (0,)), fits), registry))
+        past = SFunctionCall(gt, (SFieldRef(0, dtype), SLiteral(2**40, dtype)), BOOL)
+        plan = SubstraitPlan(FilterRel(ReadRel("t", struct, (0,)), past), registry)
+        with pytest.raises(ValidationError, match="does not fit"):
+            validate_plan(deserialize_plan(serialize_plan(plan)))
 
     def test_negative_fetch_rejected(self):
         read = ReadRel("t", BASE, (0,))
@@ -152,7 +171,10 @@ class TestValidation:
                 ),
             ),
         )
-        assert validate_plan(SubstraitPlan(root=agg, registry=registry)) == 3
+        # Partial avg ships its (sum, count) state pair.
+        assert validate_plan(SubstraitPlan(root=agg, registry=registry)) == [
+            INT64, FLOAT64, INT64,
+        ]
 
 
 class TestSerde:
@@ -224,3 +246,37 @@ class TestSerde:
         validate_plan(plan)
         clone = deserialize_plan(serialize_plan(plan))
         assert clone.root == plan.root
+
+
+# -- one typed check, at the boundaries ------------------------------------------
+
+
+def test_validate_plan_runs_only_at_the_boundaries():
+    """Plans are checked where they enter storage: the OCS frontend, the S3
+    gateway's select predicate, and strict mode's hook over plans the
+    connector runs locally.  Nothing re-checks them in between."""
+    root = pathlib.Path(repro.__file__).parent
+    callers = Counter()
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        text = path.read_text()
+        assert "verify_substrait_plan" not in text, relative
+        tree = ast.parse(text)
+        strict = {
+            id(inner)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.If) and "strict_verify_enabled" in ast.unparse(node.test)
+            for inner in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "validate_plan":
+                callers[relative + (" (strict hook)" if id(node) in strict else "")] += 1
+    assert callers == {
+        "ocs/frontend.py": 1,
+        "engine/gateway.py": 1,
+        "core/connector.py (strict hook)": 1,
+    }

@@ -49,13 +49,15 @@ from repro.errors import (
     ReproError,
     RpcError,
     SerdeError,
+    SubstraitError,
 )
 from repro.exchange.shuffle import ExchangePage, decode_page, encode_page
 from repro.exec.expressions import AndExpr, ColumnExpr, CompareExpr, LiteralExpr
 from repro.formats import ParcelReader, write_table
 from repro.formats.metadata import decode_footer
 from repro.formats.reader import meta_from_tail
-from repro.ocs.embedded_engine import OcsCostReport
+from repro.objectstore import ObjectStore
+from repro.ocs.embedded_engine import EmbeddedEngine, OcsCostReport
 from repro.ocs.frontend import (
     PushdownRequest,
     decode_request,
@@ -86,7 +88,9 @@ from repro.substrait.expressions import (
     SInList,
     SLiteral,
 )
+from repro.sim import DEFAULT_COSTS
 from repro.substrait.serde import decode_expression, encode_expression
+from repro.substrait.validator import validate_plan
 from repro.wire import MAX_DEPTH, Reader, encode_varint, put_str, put_varint
 
 # -- Reader units -------------------------------------------------------------------
@@ -468,6 +472,89 @@ def test_every_byte_value_at_every_offset_fails_in_family(frames, name):
             if value != frame[offset]:
                 mutated[offset] = value
                 _decode_or_fail_in_family(name, decode, family, bytes(mutated))
+        mutated[offset] = frame[offset]
+
+
+# -- hostile plan frames through the typed check into the engine ---------------------
+
+
+def pipeline_plan() -> SubstraitPlan:
+    """Read (best-effort filter) -> Filter -> Project (multiply) -> partial
+    sum+count Aggregate -> Sort+Fetch over the all-types schema."""
+    registry = FunctionRegistry()
+    gt = registry.anchor_for("gt", [FLOAT64, FLOAT64])
+    mul = registry.anchor_for("multiply", [FLOAT64, FLOAT64])
+    total = registry.anchor_for("sum", [FLOAT64])
+    count = registry.anchor_for("count", [])
+    positive = SFunctionCall(gt, (SFieldRef(1, FLOAT64), SLiteral(-1.0, FLOAT64)), BOOL)
+    base = NamedStruct.from_schema(all_types_batch(1).schema)
+    read = ReadRel("hpc.all_types", base, (6, 4), best_effort_filter=positive)
+    doubled = SFunctionCall(mul, (SFieldRef(1, FLOAT64), SLiteral(2.0, FLOAT64)), FLOAT64)
+    project = ProjectRel(FilterRel(read, positive), (SFieldRef(0, STRING), doubled))
+    aggregate = AggregateRel(
+        project,
+        grouping=(0,),
+        measures=(
+            AggregateMeasure(total, "sum", (SFieldRef(1, FLOAT64),), FLOAT64, phase="partial"),
+            AggregateMeasure(count, "count", (), INT64, phase="partial"),
+        ),
+    )
+    root = FetchRel(SortRel(aggregate, (SortField(1, True),)), 0, 3)
+    return SubstraitPlan(root=root, registry=registry, root_names=["tag", "total", "n"])
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    """(valid plan frame, an engine over a store holding that table, keys)."""
+    store = ObjectStore()
+    store.create_bucket("data")
+    keys = ["hpc/all/0", "hpc/all/1"]
+    for key in keys:
+        store.put_object("data", key, parcel_file())
+    return serialize_plan(pipeline_plan()), EmbeddedEngine(store, DEFAULT_COSTS), keys
+
+
+def _check_then_execute(frame: bytes, engine: EmbeddedEngine, keys) -> None:
+    """A frame decodes and passes the typed check or fails as a
+    ``SubstraitError``; what passes executes to the checked dtypes or
+    fails as a ``ReproError``."""
+    try:
+        plan = deserialize_plan(frame)
+        types = validate_plan(plan)
+    except SubstraitError:
+        return
+    try:
+        batches, _ = engine.execute(plan, "data", keys)
+    except ReproError:
+        return
+    except Exception as exc:  # noqa: BLE001 - the assertion message is the point
+        pytest.fail(f"accepted plan raised {type(exc).__name__}: {exc!r} on {frame!r}")
+    # A fetch offset past the last row returns no batch at all.
+    assert all([f.dtype for f in batch.schema] == types for batch in batches), frame
+
+
+def test_mutated_plan_frames_execute_to_their_checked_types(pipeline):
+    frame, engine, keys = pipeline
+    _check_then_execute(frame, engine, keys)
+    assert validate_plan(deserialize_plan(frame)) == [STRING, FLOAT64, INT64]
+    for cut in range(len(frame)):
+        _check_then_execute(frame[:cut], engine, keys)
+    rng = random.Random(0)
+    for _ in range(300):
+        mutated = bytearray(frame)
+        mutated[rng.randrange(len(frame))] = rng.randrange(256)
+        _check_then_execute(bytes(mutated), engine, keys)
+
+
+@pytest.mark.slow
+def test_every_byte_value_at_every_offset_of_a_plan_frame_executes_typed(pipeline):
+    frame, engine, keys = pipeline
+    mutated = bytearray(frame)
+    for offset in range(len(frame)):
+        for value in range(256):
+            if value != frame[offset]:
+                mutated[offset] = value
+                _check_then_execute(bytes(mutated), engine, keys)
         mutated[offset] = frame[offset]
 
 
