@@ -1,7 +1,6 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
 * row-group pruning via the ReadRel best-effort filter,
-* Arrow columnar transport vs the S3-Select-class CSV path,
 * single-phase vs two-phase (multi-node) aggregation pushdown,
 * the normal-vs-uniform selectivity model's estimation accuracy.
 """
@@ -39,28 +38,6 @@ class TestRowGroupPruning:
 
         result = benchmark.pedantic(run, rounds=2, iterations=1)
         assert result.metrics.value("ocs_row_groups_pruned") == 0
-
-
-class TestTransportAblation:
-    def test_arrow_vs_csv_transport(self, benchmark, figure5_env):
-        """Same filter pushdown, two transports: OCS/Arrow vs S3-Select/CSV.
-        The columnar path must win (paper Section 2.2's motivation)."""
-        query = "SELECT orderkey, quantity FROM lineitem WHERE linenumber = 1"
-
-        def run():
-            arrow = figure5_env.run(query, RunConfig.filter_only(), schema="tpch")
-            csv = figure5_env.run(
-                query,
-                RunConfig(label="s3select", mode="hive-select", strict_s3_types=False),
-                schema="tpch",
-            )
-            return arrow, csv
-
-        arrow, csv = benchmark.pedantic(run, rounds=1, iterations=1)
-        benchmark.extra_info["arrow_seconds"] = arrow.execution_seconds
-        benchmark.extra_info["csv_seconds"] = csv.execution_seconds
-        assert arrow.batch.num_rows == csv.batch.num_rows
-        assert arrow.execution_seconds < csv.execution_seconds
 
 
 class TestMultiNodeAblation:

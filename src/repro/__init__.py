@@ -13,7 +13,7 @@ Subpackages
 ``repro.substrait`` / ``repro.rpc``
     Cross-system plan IR and the gRPC-class transport.
 ``repro.objectstore`` / ``repro.metastore`` / ``repro.ocs``
-    Object store with S3-Select-class API, catalog service, and the
+    S3-class object store, catalog service, and the
     OCS computational storage system (frontend + storage nodes).
 ``repro.engine`` / ``repro.connectors`` / ``repro.core``
     The Presto-class distributed engine, its connector SPI, the

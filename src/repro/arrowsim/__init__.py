@@ -6,9 +6,8 @@ typed columnar arrays over numpy buffers, validity bitmaps for nulls,
 schemas, record batches, and a compact binary IPC encoding whose byte
 counts feed the simulated network transfers.
 
-Unlike the S3-Select-class CSV path, (de)serialization here is nearly
-free — buffers are memcpy'd — which is exactly the asymmetry the paper
-exploits (Arrow results vs row-oriented CSV/JSON).
+(De)serialization here is nearly free — buffers are memcpy'd — which is
+why the paper returns Arrow results rather than row-oriented CSV/JSON.
 """
 
 from repro.arrowsim.dtypes import (

@@ -34,7 +34,7 @@ __all__ = ["RunConfig", "Environment", "paper_environment"]
 
 
 #: Run modes understood by :meth:`Environment.run`.
-RUN_MODES = ("hive-raw", "hive-select", "ocs")
+RUN_MODES = ("hive-raw", "ocs")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -47,16 +47,14 @@ class RunConfig:
     """
 
     label: str
-    #: "hive-raw" (no pushdown), "hive-select" (S3-Select-class), or
-    #: "ocs" (Presto-OCS connector with ``policy``).
+    #: "hive-raw" (no pushdown) or "ocs" (Presto-OCS connector with
+    #: ``policy``).
     mode: str
     policy: Optional[PushdownPolicy] = None
     #: ocs only: "node" (table-level requests) or "file" (per-split).
     split_granularity: str = "node"
     #: hive-raw only: False reproduces the paper's whole-file baseline.
     prune_columns: bool = True
-    #: hive-select only: emulate S3 Select's missing float64 support.
-    strict_s3_types: bool = True
     #: Injected faults for this run; ``None`` keeps the cluster healthy
     #: (and the Figure 5/6 numbers bit-identical to a fault-free build).
     faults: Optional[FaultSpec] = None
@@ -178,7 +176,6 @@ class Environment:
             self.store,
             self.testbed,
             self.costs,
-            strict_s3_types=config.strict_s3_types,
             faults=config.faults,
             tie_break=tie_break,
             sim_observer=observer,
@@ -214,7 +211,6 @@ class Environment:
         and the output is the recorded span tree."""
         cluster = Cluster(
             self.store, self.testbed, self.costs,
-            strict_s3_types=config.strict_s3_types,
             faults=config.faults if analyze else None,
             cache=self.cache_manager(config.cache),
         )
@@ -236,12 +232,8 @@ class Environment:
         """
         if config.mode == "hive-raw":
             return HiveConnector(
-                cluster, self.metastore, mode="raw",
+                cluster, self.metastore,
                 prune_columns=config.prune_columns, retry_policy=config.retry,
-            )
-        if config.mode == "hive-select":
-            return HiveConnector(
-                cluster, self.metastore, mode="select", retry_policy=config.retry
             )
         if config.mode == "ocs":
             policy = config.policy or PushdownPolicy.all_operators()

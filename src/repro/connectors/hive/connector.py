@@ -1,41 +1,32 @@
 """The Hive-class connector: metastore-backed, S3-gateway-speaking.
 
-Two scan modes, matching the paper's baselines:
+The paper's no-pushdown baseline: the PageSourceProvider fetches the
+Parcel footer then the column chunks over ranged GETs and decodes
+everything on the compute node with
+:func:`~repro.formats.reader.decode_row_group`, the decoder
+:class:`~repro.formats.ParcelReader` uses.  With ``prune_columns=False``
+it fetches the footer and *every* column chunk over those ranged GETs,
+reproducing the paper's "entire files are often transferred" baseline.
+Filters, aggregation and top-N all stay on the compute side — the Hive
+connector's ceiling (paper Section 2.4).
 
-* ``raw`` — no pushdown: the PageSourceProvider fetches the Parcel
-  footer then the column chunks over ranged GETs and decodes everything
-  on the compute node with :func:`~repro.formats.reader.decode_row_group`,
-  the decoder :class:`~repro.formats.ParcelReader` uses.  With
-  ``prune_columns=False`` it fetches the footer and *every* column chunk
-  over those ranged GETs, reproducing the paper's "entire files are often
-  transferred" no-pushdown baseline.
-* ``select`` — S3-Select-class pushdown: the local optimizer absorbs an
-  eligible WHERE filter (and the column projection) into the table
-  handle; rows come back as CSV and are re-parsed on the compute node.
-  Aggregation/top-N can never be absorbed — the Hive connector's ceiling
-  (paper Section 2.4).
-
-Every gateway call in both modes retries through
+Every gateway call retries through
 :func:`~repro.rpc.retry.retrying_call` under the connector's
 ``gateway_policy`` (see :class:`~repro.engine.spi.Connector`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Generator, List, Optional
+from typing import Generator, List
 
-from repro.arrowsim.dtypes import FLOAT64
 from repro.arrowsim.record_batch import RecordBatch
 from repro.engine.cluster import Cluster
 from repro.engine.stages import STAGE_TRANSFER
 from repro.engine.gateway import (
     S3Gateway,
-    SelectReply,
-    decode_select_reply,
     encode_ranges_request,
-    encode_select_request,
     encode_tail_request,
     place_key,
 )
@@ -46,12 +37,9 @@ from repro.engine.spi import (
     ConnectorTableHandle,
     PageSourceResult,
 )
-from repro.errors import ConfigError
-from repro.exec.expressions import Expr
 from repro.formats.reader import decode_row_group, footer_length_from_tail, meta_from_tail
 from repro.metastore.catalog import HiveMetastore
-from repro.objectstore.s3select import SELECT_PREDICATE_NODES, csv_to_batch
-from repro.plan.nodes import FilterNode, PlanNode, TableScanNode
+from repro.plan.nodes import PlanNode, TableScanNode
 from repro.rpc.retry import RetryPolicy, retrying_call
 from repro.trace import Span
 
@@ -60,10 +48,9 @@ __all__ = ["HiveConnector", "HiveTableHandle"]
 
 @dataclass
 class HiveTableHandle(ConnectorTableHandle):
-    """Scan state: projected columns + (select mode) an absorbed filter."""
+    """Scan state: the projected columns."""
 
     columns: List[str] = field(default_factory=list)
-    pushed_filter: Optional[Expr] = None
 
 
 class _HiveOptimizer(ConnectorPlanOptimizer):
@@ -71,27 +58,14 @@ class _HiveOptimizer(ConnectorPlanOptimizer):
         self.connector = connector
 
     def optimize(self, plan: PlanNode, span: Span) -> PlanNode:
-        return self._rewrite(plan, span)
+        return self._rewrite(plan)
 
-    def _rewrite(self, node: PlanNode, span: Span) -> PlanNode:
-        connector = self.connector
-        # Filter directly above a scan: absorb in select mode.
-        if (
-            connector.mode == "select"
-            and isinstance(node, FilterNode)
-            and isinstance(node.source, TableScanNode)
-            and connector._select_compatible(node.source, node.predicate)
-        ):
-            scan = self._rewrite_scan(node.source)
-            handle = scan.connector_handle
-            scan.connector_handle = replace(handle, pushed_filter=node.predicate)
-            span.add("hive_filter_pushed", 1)
-            return scan
+    def _rewrite(self, node: PlanNode) -> PlanNode:
         if isinstance(node, TableScanNode):
             return self._rewrite_scan(node)
         source = getattr(node, "source", None)
         if source is not None:
-            return node.with_source(self._rewrite(source, span))
+            return node.with_source(self._rewrite(source))
         return node
 
     def _rewrite_scan(self, scan: TableScanNode) -> TableScanNode:
@@ -119,16 +93,12 @@ class HiveConnector(Connector):
         self,
         cluster: Cluster,
         metastore: HiveMetastore,
-        mode: str = "raw",
         prune_columns: bool = True,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
-        if mode not in ("raw", "select"):
-            raise ConfigError(f"unknown hive scan mode {mode!r}")
         super().__init__(retry_policy)
         self.cluster = cluster
         self.metastore = metastore
-        self.mode = mode
         self.prune_columns = prune_columns
 
     # -- SPI -------------------------------------------------------------------
@@ -143,11 +113,8 @@ class HiveConnector(Connector):
         return _HiveOptimizer(self)
 
     def plan_identity(self) -> tuple:
-        """Scan mode, column pruning and S3 Select's float64 gap."""
-        return (
-            "hive", self.mode, self.prune_columns,
-            self.cluster.s3_gateway.select_service.strict_types,
-        )
+        """Column pruning is the only planning input of this connector."""
+        return ("hive", self.prune_columns)
 
     def get_splits(self, handle: HiveTableHandle) -> List[ConnectorSplit]:
         node_count = len(self.cluster.storage_nodes)
@@ -158,38 +125,18 @@ class HiveConnector(Connector):
             for i, key in enumerate(handle.descriptor.files)
         ]
 
-    def page_source(
-        self,
-        handle: HiveTableHandle,
-        split: ConnectorSplit,
-        trace: Span,
-    ) -> Generator:
-        if self.mode == "select" and handle.pushed_filter is not None:
-            return self._select_source(handle, split, trace)
-        return self._raw_source(handle, split, trace)
-
-    # -- predicate compatibility ------------------------------------------------
-
-    def _select_compatible(self, scan: TableScanNode, predicate: Expr) -> bool:
-        if not all(isinstance(n, SELECT_PREDICATE_NODES) for n in predicate.walk()):
-            return False
-        if self.cluster.s3_gateway.select_service.strict_types:
-            schema = scan.table_schema
-            referenced = predicate.column_refs() | set(scan.columns)
-            if any(schema.field(n).dtype is FLOAT64 for n in referenced):
-                # The real API's documented gap (paper Section 2.2).
-                return False
-        return True
-
     def _gateway_call(self, method: str, request: bytes, span: Span) -> Generator:
         """One S3-gateway RPC, retried under ``gateway_policy``."""
         return retrying_call(
             self.cluster.s3_client, method, request, self.gateway_policy, parent=span
         )
 
-    # -- raw path ---------------------------------------------------------------
-
-    def _raw_source(self, handle, split, trace):
+    def page_source(
+        self,
+        handle: HiveTableHandle,
+        split: ConnectorSplit,
+        trace: Span,
+    ) -> Generator:
         cluster = self.cluster
         costs = cluster.costs
         tracer = cluster.tracer
@@ -256,42 +203,5 @@ class HiveConnector(Connector):
         return PageSourceResult(
             batches=batches,
             bytes_received=len(payload) + len(tail) + len(tail8),
-            ingest_cycles=ingest,
-        )
-
-    # -- select path --------------------------------------------------------------
-
-    def _select_source(self, handle, split, trace):
-        cluster = self.cluster
-        costs = cluster.costs
-        tracer = cluster.tracer
-        (key,) = split.keys
-        descriptor = handle.descriptor
-        request = encode_select_request(
-            bucket=descriptor.bucket,
-            key=key,
-            columns=handle.columns,
-            table_columns=descriptor.table_schema.names(),
-            predicate=handle.pushed_filter,
-        )
-        span = tracer.start(
-            "hive.fetch_select", parent=trace, stage=STAGE_TRANSFER,
-            attributes={"key": key},
-        )
-        try:
-            response = yield from self._gateway_call(S3Gateway.SELECT, request, span)
-        finally:
-            tracer.end(span)
-        reply: SelectReply = decode_select_reply(response)
-        schema = descriptor.table_schema.select(handle.columns)
-        batch = RecordBatch.empty(schema)
-        if reply.csv_payload:
-            batch = csv_to_batch(reply.csv_payload, schema)
-        ingest = len(reply.csv_payload) * costs.csv_parse_cycles_per_byte
-        span.add("s3select_rows_scanned", reply.rows_scanned)
-        span.add("s3select_rows_returned", reply.rows_returned)
-        return PageSourceResult(
-            batches=[batch],
-            bytes_received=len(response),
             ingest_cycles=ingest,
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.arrowsim.dtypes import DataType
 from repro.core.handle import PushedOperators
 from repro.exec.expressions import AndExpr
 from repro.metastore.catalog import TableDescriptor
@@ -50,7 +49,6 @@ def build_pushdown_plan(
 
     projection = tuple(table_schema.index_of(name) for name in pushed.columns)
     names: List[str] = list(pushed.columns)
-    types: List[DataType] = [table_schema.field(n).dtype for n in names]
 
     dynamic_filter = getattr(pushed, "dynamic_filter", None)
     best_effort_parts = [
@@ -87,7 +85,6 @@ def build_pushdown_plan(
         )
         rel = ProjectRel(rel, exprs)
         names = [name for name, _ in pushed.projections]
-        types = [expr.dtype for _, expr in pushed.projections]
 
     if pushed.aggregation is not None:
         agg = pushed.aggregation
@@ -112,17 +109,12 @@ def build_pushdown_plan(
                 )
             )
         rel = AggregateRel(rel, grouping, tuple(measures))
-        new_names = list(agg.key_names)
-        new_types = [types[names.index(k)] for k in agg.key_names]
+        names = list(agg.key_names)
         for spec in agg.specs:
             if agg.phase == "partial":
-                for f in spec.partial_fields():
-                    new_names.append(f.name)
-                    new_types.append(f.dtype)
+                names.extend(f.name for f in spec.partial_fields())
             else:
-                new_names.append(spec.output)
-                new_types.append(spec.output_dtype)
-        names, types = new_names, new_types
+                names.append(spec.output)
 
     if pushed.final_project is not None:
         exprs = tuple(
@@ -131,7 +123,6 @@ def build_pushdown_plan(
         )
         rel = ProjectRel(rel, exprs)
         names = [name for name, _ in pushed.final_project]
-        types = [expr.dtype for _, expr in pushed.final_project]
 
     if pushed.topn is not None:
         count, sort_keys = pushed.topn

@@ -53,6 +53,7 @@ from repro.engine.spi import Connector, ConnectorSplit
 from repro.engine.stages import STAGE_OTHERS, STAGE_TRANSFER, StageBodies
 from repro.errors import EngineError
 from repro.plan.nodes import PlanNode, format_plan
+from repro.substrait.plan import SubstraitPlan
 from repro.trace import Span
 
 __all__ = ["PreparedPlan", "QueryCache"]
@@ -84,35 +85,47 @@ def _tables_signature(store: Any, descriptors: Any) -> VersionSignature:
     return tuple(versions)
 
 
-def _pushed_fingerprint(handle: Any) -> str:
-    """Canonical fingerprint of the plan ``handle`` pushes ("-" for none)."""
+def _pushed_plan(handle: Any) -> Optional[SubstraitPlan]:
+    """The Substrait plan ``handle`` pushes (``None`` for none)."""
     pushed = getattr(handle, "pushed", None)
     if pushed is None:
-        return "-"
+        return None
     from repro.core.translator import build_pushdown_plan
+
+    return build_pushdown_plan(handle.descriptor, pushed)
+
+
+def _fingerprint(plan: Optional[SubstraitPlan]) -> str:
+    """Canonical fingerprint of a pushed plan ("-" for none)."""
+    if plan is None:
+        return "-"
     from repro.substrait.fingerprint import fingerprint_plan
 
-    return fingerprint_plan(build_pushdown_plan(handle.descriptor, pushed))
+    return fingerprint_plan(plan)
 
 
 def _prepare(branch: Branch) -> PreparedBranch:
     """What the plan tier keeps of a planned branch: for a pushed branch,
     a copy of its handle carrying the serialized Substrait, and the
     fingerprint lowering already derived (the branch's own handle stays
-    as it is: its query generates the IR in the page source as usual)."""
+    as it is: its query generates the IR in the page source as usual).
+    The plan lowering fingerprinted is the one serialized; it is built
+    here only when lowering took no keys."""
     handle = branch.handle
-    pushed = getattr(handle, "pushed", None)
-    if pushed is None:
+    if getattr(handle, "pushed", None) is None:
         return PreparedBranch(branch.plan, handle, "-")
-    from repro.core.translator import build_pushdown_plan
-    from repro.substrait.fingerprint import fingerprint_plan
     from repro.substrait.serde import serialize_plan
 
-    plan = build_pushdown_plan(handle.descriptor, pushed)
-    if branch.keys is not None:
-        fingerprint = branch.keys.pushed_fingerprint
+    keys = branch.keys
+    plan = keys.pushed_plan if keys is not None else None
+    if plan is None:
+        plan = _pushed_plan(handle)
+        fingerprint = _fingerprint(plan)
     else:
-        fingerprint = fingerprint_plan(plan)
+        fingerprint = keys.pushed_fingerprint
+        # This fill is the plan's only reader, and a finished query's
+        # record keeps its branches: do not keep the plan alive with them.
+        keys.pushed_plan = None
     return PreparedBranch(
         branch.plan, replace(handle, substrait=serialize_plan(plan)), fingerprint
     )
@@ -128,6 +141,9 @@ class _BranchKeys:
     #: Split-tier key per split; ``None`` when the tier is off or the
     #: branch has no splits.
     split_keys: Optional[List[Hashable]]
+    #: The pushed plan the fingerprint was taken of; ``None`` when
+    #: nothing is pushed or the fingerprint came from a plan-tier entry.
+    pushed_plan: Optional[SubstraitPlan] = None
 
 
 class QueryCache:
@@ -246,10 +262,12 @@ class QueryCache:
         split_tier = cache.splits.budget_bytes > 0 and bool(branch.splits)
         if not split_tier and cache.results.budget_bytes <= 0:
             return None
+        plan = None
         if branch.prepared is not None:
             fingerprint = branch.prepared.fingerprint
         else:
-            fingerprint = _pushed_fingerprint(branch.handle)
+            plan = _pushed_plan(branch.handle)
+            fingerprint = _fingerprint(plan)
         split_keys: Optional[List[Hashable]] = None
         if split_tier:
             plan_sig = hashlib.sha256(
@@ -259,7 +277,7 @@ class QueryCache:
                 CacheManager.split_key(branch.table, fingerprint, plan_sig, split.keys)
                 for split in branch.splits
             ]
-        return _BranchKeys(fingerprint, split_keys)
+        return _BranchKeys(fingerprint, split_keys, plan)
 
     def _split_probe(self, branch: Branch) -> Optional[Tuple[List[int], List[int]]]:
         """(hit, miss) split indices at the current instant; ``None`` when

@@ -5,9 +5,9 @@ utilization counters are per-query.  Topology follows Table 1 / Figure 4:
 
     compute (Presto) <--10GbE--> OCS frontend <--10GbE--> storage node(s)
 
-All storage traffic — raw GETs, S3-Select results, OCS Arrow results —
-crosses the compute<->frontend link, whose ledger is the paper's
-"data movement from OCS to Presto" metric.
+All storage traffic — raw GETs and OCS Arrow results — crosses the
+compute<->frontend link, whose ledger is the paper's "data movement
+from OCS to Presto" metric.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ class Cluster:
         store: ObjectStore,
         testbed: TestbedSpec,
         costs: CostParams,
-        strict_s3_types: bool = True,
         faults: Optional[FaultSpec] = None,
         tie_break: str = "fifo",
         sim_observer=None,
@@ -104,7 +103,6 @@ class Cluster:
             self.links_fs,
             store,
             costs,
-            strict_types=strict_s3_types,
             tracer=self.tracer,
         )
         # Both services live on the frontend; the compute node reaches them

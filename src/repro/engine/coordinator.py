@@ -73,6 +73,9 @@ from repro.trace import CounterTotals, Trace, counter_totals, render_tree, stage
 
 __all__ = ["Coordinator", "QueryResult"]
 
+#: Rewriter fixpoint budget: max rule applications per statement.
+REWRITE_BUDGET = 32
+
 
 @dataclass
 class QueryResult:
@@ -139,7 +142,6 @@ class Coordinator:
         catalogs: Dict[str, Connector],
         scheduler: Optional[SchedulerSpec] = None,
         rewrite: bool = True,
-        rewrite_budget: int = 32,
     ) -> None:
         self.cluster = cluster
         self.catalogs = dict(catalogs)
@@ -153,8 +155,6 @@ class Coordinator:
         #: analysis.  Off, subquery expressions and WITH clauses reach
         #: the analyzer unrewritten and fail with a clear diagnostic.
         self.rewrite = rewrite
-        #: Fixpoint budget: max rule applications per statement.
-        self.rewrite_budget = rewrite_budget
 
     def connector_for(self, name: str) -> Connector:
         try:
@@ -371,7 +371,7 @@ class Coordinator:
             resolve=self._schema_resolver(session), scalar_value=scalar_value
         )
         result = rewrite_statement(
-            original, ctx, budget=self.rewrite_budget, tracer=tracer, parent=startup
+            original, ctx, budget=REWRITE_BUDGET, tracer=tracer, parent=startup
         )
         statement = result.statement
         cte_jobs = [cte for cte in statement.ctes if cte.materialized]
@@ -666,12 +666,12 @@ class Coordinator:
 
     def _plan_identity(self, connector: Connector) -> Optional[Hashable]:
         """What shapes a plan through ``connector`` besides the statement
-        and its tables: the connector's settings, the rewriter's and the
-        join fan-out; ``None`` when the connector declares no identity."""
+        and its tables: the connector's settings, the rewriter switch and
+        the join fan-out; ``None`` when the connector declares no identity."""
         identity = connector.plan_identity()
         if identity is None:
             return None
-        return (identity, self.rewrite, self.rewrite_budget, self.join_workers)
+        return (identity, self.rewrite, self.join_workers)
 
     def _plan_with_subqueries(
         self,

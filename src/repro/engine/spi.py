@@ -69,8 +69,8 @@ class PageSourceResult:
     batches: List[RecordBatch]
     #: Payload bytes that crossed into the compute layer for this split.
     bytes_received: int = 0
-    #: Compute-side cycles to materialize the pages (CSV parse, Arrow
-    #: deserialize, or Parcel decode — charged by the worker driver).
+    #: Compute-side cycles to materialize the pages (Arrow
+    #: deserialize or Parcel decode — charged by the worker driver).
     ingest_cycles: float = 0.0
 
 

@@ -117,22 +117,6 @@ class CodecError(StorageError):
     code = "CODEC"
 
 
-class SelectError(StorageError):
-    """The S3-Select-class storage API rejected or failed a request."""
-
-    code = "SELECT"
-
-
-class UnsupportedTypeError(SelectError):
-    """The S3-Select-class API does not support the requested data type.
-
-    Mirrors the paper's observation that S3 Select lacks double-precision
-    floating-point support (Section 2.2).
-    """
-
-    code = "UNSUPPORTED_TYPE"
-
-
 # --------------------------------------------------------------------------
 # SQL / planning errors
 # --------------------------------------------------------------------------

@@ -1,22 +1,10 @@
-"""S3-class object storage: flat bucket/object namespace + Select API.
+"""S3-class object storage: flat bucket/object namespace.
 
 Reproduces the storage layer of the paper's Section 2.2: objects under
 flat buckets, byte-range GETs (how a Parcel reader fetches footers and
-column chunks selectively), LIST with prefixes, and
-:class:`~repro.objectstore.s3select.S3SelectService` — the narrow
-SELECT/WHERE-only in-storage compute of S3 Select / MinIO Select,
-including its documented lack of double-precision support and its
-row-oriented CSV output.
+column chunks selectively) and LIST with prefixes.
 """
 
 from repro.objectstore.store import Bucket, ObjectStore, StoredObject
-from repro.objectstore.s3select import S3SelectRequest, S3SelectResult, S3SelectService
 
-__all__ = [
-    "Bucket",
-    "ObjectStore",
-    "S3SelectRequest",
-    "S3SelectResult",
-    "S3SelectService",
-    "StoredObject",
-]
+__all__ = ["Bucket", "ObjectStore", "StoredObject"]

@@ -83,7 +83,6 @@ class QueryService:
             environment.store,
             environment.testbed,
             environment.costs,
-            strict_s3_types=self.base_config.strict_s3_types,
             faults=self.base_config.faults,
             tie_break=tie_break,
             sim_observer=observer,

@@ -20,11 +20,10 @@ asymmetries the paper's evaluation hinges on:
    pushdown round trip has returned, so pushdowns to different storage
    nodes overlap.
 
-2. **Transport asymmetry.**  The S3-Select-class path returns row-oriented
-   CSV (expensive to serialize on the storage node and parse on the
-   compute node); the OCS path returns Arrow columnar batches (cheap both
-   ways).  This is why filter pushdown helps TPC-H Q1 even though it
-   barely reduces bytes (Figure 5(c)).
+2. **Transport.**  The OCS path returns Arrow columnar batches, whose
+   (de)serialization is a cheap per-byte copy; converting them into
+   Presto pages is charged per value, as heavy as the raw path's decode,
+   which is what the paper's filter-only points imply.
 
 3. **Storage-side compute is slow.**  The storage node has 16 cores at
    2.0 GHz versus 64 at 2.9 GHz, so pushing pure compute (expression
@@ -110,12 +109,6 @@ class CostParams:
     scan_stream_concurrency: int = 1
 
     # -- Transport serialization ---------------------------------------------
-    #: S3-Select-class row-oriented CSV output, per result byte (storage).
-    csv_serialize_cycles_per_byte: float = 25.0
-    #: CSV parse back into pages, per byte (compute node). Text decode of
-    #: ~20 bytes/value makes this the most expensive transport (~1200
-    #: cycles/value), the S3-Select-path penalty of Section 2.2.
-    csv_parse_cycles_per_byte: float = 60.0
     #: Arrow IPC serialize per byte (storage node).
     arrow_serialize_cycles_per_byte: float = 1.0
     #: Arrow IPC deserialize per byte (compute node).

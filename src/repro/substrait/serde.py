@@ -42,9 +42,6 @@ __all__ = [
     "deserialize_plan",
     "encode_expression",
     "decode_expression",
-    "read_expression",
-    "put_declarations",
-    "read_declarations",
 ]
 
 _MAGIC = b"SBP1"

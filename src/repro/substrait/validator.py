@@ -2,11 +2,11 @@
 
 Plan bytes enter from outside at the OCS frontend, which runs
 :func:`validate_plan` on every request before anything reaches a storage
-node; the S3 gateway runs it over a select predicate, and strict mode
-over plans the compute side runs locally.  Every ordinal, anchor and
-header must be in range, every node must declare the dtype its inputs
-give it, filters must be boolean, measures must split into one phase,
-and sort/fetch sit only at the root (top-N is ``FetchRel(SortRel(...))``).
+node, and strict mode runs it over plans the compute side runs locally.
+Every ordinal, anchor and header must be in range, every node must
+declare the dtype its inputs give it, filters must be boolean, measures
+must split into one phase, and sort/fetch sit only at the root (top-N
+is ``FetchRel(SortRel(...))``).
 Types come from where they are defined: ``Relation.output_types``,
 :class:`~repro.exec.aggregates.AggregateSpec`, the exec rules
 ``arithmetic_result_type`` / ``scalar_function_dtype`` and

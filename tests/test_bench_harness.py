@@ -45,6 +45,10 @@ class TestEnvironment:
         # ConfigError (a ValueError subclass) instead of mid-run.
         with pytest.raises(ConfigError):
             RunConfig(label="x", mode="teleport")
+        # No S3-Select-class mode: OCS is the one filter-pushdown path.
+        with pytest.raises(ConfigError) as err:
+            RunConfig(label="x", mode="hive-select")
+        assert "'hive-raw'" in str(err.value) and "'ocs'" in str(err.value)
         with pytest.raises(ConfigError):
             RunConfig(label="x", mode="ocs", split_granularity="shard")
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Unit tests for the Hive-class connector (raw + select paths)."""
+"""Unit tests for the Hive-class connector (the no-pushdown raw path)."""
 
 import dataclasses
 import struct
@@ -11,7 +11,7 @@ from repro.bench import Environment, RunConfig
 from repro.config import FaultSpec
 from repro.connectors.hive import HiveConnector, HiveTableHandle
 from repro.engine import Cluster
-from repro.errors import ConfigError, FormatError, StatusCode
+from repro.errors import FormatError, StatusCode
 from repro.formats import ParcelReader
 from repro.formats.metadata import MAGIC, encode_footer
 from repro.formats.reader import meta_from_tail
@@ -44,10 +44,10 @@ def int_env():
 
 
 class TestHandleAndSplits:
-    def test_unknown_mode_rejected(self, int_env):
+    def test_gateway_serves_only_ranged_gets(self, int_env):
         cluster = Cluster(int_env.store, int_env.testbed, int_env.costs)
-        with pytest.raises(ConfigError):
-            HiveConnector(cluster, int_env.metastore, mode="warp")
+        handlers = cluster.s3_gateway.service._handlers
+        assert sorted(handlers) == ["s3.get_ranges", "s3.get_tail"]
 
     def test_one_split_per_file(self, int_env):
         cluster = Cluster(int_env.store, int_env.testbed, int_env.costs)
@@ -94,57 +94,13 @@ class TestRawPath:
         assert result.data_moved_bytes > 0.9 * total
 
 
-class TestSelectPath:
-    def test_filter_absorbed_and_results_match(self, int_env):
-        query = "SELECT grp, count(*) AS n FROM events WHERE score < 250 GROUP BY grp ORDER BY grp"
-        select = int_env.run(
-            query, RunConfig(label="s", mode="hive-select"), schema="app"
-        )
-        raw = int_env.run(query, RunConfig.none(), schema="app")
-        assert select.metrics.value("hive_filter_pushed") == 1
-        assert select.to_pydict() == raw.to_pydict()
-        assert select.data_moved_bytes < raw.data_moved_bytes
-
-    def test_aggregation_never_absorbed(self, int_env):
-        # The Hive connector's ceiling (paper Section 2.4): even in select
-        # mode the aggregation stays on the compute side, so all passing
-        # rows cross the network.
-        query = "SELECT grp, count(*) AS n FROM events GROUP BY grp"
-        select = int_env.run(
-            query, RunConfig(label="s", mode="hive-select"), schema="app"
-        )
-        ocs = int_env.run(
-            query, RunConfig.ocs("a", "filter", "aggregate"), schema="app"
-        )
-        a, b = select.to_pydict(), ocs.to_pydict()
-        assert sorted(zip(a["grp"], a["n"])) == sorted(zip(b["grp"], b["n"]))
-        assert select.data_moved_bytes > 100 * ocs.data_moved_bytes
-
-    def test_or_predicate_pushes(self, int_env):
-        query = "SELECT id FROM events WHERE id < 10 OR id > 11980"
-        select = int_env.run(
-            query, RunConfig(label="s", mode="hive-select"), schema="app"
-        )
-        assert select.metrics.value("hive_filter_pushed") == 1
-        assert select.rows == 29
-
-    def test_csv_transport_byte_accounting(self, int_env):
-        query = "SELECT id FROM events WHERE id < 50"
-        result = int_env.run(
-            query, RunConfig(label="s", mode="hive-select"), schema="app"
-        )
-        assert result.metrics.value("s3select_rows_scanned") == 12000
-        assert result.metrics.value("s3select_rows_returned") == 50
-
-
 class TestOneReadPath:
-    """Both Hive modes read through the code the OCS path uses."""
+    """Pruned and unpruned raw scans read through the code the OCS path uses."""
 
     QUERY = "SELECT grp, count(*) AS n, sum(score) AS s FROM events GROUP BY grp"
     MODES = {
         "hive-raw": RunConfig(label="raw", mode="hive-raw"),
         "hive-raw-unpruned": RunConfig(label="raw", mode="hive-raw", prune_columns=False),
-        "hive-select": RunConfig(label="select", mode="hive-select"),
     }
 
     @pytest.mark.parametrize("mode", MODES)

@@ -237,29 +237,3 @@ class TestStagesAndMonitoring:
         assert freq["filter"] == 2
         assert freq["aggregation"] == 1
         assert env.monitor.mean_reduction_ratio() < 0.5
-
-
-class TestHiveSelectPath:
-    def test_strict_types_block_select_on_doubles(self, small_env):
-        # Laghos is float64-heavy: with strict S3 types the filter cannot
-        # be absorbed, so the query still works via the raw path.
-        cfg = RunConfig(label="hs", mode="hive-select", strict_s3_types=True)
-        r = small_env.run(LAGHOS_QUERY, cfg, schema="hpc")
-        baseline = small_env.run(LAGHOS_QUERY, RunConfig.none(), schema="hpc")
-        assert canonical_rows(r.batch) == canonical_rows(baseline.batch)
-
-    def test_lenient_select_pushes_filter(self, small_env):
-        cfg = RunConfig(label="hs", mode="hive-select", strict_s3_types=False)
-        query = "SELECT count(*) AS n, avg(x) AS m FROM laghos WHERE x > 2.0"
-        r = small_env.run(query, cfg, schema="hpc")
-        baseline = small_env.run(query, RunConfig.none(), schema="hpc")
-        assert canonical_rows(r.batch) == canonical_rows(baseline.batch)
-        assert r.metrics.value("hive_filter_pushed") == 1
-        assert r.data_moved_bytes < baseline.data_moved_bytes
-
-    def test_select_on_integer_predicate_with_strict_types(self, small_env):
-        cfg = RunConfig(label="hs", mode="hive-select", strict_s3_types=True)
-        query = "SELECT linenumber, orderkey FROM lineitem WHERE linenumber = 1 LIMIT 5"
-        r = small_env.run(query, cfg, schema="tpch")
-        assert r.rows == 5
-        assert r.metrics.value("hive_filter_pushed") == 1

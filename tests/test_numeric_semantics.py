@@ -298,7 +298,6 @@ def _in_3vl(value, options):
 
 IN_LIST_MODES = [
     RunConfig(label="hive-raw", mode="hive-raw"),
-    RunConfig(label="hive-select", mode="hive-select"),
     RunConfig.filter_only(),
     RunConfig(label="all-operator", mode="ocs"),
 ]

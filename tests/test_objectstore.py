@@ -1,27 +1,14 @@
-"""Unit tests for the object store and the S3-Select-class API."""
+"""Unit tests for the object store."""
 
-import numpy as np
 import pytest
 
-from repro.arrowsim import FLOAT32, FLOAT64, Field, INT64, RecordBatch, STRING, Schema
-from repro.arrowsim.array import ColumnArray
 from repro.errors import (
     BucketAlreadyExistsError,
     InvalidRangeError,
     NoSuchBucketError,
     NoSuchObjectError,
-    SelectError,
-    UnsupportedTypeError,
 )
-from repro.exec.expressions import (
-    ArithExpr,
-    ColumnExpr,
-    CompareExpr,
-    LiteralExpr,
-)
-from repro.formats import write_table
-from repro.objectstore import ObjectStore, S3SelectRequest, S3SelectService
-from repro.objectstore.s3select import csv_to_batch, rows_to_csv
+from repro.objectstore import ObjectStore
 
 
 @pytest.fixture()
@@ -79,107 +66,3 @@ class TestObjectStore:
         store.put_object("data", "t/a", b"xx")
         store.put_object("data", "t/b", b"yyy")
         assert store.bucket("data").total_bytes("t/") == 5
-
-
-def _make_object(store, with_doubles=False):
-    dtype = FLOAT64 if with_doubles else FLOAT32
-    schema = Schema(
-        [Field("id", INT64, nullable=False), Field("v", dtype), Field("tag", STRING)]
-    )
-    rng = np.random.default_rng(0)
-    batch = RecordBatch(
-        schema,
-        [
-            ColumnArray(INT64, np.arange(100)),
-            ColumnArray(dtype, rng.random(100).astype(np.float32 if not with_doubles else np.float64)),
-            ColumnArray(STRING, np.array([f"t{i%3}" for i in range(100)], dtype=object)),
-        ],
-    )
-    store.put_object("data", "obj.parcel", write_table([batch], row_group_rows=32))
-    return batch
-
-
-class TestS3Select:
-    def test_projection_only(self, store):
-        batch = _make_object(store)
-        service = S3SelectService(store)
-        result = service.select(S3SelectRequest("data", "obj.parcel", ["id"]))
-        assert result.rows_returned == 100
-        assert result.batch.schema.names() == ["id"]
-        assert result.rows_scanned == 100
-
-    def test_filter(self, store):
-        _make_object(store)
-        service = S3SelectService(store)
-        predicate = CompareExpr("<", ColumnExpr("id", INT64), LiteralExpr(10, INT64))
-        result = service.select(
-            S3SelectRequest("data", "obj.parcel", ["id", "tag"], predicate)
-        )
-        assert result.rows_returned == 10
-        assert result.rows_scanned == 100
-        assert result.csv_payload.count(b"\n") == 10
-
-    def test_double_precision_rejected(self, store):
-        _make_object(store, with_doubles=True)
-        service = S3SelectService(store, strict_types=True)
-        with pytest.raises(UnsupportedTypeError):
-            service.select(S3SelectRequest("data", "obj.parcel", ["v"]))
-
-    def test_double_allowed_when_lenient(self, store):
-        _make_object(store, with_doubles=True)
-        service = S3SelectService(store, strict_types=False)
-        result = service.select(S3SelectRequest("data", "obj.parcel", ["v"]))
-        assert result.rows_returned == 100
-
-    def test_complex_predicate_rejected(self, store):
-        _make_object(store)
-        service = S3SelectService(store)
-        predicate = CompareExpr(
-            ">",
-            ArithExpr("+", ColumnExpr("id", INT64), LiteralExpr(1, INT64), INT64),
-            LiteralExpr(5, INT64),
-        )
-        with pytest.raises(SelectError):
-            service.select(S3SelectRequest("data", "obj.parcel", ["id"], predicate))
-
-    def test_unknown_column_rejected(self, store):
-        _make_object(store)
-        service = S3SelectService(store)
-        with pytest.raises(SelectError):
-            service.select(S3SelectRequest("data", "obj.parcel", ["nope"]))
-
-    def test_scan_accounting(self, store):
-        _make_object(store)
-        service = S3SelectService(store)
-        result = service.select(S3SelectRequest("data", "obj.parcel", ["id"]))
-        assert result.stored_bytes_scanned > 0
-        assert result.uncompressed_bytes_scanned >= result.stored_bytes_scanned * 0.2
-
-
-class TestCsvTransport:
-    def test_roundtrip(self, store):
-        batch = _make_object(store)
-        payload = rows_to_csv(batch.select(["id", "tag"]))
-        parsed = csv_to_batch(payload, batch.schema.select(["id", "tag"]))
-        assert parsed.equals(batch.select(["id", "tag"]))
-
-    def test_quoting(self):
-        schema = Schema([Field("s", STRING)])
-        batch = RecordBatch.from_pydict(schema, {"s": ['with,comma', 'with"quote']})
-        parsed = csv_to_batch(rows_to_csv(batch), schema)
-        assert parsed.to_pydict()["s"] == ['with,comma', 'with"quote']
-
-    def test_nulls_roundtrip_numeric(self):
-        schema = Schema([Field("v", INT64)])
-        batch = RecordBatch.from_pydict(schema, {"v": [1, None, 3]})
-        parsed = csv_to_batch(rows_to_csv(batch), schema)
-        assert parsed.to_pydict()["v"] == [1, None, 3]
-
-    def test_empty_payload(self):
-        schema = Schema([Field("v", INT64)])
-        assert rows_to_csv(RecordBatch.empty(schema)) == b""
-
-    def test_wrong_width_rejected(self):
-        schema = Schema([Field("a", INT64), Field("b", INT64)])
-        with pytest.raises(SelectError):
-            csv_to_batch(b"1,2,3\n", schema)

@@ -539,76 +539,6 @@ class TestFrontendAndStorage:
         assert storage.node.cpu_seconds_charged > 0
 
 
-def _forged_select_request(table_columns, sexpr, registry) -> bytes:
-    """An ``s3.select`` frame whose predicate was never checked against
-    ``table_columns`` (``encode_select_request`` builds only valid ones)."""
-    from repro.substrait.serde import encode_expression, put_declarations
-    from repro.wire import put_str, put_varint
-
-    out = bytearray()
-    put_str(out, "data")
-    put_str(out, KEYS[0])
-    for names in (["id"], table_columns):
-        put_varint(out, len(names))
-        for name in names:
-            put_str(out, name)
-    out.append(1)
-    put_declarations(out, registry)
-    payload = encode_expression(sexpr)
-    put_varint(out, len(payload))
-    out += payload
-    return bytes(out)
-
-
-class TestSelectBoundary:
-    """The S3 select predicate crosses the pushed plans' typed check."""
-
-    @staticmethod
-    def _requests():
-        from repro.engine.gateway import encode_select_request
-        from repro.exec.expressions import ArithExpr, ColumnExpr, LiteralExpr
-
-        registry = FunctionRegistry()
-        lt = registry.anchor_for("lt", [FLOAT64, FLOAT64])
-        past_the_end = SFunctionCall(
-            lt, (SFieldRef(1, FLOAT64), SLiteral(0.5, FLOAT64)), BOOL
-        )
-        doubled = ArithExpr(
-            "*", ColumnExpr("x", FLOAT64), LiteralExpr(2.0, FLOAT64), FLOAT64
-        )
-        return {
-            "ordinal-past-table-columns": _forged_select_request(
-                ["id"], past_the_end, registry
-            ),
-            "non-boolean": encode_select_request(
-                "data", KEYS[0], ["id"], ["id", "x"], doubled
-            ),
-        }
-
-    @pytest.mark.parametrize("case", ["ordinal-past-table-columns", "non-boolean"])
-    def test_hostile_predicate_is_refused_typed(self, store, case):
-        from repro.engine.gateway import S3Gateway
-        from repro.errors import RpcStatusError, StatusCode, ValidationError
-
-        sim = Simulator()
-        testbed = DEFAULT_TESTBED
-        tracer = Tracer(clock=lambda: sim.now)
-        storage = SimNode(sim, testbed.storage)
-        gateway = S3Gateway(
-            sim, SimNode(sim, testbed.frontend), [storage],
-            [Link(sim, 1.25e9, 1e-4, name="fs")], store, DEFAULT_COSTS, tracer=tracer,
-        )
-        client = RpcClient(
-            sim, SimNode(sim, testbed.compute), Link(sim, 1.25e9, 1e-4, name="cf"),
-            gateway.service, DEFAULT_COSTS, tracer,
-        )
-        with pytest.raises(RpcStatusError) as caught:
-            sim.run(until=client.call(S3Gateway.SELECT, self._requests()[case]))
-        assert caught.value.code == StatusCode.INTERNAL
-        assert isinstance(caught.value.__cause__, ValidationError)
-        assert storage.disk_bytes_read == 0
-
-
 class TestFrameBounds:
     """Fuzz-style decoding tests: every truncation of a valid frame must
     raise a typed OcsError, never IndexError/struct noise or a silently

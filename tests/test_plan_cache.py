@@ -118,6 +118,19 @@ class TestHit:
         for counter in ("pushdown_operators", "substrait_plan_bytes", "splits"):
             assert hit.metrics.value(counter) == miss.metrics.value(counter) > 0
 
+    def test_miss_builds_once_at_lowering_and_once_per_split(self, monkeypatch):
+        import repro.core.translator as translator
+
+        # Every tier on: lowering fingerprints the pushed plan for the
+        # result and split keys, and the plan-tier fill reuses that plan.
+        config = RunConfig(label="all", mode="ocs", cache=CacheSpec())
+        env = _build_env()
+        lowering = _Calls(monkeypatch, translator, "build_pushdown_plan")
+        splits = _Calls(monkeypatch, ocs_connector, "build_pushdown_plan")
+        miss = env.run(SQL, config, "tpch")
+        assert not _outcome(miss) and miss.splits > 0
+        assert (lowering.count, splits.count) == (1, miss.splits)
+
     def test_every_lookup_is_charged_once(self):
         env = _build_env()
         costs = env.costs

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro.arrowsim import DATE32, FLOAT64, INT64, STRING, Field, RecordBatch, Schema
-from repro.analysis.determinism import canonical_result_digest
 from repro.bench import Environment, RunConfig
 from repro.config import CacheSpec, FaultSpec
 from repro.errors import ReproError
@@ -638,36 +637,25 @@ def test_long_generated_run_agrees_with_sqlite(fuzz_env, fuzz_referee):
 # -- the fault axis -------------------------------------------------------------
 #
 # Pushdown is transparent: every mode returns the healthy answer under link
-# drops once its retries absorb them.  The referee modes answer to SQLite;
-# hive-select, whose CSV transport reads an empty string back as NULL,
-# answers to its own healthy run (without the LIMIT, whose tied rows may
-# legitimately differ when splits arrive in another order).
+# drops once its retries absorb them, and answers to SQLite for it.
 
 LINK_DROPS = FaultSpec(link_drop_probability=0.2, seed=3)
 DROP_RETRY = RetryPolicy(max_attempts=10, initial_backoff_s=0.005)
-FAULT_MODES = {**MODES, "hive-select": RunConfig(label="hive-select", mode="hive-select")}
 FAULT_TIER1_SEEDS = 12
 FAULT_SLOW_SEEDS = 40
 
 
 def agree_under_link_drops(env, referee, case, mode):
     """``case`` gives the healthy answer in ``mode`` under ``LINK_DROPS``."""
-    config = FAULT_MODES[mode]
-    faulted = replace(config, faults=LINK_DROPS, retry=DROP_RETRY)
+    faulted = replace(MODES[mode], faults=LINK_DROPS, retry=DROP_RETRY)
     try:
-        if mode == "hive-select":
-            sql = _LIMIT.sub("", case.engine)
-            got = env.run(sql, faulted, schema="fz").batch
-            want = env.run(sql, config, schema="fz").batch
-            assert canonical_result_digest(got) == canonical_result_digest(want)
-        else:
-            result = env.run(case.engine, faulted, schema="fz")
-            referee.check(result.batch, case.sqlite, order=case.order, limit=case.limit)
+        result = env.run(case.engine, faulted, schema="fz")
+        referee.check(result.batch, case.sqlite, order=case.order, limit=case.limit)
     except Exception as exc:
         raise AssertionError(f"[{mode} under link drops] {case.engine}\n{exc}") from exc
 
 
-@pytest.mark.parametrize("mode", FAULT_MODES)
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(FAULT_TIER1_SEEDS))
 def test_generated_query_survives_link_drops(fuzz_env, fuzz_referee, seed, mode):
     agree_under_link_drops(fuzz_env, fuzz_referee, Generator(seed).case(), mode)
@@ -678,7 +666,7 @@ def test_long_generated_run_survives_link_drops(fuzz_env, fuzz_referee):
     failures = []
     for seed in range(FAULT_TIER1_SEEDS, FAULT_TIER1_SEEDS + FAULT_SLOW_SEEDS):
         case = Generator(seed).case()
-        for mode in FAULT_MODES:
+        for mode in MODES:
             try:
                 agree_under_link_drops(fuzz_env, fuzz_referee, case, mode)
             except AssertionError as exc:

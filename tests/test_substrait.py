@@ -252,9 +252,9 @@ class TestSerde:
 
 
 def test_validate_plan_runs_only_at_the_boundaries():
-    """Plans are checked where they enter storage: the OCS frontend, the S3
-    gateway's select predicate, and strict mode's hook over plans the
-    connector runs locally.  Nothing re-checks them in between."""
+    """Plans are checked where they enter storage, the OCS frontend, and by
+    strict mode's hook over plans the connector runs locally.  Nothing
+    re-checks them in between."""
     root = pathlib.Path(repro.__file__).parent
     callers = Counter()
     for path in sorted(root.rglob("*.py")):
@@ -277,6 +277,5 @@ def test_validate_plan_runs_only_at_the_boundaries():
                 callers[relative + (" (strict hook)" if id(node) in strict else "")] += 1
     assert callers == {
         "ocs/frontend.py": 1,
-        "engine/gateway.py": 1,
         "core/connector.py (strict hook)": 1,
     }

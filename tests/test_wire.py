@@ -52,7 +52,6 @@ from repro.errors import (
     SubstraitError,
 )
 from repro.exchange.shuffle import ExchangePage, decode_page, encode_page
-from repro.exec.expressions import AndExpr, ColumnExpr, CompareExpr, LiteralExpr
 from repro.formats import ParcelReader, write_table
 from repro.formats.metadata import decode_footer
 from repro.formats.reader import meta_from_tail
@@ -280,14 +279,6 @@ def plan() -> SubstraitPlan:
 def golden_frames() -> dict:
     data = parcel_file()
     footer_len = int.from_bytes(data[-8:-4], "little")
-    day = ColumnExpr("day", DATE32)
-    predicate = AndExpr(
-        (
-            CompareExpr(">=", day, LiteralExpr(9001, DATE32)),
-            CompareExpr("<", ColumnExpr("f64", FLOAT64), LiteralExpr(4.5, FLOAT64)),
-        )
-    )
-    columns = ["day", "f64", "tag"]
     report = OcsCostReport(
         stored_bytes_read=12345, uncompressed_bytes=2**33, rows_scanned=48,
         rows_returned=5, row_groups_pruned=1, row_groups_read=2,
@@ -305,12 +296,6 @@ def golden_frames() -> dict:
         "ranges_request": gateway.encode_ranges_request(
             "data", "hpc/all/é", [(4, 300), (2**20, 17)]
         ),
-        "select_request": gateway.encode_select_request(
-            "data", "hpc/all/0", columns[1:], columns, predicate
-        ),
-        "select_reply": gateway.encode_select_reply(
-            gateway.SelectReply(b"9001,1.5,t1\n" * 3, 48, 3, 999, 2048)
-        ),
         "exchange_page": encode_page(
             ExchangePage(7, 2, 300, 5, serialize_batches([all_types_batch(5)]))
         ),
@@ -327,8 +312,6 @@ GOLDEN = {
     "ocs_response": (342, "945c05de53a51e03150d021b5e62b4e8d7ed5d7edf8ead28c39b4651a1e2e895"),
     "tail_request": (18, "659f6a87858f589ba2384998f0f7ce6e8664d73748e9543546d0b64a68f19b8d"),
     "ranges_request": (24, "f71e8f8075a8240591a7468406f7e9d2e652e023befa503c5b96f7b12aa56518"),
-    "select_request": (184, "65712ad8adf15562920dc11099ead94e89867b9aab38754a0aa1031d69509fc3"),
-    "select_reply": (43, "507e9308a7cc7650d93bd0d3f1e1bfd36d33e9d3ba73da8851ce97e666167749"),
     "exchange_page": (329, "6d38199e0e9ade01820459733566b1108101fed0548a4dc95b18009bbdbd6e1d"),
 }
 
@@ -360,13 +343,6 @@ class TestGoldenFrames:
         assert gateway.decode_ranges_request(frames["ranges_request"]) == (
             "data", "hpc/all/é", [(4, 300), (2**20, 17)],
         )
-        bucket, key, columns, table_columns, sexpr, registry = (
-            gateway.decode_select_request(frames["select_request"])
-        )
-        assert (bucket, key, columns) == ("data", "hpc/all/0", ["f64", "tag"])
-        assert table_columns == ["day", "f64", "tag"] and len(registry) == 3
-        assert sexpr.node_count() == 7
-        assert gateway.decode_select_reply(frames["select_reply"]).rows_returned == 3
         page = decode_page(frames["exchange_page"])
         assert (page.exchange_id, page.partition, page.sender, page.seq) == (7, 2, 300, 5)
         meta = decode_footer(frames["footer"])
@@ -412,12 +388,6 @@ DECODERS = {
     ),
     "gateway.decode_ranges_request": (
         gateway.decode_ranges_request, lambda f: f["ranges_request"], RpcError,
-    ),
-    "gateway.decode_select_request": (
-        gateway.decode_select_request, lambda f: f["select_request"], RpcError,
-    ),
-    "gateway.decode_select_reply": (
-        gateway.decode_select_reply, lambda f: f["select_reply"], RpcError,
     ),
     "decode_page": (decode_page, lambda f: f["exchange_page"], ExchangeError),
     **{
@@ -599,14 +569,6 @@ FORGED = {
     "ocs key count": ("ocs.decode_request", b"OCRQ\x00\x00" + _HUGE + b"\x00" * 16),
     "ocs arrow length": ("ocs.decode_response", b"OCRS" + _HUGE + b"\x00" * 16),
     "ranges count": ("gateway.decode_ranges_request", b"\x01b\x01k" + _HUGE + b"\x00" * 16),
-    "select column count": (
-        "gateway.decode_select_request", b"\x01b\x01k" + _HUGE + b"\x00" * 16,
-    ),
-    "select nested casts": (
-        "gateway.decode_select_request",
-        b"\x01b\x01k\x00\x00\x01\x00" + encode_varint(2003) + _nested_casts(1000),
-    ),
-    "select reply length": ("gateway.decode_select_reply", _HUGE + b"\x00" * 16),
     "page body length": ("decode_page", b"EXPG\x00\x00\x00\x00" + _HUGE + b"\x00" * 16),
 }
 
