@@ -11,7 +11,7 @@ from repro.bench import Environment, RunConfig
 from repro.config import FaultSpec
 from repro.connectors.hive import HiveConnector, HiveTableHandle
 from repro.engine import Cluster
-from repro.errors import FormatError, StatusCode
+from repro.errors import ConfigError, FormatError, StatusCode
 from repro.formats import ParcelReader
 from repro.formats.metadata import MAGIC, encode_footer
 from repro.formats.reader import meta_from_tail
@@ -44,6 +44,19 @@ def int_env():
 
 
 class TestHandleAndSplits:
+    def test_unknown_mode_rejected(self, int_env):
+        # The Hive path has one mode, hive-raw; any other Hive mode, the
+        # deleted hive-select included, is refused when the run is configured.
+        for mode in ("hive-warp", "hive-select"):
+            with pytest.raises(ConfigError):
+                RunConfig(label="x", mode=mode)
+        result = int_env.run(
+            "SELECT count(*) AS n FROM events",
+            RunConfig(label="r", mode="hive-raw"),
+            schema="app",
+        )
+        assert result.rows == 1
+
     def test_gateway_serves_only_ranged_gets(self, int_env):
         cluster = Cluster(int_env.store, int_env.testbed, int_env.costs)
         handlers = cluster.s3_gateway.service._handlers
