@@ -308,8 +308,8 @@ def verify_logical_plan(plan: PlanNode) -> Schema:
 #: match a build key, so pre-filtering the probe to candidate keys is
 #: sound.  Anti joins keep exactly the NON-matching probe rows — a
 #: build-key filter would delete the entire answer; left joins keep
-#: non-matching probe rows too.  The coordinator consults this before
-#: inserting a dynamic-filter stage, and tests pin it.
+#: non-matching probe rows too.  Lowering consults this before giving a
+#: probe scan a dynamic filter, and tests pin it.
 DYNAMIC_FILTER_JOIN_KINDS = ("inner", "semi")
 
 
@@ -786,8 +786,12 @@ def verify_stage_graph(graph: Any) -> None:
       exactly (dtype identity, matching the engine's singleton dtypes).
 
     Untyped edges (either side ``None``/undeclared) are allowed — some
-    payloads are not batch streams (a dynamic-filter handshake, an
-    exchange's drained partition list keeps the producer's schema).
+    payloads are not batch streams (an exchange's drained partition
+    list keeps the producer's schema).
+
+    A scan a dynamic filter prunes (``dynamic_filter_from`` names the
+    build scan that publishes it) must serve a join kind in
+    :data:`DYNAMIC_FILTER_JOIN_KINDS`.
 
     ``cache-union`` stages (the hybrid reassembly of a partially cached
     scan) carry extra rules: at least one input, every input a ``scan``
@@ -826,17 +830,17 @@ def verify_stage_graph(graph: Any) -> None:
                     f"expects {expected.names()}"
                 )
     for stage in stages.values():
-        # Dynamic-filter stages record which join kind they serve; only
-        # the selective kinds (inner/semi) may prune the probe scan.
-        join_kind = (stage.attributes or {}).get("join_kind")
-        if (
-            stage.kind == "filter"
-            and join_kind is not None
-            and join_kind not in DYNAMIC_FILTER_JOIN_KINDS
-        ):
+        # A dynamically filtered scan records its publisher and the join
+        # kind it serves; only the selective kinds (inner/semi) may
+        # prune the probe scan.
+        attributes = stage.attributes or {}
+        if attributes.get("dynamic_filter_from") is None:
+            continue
+        join_kind = attributes.get("join_kind")
+        if join_kind not in DYNAMIC_FILTER_JOIN_KINDS:
             raise VerificationError(
-                f"stage {stage.stage_id!r} publishes a dynamic filter for "
-                f"a {join_kind!r} join; only {DYNAMIC_FILTER_JOIN_KINDS} "
+                f"stage {stage.stage_id!r} takes a dynamic filter for a "
+                f"{join_kind!r} join; only {DYNAMIC_FILTER_JOIN_KINDS} "
                 f"may prune the probe side"
             )
     for stage in stages.values():

@@ -74,6 +74,11 @@ def run(scale: str, seed: int = 0, query: str = "q3") -> Dict[str, Any]:
         "query": query,
         "scale": scale,
         "identical": all(r.to_pydict() == first for r in results[1:]),
+        # The dynamic filter must never make the join slower than static
+        # pushdown alone.
+        "dynamic_not_slower": (
+            configs["dynamic-filter"]["seconds"] <= configs["static-pushdown"]["seconds"]
+        ),
         "configs": configs,
     }
 
@@ -94,5 +99,7 @@ def render(doc: Dict[str, Any]) -> str:
     return (
         f"Join benchmark ({doc['query']}): exchange + dynamic-filter pushdown\n"
         f"{format_records(COLUMNS, doc['configs'].values())}\n"
-        f"results identical across configs: {'yes' if doc['identical'] else 'NO'}"
+        f"results identical across configs: {'yes' if doc['identical'] else 'NO'}\n"
+        f"dynamic filter no slower than static pushdown: "
+        f"{'yes' if doc['dynamic_not_slower'] else 'NO'}"
     )

@@ -171,7 +171,7 @@ SUITES: Dict[str, Suite] = {entry.name: entry for entry in (
                 "configs.*.moved_bytes",
                 "configs.*.shuffle_bytes",
             ),
-            invariants=("identical",),
+            invariants=("identical", "dynamic_not_slower"),
         ),
     ),
     suite(

@@ -52,7 +52,7 @@ SCALES: Dict[str, Dict[str, Any]] = {
     #: (pages, rows per page, compiles, dataset files, wall-clock
     #: repeats).  The fusion counters on stdout are cumulative over
     #: ``compiles`` and the Parcel timings are best-of-``compiles``, so
-    #: that column is pinned by BENCH_33.  The wall-clock repeat count is
+    #: that column is pinned by BENCH_39.  The wall-clock repeat count is
     #: free: a smoke pass is 2-4 ms and the fused pipeline is bimodal
     #: (2.0 vs 2.6 ms from one repeat to the next), so best-of-N needs
     #: N ~ 100 to see each side's fast mode every run — 20 consecutive

@@ -15,7 +15,7 @@ from repro.arrowsim.ipc import deserialize_batches
 from repro.core.handle import OcsTableHandle, PushedOperators
 from repro.core.monitor import PushdownEvent, PushdownMonitor
 from repro.core.optimizer import OcsPlanOptimizer, PushdownPolicy
-from repro.core.translator import build_pushdown_plan
+from repro.core.translator import build_pushdown_plan, pushed_plan
 from repro.engine.cluster import Cluster
 from repro.engine.stages import STAGE_SUBSTRAIT, STAGE_TRANSFER
 from repro.engine.gateway import S3Gateway, encode_ranges_request, place_key
@@ -26,7 +26,6 @@ from repro.ocs.embedded_engine import EmbeddedEngine
 from repro.ocs.frontend import OcsFrontend, PushdownRequest, decode_response, encode_request
 from repro.rpc.retry import RetryPolicy, retrying_call
 from repro.substrait.plan import SubstraitPlan
-from repro.substrait.serde import serialize_plan
 from repro.substrait.validator import validate_plan
 from repro.trace import Span
 
@@ -120,17 +119,18 @@ class OcsConnector(Connector):
         # charging the generation cost (Table 3's second row).  The page
         # source's time is split between two stage windows: the
         # substrait span covers IR generation, then the pushdown span
-        # the transfer window up to this page source's return.  A handle
-        # from a plan-tier hit carries its IR already serialized: it
-        # ships as it is, with no generation and no charge.
+        # the transfer window up to this page source's return.  The plan
+        # is built once per branch and query (``pushed_plan``); each split
+        # still pays the generation charge.  A handle from a plan-tier hit
+        # carries its IR already serialized: it ships as it is, with no
+        # generation and no charge.
         plan_bytes = handle.substrait
         plan = None
         if plan_bytes is None:
             substrait_span = tracer.start(
                 "substrait.generate", parent=trace, stage=STAGE_SUBSTRAIT
             )
-            plan = build_pushdown_plan(handle.descriptor, pushed)
-            plan_bytes = serialize_plan(plan)
+            plan, plan_bytes = pushed_plan(handle)
             generation_cycles = (
                 costs.substrait_fixed_cycles
                 + plan.relation_count() * costs.substrait_cycles_per_relation
@@ -261,7 +261,7 @@ class OcsConnector(Connector):
         relies on — which is what lets the scheduler race it against
         the primary with first-result-wins.
         """
-        plan = build_pushdown_plan(handle.descriptor, handle.pushed)
+        plan, _ = pushed_plan(handle)
         result = yield from self._fallback_source(
             handle, split, plan, parent=trace
         )

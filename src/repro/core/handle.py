@@ -12,7 +12,7 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.arrowsim.schema import Field, Schema
 from repro.engine.spi import ConnectorTableHandle
@@ -132,6 +132,12 @@ class OcsTableHandle(ConnectorTableHandle):
     #: hit hands its scan branch: the page source ships these bytes as they
     #: are and charges no generation.
     substrait: Optional[bytes] = None
+    #: ``(dynamic filter, plan, bytes)`` that
+    #: :func:`repro.core.translator.pushed_plan` built for this query's
+    #: splits (not carried by copies: ``dataclasses.replace`` resets it).
+    built: Optional[Tuple[Any, Any, bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.pushed is None:

@@ -13,14 +13,15 @@ storage can prune row groups from chunk statistics.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
-from repro.core.handle import PushedOperators
+from repro.core.handle import OcsTableHandle, PushedOperators
 from repro.exec.expressions import AndExpr
 from repro.metastore.catalog import TableDescriptor
 from repro.substrait.convert import expression_to_substrait
 from repro.substrait.functions import FunctionRegistry
 from repro.substrait.plan import SubstraitPlan
+from repro.substrait.serde import serialize_plan
 from repro.substrait.relations import (
     AggregateMeasure,
     AggregateRel,
@@ -34,7 +35,7 @@ from repro.substrait.relations import (
     SortRel,
 )
 
-__all__ = ["build_pushdown_plan"]
+__all__ = ["build_pushdown_plan", "pushed_plan"]
 
 
 def build_pushdown_plan(
@@ -142,3 +143,19 @@ def build_pushdown_plan(
 
     return SubstraitPlan(root=rel, registry=registry, root_names=list(names))
 
+
+def pushed_plan(handle: OcsTableHandle) -> Tuple[SubstraitPlan, bytes]:
+    """``handle``'s pushed plan and its serialized bytes, built once.
+
+    Every split of a branch ships the same bytes, and lowering may have
+    built the plan already to fingerprint it for the cache tiers, so the
+    plan is kept on the handle (one per branch and query) and rebuilt
+    only when a dynamic filter has been published into the pushed
+    operators since.  Each split still pays its own generation charge.
+    """
+    pushed = handle.pushed
+    memo = handle.built
+    if memo is None or memo[0] is not pushed.dynamic_filter:
+        plan = build_pushdown_plan(handle.descriptor, pushed)
+        memo = handle.built = (pushed.dynamic_filter, plan, serialize_plan(plan))
+    return memo[1], memo[2]

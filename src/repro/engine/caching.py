@@ -17,14 +17,14 @@ serialized Substrait and canonical fingerprint.  A hit replaces parsing
 through the local optimizer, and the Substrait generation of every
 split, with one lookup charge.  Statements whose plans embed run-time
 results (scalar subqueries, materialized CTEs) and plans with a
-dynamic-filter-gated branch are never stored.
+dynamically filtered branch are never stored.
 
 When the cluster carries a split cache and some (or all) of a branch's
 splits are resident, the branch lowers *hybrid*: a cached-local stage
 serving the resident splits and a pushed-remote residual stage over the
 rest, reassembled in original split order by a ``cache-union`` stage —
-the FlexPushdownDB separable-operator shape.  A branch gated by a
-dynamic join filter is never split this way: its pushed plan mutates
+the FlexPushdownDB separable-operator shape.  A branch a dynamic join
+filter prunes is never split this way: its pushed plan mutates
 after lowering with bits derived from *another* table's data, which the
 branch's own version signature does not cover.
 """
@@ -86,13 +86,13 @@ def _tables_signature(store: Any, descriptors: Any) -> VersionSignature:
 
 
 def _pushed_plan(handle: Any) -> Optional[SubstraitPlan]:
-    """The Substrait plan ``handle`` pushes (``None`` for none)."""
-    pushed = getattr(handle, "pushed", None)
-    if pushed is None:
+    """The Substrait plan ``handle`` pushes (``None`` for none); built
+    once per query and shared with the page sources."""
+    if getattr(handle, "pushed", None) is None:
         return None
-    from repro.core.translator import build_pushdown_plan
+    from repro.core.translator import pushed_plan
 
-    return build_pushdown_plan(handle.descriptor, pushed)
+    return pushed_plan(handle)[0]
 
 
 def _fingerprint(plan: Optional[SubstraitPlan]) -> str:
@@ -109,26 +109,17 @@ def _prepare(branch: Branch) -> PreparedBranch:
     a copy of its handle carrying the serialized Substrait, and the
     fingerprint lowering already derived (the branch's own handle stays
     as it is: its query generates the IR in the page source as usual).
-    The plan lowering fingerprinted is the one serialized; it is built
-    here only when lowering took no keys."""
+    The bytes are the ones the page sources ship: the plan is built
+    once per branch."""
     handle = branch.handle
     if getattr(handle, "pushed", None) is None:
         return PreparedBranch(branch.plan, handle, "-")
-    from repro.substrait.serde import serialize_plan
+    from repro.core.translator import pushed_plan
 
+    plan, plan_bytes = pushed_plan(handle)
     keys = branch.keys
-    plan = keys.pushed_plan if keys is not None else None
-    if plan is None:
-        plan = _pushed_plan(handle)
-        fingerprint = _fingerprint(plan)
-    else:
-        fingerprint = keys.pushed_fingerprint
-        # This fill is the plan's only reader, and a finished query's
-        # record keeps its branches: do not keep the plan alive with them.
-        keys.pushed_plan = None
-    return PreparedBranch(
-        branch.plan, replace(handle, substrait=serialize_plan(plan)), fingerprint
-    )
+    fingerprint = keys.pushed_fingerprint if keys is not None else _fingerprint(plan)
+    return PreparedBranch(branch.plan, replace(handle, substrait=plan_bytes), fingerprint)
 
 
 @dataclass
@@ -141,9 +132,6 @@ class _BranchKeys:
     #: Split-tier key per split; ``None`` when the tier is off or the
     #: branch has no splits.
     split_keys: Optional[List[Hashable]]
-    #: The pushed plan the fingerprint was taken of; ``None`` when
-    #: nothing is pushed or the fingerprint came from a plan-tier entry.
-    pushed_plan: Optional[SubstraitPlan] = None
 
 
 class QueryCache:
@@ -168,16 +156,15 @@ class QueryCache:
         connector: Connector,
         branch: Branch,
         finish: bool,
-        gate: Optional[str] = None,
     ) -> str:
         """Add the stage(s) realizing one scan branch; returns its source id.
 
         With no split cache (or no resident splits) this is the classic
         single scan stage — which then *fills* the cache as it runs.
         With resident splits the branch lowers hybrid:
-        ``cached + residual -> cache-union``.  A ``gate``d (dynamic-
-        filtered) scan stays one uncached stage — see the module
-        docstring.
+        ``cached + residual -> cache-union``.  A dynamically filtered
+        scan (``branch.awaits``) stays one uncached stage — see the
+        module docstring.
         """
         bodies = self.bodies
         split_schema = branch.physical.split_schema
@@ -189,9 +176,10 @@ class QueryCache:
                     stage_id=stage_id,
                     kind="scan",
                     run=run,
-                    inputs=(gate,) if gate is not None else (),
                     output_schema=schema,
-                    attributes={"table": branch.table, **attributes},
+                    attributes={
+                        "table": branch.table, **branch.attributes, **attributes
+                    },
                 )
             )
 
@@ -202,7 +190,7 @@ class QueryCache:
             )
             return branch.stage_id
         branch.keys = self._branch_keys(branch)
-        probe = self._split_probe(branch) if gate is None else None
+        probe = self._split_probe(branch) if branch.awaits is None else None
         hits, misses = probe or ([], [])
         if not hits:
             fill = (
@@ -262,12 +250,10 @@ class QueryCache:
         split_tier = cache.splits.budget_bytes > 0 and bool(branch.splits)
         if not split_tier and cache.results.budget_bytes <= 0:
             return None
-        plan = None
         if branch.prepared is not None:
             fingerprint = branch.prepared.fingerprint
         else:
-            plan = _pushed_plan(branch.handle)
-            fingerprint = _fingerprint(plan)
+            fingerprint = _fingerprint(_pushed_plan(branch.handle))
         split_keys: Optional[List[Hashable]] = None
         if split_tier:
             plan_sig = hashlib.sha256(
@@ -277,7 +263,7 @@ class QueryCache:
                 CacheManager.split_key(branch.table, fingerprint, plan_sig, split.keys)
                 for split in branch.splits
             ]
-        return _BranchKeys(fingerprint, split_keys, plan)
+        return _BranchKeys(fingerprint, split_keys)
 
     def _split_probe(self, branch: Branch) -> Optional[Tuple[List[int], List[int]]]:
         """(hit, miss) split indices at the current instant; ``None`` when
@@ -395,11 +381,11 @@ class QueryCache:
         """Offer a miss's planning output to the tier :meth:`lookup_plan` missed.
 
         ``local`` is the local-optimization span whose counters the entry
-        keeps.  A plan whose base scan a dynamic filter gates is not
+        keeps.  A plan whose base scan a dynamic filter prunes is not
         stored: its pushed plan is completed at run time.  Pure
         bookkeeping: no simulated time.
         """
-        if self._plan is None or lowered.dynamic_filter:
+        if self._plan is None or lowered.handshake is not None:
             return
         assert self.cache is not None
         key, statement = self._plan
@@ -605,6 +591,7 @@ class QueryCache:
                     ctx, "cache-union-final", batches,
                     branch.physical.final_operators(),
                 )
+            self.bodies.publish(ctx, branch, batches)
             return batches
 
         return run

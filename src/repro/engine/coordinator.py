@@ -753,7 +753,16 @@ class Coordinator:
             parent=root,
             query_id=query_id,
         )
-        stage_results = yield from scheduler.run()
+        try:
+            stage_results = yield from scheduler.run()
+        except BaseException as exc:
+            # A build that failed before publishing its dynamic filter
+            # fails the handshake: the probe splits waiting on it raise
+            # too, and unwind (closing their spans) before this query does.
+            handshake = lowered.handshake
+            if handshake is not None and handshake.fail(exc):
+                yield cluster.sim.barrier()
+            raise
         results = stage_results[lowered.result_stage]
         if not results:
             return RecordBatch.empty(lowered.output_schema)

@@ -4,8 +4,8 @@ The paper's coordinator/OCS split is a staged dataflow: scans feed
 exchanges feed joins feed a merge.  Earlier revisions hard-coded one
 pipeline shape per query class (single-table, one join); this module
 makes the dataflow a first-class value instead.  A :class:`StageGraph`
-is a DAG of :class:`Stage` nodes — each a *kind* (scan, filter,
-exchange, join, aggregate, merge), a declared output schema, typed
+is a DAG of :class:`Stage` nodes — each a *kind* (scan, exchange,
+join, aggregate, merge, cache-union), a declared output schema, typed
 input edges, and a DES generator that performs the work — which the
 :class:`repro.engine.scheduler.DagScheduler` runs with maximal
 concurrency: any stage whose inputs have completed is launched, so
@@ -41,8 +41,8 @@ __all__ = [
 ]
 
 #: The closed set of stage kinds the lowering emits.  ``scan`` acquires
-#: table data (split drivers), ``filter`` publishes a dynamic filter
-#: from a finished build side into a not-yet-started probe scan,
+#: table data (split drivers; a join's dynamic filter passes from its
+#: build scan to its probe scan through a handshake, not an edge),
 #: ``exchange`` shuffles pages through the fabric, ``join`` runs the
 #: parallel hash-join tasks of one join level, ``aggregate`` runs the
 #: merge-side aggregation, ``merge`` produces the query's final batch
@@ -52,7 +52,6 @@ __all__ = [
 #: original split order, with the pushed-remote residual branch.
 STAGE_KINDS: Tuple[str, ...] = (
     "scan",
-    "filter",
     "exchange",
     "join",
     "aggregate",
@@ -95,7 +94,7 @@ class Stage:
     inputs: Tuple[str, ...] = ()
     #: Schema this stage expects on each input edge, keyed by producer
     #: stage id.  Edges may be untyped (absent) when the payload is not
-    #: a batch stream (e.g. a dynamic-filter handshake).
+    #: a batch stream (e.g. an exchange's drained partitions).
     input_schemas: Mapping[str, Schema] = field(default_factory=dict)
     #: Schema of the batches this stage emits (``None`` for stages whose
     #: output is not a batch stream).

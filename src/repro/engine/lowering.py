@@ -4,8 +4,8 @@ Pure — no simulator, no tracer, no simulated time — so EXPLAIN can lower
 without executing and the same graph value is then run by the
 scheduler.  What each stage *does* is supplied by the caller: ``bodies``
 (:class:`repro.engine.stages.StageBodies` in production, stubs in the
-lowering tests) builds the ``dynamic_filter``, ``exchange``, ``join``,
-``aggregate`` and ``merge`` bodies, and one ``add_branch`` call realizes
+lowering tests) builds the ``exchange``, ``join``, ``aggregate`` and
+``merge`` bodies, and one ``add_branch`` call realizes
 each scan branch as whatever stage(s) it needs (plain scan, materialized
 scan, or the cached/residual/``cache-union`` hybrid of
 :mod:`repro.engine.caching`) and answers with the stage id downstream
@@ -16,9 +16,11 @@ It lowers to N+1 scan branches (each locally optimized, so pushdown
 applies per table), per-join exchange stages (two for a partitioned
 join, one for broadcast — the probe side of a broadcast join feeds the
 join stage directly), one join stage per level running the fragment
-between this join and the next, an optional ``dynamic-filter`` stage
-gating the base scan on the first build side, and the
-``aggregate``/``merge`` tail.  A single-table query is the N = 0 case:
+between this join and the next, and the ``aggregate``/``merge`` tail.
+With dynamic filters on, the first build side publishes into a
+:class:`~repro.exchange.filters.DynamicFilterHandshake` that the base
+scan's splits wait on; the two scans start together, with no edge
+between them.  A single-table query is the N = 0 case:
 ``scan -> [aggregate] -> merge``, with the scan's final operators left
 to the tail.
 """
@@ -36,6 +38,7 @@ from repro.engine.dag import Stage, StageContext, StageGraph
 from repro.engine.physical import PhysicalPlan, fragment_plan
 from repro.engine.spi import Connector, ConnectorSplit
 from repro.errors import PlanError
+from repro.exchange.filters import DynamicFilterHandshake
 from repro.plan.nodes import (
     JoinNode,
     OutputNode,
@@ -110,6 +113,23 @@ class Branch:
     keys: Any = None
     #: The planning output the branch was lowered from (a plan-tier hit).
     prepared: Optional[PreparedBranch] = None
+    #: The dynamic-filter handshake this branch's splits wait on (the
+    #: base scan) ...
+    awaits: Optional[DynamicFilterHandshake] = None
+    #: ... or publish into (the first join's build side).
+    publishes: Optional[DynamicFilterHandshake] = None
+
+    @property
+    def attributes(self) -> Dict[str, Any]:
+        """Stage attributes the branch's scan stage carries: a filtered
+        base scan names the stage that publishes its filter and the join
+        kind (verified against ``DYNAMIC_FILTER_JOIN_KINDS``)."""
+        if self.awaits is None:
+            return {}
+        return {
+            "dynamic_filter_from": self.awaits.source,
+            "join_kind": self.awaits.join_kind,
+        }
 
 
 @dataclass
@@ -126,9 +146,9 @@ class Lowered:
     output_schema: Schema
     result_stage: str
     has_exchange: bool
-    #: A dynamic filter gates the base scan: its pushed plan is completed
-    #: at run time, from the build side's data.
-    dynamic_filter: bool = False
+    #: The base scan's dynamic filter: its pushed plan is completed at
+    #: run time, from the build side's data.
+    handshake: Optional[DynamicFilterHandshake] = None
 
 
 def lower(
@@ -136,17 +156,17 @@ def lower(
     connector: Connector,
     span: Any,
     bodies: Any,
-    add_branch: Callable[[StageGraph, Connector, Branch, bool, Optional[str]], str],
+    add_branch: Callable[[StageGraph, Connector, Branch, bool], str],
     workers: int,
     prepared: Optional[Sequence[PreparedBranch]] = None,
 ) -> Lowered:
     """Lower an optimized logical plan to a typed stage graph.
 
-    ``add_branch(graph, connector, branch, finish, gate) -> source id``
-    adds the stage(s) realizing one scan branch: ``finish`` runs the
-    branch plan's final operators inside the branch (join branches),
-    ``gate`` names a stage the scan must wait for (the dynamic-filter
-    handshake).  ``span`` is handed to the connector's local optimizer,
+    ``add_branch(graph, connector, branch, finish) -> source id`` adds
+    the stage(s) realizing one scan branch: ``finish`` runs the branch
+    plan's final operators inside the branch (join branches); the
+    branch's ``awaits`` / ``publishes`` carry the dynamic-filter
+    handshake.  ``span`` is handed to the connector's local optimizer,
     which counts its decisions on it; ``workers`` is the exchange
     partition count (join tasks per level).  ``prepared`` holds each
     scan branch's locally optimized plan from an earlier lowering of the
@@ -168,30 +188,10 @@ def lower(
 
     # Downstream edges read from whatever stage ``add_branch`` answers
     # with — a branch may lower to several stages.
-    gate = _dynamic_filter_gate(connector, joins, branches)
+    handshake = _dynamic_filter(connector, joins, branches)
     sources = [
-        add_branch(graph, connector, branch, bool(joins), gate if index == 0 else None)
-        for index, branch in enumerate(branches)
+        add_branch(graph, connector, branch, bool(joins)) for branch in branches
     ]
-    if gate is not None:
-        build_schema = branches[1].plan.output_schema()
-        graph.add(
-            Stage(
-                stage_id=gate,
-                kind="filter",
-                run=bodies.dynamic_filter(joins[0], branches[0], sources[1]),
-                inputs=(sources[1],),
-                input_schemas={sources[1]: build_schema},
-                output_schema=build_schema,
-                attributes={
-                    "target": branches[0].stage_id,
-                    # Verified against DYNAMIC_FILTER_JOIN_KINDS by
-                    # verify_stage_graph: anti/left joins must never
-                    # publish pushed probe pruning.
-                    "join_kind": joins[0].kind,
-                },
-            )
-        )
 
     # Per-join exchange + join stages up the left-deep spine.  The
     # fragment each join's tasks run is the chain between this join
@@ -220,7 +220,7 @@ def lower(
         output_schema=plan.output_schema(),
         result_stage=result_stage,
         has_exchange=bool(joins),
-        dynamic_filter=gate is not None,
+        handshake=handshake,
     )
     if strict_verify_enabled():
         from repro.analysis.verifier import verify_stage_graph
@@ -284,17 +284,23 @@ def _branch(
     )
 
 
-def _dynamic_filter_gate(
+def _dynamic_filter(
     connector: Connector, joins: List[JoinNode], branches: List[Branch]
-) -> Optional[str]:
-    """Stage id of the dynamic-filter handshake, when the query gets one.
+) -> Optional[DynamicFilterHandshake]:
+    """The dynamic-filter handshake, when the query gets one.
 
-    The first join's finished build side prunes the base scan at
-    storage.  Only for an inner or semi join (an outer join preserves
-    the probe side, so pushed pruning would drop rows that must surface
-    NULL-extended; an anti join keeps exactly the rows it would prune)
-    and only when the base scan has a pushed plan to fold the filter
-    into.
+    The first join's build side prunes the base scan at storage.  Only
+    for an inner or semi join (an outer join preserves the probe side,
+    so pushed pruning would drop rows that must surface NULL-extended;
+    an anti join keeps exactly the rows it would prune) and only when
+    the base scan has a pushed plan to fold the filter into.
+
+    The filter's keys are final when every build split's page source
+    has returned, provided nothing after the page source can drop a
+    build row or rename the key: the build branch is its scan under
+    ``OutputNode`` column selections alone.  Otherwise (split-local
+    operators, a HAVING, a materialized CTE) the build branch's stage
+    output publishes it.
     """
     from repro.analysis.verifier import DYNAMIC_FILTER_JOIN_KINDS
 
@@ -306,7 +312,25 @@ def _dynamic_filter_gate(
         and getattr(branches[0].handle, "pushed", None) is not None
         and joins[0].kind in DYNAMIC_FILTER_JOIN_KINDS
     ):
-        return "dynamic-filter:0"
+        base, build = branches[0], branches[1]
+        probe_key = joins[0].left_keys[0]
+        node: PlanNode = build.plan
+        while isinstance(node, OutputNode):
+            node = node.source
+        early = isinstance(node, TableScanNode)
+        handshake = DynamicFilterHandshake(
+            source=build.stage_id,
+            join_kind=joins[0].kind,
+            build_key=joins[0].right_keys[0],
+            probe_key=probe_key,
+            probe_dtype=base.handle.table_schema.field(probe_key).dtype,
+            target=base.handle.pushed,
+            # A materialized CTE has no splits: its stage output publishes.
+            early_splits=len(build.splits) if early else 0,
+        )
+        base.awaits = handshake
+        build.publishes = handshake
+        return handshake
     return None
 
 

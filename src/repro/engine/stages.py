@@ -31,7 +31,6 @@ from repro.engine.lowering import Branch, StageBody
 from repro.engine.physical import PhysicalPlan
 from repro.engine.scheduler import SchedulerSpec, ServiceClock, run_splits
 from repro.engine.spi import Connector, ConnectorSplit, PageSourceResult
-from repro.exchange.filters import build_dynamic_filter
 from repro.exchange.partition import hash_partition
 from repro.exec.kernels import fuse_operators
 from repro.exec.operators import (
@@ -113,7 +112,9 @@ class StageBodies:
         OutputNode projection of a join branch) inside the stage; the
         single-table scan leaves its final operators to the
         aggregate/merge tail instead.  ``after_scan`` sees every split's
-        post-operator batches (the split-cache fill hook).
+        post-operator batches (the split-cache fill hook).  A build branch
+        publishes its dynamic filter as its splits' pages land, or from
+        the stage output when its keys are final only then.
         """
 
         def run(ctx: StageContext, inputs: Dict[str, Any]) -> Generator[Event, Any, Any]:
@@ -125,6 +126,7 @@ class StageBodies:
                 batches = yield from self.run_pipeline(
                     ctx, "scan-final", batches, branch.physical.final_operators()
                 )
+            self.publish(ctx, branch, batches)
             return batches
 
         return run
@@ -141,14 +143,46 @@ class StageBodies:
             operators = branch.physical.split_operators()
             if finish:
                 operators += branch.physical.final_operators()
-            return (
-                yield from self.run_pipeline(
-                    ctx, "materialized-scan", list(branch.handle.batches),
-                    operators, attributes={"table": branch.table},
-                )
+            batches = yield from self.run_pipeline(
+                ctx, "materialized-scan", list(branch.handle.batches),
+                operators, attributes={"table": branch.table},
             )
+            self.publish(ctx, branch, batches)
+            return batches
 
         return run
+
+    def publish(
+        self,
+        ctx: StageContext,
+        branch: Branch,
+        batches: List[RecordBatch],
+        split: Optional[ConnectorSplit] = None,
+    ) -> None:
+        """Publish ``branch``'s dynamic filter, if it has one to publish.
+
+        With ``split``, ``batches`` are that split's pages, and the filter
+        is published once every split's have landed (only when the keys
+        are final there); without, they are the branch's stage output (a
+        no-op if the pages published it).
+        A zero-width ``dynamic-filter.publish`` span counts the build
+        rows and distinct keys.
+        """
+        handshake = branch.publishes
+        if handshake is None:
+            return
+        if split is None:
+            dyn = handshake.publish(list(batches))
+        elif handshake.early_splits:
+            dyn = handshake.offer(split.split_id, batches)
+        else:
+            return
+        if dyn is not None:
+            with self.cluster.tracer.span(
+                "dynamic-filter.publish", parent=ctx.span
+            ) as span:
+                span.add("dynamic_filter_build_rows", dyn.build_rows)
+                span.add("dynamic_filter_distinct_keys", dyn.distinct_keys)
 
     def scan_splits(
         self,
@@ -200,6 +234,12 @@ class StageBodies:
     ) -> Generator[Event, Any, List[RecordBatch]]:
         """One split attempt: fetch pages, ingest them, run operators.
 
+        A base scan whose dynamic filter is not yet published first waits
+        for it under a stage-less ``dynamic-filter.wait`` span, with
+        ``clock`` paused: waiting for the build is not straggling.  A
+        build split offers its pages to the branch's own handshake as
+        soon as the page source returns.
+
         The split's compute-side work — ingest and the split-local
         operators — runs on a scan driver.  A connector whose page source
         blocks on storage (:attr:`Connector.page_source_blocks`) takes the
@@ -232,6 +272,13 @@ class StageBodies:
                 clock.resume(cluster.sim.now)
 
         try:
+            if branch.awaits is not None:
+                if clock is not None:
+                    clock.pause(cluster.sim.now)
+                with cluster.tracer.span("dynamic-filter.wait", parent=split_span):
+                    yield from branch.awaits.wait(cluster.sim)
+                if clock is not None:
+                    clock.resume(cluster.sim.now)
             with ExitStack() as held:
                 if not connector.page_source_blocks:
                     yield from take_driver(held)
@@ -243,6 +290,7 @@ class StageBodies:
                     factory(branch.handle, split, trace=split_span),
                     name=f"page-source-{split.split_id}",
                 )
+                self.publish(ctx, branch, source.batches, split)
                 if connector.page_source_blocks:
                     yield from take_driver(held)
                 out = yield from self._split_work(branch, split_span, source)
@@ -275,26 +323,6 @@ class StageBodies:
         return out
 
     # -- join stages -----------------------------------------------------------
-
-    def dynamic_filter(
-        self, join: JoinNode, base: Branch, build_source: str
-    ) -> StageBody:
-        """Fold the finished build side's key summary into the base scan."""
-
-        def run(ctx: StageContext, inputs: Dict[str, Any]) -> Generator[Event, Any, Any]:
-            build_batches = inputs[build_source]
-            pushed = getattr(base.handle, "pushed", None)
-            if pushed is not None and build_batches:
-                probe_key = join.left_keys[0]
-                dyn = build_dynamic_filter(list(build_batches), join.right_keys[0])
-                probe_dtype = base.handle.table_schema.field(probe_key).dtype
-                pushed.dynamic_filter = dyn.to_expression(probe_key, probe_dtype)
-                ctx.span.add("dynamic_filter_build_rows", dyn.build_rows)
-                ctx.span.add("dynamic_filter_distinct_keys", dyn.distinct_keys)
-            return build_batches
-            yield  # pragma: no cover - marks this body as a generator
-
-        return run
 
     def exchange(
         self,

@@ -16,7 +16,7 @@ the wire), so the embedded engine needs no special casing to apply it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +33,13 @@ from repro.exec.expressions import (
 )
 from repro.exchange.hashing import hash_column, mix64
 
-__all__ = ["BloomFilter", "BloomProbeExpr", "DynamicFilter", "build_dynamic_filter"]
+__all__ = [
+    "BloomFilter",
+    "BloomProbeExpr",
+    "DynamicFilter",
+    "DynamicFilterHandshake",
+    "build_dynamic_filter",
+]
 
 #: Bits budgeted per distinct build key (~1% false-positive rate at k=6).
 BLOOM_BITS_PER_KEY = 10
@@ -62,12 +68,13 @@ class BloomFilter:
         hashed = np.unique(hash_column(column)[column.is_valid()])
         target = max(BLOOM_MIN_BITS, BLOOM_BITS_PER_KEY * max(1, len(hashed)))
         num_bits = 1 << int(target - 1).bit_length()
-        array = np.zeros(num_bits // 8, dtype=np.uint8)
+        # One boolean bitmap, packed little-endian: bit ``p`` lands in
+        # byte ``p >> 3`` at bit ``p & 7``.
+        bitmap = np.zeros(num_bits, dtype=bool)
         for position in cls._positions(hashed, num_bits):
-            np.bitwise_or.at(
-                array, position >> 3, np.uint8(1) << (position & np.uint64(7))
-            )
-        return cls(bits=array.tobytes(), num_bits=num_bits, hashes=BLOOM_HASH_COUNT)
+            bitmap[position] = True
+        bits = np.packbits(bitmap, bitorder="little").tobytes()
+        return cls(bits=bits, num_bits=num_bits, hashes=BLOOM_HASH_COUNT)
 
     @staticmethod
     def _positions(hashed: np.ndarray, num_bits: int) -> "list[np.ndarray]":
@@ -200,3 +207,97 @@ def build_dynamic_filter(batches: "list[RecordBatch]", column: str) -> DynamicFi
         bloom=bloom, build_rows=sum(b.num_rows for b in batches),
         distinct_keys=distinct,
     )
+
+
+class DynamicFilterHandshake:
+    """One join's dynamic filter, from its build side to its probe scan.
+
+    Lowering creates it; nothing here needs the simulator until a probe
+    split waits.  The build side publishes into it once its keys are
+    final: when every build split's page source has returned, if nothing
+    after the page source can drop a build row or rename the key
+    (``early_splits`` > 0), else from the build branch's stage output.
+    Publication folds the filter into the probe scan's pushed operators
+    (``target``) and wakes every waiting probe split.  A failed build
+    fails the handshake, so no probe split waits forever.  Publication
+    is once: a restarted stage reuses the published filter.
+    """
+
+    def __init__(
+        self,
+        *,
+        source: str,
+        join_kind: str,
+        build_key: str,
+        probe_key: str,
+        probe_dtype: DataType,
+        target: Any,
+        early_splits: int,
+    ) -> None:
+        #: Stage id of the build scan that publishes.
+        self.source = source
+        self.join_kind = join_kind
+        self.build_key = build_key
+        self.probe_key = probe_key
+        self.probe_dtype = probe_dtype
+        #: The probe scan's pushed operators the filter is folded into.
+        self.target = target
+        #: Build splits whose pages publish the filter (0: the stage
+        #: output publishes it).
+        self.early_splits = early_splits
+        self.published = False
+        self.error: Optional[BaseException] = None
+        #: Build pages by split id until every split's have landed.
+        self._pages: Dict[int, List[RecordBatch]] = {}
+        self._waiters: List[Any] = []
+
+    def offer(self, split_id: int, batches: List[RecordBatch]) -> Optional[DynamicFilter]:
+        """One build split's pages landed (the first attempt to land
+        counts); publishes once every split's have."""
+        if self.published or self.error is not None:
+            return None
+        self._pages.setdefault(split_id, list(batches))
+        if len(self._pages) < self.early_splits:
+            return None
+        pages, self._pages = self._pages, {}
+        return self.publish([b for split in sorted(pages) for b in pages[split]])
+
+    def publish(self, batches: List[RecordBatch]) -> Optional[DynamicFilter]:
+        """Publish the filter over the build side's final ``batches``;
+        returns it (``None``: already published, or no build page)."""
+        if self.published or self.error is not None:
+            return None
+        self.published = True
+        self._pages = {}
+        dyn = None
+        if batches:
+            dyn = build_dynamic_filter(batches, self.build_key)
+            self.target.dynamic_filter = dyn.to_expression(
+                self.probe_key, self.probe_dtype
+            )
+        waiters, self._waiters = self._waiters, []
+        for event in waiters:
+            event.succeed()
+        return dyn
+
+    def fail(self, error: BaseException) -> bool:
+        """The build failed before publishing: every waiter raises
+        ``error``.  Returns whether any probe split was waiting."""
+        if self.published or self.error is not None:
+            return False
+        self.error = error
+        self._pages = {}
+        waiters, self._waiters = self._waiters, []
+        for event in waiters:
+            event.fail(error)
+        return bool(waiters)
+
+    def wait(self, sim: Any) -> Generator[Any, Any, None]:
+        """DES generator: return once the filter is published; raise the
+        build's error if it failed instead."""
+        if self.error is not None:
+            raise self.error
+        if not self.published:
+            event = sim.event()
+            self._waiters.append(event)
+            yield event

@@ -42,6 +42,8 @@ __all__ = ["QueryService"]
 
 #: Default per-query run configuration (full OCS pushdown).
 _DEFAULT_CONFIG_LABEL = "service"
+#: RunConfig fields the service fixes for every job from ``base_config``.
+_SERVICE_FIELDS = ("rewrite", "faults", "scheduler", "strict_sanitize")
 
 
 class QueryService:
@@ -90,7 +92,8 @@ class QueryService:
         )
         self.sim = self.cluster.sim
         self.coordinator = Coordinator(
-            self.cluster, {}, scheduler=self.base_config.scheduler
+            self.cluster, {}, scheduler=self.base_config.scheduler,
+            rewrite=self.base_config.rewrite,
         )
         self.admission = AdmissionController(self.spec)
         self.jobs: List[QueryJob] = []
@@ -130,6 +133,12 @@ class QueryService:
         from inside a running simulation, e.g. a closed-loop load
         generator, land "now").  The returned handle is live immediately;
         admission happens at the arrival instant.
+
+        ``config`` may change connector-level fields (each distinct set
+        binds its own connector), but not the ones the shared coordinator
+        and cluster fix for every job: a differing ``rewrite``,
+        ``faults``, ``scheduler`` or ``strict_sanitize`` raises
+        :class:`~repro.errors.ConfigError` naming the field.
         """
         schema = schema if schema is not None else self.default_schema
         if schema is None:
@@ -143,6 +152,14 @@ class QueryService:
                 f"submission time {arrival} is in the simulated past "
                 f"(now={self.sim.now})"
             )
+        if config is not None:
+            for name in _SERVICE_FIELDS:
+                if getattr(config, name) != getattr(self.base_config, name):
+                    raise ConfigError(
+                        f"a job's RunConfig.{name} must equal the service's "
+                        f"base_config.{name}: the shared coordinator and "
+                        f"cluster cannot honour it per job"
+                    )
         seq = self._next_seq
         self._next_seq += 1
         job = QueryJob(

@@ -10,7 +10,7 @@ from repro.bench.kernels import MIN_WALL_SPEEDUP
 from repro.bench.snapshot import compare
 
 COMMITTED = json.loads(
-    (pathlib.Path(__file__).parent.parent / "BENCH_33.json").read_text()
+    (pathlib.Path(__file__).parent.parent / "BENCH_39.json").read_text()
 )
 
 

@@ -171,13 +171,13 @@ class _StubConnector:
         return [ConnectorSplit(split_id=i, keys=(f"{handle.name}/{i}",)) for i in range(2)]
 
 
-def _add_branch(graph, connector, branch, finish, gate):
+def _add_branch(graph, connector, branch, finish):
     graph.add(
         Stage(
             stage_id=branch.stage_id,
             kind="scan",
             run=_noop,
-            inputs=(gate,) if gate is not None else (),
+            attributes=branch.attributes,
             output_schema=(
                 branch.plan.output_schema() if finish else branch.physical.split_schema
             ),
@@ -235,16 +235,17 @@ def test_lowering_single_table_is_the_zero_join_chain():
 
 def test_lowering_two_level_join_chain_with_dynamic_filter():
     lowered, edges = _edges(TPCH_Q3_FULL, _StubConnector(dynamic_filters=True))
+    # The probe scan starts with the query: no edge, just a handshake
+    # with the build scan that publishes its filter.
     assert edges == [
+        ("scan:0:orders", "scan", ()),
         ("scan:1:lineitem", "scan", ()),
         ("scan:2:customer", "scan", ()),
-        ("dynamic-filter:0", "filter", ("scan:1:lineitem",)),
         ("exchange:build:0", "exchange", ("scan:1:lineitem",)),
-        ("exchange:build:1", "exchange", ("scan:2:customer",)),
-        ("scan:0:orders", "scan", ("dynamic-filter:0",)),
         # 60k build rows x 4 workers outweigh shuffling both sides once;
         # the 1.5k-row customer build is cheaper to broadcast.
         ("exchange:probe:0", "exchange", ("scan:0:orders",)),
+        ("exchange:build:1", "exchange", ("scan:2:customer",)),
         ("join:0", "join", ("exchange:build:0", "exchange:probe:0")),
         ("join:1", "join", ("exchange:build:1", "join:0")),
         ("aggregate", "aggregate", ("join:1",)),
@@ -254,6 +255,9 @@ def test_lowering_two_level_join_chain_with_dynamic_filter():
     assert [b.stage_id for b in lowered.branches] == [
         "scan:0:orders", "scan:1:lineitem", "scan:2:customer",
     ]
+    probe = lowered.graph.stage("scan:0:orders").attributes
+    assert probe == {"dynamic_filter_from": "scan:1:lineitem", "join_kind": "inner"}
+    assert lowered.branches[1].publishes is lowered.handshake
 
 
 def test_lowering_semi_join_without_dynamic_filters_or_aggregate():

@@ -10,12 +10,15 @@ the service layer accepts join submissions.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.determinism import check_determinism
 from repro.analysis.verifier import (
     verify_exchange_boundary,
     verify_logical_plan,
 )
+from repro.arrowsim.array import ColumnArray
 from repro.arrowsim.dtypes import FLOAT64, INT64, STRING
 from repro.arrowsim.record_batch import RecordBatch, concat_batches
 from repro.arrowsim.schema import Field, Schema
@@ -31,6 +34,8 @@ from repro.errors import (
     PlanError,
     VerificationError,
 )
+from repro.engine import Cluster, Coordinator, Session
+from repro.engine.scheduler import SchedulerSpec
 from repro.exchange import (
     BloomFilter,
     ExchangeFabric,
@@ -161,6 +166,52 @@ class TestDynamicFilter:
     def test_no_batches_at_all_is_an_error(self):
         with pytest.raises(JoinError):
             build_dynamic_filter([], "k")
+
+
+def _scatter_bloom_bits(column: ColumnArray) -> bytes:
+    """The Bloom bits as six ``bitwise_or.at`` scatters set them."""
+    from repro.exchange.hashing import hash_column
+
+    hashed = np.unique(hash_column(column)[column.is_valid()])
+    target = max(1024, 10 * max(1, len(hashed)))
+    num_bits = 1 << int(target - 1).bit_length()
+    array = np.zeros(num_bits // 8, dtype=np.uint8)
+    for position in BloomFilter._positions(hashed, num_bits):
+        np.bitwise_or.at(array, position >> 3, np.uint8(1) << (position & np.uint64(7)))
+    return array.tobytes()
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestBloomBuild:
+    """The packed-bitmap build sets exactly the scatter build's bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        column=st.one_of(
+            st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300).map(
+                lambda v: (INT64, v)
+            ),
+            st.lists(_FLOATS, max_size=300).map(lambda v: (FLOAT64, v)),
+            st.lists(st.text(max_size=6), max_size=200).map(lambda v: (STRING, v)),
+        ),
+        nulls=st.lists(st.booleans(), max_size=300),
+    )
+    def test_bits_equal_the_scatter_construction(self, column, nulls):
+        dtype, values = column
+        validity = np.array(
+            [not (nulls[i] if i < len(nulls) else False) for i in range(len(values))],
+            dtype=bool,
+        )
+        array = ColumnArray(dtype, np.array(values, dtype=dtype.numpy_dtype or object),
+                            validity if len(values) else None)
+        bloom = BloomFilter.build(array)
+        assert bloom.bits == _scatter_bloom_bits(array)
+        assert bloom.num_bits == len(bloom.bits) * 8
 
 
 # --------------------------------------------------------------------------
@@ -467,6 +518,80 @@ class TestExchangeFabric:
 # --------------------------------------------------------------------------
 # End to end on the standing environment
 # --------------------------------------------------------------------------
+
+
+def _reads(plan, table):
+    rel = plan.root
+    while rel.inputs():
+        rel = rel.inputs()[0]
+    return rel.table == table
+
+
+class TestDynamicFilterHandshake:
+    """The probe scan starts with the query and waits on the build's filter."""
+
+    def test_a_failed_build_fails_the_waiting_probe(self, small_env, monkeypatch):
+        from repro.errors import OcsError, RpcStatusError
+        from repro.ocs.embedded_engine import EmbeddedEngine
+
+        execute = EmbeddedEngine.execute
+
+        def crash_on_lineitem(self, plan, bucket, keys):
+            if _reads(plan, "tpch.lineitem"):
+                raise OcsError("build storage node fell over")
+            return execute(self, plan, bucket, keys)
+
+        monkeypatch.setattr(EmbeddedEngine, "execute", crash_on_lineitem)
+        cluster = Cluster(small_env.store, small_env.testbed, small_env.costs)
+        connector = small_env.build_connector(cluster, DYNAMIC)
+        coordinator = Coordinator(cluster, {"repro": connector})
+        with pytest.raises(RpcStatusError) as info:
+            coordinator.execute(TPCH_Q3, Session(catalog="repro", schema="tpch"))
+        assert info.value.code == "INTERNAL"
+        # Nothing is left to run: no probe split waits for a filter that
+        # will never come, and every span it opened is closed.
+        cluster.sim.run()
+        trace = cluster.tracer.trace()
+        trace.validate()
+        waits = [s for s in trace.spans if s.name == "dynamic-filter.wait"]
+        assert waits and all(s.end is not None for s in waits)
+
+    def test_a_transient_build_fault_retries_to_the_static_result(self, small_env):
+        faulted = RunConfig(
+            label="faulted", mode="ocs", policy=DYNAMIC.policy,
+            faults=FaultSpec(transient_storage_failures={0: 1, 1: 1}),
+            retry=RetryPolicy(max_attempts=3),
+        )
+        result = small_env.run(TPCH_Q3, faulted, schema="tpch")
+        static = small_env.run(TPCH_Q3, STATIC, schema="tpch")
+        assert result.metrics.value("pushdown_retries") > 0
+        assert result.metrics.value("ocs_dynamic_rows_pruned") > 0
+        assert result.to_pydict() == static.to_pydict()
+        result.trace.validate()
+
+    def test_speculation_launches_no_backup_for_the_waiting_probe(self, small_env):
+        speculative = RunConfig(
+            label="speculative", mode="ocs", policy=DYNAMIC.policy,
+            scheduler=SchedulerSpec(speculation=True),
+        )
+        result = small_env.run(TPCH_Q3, speculative, schema="tpch")
+        plain = small_env.run(TPCH_Q3, DYNAMIC, schema="tpch")
+        assert result.metrics.value("speculative_backups") == 0
+        assert result.execution_seconds == plain.execution_seconds
+        assert result.to_pydict() == plain.to_pydict()
+
+    def test_probe_scan_starts_with_the_query_and_publish_counts(self, small_env):
+        result = small_env.run(TPCH_Q3, DYNAMIC, schema="tpch")
+        spans = {s.name: s for s in result.trace.spans}
+        probe = spans["stage:scan:0:orders"]
+        build = spans["stage:scan:1:lineitem"]
+        assert probe.start == build.start
+        publish = spans["dynamic-filter.publish"]
+        assert publish.start == publish.end
+        assert publish.counters["dynamic_filter_build_rows"] > 0
+        # Published when the build's pages landed, before its stage ended.
+        assert publish.end < build.end
+        assert "dynamic-filter:0" not in {s.stage_id for s in result.stage_graph}
 
 
 class TestJoinEndToEnd:

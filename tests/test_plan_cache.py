@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-import repro.core.connector as ocs_connector
+import repro.core.translator as translator
 import repro.engine.coordinator as coordinator
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.env import Environment, RunConfig
@@ -94,8 +94,8 @@ class TestHit:
         env = _build_env()
         miss = env.run(SQL, ALL_OPS, "tpch")
         parses = _Calls(monkeypatch, coordinator, "parse")
-        builds = _Calls(monkeypatch, ocs_connector, "build_pushdown_plan")
-        serializes = _Calls(monkeypatch, ocs_connector, "serialize_plan")
+        builds = _Calls(monkeypatch, translator, "build_pushdown_plan")
+        serializes = _Calls(monkeypatch, translator, "serialize_plan")
         hit = env.run(SQL, ALL_OPS, "tpch")
 
         assert (_outcome(miss), _outcome(hit)) == (False, True)
@@ -118,18 +118,22 @@ class TestHit:
         for counter in ("pushdown_operators", "substrait_plan_bytes", "splits"):
             assert hit.metrics.value(counter) == miss.metrics.value(counter) > 0
 
-    def test_miss_builds_once_at_lowering_and_once_per_split(self, monkeypatch):
-        import repro.core.translator as translator
-
+    def test_miss_builds_once_per_branch(self, monkeypatch):
         # Every tier on: lowering fingerprints the pushed plan for the
-        # result and split keys, and the plan-tier fill reuses that plan.
-        config = RunConfig(label="all", mode="ocs", cache=CacheSpec())
+        # result and split keys, and the plan-tier fill and every split
+        # (one per file) reuse that plan and its bytes.
+        config = RunConfig(
+            label="all", mode="ocs", cache=CacheSpec(), split_granularity="file"
+        )
         env = _build_env()
-        lowering = _Calls(monkeypatch, translator, "build_pushdown_plan")
-        splits = _Calls(monkeypatch, ocs_connector, "build_pushdown_plan")
+        builds = _Calls(monkeypatch, translator, "build_pushdown_plan")
+        serializes = _Calls(monkeypatch, translator, "serialize_plan")
         miss = env.run(SQL, config, "tpch")
-        assert not _outcome(miss) and miss.splits > 0
-        assert (lowering.count, splits.count) == (1, miss.splits)
+        assert not _outcome(miss) and miss.splits > 1
+        assert (builds.count, serializes.count) == (1, 1)
+        # Each split still pays its own generation charge.
+        spans = [s for s in miss.trace.spans if s.name == "substrait.generate"]
+        assert len(spans) == miss.splits
 
     def test_every_lookup_is_charged_once(self):
         env = _build_env()

@@ -7,13 +7,15 @@ import pytest
 from repro.analysis.determinism import DigestRecorder
 from repro.bench.env import Environment, RunConfig
 from repro.client import connect
-from repro.config import ServiceSpec
+from repro.config import FaultSpec, ServiceSpec
 from repro.core import PushdownPolicy
+from repro.engine.scheduler import SchedulerSpec
 from repro.errors import (
     ConfigError,
     MemoryBudgetError,
     QueueFullError,
     QueueTimeoutError,
+    ReproError,
     TenantLimitError,
 )
 from repro.service import (
@@ -94,6 +96,46 @@ class TestSpec:
         service = QueryService(service_env, ServiceSpec())
         with pytest.raises(ConfigError):
             service.submit(TPCH_Q1, schema="tpch", at=-1.0)
+
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rewrite", False),
+            ("faults", FaultSpec(transient_storage_failures={0: 1})),
+            ("scheduler", SchedulerSpec(speculation=True)),
+            ("strict_sanitize", False),
+        ],
+    )
+    def test_rejects_a_job_config_the_shared_cluster_cannot_honour(
+        self, service_env, field, value
+    ):
+        service = QueryService(service_env, ServiceSpec())
+        config = dataclasses.replace(RunConfig(label="job", mode="ocs"), **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            service.submit(TPCH_Q1, schema="tpch", config=config)
+        assert service.jobs == []
+
+    def test_a_scalar_subquery_job_cannot_switch_the_rewriter_off(self, service_env):
+        # Under env.run the statement fails to analyze with the rewriter
+        # off; the service must refuse the job rather than run it with
+        # the rewriter on.
+        sql = (
+            "SELECT COUNT(*) AS n FROM lineitem "
+            "WHERE quantity > (SELECT AVG(quantity) FROM lineitem)"
+        )
+        config = RunConfig(label="plain", mode="ocs", rewrite=False)
+        with pytest.raises(ReproError):
+            service_env.run(sql, config, schema="tpch")
+        service = QueryService(service_env, ServiceSpec())
+        with pytest.raises(ConfigError, match="rewrite"):
+            service.submit(sql, schema="tpch", config=config)
+        # A service whose base config has the rewriter off honours it.
+        plain = QueryService(service_env, ServiceSpec(), base_config=config)
+        handle = plain.submit(sql, schema="tpch", config=config)
+        plain.drain()
+        with pytest.raises(ReproError):
+            handle.result()
 
 
 class TestAdmission:
