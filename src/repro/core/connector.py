@@ -8,14 +8,14 @@ Arrow stream into engine pages for the residual operators.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Callable, Generator, List, Optional
 
 from repro.analysis.runtime import strict_verify_enabled
 from repro.arrowsim.ipc import deserialize_batches
 from repro.core.handle import OcsTableHandle, PushedOperators
 from repro.core.monitor import PushdownEvent, PushdownMonitor
 from repro.core.optimizer import OcsPlanOptimizer, PushdownPolicy
-from repro.core.translator import build_pushdown_plan, pushed_plan
+from repro.core.translator import build_pushdown_plan, pushed_plan, spliced_plan
 from repro.engine.cluster import Cluster
 from repro.engine.stages import STAGE_SUBSTRAIT, STAGE_TRANSFER
 from repro.engine.gateway import S3Gateway, encode_ranges_request, place_key
@@ -108,6 +108,7 @@ class OcsConnector(Connector):
         handle: OcsTableHandle,
         split: ConnectorSplit,
         trace: Span,
+        dynamic_filter: Optional[Callable[[Span], Generator]] = None,
     ) -> Generator:
         cluster = self.cluster
         sim = cluster.sim
@@ -139,6 +140,27 @@ class OcsConnector(Connector):
             yield cluster.compute.execute(generation_cycles, name="substrait-gen")
             substrait_span.add("substrait_plan_bytes", len(plan_bytes))
             tracer.end(substrait_span)
+        if dynamic_filter is not None:
+            # A probe scan generated its plan without the join's dynamic
+            # filter, off the critical path; once the build publishes it,
+            # only the filter's relation and expression nodes are
+            # translated and spliced in.
+            yield from dynamic_filter(trace)
+            if plan is not None and pushed.dynamic_filter is not None:
+                splice_span = tracer.start(
+                    "substrait.splice", parent=trace, stage=STAGE_SUBSTRAIT
+                )
+                base, base_bytes = plan, plan_bytes
+                plan, plan_bytes = spliced_plan(handle)
+                yield cluster.compute.execute(
+                    (plan.relation_count() - base.relation_count())
+                    * costs.substrait_cycles_per_relation
+                    + (plan.expression_node_count() - base.expression_node_count())
+                    * costs.substrait_cycles_per_expression,
+                    name="substrait-splice",
+                )
+                splice_span.add("substrait_plan_bytes", len(plan_bytes) - len(base_bytes))
+                tracer.end(splice_span)
         pushdown_span = tracer.start(
             "pushdown", parent=trace, stage=STAGE_TRANSFER,
             attributes={"node": split.node_index},
@@ -249,6 +271,7 @@ class OcsConnector(Connector):
         handle: OcsTableHandle,
         split: ConnectorSplit,
         trace: Span,
+        dynamic_filter: Optional[Callable[[Span], Generator]] = None,
     ) -> Generator:
         """Backup attempt for a straggling split: the raw-GET path.
 
@@ -261,7 +284,12 @@ class OcsConnector(Connector):
         relies on — which is what lets the scheduler race it against
         the primary with first-result-wins.
         """
-        plan, _ = pushed_plan(handle)
+        if dynamic_filter is not None:
+            yield from dynamic_filter(trace)
+        if handle.pushed.dynamic_filter is not None:
+            plan, _ = spliced_plan(handle)
+        else:
+            plan, _ = pushed_plan(handle)
         result = yield from self._fallback_source(
             handle, split, plan, parent=trace
         )

@@ -132,10 +132,12 @@ class OcsTableHandle(ConnectorTableHandle):
     #: hit hands its scan branch: the page source ships these bytes as they
     #: are and charges no generation.
     substrait: Optional[bytes] = None
-    #: ``(dynamic filter, plan, bytes)`` that
+    #: ``(plan, bytes, spliced)`` that
     #: :func:`repro.core.translator.pushed_plan` built for this query's
-    #: splits (not carried by copies: ``dataclasses.replace`` resets it).
-    built: Optional[Tuple[Any, Any, bytes]] = field(
+    #: splits, ``spliced`` being ``(dynamic filter, plan, bytes)`` once a
+    #: filter is spliced in (not carried by copies: ``dataclasses.replace``
+    #: resets it).
+    built: Optional[Tuple[Any, bytes, Any]] = field(
         default=None, init=False, repr=False, compare=False
     )
 

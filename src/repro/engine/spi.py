@@ -133,6 +133,13 @@ class Connector(ABC):
         ``trace`` is the split's span; connectors parent their data-path
         spans (IR generation, RPC attempts, fallback GETs) under it and
         count each piece of work on the span that did it.
+
+        A scan that a join's dynamic filter prunes also gets a keyword
+        ``dynamic_filter``: a DES generator function of one span to
+        parent the wait under, returning once the filter is published
+        into the handle's pushed operators (and raising the build's
+        error if it failed).  Only a connector that pushes a plan gets
+        one.
         """
 
     def plan_optimizer(self) -> Optional[ConnectorPlanOptimizer]:

@@ -20,6 +20,7 @@ only stage ledger, and :func:`repro.trace.stage_totals` turns them into
 from __future__ import annotations
 
 from contextlib import ExitStack
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.arrowsim.record_batch import RecordBatch
@@ -234,11 +235,9 @@ class StageBodies:
     ) -> Generator[Event, Any, List[RecordBatch]]:
         """One split attempt: fetch pages, ingest them, run operators.
 
-        A base scan whose dynamic filter is not yet published first waits
-        for it under a stage-less ``dynamic-filter.wait`` span, with
-        ``clock`` paused: waiting for the build is not straggling.  A
-        build split offers its pages to the branch's own handshake as
-        soon as the page source returns.
+        A base scan's page source gets :meth:`_await_filter` to wait for
+        its dynamic filter with.  A build split offers its pages to the
+        branch's own handshake as soon as the page source returns.
 
         The split's compute-side work — ingest and the split-local
         operators — runs on a scan driver.  A connector whose page source
@@ -272,13 +271,11 @@ class StageBodies:
                 clock.resume(cluster.sim.now)
 
         try:
+            extra: Dict[str, Any] = {}
             if branch.awaits is not None:
-                if clock is not None:
-                    clock.pause(cluster.sim.now)
-                with cluster.tracer.span("dynamic-filter.wait", parent=split_span):
-                    yield from branch.awaits.wait(cluster.sim)
-                if clock is not None:
-                    clock.resume(cluster.sim.now)
+                extra["dynamic_filter"] = partial(
+                    self._await_filter, branch.awaits, clock
+                )
             with ExitStack() as held:
                 if not connector.page_source_blocks:
                     yield from take_driver(held)
@@ -287,7 +284,7 @@ class StageBodies:
                 # (the OCS one splits IR generation out as the substrait
                 # stage); stage totals union concurrent splits' windows.
                 source: PageSourceResult = yield cluster.sim.process(
-                    factory(branch.handle, split, trace=split_span),
+                    factory(branch.handle, split, trace=split_span, **extra),
                     name=f"page-source-{split.split_id}",
                 )
                 self.publish(ctx, branch, source.batches, split)
@@ -297,6 +294,21 @@ class StageBodies:
         finally:
             cluster.tracer.end(split_span)
         return out
+
+    def _await_filter(
+        self, handshake: Any, clock: Optional[ServiceClock], parent: Span
+    ) -> Generator[Event, Any, None]:
+        """Wait for a base scan's dynamic filter under a stage-less
+        ``dynamic-filter.wait`` span, with the split's service clock
+        paused: waiting for the build is not straggling.  The page source
+        calls it between generating its plan and splicing the filter in."""
+        sim = self.cluster.sim
+        if clock is not None:
+            clock.pause(sim.now)
+        with self.cluster.tracer.span("dynamic-filter.wait", parent=parent):
+            yield from handshake.wait(sim)
+        if clock is not None:
+            clock.resume(sim.now)
 
     def _split_work(
         self, branch: Branch, split_span: Span, source: PageSourceResult

@@ -55,7 +55,10 @@ from repro.sql.ast_nodes import TableName
 from repro.trace import Tracer, counter_totals
 from repro.workloads import (
     TPCH_Q3,
+    TPCH_Q3_FULL,
+    TPCH_Q4,
     TPCH_Q12,
+    TPCH_Q18,
     DatasetSpec,
     generate_lineitem,
     generate_orders,
@@ -579,6 +582,35 @@ class TestDynamicFilterHandshake:
         assert result.metrics.value("speculative_backups") == 0
         assert result.execution_seconds == plain.execution_seconds
         assert result.to_pydict() == plain.to_pydict()
+
+    @pytest.mark.parametrize(
+        "sql",
+        [TPCH_Q3, TPCH_Q3_FULL, TPCH_Q4, TPCH_Q12, TPCH_Q18],
+        ids=["q3", "q3_full", "q4", "q12", "q18"],
+    )
+    def test_spliced_probe_plan_is_the_full_plan_to_the_byte(
+        self, small_env, monkeypatch, sql
+    ):
+        import repro.core.connector as ocs_connector
+        from repro.core.translator import build_pushdown_plan
+        from repro.substrait.serde import serialize_plan
+
+        spliced = []
+        original = ocs_connector.spliced_plan
+
+        def checked(handle):
+            plan, plan_bytes = original(handle)
+            full = build_pushdown_plan(handle.descriptor, handle.pushed)
+            spliced.append(plan_bytes == serialize_plan(full))
+            return plan, plan_bytes
+
+        monkeypatch.setattr(ocs_connector, "spliced_plan", checked)
+        result = small_env.run(sql, DYNAMIC, schema="tpch")
+        assert spliced and all(spliced)
+        # The base plan is generated once per split, the splice charged on
+        # its own span after the wait.
+        names = [s.name for s in result.trace.spans]
+        assert names.count("substrait.splice") == len(spliced)
 
     def test_probe_scan_starts_with_the_query_and_publish_counts(self, small_env):
         result = small_env.run(TPCH_Q3, DYNAMIC, schema="tpch")
