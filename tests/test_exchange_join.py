@@ -533,6 +533,29 @@ def _reads(plan, table):
 class TestDynamicFilterHandshake:
     """The probe scan starts with the query and waits on the build's filter."""
 
+    def test_publication_is_once_and_drops_the_build_pages(self):
+        from types import SimpleNamespace
+
+        from repro.exchange.filters import DynamicFilterHandshake
+
+        schema = Schema([Field("k", INT64)])
+        pages = [RecordBatch.from_pydict(schema, {"k": np.arange(i, i + 5)}) for i in (0, 10)]
+        target = SimpleNamespace(dynamic_filter=None)
+        handshake = DynamicFilterHandshake(
+            source="scan:1:b", join_kind="inner", build_key="k", probe_key="k",
+            probe_dtype=INT64, target=target, early_splits=2,
+        )
+        assert handshake.offer(0, [pages[0]]) is None
+        assert handshake.offer(0, [pages[1]]) is None  # a split's first landing counts
+        dyn = handshake.offer(1, [pages[1]])
+        assert dyn.build_rows == 10 and handshake._pages == {}
+        published = target.dynamic_filter
+        # A restarted build stage reuses the published filter.
+        assert handshake.publish(pages) is None
+        assert target.dynamic_filter is published
+        assert handshake.fail(JoinError("late")) is False
+        assert list(handshake.wait(sim=None)) == []
+
     def test_a_failed_build_fails_the_waiting_probe(self, small_env, monkeypatch):
         from repro.errors import OcsError, RpcStatusError
         from repro.ocs.embedded_engine import EmbeddedEngine
