@@ -790,7 +790,8 @@ def verify_stage_graph(graph: Any) -> None:
     list keeps the producer's schema).
 
     A scan a dynamic filter prunes (``dynamic_filter_from`` names the
-    build scan that publishes it) must serve a join kind in
+    stage that answers for the build branch, which publishes it) must
+    name a stage in the graph and serve a join kind in
     :data:`DYNAMIC_FILTER_JOIN_KINDS`.
 
     ``cache-union`` stages (the hybrid reassembly of a partially cached
@@ -834,8 +835,14 @@ def verify_stage_graph(graph: Any) -> None:
         # kind it serves; only the selective kinds (inner/semi) may
         # prune the probe scan.
         attributes = stage.attributes or {}
-        if attributes.get("dynamic_filter_from") is None:
+        publisher = attributes.get("dynamic_filter_from")
+        if publisher is None:
             continue
+        if publisher not in stages:
+            raise VerificationError(
+                f"stage {stage.stage_id!r} takes a dynamic filter from "
+                f"unknown stage {publisher!r}"
+            )
         join_kind = attributes.get("join_kind")
         if join_kind not in DYNAMIC_FILTER_JOIN_KINDS:
             raise VerificationError(

@@ -82,6 +82,11 @@ class OcsConnector(Connector):
             len(self.cluster.storage_nodes),
         )
 
+    def end_query(self, handle: object) -> None:
+        """Drop the plans built once for the ended query's splits."""
+        if isinstance(handle, OcsTableHandle):
+            handle.built = handle.spliced = None
+
     def get_splits(self, handle: OcsTableHandle) -> List[ConnectorSplit]:
         """One split per storage node ("node" granularity, default) or one
         per file ("file" granularity, Presto's classic split model)."""
@@ -143,8 +148,8 @@ class OcsConnector(Connector):
         if dynamic_filter is not None:
             # A probe scan generated its plan without the join's dynamic
             # filter, off the critical path; once the build publishes it,
-            # only the filter's relation and expression nodes are
-            # translated and spliced in.
+            # the split is charged only for translating the filter's
+            # relation and expression nodes into that plan.
             yield from dynamic_filter(trace)
             if plan is not None and pushed.dynamic_filter is not None:
                 splice_span = tracer.start(

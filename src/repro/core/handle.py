@@ -12,12 +12,15 @@ constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.arrowsim.schema import Field, Schema
 from repro.engine.spi import ConnectorTableHandle
 from repro.exec.aggregates import AggregateSpec
 from repro.exec.expressions import Expr
+
+if TYPE_CHECKING:
+    from repro.substrait.plan import SubstraitPlan
 
 __all__ = ["PushedAggregation", "PushedOperators", "OcsTableHandle"]
 
@@ -132,12 +135,15 @@ class OcsTableHandle(ConnectorTableHandle):
     #: hit hands its scan branch: the page source ships these bytes as they
     #: are and charges no generation.
     substrait: Optional[bytes] = None
-    #: ``(plan, bytes, spliced)`` that
-    #: :func:`repro.core.translator.pushed_plan` built for this query's
-    #: splits, ``spliced`` being ``(dynamic filter, plan, bytes)`` once a
-    #: filter is spliced in (not carried by copies: ``dataclasses.replace``
-    #: resets it).
-    built: Optional[Tuple[Any, bytes, Any]] = field(
+    #: ``(plan, bytes)`` :func:`repro.core.translator.pushed_plan` built
+    #: for this query's splits, without the dynamic filter ...
+    built: Optional[Tuple[SubstraitPlan, bytes]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    #: ... and :func:`repro.core.translator.spliced_plan`'s, with it.  Both
+    #: live for one query (the connector drops them when it ends) and are
+    #: not carried by copies (``dataclasses.replace`` resets them).
+    spliced: Optional[Tuple[SubstraitPlan, bytes]] = field(
         default=None, init=False, repr=False, compare=False
     )
 

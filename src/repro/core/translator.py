@@ -14,20 +14,12 @@ storage can prune row groups from chunk statistics.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.arrowsim.dtypes import BOOL
 from repro.core.handle import OcsTableHandle, PushedOperators
-from repro.exec.expressions import AndExpr, Expr
+from repro.exec.expressions import AndExpr
 from repro.metastore.catalog import TableDescriptor
 from repro.substrait.convert import expression_to_substrait
-from repro.substrait.expressions import (
-    SCAST,
-    SBloomProbe,
-    SExpression,
-    SFunctionCall,
-    SInList,
-)
 from repro.substrait.functions import FunctionRegistry
 from repro.substrait.plan import SubstraitPlan
 from repro.substrait.serde import serialize_plan
@@ -44,12 +36,7 @@ from repro.substrait.relations import (
     SortRel,
 )
 
-__all__ = [
-    "build_pushdown_plan",
-    "pushed_plan",
-    "splice_dynamic_filter",
-    "spliced_plan",
-]
+__all__ = ["build_pushdown_plan", "pushed_plan", "spliced_plan"]
 
 
 def build_pushdown_plan(
@@ -163,100 +150,28 @@ def pushed_plan(handle: OcsTableHandle) -> Tuple[SubstraitPlan, bytes]:
 
     Every split of a branch ships the same bytes, and lowering may have
     built the plan already to fingerprint it for the cache tiers, so the
-    plan is built once per branch and query and kept on the handle.  Each
-    split still pays its own generation charge.
+    plan is built once per branch and query and kept on the handle until
+    the query ends.  Each split still pays its own generation charge.
     """
     if handle.built is None:
         pushed = handle.pushed
         if pushed.dynamic_filter is not None:
             pushed = replace(pushed, dynamic_filter=None)
         plan = build_pushdown_plan(handle.descriptor, pushed)
-        handle.built = (plan, serialize_plan(plan), None)
-    return handle.built[0], handle.built[1]
+        handle.built = (plan, serialize_plan(plan))
+    return handle.built
 
 
 def spliced_plan(handle: OcsTableHandle) -> Tuple[SubstraitPlan, bytes]:
-    """:func:`pushed_plan` with the published dynamic filter spliced in,
-    and its bytes: built once per published filter."""
-    base, base_bytes = pushed_plan(handle)
-    expression = handle.pushed.dynamic_filter
-    assert handle.built is not None and expression is not None
-    spliced = handle.built[2]
-    if spliced is None or spliced[0] is not expression:
-        plan = splice_dynamic_filter(base, expression)
-        spliced = (expression, plan, serialize_plan(plan))
-        handle.built = (base, base_bytes, spliced)
-    return spliced[1], spliced[2]
+    """``handle``'s pushed plan with its published dynamic filter, and its
+    bytes: built once per branch and query, after the filter is published.
 
-
-def splice_dynamic_filter(plan: SubstraitPlan, dynamic_filter: Expr) -> SubstraitPlan:
-    """``plan`` (built with no dynamic filter) with ``dynamic_filter`` added.
-
-    Translates only the filter: its own ``FilterRel`` directly above the
-    read, and its conjunction into the read's best-effort filter.  The
-    result is the plan :func:`build_pushdown_plan` builds with the filter
-    set, to the byte.  Function anchors are assigned on first use, and
-    the full translation meets the best-effort ``and``, then the static
-    filter's functions, then the dynamic filter's, then the rest; the
-    base plan's anchors are renumbered into that order.
+    The page source charges only what the filter adds to
+    :func:`pushed_plan` (its relation and expression nodes); the host
+    builds the whole plan again, which keeps one translator.
     """
-    chain: List[Relation] = [plan.root]
-    while chain[-1].inputs():
-        chain.append(chain[-1].inputs()[0])
-    read = chain.pop()
-    assert isinstance(read, ReadRel)
-    names = read.output_names()
-    static = read.best_effort_filter
-    old = plan.registry.declarations()
-    static_count = len(_anchors(static)) if static is not None else 0
-
-    registry = FunctionRegistry()
-    if static is not None:
-        and_anchor = registry.anchor_for("and", [BOOL, BOOL])
-    for _, sig in old[:static_count]:
-        registry.anchor_of(sig)
-    condition = expression_to_substrait(dynamic_filter, names, registry)
-    renumber = {anchor: registry.anchor_of(sig) for anchor, sig in old}
-
-    def remap(expr: SExpression) -> SExpression:
-        if isinstance(expr, SFunctionCall):
-            return SFunctionCall(
-                renumber[expr.anchor], tuple(remap(a) for a in expr.args), expr.dtype
-            )
-        if isinstance(expr, (SCAST, SInList, SBloomProbe)):
-            return replace(expr, operand=remap(expr.operand))
-        return expr
-
-    best_effort = condition
-    if static is not None:
-        best_effort = SFunctionCall(and_anchor, (remap(static), condition), BOOL)
-    rel: Relation = FilterRel(replace(read, best_effort_filter=best_effort), condition)
-    for above in reversed(chain):
-        if isinstance(above, FilterRel):
-            rel = FilterRel(rel, remap(above.condition))
-        elif isinstance(above, ProjectRel):
-            rel = ProjectRel(rel, tuple(remap(e) for e in above.expressions_))
-        elif isinstance(above, AggregateRel):
-            measures = tuple(
-                replace(
-                    m, anchor=renumber[m.anchor], args=tuple(remap(a) for a in m.args)
-                )
-                for m in above.measures
-            )
-            rel = AggregateRel(rel, above.grouping, measures)
-        else:
-            rel = replace(above, input=rel)
-    return SubstraitPlan(
-        root=rel, registry=registry, root_names=list(plan.root_names),
-        version=plan.version,
-    )
-
-
-def _anchors(expr: SExpression) -> Dict[int, None]:
-    """The function anchors ``expr`` references."""
-    found: Dict[int, None] = {}
-    if isinstance(expr, SFunctionCall):
-        found[expr.anchor] = None
-    for child in expr.children():
-        found.update(_anchors(child))
-    return found
+    assert handle.pushed.dynamic_filter is not None
+    if handle.spliced is None:
+        plan = build_pushdown_plan(handle.descriptor, handle.pushed)
+        handle.spliced = (plan, serialize_plan(plan))
+    return handle.spliced

@@ -177,9 +177,7 @@ class QueryCache:
                     kind="scan",
                     run=run,
                     output_schema=schema,
-                    attributes={
-                        "table": branch.table, **branch.attributes, **attributes
-                    },
+                    attributes={"table": branch.table, **attributes},
                 )
             )
 

@@ -632,12 +632,16 @@ class Coordinator:
                 cache.fill_plan(plan, plan_before, lowered, local, root)
 
             # (4b) Coordinator-tier result cache: a hit *is* the result.
-            batch = yield from cache.lookup_result(lowered, root)
-            hit = batch is not None
-            if not hit:
-                batch = yield from self._run_graph(
-                    lowered, root, query_id, cache.unpaid_lookup_cycles
-                )
+            try:
+                batch = yield from cache.lookup_result(lowered, root)
+                hit = batch is not None
+                if not hit:
+                    batch = yield from self._run_graph(
+                        lowered, root, query_id, cache.unpaid_lookup_cycles
+                    )
+            finally:
+                for branch in lowered.branches:
+                    connector.end_query(branch.handle)
             elapsed = sim.now - query_start
             if not hit:
                 cache.fill_result(batch, elapsed, root)

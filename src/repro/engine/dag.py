@@ -27,7 +27,7 @@ graph and render it without executing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.arrowsim.schema import Schema
@@ -134,6 +134,14 @@ class StageGraph:
         if stage.stage_id in self._stages:
             raise PlanError(f"duplicate stage id {stage.stage_id!r}")
         self._stages[stage.stage_id] = stage
+        return stage
+
+    def annotate(self, stage_id: str, **attributes: Any) -> Stage:
+        """Add ``attributes`` to a stage already in the graph, for what
+        lowering learns only once later stages are added."""
+        stage = self.stage(stage_id)
+        stage = replace(stage, attributes={**stage.attributes, **attributes})
+        self._stages[stage_id] = stage
         return stage
 
     # -- inspection --------------------------------------------------------

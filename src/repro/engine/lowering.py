@@ -119,18 +119,6 @@ class Branch:
     #: ... or publish into (the first join's build side).
     publishes: Optional[DynamicFilterHandshake] = None
 
-    @property
-    def attributes(self) -> Dict[str, Any]:
-        """Stage attributes the branch's scan stage carries: a filtered
-        base scan names the stage that publishes its filter and the join
-        kind (verified against ``DYNAMIC_FILTER_JOIN_KINDS``)."""
-        if self.awaits is None:
-            return {}
-        return {
-            "dynamic_filter_from": self.awaits.source,
-            "join_kind": self.awaits.join_kind,
-        }
-
 
 @dataclass
 class Lowered:
@@ -192,6 +180,14 @@ def lower(
     sources = [
         add_branch(graph, connector, branch, bool(joins)) for branch in branches
     ]
+    if handshake is not None:
+        # The filtered base scan names the stage that answers for the
+        # build branch (a partly cached build lowers to several, and its
+        # ``cache-union`` publishes) and the join kind, which the
+        # verifier checks against ``DYNAMIC_FILTER_JOIN_KINDS``.
+        graph.annotate(
+            sources[0], dynamic_filter_from=sources[1], join_kind=joins[0].kind
+        )
 
     # Per-join exchange + join stages up the left-deep spine.  The
     # fragment each join's tasks run is the chain between this join
@@ -319,8 +315,6 @@ def _dynamic_filter(
             node = node.source
         early = isinstance(node, TableScanNode)
         handshake = DynamicFilterHandshake(
-            source=build.stage_id,
-            join_kind=joins[0].kind,
             build_key=joins[0].right_keys[0],
             probe_key=probe_key,
             probe_dtype=base.handle.table_schema.field(probe_key).dtype,

@@ -156,6 +156,12 @@ class Connector(ABC):
         """
         return None
 
+    def end_query(self, handle: Any) -> None:
+        """The query that scanned ``handle`` has ended: drop what the
+        connector kept on it for that query's splits.  A finished query's
+        record keeps its branches, and with them their handles.  Nothing
+        by default."""
+
     def speculative_page_source(
         self,
         handle: ConnectorTableHandle,

@@ -226,17 +226,12 @@ class DynamicFilterHandshake:
     def __init__(
         self,
         *,
-        source: str,
-        join_kind: str,
         build_key: str,
         probe_key: str,
         probe_dtype: DataType,
         target: Any,
         early_splits: int,
     ) -> None:
-        #: Stage id of the build scan that publishes.
-        self.source = source
-        self.join_kind = join_kind
         self.build_key = build_key
         self.probe_key = probe_key
         self.probe_dtype = probe_dtype

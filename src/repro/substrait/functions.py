@@ -96,10 +96,7 @@ class FunctionRegistry:
 
     def anchor_for(self, name: str, arg_types: Sequence[DataType]) -> int:
         """Anchor for the signature, assigning the next id on first use."""
-        return self.anchor_of(signature(name, arg_types))
-
-    def anchor_of(self, sig: str) -> int:
-        """Anchor for a fully-qualified signature, assigned on first use."""
+        sig = signature(name, arg_types)
         anchor = self._by_signature.get(sig)
         if anchor is None:
             anchor = len(self._by_signature) + 1

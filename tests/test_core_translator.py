@@ -205,71 +205,3 @@ class TestMonitor:
         for i in range(5):
             monitor.record(event(rows_out=i))
         assert [e.rows_returned for e in monitor.recent(2)] == [3, 4]
-
-
-class TestSpliceDynamicFilter:
-    """A dynamic filter spliced into a plan built without it is, to the
-    byte, the plan built with it — whatever sits above the read."""
-
-    @staticmethod
-    def _filter(column, dtype):
-        import numpy as np
-
-        from repro.arrowsim import RecordBatch
-        from repro.exchange import build_dynamic_filter
-
-        schema = Schema([Field(column, dtype)])
-        keys = np.arange(40, 90) if dtype is INT64 else np.arange(40, 90) / 8.0
-        build = RecordBatch.from_pydict(schema, {column: keys})
-        return build_dynamic_filter([build], column).to_expression(column, dtype)
-
-    @pytest.mark.parametrize(
-        "shape",
-        ["scan", "static-filter", "projection", "partial-agg", "full-chain"],
-    )
-    @pytest.mark.parametrize("key", ["vertex_id", "x"])
-    def test_splice_equals_full_translation(self, shape, key):
-        from dataclasses import replace
-
-        from repro.core.translator import splice_dynamic_filter
-
-        columns = ["vertex_id", "x", "e", "tag"]
-        double_e = ArithExpr("*", ColumnExpr("e", FLOAT64), LiteralExpr(2.0, FLOAT64), FLOAT64)
-        pushed = {
-            "scan": PushedOperators(columns=columns),
-            "static-filter": PushedOperators(columns=columns, filter=x_filter()),
-            "projection": PushedOperators(
-                columns=columns, filter=x_filter(),
-                projections=[("d", double_e), ("tag", ColumnExpr("tag", STRING))],
-            ),
-            "partial-agg": PushedOperators(
-                columns=columns,
-                aggregation=PushedAggregation(
-                    key_names=["tag"],
-                    specs=[AggregateSpec("sum", "$a_arg", "$a", FLOAT64)],
-                    arg_expressions=[double_e], phase="partial",
-                ),
-            ),
-            "full-chain": PushedOperators(
-                columns=columns, filter=x_filter(),
-                aggregation=PushedAggregation(
-                    key_names=["vertex_id"],
-                    specs=[
-                        AggregateSpec("min", "vertex_id", "$agg0", INT64),
-                        AggregateSpec("avg", "e", "$agg1", FLOAT64),
-                    ],
-                ),
-                final_project=[
-                    ("vid", ColumnExpr("$agg0", INT64)),
-                    ("avg_e", ColumnExpr("$agg1", FLOAT64)),
-                ],
-                topn=(10, [("avg_e", False)]),
-            ),
-        }[shape]
-        dynamic = self._filter(key, INT64 if key == "vertex_id" else FLOAT64)
-        base = build_pushdown_plan(descriptor(), pushed)
-        full = build_pushdown_plan(descriptor(), replace(pushed, dynamic_filter=dynamic))
-        spliced = splice_dynamic_filter(base, dynamic)
-        assert serialize_plan(spliced) == serialize_plan(full)
-        assert spliced.relation_count() == base.relation_count() + 1
-        validate_plan(spliced)

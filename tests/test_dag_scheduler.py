@@ -161,6 +161,40 @@ class TestVerifyStageGraph:
         )
         verify_stage_graph(graph)  # consumer declares no expectation
 
+    @staticmethod
+    def _filtered(publisher, join_kind):
+        return StageGraph(
+            [
+                _stage(
+                    "probe",
+                    attributes={
+                        "dynamic_filter_from": publisher, "join_kind": join_kind,
+                    },
+                ),
+                _stage("build"),
+                _stage("join", kind="join", inputs=("build", "probe")),
+            ]
+        )
+
+    def test_dynamic_filter_from_a_known_stage_for_a_selective_join(self):
+        verify_stage_graph(self._filtered("build", "inner"))
+        verify_stage_graph(self._filtered("build", "semi"))
+
+    def test_dynamic_filter_from_an_unknown_stage_rejected(self):
+        with pytest.raises(VerificationError, match="from unknown stage 'ghost'"):
+            verify_stage_graph(self._filtered("ghost", "inner"))
+
+    @pytest.mark.parametrize("join_kind", ["anti", "left"])
+    def test_dynamic_filter_for_a_preserving_join_rejected(self, join_kind):
+        with pytest.raises(VerificationError, match="may prune the probe side"):
+            verify_stage_graph(self._filtered("build", join_kind))
+
+    def test_annotate_adds_attributes_in_place(self):
+        graph = StageGraph([_stage("scan", attributes={"table": "t"}), _stage("b")])
+        graph.annotate("scan", splits=2)
+        assert graph.stage("scan").attributes == {"table": "t", "splits": 2}
+        assert [s.stage_id for s in graph] == ["scan", "b"]
+
 
 class TestSchedulerSpecValidation:
     def test_defaults_valid(self):

@@ -177,7 +177,6 @@ def _add_branch(graph, connector, branch, finish):
             stage_id=branch.stage_id,
             kind="scan",
             run=_noop,
-            attributes=branch.attributes,
             output_schema=(
                 branch.plan.output_schema() if finish else branch.physical.split_schema
             ),

@@ -542,7 +542,7 @@ class TestDynamicFilterHandshake:
         pages = [RecordBatch.from_pydict(schema, {"k": np.arange(i, i + 5)}) for i in (0, 10)]
         target = SimpleNamespace(dynamic_filter=None)
         handshake = DynamicFilterHandshake(
-            source="scan:1:b", join_kind="inner", build_key="k", probe_key="k",
+            build_key="k", probe_key="k",
             probe_dtype=INT64, target=target, early_splits=2,
         )
         assert handshake.offer(0, [pages[0]]) is None
@@ -647,6 +647,49 @@ class TestDynamicFilterHandshake:
         # Published when the build's pages landed, before its stage ended.
         assert publish.end < build.end
         assert "dynamic-filter:0" not in {s.stage_id for s in result.stage_graph}
+
+    def test_the_plans_built_for_the_splits_go_when_the_query_ends(
+        self, small_env, monkeypatch
+    ):
+        import repro.core.connector as ocs_connector
+
+        # A finished query's record keeps its branches' handles.
+        handles = []
+        original = ocs_connector.spliced_plan
+        monkeypatch.setattr(
+            ocs_connector, "spliced_plan", lambda h: handles.append(h) or original(h)
+        )
+        small_env.run(TPCH_Q3, DYNAMIC, schema="tpch")
+        assert handles
+        assert all(h.built is None and h.spliced is None for h in handles)
+
+    def test_a_partly_cached_build_publishes_from_its_cache_union(self, small_env):
+        from dataclasses import replace
+
+        from repro.config import CacheSpec
+
+        # Split tier only, one split per file; this budget is no other
+        # test's, so the environment's manager for it starts empty.
+        spec = CacheSpec(result_budget_bytes=0, split_budget_bytes=61 * 2**20)
+        config = replace(DYNAMIC, cache=spec, split_granularity="file")
+        static = small_env.run(TPCH_Q3, replace(STATIC, split_granularity="file"), "tpch")
+        small_env.run(TPCH_Q3, config, schema="tpch")  # fills the build's splits
+        manager = small_env.cache_manager(spec)
+        manager.splits.invalidate(sorted(manager.splits._entries, key=repr)[0])
+
+        result = small_env.run(TPCH_Q3, config, schema="tpch")
+        graph = result.stage_graph
+        union = graph.stage("cache-union:1:lineitem")
+        assert (union.attributes["cached_splits"], union.attributes["residual_splits"]) == (1, 1)
+        probe = graph.stage("scan:0:orders").attributes
+        assert probe["dynamic_filter_from"] == "cache-union:1:lineitem"
+        assert "scan:1:lineitem" not in graph
+        # The union publishes: the filter is final only once both halves are in.
+        spans = result.trace.spans
+        publish = next(s for s in spans if s.name == "dynamic-filter.publish")
+        assert result.trace.get(publish.parent_id).name == "stage:cache-union:1:lineitem"
+        assert result.metrics.value("ocs_dynamic_rows_pruned") > 0
+        assert result.to_pydict() == static.to_pydict()
 
 
 class TestJoinEndToEnd:
