@@ -27,7 +27,7 @@ Model
   :class:`~repro.sim.kernel.Barrier` is a global synchronization point:
   it merges every clock dispatched so far.
 * Instrumented shared surfaces (span counters, the pushdown
-  monitor, exchange buffers, admission ledgers, DAG commit state) call
+  monitor, exchange buffers, cache tiers, DAG commit state) call
   :meth:`record_read` / :meth:`record_write` / :meth:`record_update`.
   ``update`` marks commutative read-modify-write mutations (counter
   adds, window appends, union-window edges): update/update pairs can

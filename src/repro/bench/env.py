@@ -127,19 +127,18 @@ class Environment:
     metastore: HiveMetastore = field(default_factory=HiveMetastore)
     #: Shared across runs so the sliding-window history accumulates.
     monitor: PushdownMonitor = field(default_factory=PushdownMonitor)
-    #: Cache managers memoized per :meth:`CacheSpec.key` — the manager
-    #: must outlive the per-query clusters or nothing ever hits.
+    #: Cache managers memoized per (hashable, frozen) :class:`CacheSpec` —
+    #: the manager must outlive the per-query clusters or nothing ever hits.
     _cache_managers: dict = field(default_factory=dict)
 
     def cache_manager(self, spec: Optional[CacheSpec]) -> Optional[CacheManager]:
         """The environment's shared manager for ``spec`` (None disables)."""
         if spec is None:
             return None
-        key = spec.key()
-        manager = self._cache_managers.get(key)
+        manager = self._cache_managers.get(spec)
         if manager is None:
             manager = CacheManager(spec)
-            self._cache_managers[key] = manager
+            self._cache_managers[spec] = manager
         return manager
 
     def add_dataset(self, spec: DatasetSpec) -> TableDescriptor:

@@ -4,8 +4,7 @@ Two tiers — a coordinator-tier result/split cache and a per-OCS-node
 storage page cache — keyed by canonical Substrait plan fingerprints
 (:mod:`repro.substrait.fingerprint`) plus object/metastore version
 counters, and a coordinator-tier plan cache keyed by statement text,
-with deterministic byte-budgeted eviction and per-tenant reservation
-floors.  See ``docs/CACHE.md``.
+with deterministic byte-budgeted LRU eviction.  See ``docs/CACHE.md``.
 """
 
 from repro.cache.budget import ByteBudgetCache, CacheEntry, CacheStats

@@ -1,11 +1,11 @@
-"""Deterministic byte-budgeted cache with tenant reservation floors.
+"""Deterministic byte-budgeted LRU cache.
 
 :class:`ByteBudgetCache` is the storage engine behind every cache tier
 (coordinator results, coordinator split pages, per-OCS-node storage
 pages).  It is a pure data structure — simulated *cost* of serving or
 filling is charged by the caller — but its *state* is shared across
 concurrently simulated queries, so every transition polls
-:mod:`repro.sim.santrack` exactly like the admission ledgers do.
+:mod:`repro.sim.santrack`.
 
 Determinism: recency is a logical sequence counter bumped per access
 (never wall clock, never simulated time — two accesses at the same
@@ -13,23 +13,15 @@ simulated instant still order by arrival), and eviction scans are full
 sorts with the sequence number as the final tie-break, so a given access
 sequence always evicts the same victims.
 
-Eviction policies:
-
-* ``lru`` — oldest recency first.
-* ``cost`` — cheapest to recompute first: lowest ``cost / nbytes``
-  density, then oldest recency.
-
-Tenant reservations are eviction *floors*: a fill by tenant A skips any
-victim whose owner B ≠ A would drop below B's reserved resident bytes.
-A fill that cannot clear enough space against the floors (or is larger
-than the whole budget) is refused and counted — fills are best-effort,
-never query failures.
+Eviction is least-recently-used: a fill evicts the oldest-recency
+entries until it fits.  A fill larger than the whole budget is refused
+and counted — fills are best-effort, never query failures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.sim import santrack
 
@@ -46,11 +38,8 @@ class CacheEntry:
     key: Hashable
     value: object
     nbytes: int
-    tenant: str
     #: Recorded version signature of everything the value derives from.
     versions: VersionSignature
-    #: Estimated recompute cost (simulated cycles) for the "cost" policy.
-    cost: float
     #: Logical recency (bumped on every hit).
     seq: int
     hits: int = 0
@@ -87,21 +76,11 @@ class CacheStats:
 class ByteBudgetCache:
     """Keyed byte-budgeted cache; see module docstring for semantics."""
 
-    def __init__(
-        self,
-        budget_bytes: int,
-        *,
-        policy: str = "lru",
-        reservations: Optional[Mapping[str, int]] = None,
-        name: str = "cache",
-    ) -> None:
+    def __init__(self, budget_bytes: int, *, name: str = "cache") -> None:
         self.budget_bytes = budget_bytes
-        self.policy = policy
-        self.reservations = dict(reservations or {})
         self.name = name
         self.stats = CacheStats()
         self._entries: Dict[Hashable, CacheEntry] = {}
-        self._tenant_bytes: Dict[str, int] = {}
         self._seq = 0
 
     # -- SimTSan -----------------------------------------------------------
@@ -131,9 +110,6 @@ class ByteBudgetCache:
     def resident_bytes(self) -> int:
         return sum(e.nbytes for e in self._entries.values())
 
-    def tenant_bytes(self, tenant: str) -> int:
-        return self._tenant_bytes.get(tenant, 0)
-
     def entry(self, key: Hashable) -> Optional[CacheEntry]:
         """Peek without touching recency or stats (tests, EXPLAIN)."""
         return self._entries.get(key)
@@ -144,7 +120,6 @@ class ByteBudgetCache:
         self,
         key: Hashable,
         *,
-        tenant: str = "default",
         versions: Optional[VersionSignature] = None,
     ) -> Optional[object]:
         """The cached value, or None on miss.
@@ -159,7 +134,7 @@ class ByteBudgetCache:
             self.stats.misses += 1
             return None
         if versions is not None and entry.versions != versions:
-            self._drop(entry)
+            del self._entries[key]
             self.stats.stale_drops += 1
             self.stats.misses += 1
             return None
@@ -176,37 +151,23 @@ class ByteBudgetCache:
         value: object,
         *,
         nbytes: int,
-        tenant: str = "default",
         versions: VersionSignature = (),
-        cost: float = 0.0,
     ) -> bool:
         """Insert (replacing any same-key entry); True when resident.
 
         Returns False — and counts a quota refusal — when the entry
-        exceeds the whole budget or eviction cannot clear space without
-        violating another tenant's reservation floor.
+        exceeds the whole budget.
         """
         self._track("u", f"cache.put:{self.name}")
-        existing = self._entries.get(key)
-        if existing is not None:
-            self._drop(existing)
+        self._entries.pop(key, None)
         if nbytes > self.budget_bytes:
             self.stats.quota_refusals += 1
             return False
-        if not self._make_room(nbytes, tenant):
-            self.stats.quota_refusals += 1
-            return False
+        self._make_room(nbytes)
         self._seq += 1
         self._entries[key] = CacheEntry(
-            key=key,
-            value=value,
-            nbytes=nbytes,
-            tenant=tenant,
-            versions=versions,
-            cost=cost,
-            seq=self._seq,
+            key=key, value=value, nbytes=nbytes, versions=versions, seq=self._seq
         )
-        self._tenant_bytes[tenant] = self._tenant_bytes.get(tenant, 0) + nbytes
         self.stats.fills += 1
         self.stats.bytes_filled += nbytes
         return True
@@ -214,65 +175,27 @@ class ByteBudgetCache:
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True when it was resident."""
         self._track("u", f"cache.invalidate:{self.name}")
-        entry = self._entries.get(key)
-        if entry is None:
+        if self._entries.pop(key, None) is None:
             return False
-        self._drop(entry)
         self.stats.stale_drops += 1
         return True
 
     def clear(self) -> None:
         self._track("u", f"cache.clear:{self.name}")
         self._entries.clear()
-        self._tenant_bytes.clear()
 
     # -- eviction ----------------------------------------------------------
 
-    def _drop(self, entry: CacheEntry) -> None:
-        del self._entries[entry.key]
-        remaining = self._tenant_bytes.get(entry.tenant, 0) - entry.nbytes
-        if remaining > 0:
-            self._tenant_bytes[entry.tenant] = remaining
-        else:
-            self._tenant_bytes.pop(entry.tenant, None)
-
-    def _victim_order(self, entry: CacheEntry) -> Tuple[float, int]:
-        if self.policy == "cost":
-            density = entry.cost / entry.nbytes if entry.nbytes else 0.0
-            return (density, entry.seq)
-        return (0.0, entry.seq)
-
-    def _make_room(self, nbytes: int, requester: str) -> bool:
-        """Evict until ``nbytes`` fit; False if the floors make that
-        impossible (no state is mutated on refusal — candidate victims
-        are only dropped once the plan is known to clear enough)."""
+    def _make_room(self, nbytes: int) -> None:
+        """Evict least-recently-used entries until ``nbytes`` more fit
+        (the caller has checked that ``nbytes`` fits the budget)."""
         need = self.resident_bytes + nbytes - self.budget_bytes
         if need <= 0:
-            return True
-        candidates: List[CacheEntry] = sorted(
-            self._entries.values(), key=self._victim_order
-        )
-        planned: List[CacheEntry] = []
-        planned_by_tenant: Dict[str, int] = {}
-        freed = 0
-        for victim in candidates:
-            if freed >= need:
+            return
+        for victim in sorted(self._entries.values(), key=lambda e: e.seq):
+            if need <= 0:
                 break
-            if victim.tenant != requester:
-                floor = self.reservations.get(victim.tenant, 0)
-                already = planned_by_tenant.get(victim.tenant, 0)
-                after = self._tenant_bytes.get(victim.tenant, 0) - already - victim.nbytes
-                if after < floor:
-                    continue
-            planned.append(victim)
-            planned_by_tenant[victim.tenant] = (
-                planned_by_tenant.get(victim.tenant, 0) + victim.nbytes
-            )
-            freed += victim.nbytes
-        if freed < need:
-            return False
-        for victim in planned:
-            self._drop(victim)
+            del self._entries[victim.key]
             self.stats.evictions += 1
             self.stats.bytes_evicted += victim.nbytes
-        return True
+            need -= victim.nbytes

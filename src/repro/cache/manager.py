@@ -45,7 +45,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Optional, Sequence, Tuple
 
 from repro.config import MB, CacheSpec
-from repro.cache.budget import ByteBudgetCache, VersionSignature
+from repro.cache.budget import ByteBudgetCache, CacheStats, VersionSignature
 from repro.metastore.catalog import TableDescriptor
 from repro.objectstore.store import ObjectStore
 
@@ -85,30 +85,10 @@ class CacheManager:
 
     def __init__(self, spec: CacheSpec) -> None:
         self.spec = spec
-        self.results = ByteBudgetCache(
-            spec.result_budget_bytes,
-            policy=spec.policy,
-            reservations=spec.tenant_reservations,
-            name="result",
-        )
-        self.splits = ByteBudgetCache(
-            spec.split_budget_bytes,
-            policy=spec.policy,
-            reservations=spec.tenant_reservations,
-            name="split",
-        )
-        self.plans = ByteBudgetCache(
-            PLAN_BUDGET_BYTES,
-            policy=spec.policy,
-            reservations=spec.tenant_reservations,
-            name="plan",
-        )
+        self.results = ByteBudgetCache(spec.result_budget_bytes, name="result")
+        self.splits = ByteBudgetCache(spec.split_budget_bytes, name="split")
+        self.plans = ByteBudgetCache(PLAN_BUDGET_BYTES, name="plan")
         self._storage: Dict[int, ByteBudgetCache] = {}
-        #: Per-table lookup ledger (table -> [lookups, hits]), fed by the
-        #: coordinator's run path only (EXPLAIN probes are pure peeks).
-        #: The adaptive controller reads it to bias pushdown decisions
-        #: for hot-cached tables — see repro.core.adaptive.
-        self._tables: Dict[str, list] = {}
 
     # -- tiers -------------------------------------------------------------
 
@@ -117,10 +97,7 @@ class CacheManager:
         tier = self._storage.get(node_index)
         if tier is None:
             tier = ByteBudgetCache(
-                self.spec.storage_budget_bytes,
-                policy=self.spec.policy,
-                reservations=self.spec.tenant_reservations,
-                name=f"storage:{node_index}",
+                self.spec.storage_budget_bytes, name=f"storage:{node_index}"
             )
             self._storage[node_index] = tier
         return tier
@@ -147,41 +124,11 @@ class CacheManager:
     def storage_key(bucket: str, keys: Tuple[str, ...], fingerprint: str) -> Hashable:
         return ("page", bucket, keys, fingerprint)
 
-    # -- accounting --------------------------------------------------------
-
-    def record_table_lookup(self, table: str, *, hits: int, misses: int) -> None:
-        """Fold one run's cache outcomes for ``table`` into the ledger."""
-        entry = self._tables.setdefault(table, [0, 0])
-        entry[0] += hits + misses
-        entry[1] += hits
-
     # -- reporting ---------------------------------------------------------
 
-    def table_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-table lookup counters with derived hit rates."""
-        return {
-            table: {
-                "lookups": lookups,
-                "hits": hits,
-                "hit_rate": (hits / lookups) if lookups else 0.0,
-            }
-            for table, (lookups, hits) in sorted(self._tables.items())
-        }
-
-    def stats(self) -> Dict[str, Dict]:
-        """Deterministic per-tier counters (storage tiers merged) plus
-        the per-table lookup ledger under ``"tables"``."""
-        storage = {
-            "hits": 0,
-            "misses": 0,
-            "fills": 0,
-            "evictions": 0,
-            "stale_drops": 0,
-            "quota_refusals": 0,
-            "bytes_served": 0,
-            "bytes_filled": 0,
-            "bytes_evicted": 0,
-        }
+    def stats(self) -> Dict[str, Dict[str, int]]:
+        """Deterministic per-tier counters (storage tiers merged)."""
+        storage = CacheStats().as_dict()
         for index in sorted(self._storage):
             for name, value in self._storage[index].stats.as_dict().items():
                 storage[name] += value
@@ -190,7 +137,6 @@ class CacheManager:
             "split": self.splits.stats.as_dict(),
             "plan": self.plans.stats.as_dict(),
             "storage": storage,
-            "tables": self.table_stats(),
         }
 
     def clear(self) -> None:
@@ -199,4 +145,3 @@ class CacheManager:
         self.plans.clear()
         for tier in self._storage.values():
             tier.clear()
-        self._tables.clear()

@@ -160,7 +160,6 @@ class Client:
         *,
         tenant: str = "default",
         at: Optional[float] = None,
-        memory_bytes: Optional[int] = None,
         label: Optional[str] = None,
     ) -> QueryHandle:
         """Submit without waiting; returns a :class:`QueryHandle`.
@@ -179,7 +178,6 @@ class Client:
             schema=self._resolve_schema(schema),
             config=self._effective_config(config),
             at=at,
-            memory_bytes=memory_bytes,
             label=label,
         )
 

@@ -149,10 +149,9 @@ class ServiceSpec:
 
     The service layers admission control and concurrent scheduling over
     one shared simulated cluster: at most ``max_active_queries`` queries
-    execute at once, at most ``max_queue_depth`` more wait in the run
-    queue, and per-tenant in-flight / memory limits bound what any one
-    tenant can have admitted.  Every limit violation surfaces as a typed
-    :class:`~repro.errors.AdmissionError` subclass.
+    execute at once, and at most ``max_queue_depth`` more wait in the run
+    queue, each for at most ``queue_timeout_s``.  Every limit violation
+    surfaces as a typed :class:`~repro.errors.AdmissionError` subclass.
     """
 
     #: Queries executing concurrently on the shared cluster.
@@ -163,22 +162,9 @@ class ServiceSpec:
     #: Simulated seconds a query may wait in the queue before failing
     #: with ``ADMISSION_QUEUE_TIMEOUT``; ``None`` waits forever.
     queue_timeout_s: float | None = None
-    #: Max queued+running queries per tenant (``ADMISSION_TENANT_LIMIT``);
-    #: ``None`` leaves tenants unbounded.
-    per_tenant_max_inflight: int | None = None
-    #: Per-tenant budget over the memory estimates of admitted queries
-    #: (``ADMISSION_MEMORY_BUDGET``); ``None`` disables the budget.
-    per_tenant_memory_bytes: int | None = None
-    #: Memory estimate charged to a query that does not declare one.
-    default_query_memory_bytes: int = 64 * MB
     #: Dispatch policy: "fifo" (arrival order) or "fair" (fair-share
     #: across tenants: least-loaded, then least-served tenant first).
     policy: str = "fifo"
-    #: Defer dispatch while any storage node's core queue is at least
-    #: this deep (backpressure); ``None`` disables the check.
-    backpressure_queue_depth: int | None = None
-    #: Re-check interval (simulated seconds) while backpressure holds.
-    backpressure_poll_s: float = 0.002
 
     def __post_init__(self) -> None:
         self.validate()
@@ -196,33 +182,9 @@ class ServiceSpec:
             raise ConfigError(
                 f"queue_timeout_s must be positive, got {self.queue_timeout_s}"
             )
-        if self.per_tenant_max_inflight is not None and self.per_tenant_max_inflight < 1:
-            raise ConfigError(
-                f"per_tenant_max_inflight must be >= 1, "
-                f"got {self.per_tenant_max_inflight}"
-            )
-        if self.per_tenant_memory_bytes is not None and self.per_tenant_memory_bytes <= 0:
-            raise ConfigError(
-                f"per_tenant_memory_bytes must be positive, "
-                f"got {self.per_tenant_memory_bytes}"
-            )
-        if self.default_query_memory_bytes <= 0:
-            raise ConfigError(
-                f"default_query_memory_bytes must be positive, "
-                f"got {self.default_query_memory_bytes}"
-            )
         if self.policy not in ("fifo", "fair"):
             raise ConfigError(
                 f"policy must be 'fifo' or 'fair', got {self.policy!r}"
-            )
-        if self.backpressure_queue_depth is not None and self.backpressure_queue_depth < 1:
-            raise ConfigError(
-                f"backpressure_queue_depth must be >= 1, "
-                f"got {self.backpressure_queue_depth}"
-            )
-        if self.backpressure_poll_s <= 0:
-            raise ConfigError(
-                f"backpressure_poll_s must be positive, got {self.backpressure_poll_s}"
             )
 
 
@@ -235,12 +197,10 @@ class CacheSpec:
     canonical Substrait fingerprint + object versions) and the
     storage-tier page cache on each OCS node (pushed-subplan Arrow
     result pages keyed by object/row-group/fingerprint).  Budgets are
-    byte ceilings enforced by deterministic eviction (a zero budget
-    turns that tier off); per-tenant
-    reservations are eviction *floors* — no tenant's resident bytes can
-    be evicted below its reservation by another tenant's fills.  Any
-    spec also turns the coordinator's prepared-plan tier on, at the fixed
-    budget :data:`repro.cache.manager.PLAN_BUDGET_BYTES`.
+    byte ceilings enforced by deterministic least-recently-used eviction
+    (a zero budget turns that tier off).  Any spec also turns the
+    coordinator's prepared-plan tier on, at the fixed budget
+    :data:`repro.cache.manager.PLAN_BUDGET_BYTES`.
     """
 
     #: Coordinator-tier budget over whole-query result entries.
@@ -249,12 +209,6 @@ class CacheSpec:
     split_budget_bytes: int = 128 * MB
     #: Per-OCS-node budget over storage-tier page entries.
     storage_budget_bytes: int = 64 * MB
-    #: Eviction policy: "lru" (least-recently-used first) or "cost"
-    #: (cheapest-to-recompute first: lowest cost density, then LRU).
-    policy: str = "lru"
-    #: tenant name -> bytes of coordinator-tier residency that other
-    #: tenants' fills may never evict.
-    tenant_reservations: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.validate()
@@ -267,23 +221,6 @@ class CacheSpec:
         ):
             if value < 0:
                 raise ConfigError(f"{label} cannot be negative, got {value}")
-        if self.policy not in ("lru", "cost"):
-            raise ConfigError(f"cache policy must be 'lru' or 'cost', got {self.policy!r}")
-        for tenant, reserved in self.tenant_reservations.items():
-            if reserved < 0:
-                raise ConfigError(
-                    f"tenant {tenant!r} reservation cannot be negative, got {reserved}"
-                )
-
-    def key(self) -> tuple:
-        """Hashable identity (used to memoize shared cache managers)."""
-        return (
-            self.result_budget_bytes,
-            self.split_budget_bytes,
-            self.storage_budget_bytes,
-            self.policy,
-            tuple(sorted(self.tenant_reservations.items())),
-        )
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -13,23 +13,14 @@ This module implements both on top of :class:`PushdownMonitor`:
   (ratio near 1), turn statistics gating on and tighten the filter
   threshold toward the observed ratios, so unhelpful pushdowns stop; when
   pushdowns reduce strongly, relax the gate again.
-* **Cache-aware gating** — when the coordinator's split/result caches
-  keep serving a table (per-table hit rate from
-  :meth:`~repro.cache.manager.CacheManager.table_stats`), pushing work
-  to storage re-computes what a local cache hit would have served, so
-  the controller gates that table's filters behind statistics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
 
 from repro.core.monitor import PushdownMonitor
 from repro.core.optimizer import PushdownPolicy
-
-if TYPE_CHECKING:
-    from repro.cache.manager import CacheManager
 
 __all__ = ["AdaptiveController", "AdaptationDecision"]
 
@@ -56,37 +47,15 @@ class AdaptiveController:
         helpful_ratio: float = 0.3,
         #: Mean relative cardinality-estimate error that triggers a model switch.
         estimate_error_limit: float = 0.5,
-        #: Shared cache manager whose per-table ledger informs gating;
-        #: ``None`` disables cache-aware decisions.
-        cache: Optional["CacheManager"] = None,
-        #: Per-table cache hit rate at (or above) which the table counts
-        #: as hot — pushing its scans to storage wastes work the cache
-        #: would have served.
-        hot_hit_rate: float = 0.6,
-        #: Minimum ledger lookups before a hit rate is trusted.
-        min_cache_lookups: int = 4,
     ) -> None:
         self.monitor = monitor
         self.min_observations = min_observations
         self.unhelpful_ratio = unhelpful_ratio
         self.helpful_ratio = helpful_ratio
         self.estimate_error_limit = estimate_error_limit
-        self.cache = cache
-        self.hot_hit_rate = hot_hit_rate
-        self.min_cache_lookups = min_cache_lookups
 
-    def tune(
-        self, policy: PushdownPolicy, table: Optional[str] = None
-    ) -> AdaptationDecision:
-        """Return the policy to use for the next query.
-
-        ``table`` names the scan the policy will govern; with a cache
-        ledger attached, a hot-cached table biases the decision away
-        from pushdown before any history-based adaptation runs.
-        """
-        hot = self._hot_cache_decision(policy, table)
-        if hot is not None:
-            return hot
+    def tune(self, policy: PushdownPolicy) -> AdaptationDecision:
+        """Return the policy to use for the next query."""
         monitor = self.monitor
         if len(monitor) < self.min_observations:
             return AdaptationDecision(policy, False, "insufficient history")
@@ -134,31 +103,3 @@ class AdaptiveController:
             )
 
         return AdaptationDecision(policy, False, "history within expectations")
-
-    def _hot_cache_decision(
-        self, policy: PushdownPolicy, table: Optional[str]
-    ) -> Optional[AdaptationDecision]:
-        """Gate pushdown for a table the cache keeps serving, or ``None``.
-
-        A hot table's scans mostly resolve from the coordinator's split/
-        result tiers; pushing their filters to storage burns OCS cycles
-        recomputing bytes a cache hit serves for the cost of a lookup.
-        The bias is the same lever as the unhelpful-ratio path: turn
-        statistics gating on so only filters estimated to drop most rows
-        still push.
-        """
-        if self.cache is None or table is None:
-            return None
-        stats = self.cache.table_stats().get(table)
-        if stats is None or stats["lookups"] < self.min_cache_lookups:
-            return None
-        rate = stats["hit_rate"]
-        if rate < self.hot_hit_rate or policy.use_statistics:
-            return None
-        return AdaptationDecision(
-            replace(policy, use_statistics=True),
-            True,
-            f"table {table!r} cache hit rate {rate:.0%} >= "
-            f"{self.hot_hit_rate:.0%}: cached scans beat pushdown, "
-            "gating filters behind statistics",
-        )

@@ -137,12 +137,10 @@ class _BranchKeys:
 class QueryCache:
     """One query's view of the coordinator-tier result and split caches."""
 
-    def __init__(self, bodies: StageBodies, tenant: str) -> None:
+    def __init__(self, bodies: StageBodies) -> None:
         self.bodies = bodies
         self.cluster = bodies.cluster
         self.cache: Optional[CacheManager] = bodies.cluster.cache
-        #: Owns this query's fills for quota accounting.
-        self.tenant = tenant
         #: (key, version signature) of a result-tier miss awaiting its fill.
         self._result: Optional[Tuple[Hashable, VersionSignature]] = None
         #: (key, statement text) of a plan-tier miss awaiting its fill.
@@ -367,7 +365,7 @@ class QueryCache:
                     ])
                 except EngineError:
                     versions = ()  # a table left the catalog
-            entry = tier.get(key, tenant=self.tenant, versions=versions)
+            entry = tier.get(key, versions=versions)
             lookup.set("hit", entry is not None)
             if entry is not None:
                 lookup.add("plan_cache_hits", 1)
@@ -401,13 +399,9 @@ class QueryCache:
             "cache-fill", parent=root, attributes={"tier": "plan"}
         ) as span:
             filled = self.cache.plans.put(
-                key, entry, nbytes=nbytes, tenant=self.tenant,
+                key, entry, nbytes=nbytes,
                 versions=_tables_signature(
                     self.cluster.store, (b.handle.descriptor for b in branches)
-                ),
-                cost=float(
-                    lowered.analysis_nodes
-                    * self.cluster.costs.plan_analysis_cycles_per_node
                 ),
             )
             span.set("bytes", nbytes)
@@ -427,22 +421,9 @@ class QueryCache:
         :attr:`unpaid_lookup_cycles` to its next request, since each extra
         request is one more same-instant hop, and each such hop reverses
         two same-instant queries under the LIFO tie-break.
-
-        Also feeds the per-table lookup ledger the adaptive controller
-        reads.  The split peeks are pure, so recording them here (run
-        path only) keeps EXPLAIN side-effect free.
         """
         cache = self.cache
-        if cache is None:
-            return None
-        for branch in lowered.branches:
-            probe = self._split_probe(branch)
-            if probe is not None:
-                hits, misses = probe
-                cache.record_table_lookup(
-                    branch.table, hits=len(hits), misses=len(misses)
-                )
-        if cache.results.budget_bytes <= 0:
+        if cache is None or cache.results.budget_bytes <= 0:
             return None
         self._result = self._result_probe(lowered)
         if self._result is None:
@@ -454,7 +435,7 @@ class QueryCache:
             "cache-lookup", parent=root, stage=STAGE_OTHERS,
             attributes={"tier": "result"},
         ) as lookup:
-            hit = cache.results.get(key, tenant=self.tenant, versions=versions)
+            hit = cache.results.get(key, versions=versions)
             lookup.set("hit", hit is not None)
             if hit is not None:
                 yield cluster.compute.execute(
@@ -464,10 +445,6 @@ class QueryCache:
                 )
         if hit is not None:
             root.add("result_cache_hits", 1)
-        for branch in lowered.branches:
-            cache.record_table_lookup(
-                branch.table, hits=int(hit is not None), misses=int(hit is None)
-            )
         return hit
 
     @property
@@ -477,9 +454,7 @@ class QueryCache:
             return 0.0
         return self.cluster.costs.cache_lookup_cycles
 
-    def fill_result(
-        self, batch: RecordBatch, elapsed: float, root: Span
-    ) -> None:
+    def fill_result(self, batch: RecordBatch, root: Span) -> None:
         """Offer a computed result to the tier :meth:`lookup_result` missed."""
         if self._result is None:
             return
@@ -489,8 +464,7 @@ class QueryCache:
             "cache-fill", parent=root, attributes={"tier": "result"}
         ) as span:
             filled = self.cache.results.put(
-                key, batch, nbytes=batch.nbytes, tenant=self.tenant,
-                versions=versions, cost=float(elapsed),
+                key, batch, nbytes=batch.nbytes, versions=versions
             )
             span.set("bytes", batch.nbytes)
             span.set("accepted", filled)
@@ -523,7 +497,7 @@ class QueryCache:
             ):
                 for index in hits:
                     value = cache.splits.get(
-                        branch.keys.split_keys[index], tenant=self.tenant,
+                        branch.keys.split_keys[index],
                         versions=self._split_versions(branch, branch.splits[index]),
                     )
                     if value is None:
@@ -603,9 +577,9 @@ class QueryCache:
     ) -> None:
         """Offer each scanned split's post-operator batches to the cache.
 
-        Fills are best-effort: a refusal (budget or another tenant's
-        reservation floor) is counted by the tier, never raised.  Pure
-        bookkeeping — no simulated time passes.
+        Fills are best-effort: a refusal (an entry over the budget) is
+        counted by the tier, never raised.  Pure bookkeeping — no
+        simulated time passes.
         """
         cache = self.cache
         assert cache is not None
@@ -620,9 +594,7 @@ class QueryCache:
                     branch.keys.split_keys[index],
                     list(batches),
                     nbytes=nbytes,
-                    tenant=self.tenant,
                     versions=self._split_versions(branch, branch.splits[index]),
-                    cost=float(sum(b.num_rows for b in batches)),
                 )
                 if ok:
                     filled += 1

@@ -145,18 +145,6 @@ class Cluster:
         """Round-robin object placement across storage nodes."""
         return index % len(self.storage_nodes)
 
-    # -- load signals ----------------------------------------------------------
-
-    def storage_queue_depth(self) -> int:
-        """Deepest storage-node core queue right now (backpressure signal).
-
-        The query service defers dispatching new queries while this
-        exceeds its configured threshold — the OASIS observation that
-        contention on storage-side compute is what breaks offloading
-        under concurrency.
-        """
-        return max((node.cores.queue_length for node in self.storage), default=0)
-
     # -- reporting ----------------------------------------------------------------
 
     def bytes_to_compute(self) -> int:

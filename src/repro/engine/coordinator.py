@@ -178,7 +178,6 @@ class Coordinator:
         *,
         parent=None,
         query_id: Optional[str] = None,
-        tenant: str = "default",
     ):
         """The query as a schedulable DES generator (re-entrant form).
 
@@ -187,13 +186,10 @@ class Coordinator:
         of these concurrently on one shared cluster.  Each call gets its
         own span root (parented under ``parent`` when given, so a
         service-level trace nests the query) and sums its counters from
-        the spans of that trace,
-        ``query_id`` tags resource claims for per-query accounting, and
-        ``tenant`` owns the query's cache fills for quota accounting.
+        the spans of that trace, and ``query_id`` tags resource claims
+        for per-query accounting.
         """
-        return self._run_query(
-            sql, session, parent=parent, query_id=query_id, tenant=tenant,
-        )
+        return self._run_query(sql, session, parent=parent, query_id=query_id)
 
     def explain(self, sql: str, session: Session, analyze: bool = False) -> str:
         """Plan (without executing) and describe what would happen.
@@ -219,7 +215,7 @@ class Coordinator:
             )
         lowered = lower(
             plan, connector, root, self.bodies,
-            QueryCache(self.bodies, "default").add_branch_stages, self.join_workers,
+            QueryCache(self.bodies).add_branch_stages, self.join_workers,
         )
 
         lines = [f"EXPLAIN {' '.join(sql.split())}", ""]
@@ -561,13 +557,12 @@ class Coordinator:
         *,
         parent=None,
         query_id: Optional[str] = None,
-        tenant: str = "default",
     ):
         cluster = self.cluster
         sim = cluster.sim
         costs = cluster.costs
         tracer = cluster.tracer
-        cache = QueryCache(self.bodies, tenant)
+        cache = QueryCache(self.bodies)
         query_start = sim.now
         bytes_start = cluster.bytes_to_compute()
 
@@ -605,7 +600,7 @@ class Coordinator:
             else:
                 if subqueries:
                     planned = yield from self._plan_with_subqueries(
-                        prepared, session, root, query_id, tenant
+                        prepared, session, root, query_id
                     )
                 plan, plan_before, connector = planned
 
@@ -644,7 +639,7 @@ class Coordinator:
                     connector.end_query(branch.handle)
             elapsed = sim.now - query_start
             if not hit:
-                cache.fill_result(batch, elapsed, root)
+                cache.fill_result(batch, root)
             # Captured while the root is open, so ring retention cannot
             # have evicted it; the root span closes in this same copy.
             trace = tracer.trace(root=root)
@@ -683,7 +678,6 @@ class Coordinator:
         session: Session,
         root,
         query_id: Optional[str],
-        tenant: str,
     ):
         """(1b) Rewriter-requested sub-executions, then planning.
 
@@ -695,8 +689,7 @@ class Coordinator:
 
         def run(statement: SelectStatement):
             return self._run_query(
-                statement.to_sql(), session, parent=root, query_id=query_id,
-                tenant=tenant,
+                statement.to_sql(), session, parent=root, query_id=query_id
             )
 
         if prepared.scalar_jobs:

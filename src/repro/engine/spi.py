@@ -16,8 +16,8 @@ Mirrors the Presto SPI surface the paper builds on (Section 3.4):
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Generator, Hashable, List, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Generator, Hashable, List, Optional
 
 from repro.arrowsim.record_batch import RecordBatch
 from repro.arrowsim.schema import Schema
@@ -56,10 +56,6 @@ class ConnectorSplit:
     keys: tuple
     #: Which storage node serves this split.
     node_index: int = 0
-    info: Dict[str, Any] = field(default_factory=dict)
-
-    def __hash__(self) -> int:
-        return hash((self.split_id, self.keys, self.node_index))
 
 
 @dataclass
@@ -106,7 +102,7 @@ class Connector(ABC):
     def __init__(self, retry_policy: Optional[RetryPolicy] = None) -> None:
         if retry_policy is not None:
             self.retry_policy = retry_policy
-        #: Every S3-gateway call (GET_TAIL, GET_RANGES, SELECT) in every mode
+        #: Every S3-gateway call (GET_TAIL, GET_RANGES) in every mode
         #: retries under ``retry_policy`` *without* its per-call deadline.
         #: Only the pushdown dispatch has a fallback below it, so only there
         #: can a timeout buy a faster path; a gateway read is the fallback or

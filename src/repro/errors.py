@@ -323,8 +323,8 @@ class AdmissionError(ServiceError):
     """Base class for admission-control rejections.
 
     Every admission failure is *typed*: callers (and the SLO reporter)
-    switch on ``code`` to distinguish a full run queue from a tenant
-    quota from a memory budget without parsing messages.
+    switch on ``code`` to distinguish a full run queue from a queue-wait
+    timeout without parsing messages.
     """
 
     code = "ADMISSION"
@@ -334,18 +334,6 @@ class QueueFullError(AdmissionError):
     """The service's bounded run queue is at capacity; try again later."""
 
     code = "ADMISSION_QUEUE_FULL"
-
-
-class TenantLimitError(AdmissionError):
-    """The tenant already has its maximum in-flight queries admitted."""
-
-    code = "ADMISSION_TENANT_LIMIT"
-
-
-class MemoryBudgetError(AdmissionError):
-    """Admitting the query would exceed the tenant's memory budget."""
-
-    code = "ADMISSION_MEMORY_BUDGET"
 
 
 class QueueTimeoutError(AdmissionError):
@@ -366,13 +354,10 @@ class CacheError(ReproError):
 
 
 class CacheQuotaError(CacheError):
-    """A cache fill was refused because it would violate tenant quotas.
+    """A cache fill was refused: the entry is larger than the tier's budget.
 
-    Either the filling tenant is over its own share and every candidate
-    eviction victim belongs to a tenant still inside its byte
-    reservation, or the entry is larger than the whole budget.  Fills
-    are best-effort, so this surfaces in accounting (and tests) rather
-    than failing queries.
+    Fills are best-effort, so this surfaces in accounting (the tier's
+    ``quota_refusals``) and tests rather than failing queries.
     """
 
     code = "CACHE_QUOTA"
@@ -454,7 +439,7 @@ class SanitizerError(ReproError):
     """SimTSan found a same-instant data race on shared simulated state.
 
     Two accesses to one shared surface (a metrics counter, an exchange
-    buffer, an admission ledger, ...) happened at the same simulated
+    buffer, a cache tier, ...) happened at the same simulated
     timestamp with causally unordered vector clocks and at least one
     side mutating — the observable outcome depends on the kernel's
     tie-break policy.  Carries the :class:`RaceReport` as ``report``.

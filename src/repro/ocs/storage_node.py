@@ -170,6 +170,5 @@ class OcsStorageNode:
                 (arrow, replace(report)),
                 nbytes=len(arrow),
                 versions=versions,
-                cost=report.total_cpu_cycles,
             )
         return arrow, report

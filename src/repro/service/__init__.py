@@ -2,8 +2,8 @@
 
 The subsystem the paper's single-query benchmarks stop short of: many
 concurrently submitted queries from multiple tenants sharing one
-simulated cluster, with admission control in front (bounded queue,
-per-tenant quotas), a FIFO/fair-share scheduler in the middle, seeded
+simulated cluster, with admission control in front (a bounded queue
+with an optional wait deadline), a FIFO/fair-share scheduler in the middle, seeded
 open/closed-loop load generation driving it, and an SLO report
 (p50/p95/p99, queue-wait vs execution, per-tenant throughput) out the
 back.  See ``docs/SERVICE.md``.

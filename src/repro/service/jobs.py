@@ -57,7 +57,7 @@ class QueryJob:
 
     __slots__ = (
         "query_id", "arrival_seq", "tenant", "sql", "schema", "label",
-        "config", "memory_bytes", "status", "error", "result",
+        "config", "status", "error", "result",
         "submitted", "dispatched", "finished", "completion",
         "span", "queue_span",
     )
@@ -72,7 +72,6 @@ class QueryJob:
         schema: str,
         label: str,
         config,
-        memory_bytes: int,
         completion: Event,
     ) -> None:
         self.query_id = query_id
@@ -82,7 +81,6 @@ class QueryJob:
         self.schema = schema
         self.label = label
         self.config = config
-        self.memory_bytes = memory_bytes
         self.status = JobStatus.PENDING
         self.error: Optional[BaseException] = None
         self.result: Optional[QueryResult] = None

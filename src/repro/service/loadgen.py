@@ -37,7 +37,6 @@ class QueryTemplate:
     sql: str
     schema: str
     label: str = ""
-    memory_bytes: Optional[int] = None
     config: Optional[RunConfig] = None
 
     @property
@@ -80,7 +79,6 @@ def open_loop(
                 tenant=template.tenant,
                 schema=template.schema,
                 config=template.config,
-                memory_bytes=template.memory_bytes,
                 label=f"{template.display_label}-{i}",
                 at=t,
             )
@@ -118,7 +116,6 @@ def closed_loop(
                 tenant=template.tenant,
                 schema=template.schema,
                 config=template.config,
-                memory_bytes=template.memory_bytes,
                 label=f"{template.display_label}-{client_id}.{i}",
             )
             handles.append(handle)

@@ -10,11 +10,10 @@ storage-side compute is the first thing that breaks offloading.
 The service composes four pieces:
 
 * an :class:`~repro.service.admission.AdmissionController` guarding a
-  bounded run queue with per-tenant in-flight and memory limits
-  (rejections are typed :class:`~repro.errors.AdmissionError`\\ s);
+  bounded run queue (rejections are typed
+  :class:`~repro.errors.AdmissionError`\\ s);
 * a **concurrent scheduler** dispatching queued queries as execution
-  slots free up, under a FIFO or fair-share policy, with storage-queue
-  backpressure;
+  slots free up, under a FIFO or fair-share policy;
 * per-query scoping: each query gets its own span root (its counters
   are summed from that trace alone) and resource-accounting tag, so
   concurrent queries stay attributable on the shared substrate;
@@ -43,7 +42,7 @@ __all__ = ["QueryService"]
 #: Default per-query run configuration (full OCS pushdown).
 _DEFAULT_CONFIG_LABEL = "service"
 #: RunConfig fields the service fixes for every job from ``base_config``.
-_SERVICE_FIELDS = ("rewrite", "faults", "scheduler", "strict_sanitize")
+_SERVICE_FIELDS = ("rewrite", "faults", "scheduler", "strict_sanitize", "cache")
 
 
 class QueryService:
@@ -62,10 +61,12 @@ class QueryService:
     ) -> None:
         """Stand the service up on ``environment``'s datasets.
 
-        ``base_config`` fixes the cluster-level knobs (fault spec, strict
-        S3 typing) and the default per-query connector config; individual
-        submissions may carry their own :class:`RunConfig`, which binds a
-        separate connector on the *same* cluster.  ``tie_break`` /
+        ``base_config`` fixes the fields the shared coordinator and
+        cluster hold for every job (``rewrite``, ``faults``,
+        ``scheduler``, ``strict_sanitize`` and ``cache``) and is the
+        default per-query connector config; individual submissions may
+        carry their own :class:`RunConfig`, which binds a separate
+        connector on the *same* cluster.  ``tie_break`` /
         ``observer`` instrument the kernel for the determinism harness.
         """
         self.environment = environment
@@ -100,7 +101,6 @@ class QueryService:
         self._queue: List[QueryJob] = []
         self._active = 0
         self._next_seq = 0
-        self._poll_scheduled = False
         #: Deterministic connector cache: config key -> catalog name.
         self._catalogs: Dict[tuple, str] = {}
         #: SimTSan over the shared cluster, when strict_sanitize resolves
@@ -124,7 +124,6 @@ class QueryService:
         schema: Optional[str] = None,
         config: Optional[RunConfig] = None,
         at: Optional[float] = None,
-        memory_bytes: Optional[int] = None,
         label: Optional[str] = None,
     ) -> QueryHandle:
         """Enqueue one query for arrival at simulated time ``at``.
@@ -137,8 +136,8 @@ class QueryService:
         ``config`` may change connector-level fields (each distinct set
         binds its own connector), but not the ones the shared coordinator
         and cluster fix for every job: a differing ``rewrite``,
-        ``faults``, ``scheduler`` or ``strict_sanitize`` raises
-        :class:`~repro.errors.ConfigError` naming the field.
+        ``faults``, ``scheduler``, ``strict_sanitize`` or ``cache``
+        raises :class:`~repro.errors.ConfigError` naming the field.
         """
         schema = schema if schema is not None else self.default_schema
         if schema is None:
@@ -170,11 +169,6 @@ class QueryService:
             schema=schema,
             label=label if label is not None else f"q{seq:04d}",
             config=config if config is not None else self.base_config,
-            memory_bytes=(
-                memory_bytes
-                if memory_bytes is not None
-                else self.spec.default_query_memory_bytes
-            ),
             completion=self.sim.event(),
         )
         self.jobs.append(job)
@@ -189,14 +183,6 @@ class QueryService:
 
     # -- admission -------------------------------------------------------------
 
-    # Same-instant submissions are processed in kernel dispatch order —
-    # under the default FIFO tie-break, that is submission (arrival_seq)
-    # order, and replays fix the policy, so the serialization is
-    # deterministic *by design* even though no causal edge orders one
-    # arrival's ledger update before the next one's check.  SimTSan
-    # would flag every burst workload for it, so the admission calls
-    # below carry targeted suppressions; any ledger access that does
-    # not go through these serialized transitions is still checked.
     def _admit(self, job: QueryJob) -> None:
         tracer = self.cluster.tracer
         job.submitted = self.sim.now
@@ -214,17 +200,12 @@ class QueryService:
         # A query that can start immediately never occupies the queue, so
         # the queue bound only applies to submissions that would wait.
         would_wait = not (
-            self._active < self.spec.max_active_queries
-            and not self._queue
-            and not self._backpressured()
+            self._active < self.spec.max_active_queries and not self._queue
         )
-        error = self.admission.check(  # simtsan: ignore[admission.check]
-            job, len(self._queue) if would_wait else -1
-        )
+        error = self.admission.check(job, len(self._queue) if would_wait else -1)
         if error is not None:
             self._reject(job, error)
             return
-        self.admission.admit(job)  # simtsan: ignore[admission.admit]
         job.status = JobStatus.QUEUED
         job.queue_span = tracer.start("queue", parent=job.span)  # simlint: ignore[span-pair]
         self._queue.append(job)
@@ -256,7 +237,6 @@ class QueryService:
             f"{self.spec.queue_timeout_s}s in the run queue"
         )
         job.finished = self.sim.now
-        self.admission.release(job)  # simtsan: ignore[admission.release]
         tracer = self.cluster.tracer
         if job.queue_span is not None:
             tracer.end(job.queue_span)
@@ -268,19 +248,9 @@ class QueryService:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _backpressured(self) -> bool:
-        threshold = self.spec.backpressure_queue_depth
-        return (
-            threshold is not None
-            and self.cluster.storage_queue_depth() >= threshold
-        )
-
     def _pump(self) -> None:
         """Dispatch queued queries while slots are free (the scheduler)."""
         while self._queue and self._active < self.spec.max_active_queries:
-            if self._backpressured():
-                self._schedule_backpressure_poll()
-                return
             self._dispatch(self._pick_next())
 
     def _pick_next(self) -> QueryJob:
@@ -314,22 +284,10 @@ class QueryService:
         self._queue.remove(best)
         return best
 
-    def _schedule_backpressure_poll(self) -> None:
-        if self._poll_scheduled:
-            return
-        self._poll_scheduled = True
-
-        def poll():
-            yield self.sim.timeout(self.spec.backpressure_poll_s)
-            self._poll_scheduled = False
-            self._pump()
-
-        self.sim.process(poll(), name="backpressure-poll")
-
     def _dispatch(self, job: QueryJob) -> None:
         job.status = JobStatus.RUNNING
         job.dispatched = self.sim.now
-        self.admission.record_dispatch(job)  # simtsan: ignore[admission.record_dispatch]
+        self.admission.record_dispatch(job)
         self._active += 1
         if job.queue_span is not None:
             self.cluster.tracer.end(job.queue_span)
@@ -345,7 +303,6 @@ class QueryService:
                     session,
                     parent=job.span,
                     query_id=job.query_id,
-                    tenant=job.tenant,
                 ),
                 name=f"run-{job.query_id}",
             )
@@ -360,7 +317,7 @@ class QueryService:
         job.finished = self.sim.now
         job.span.set("status", str(job.status))
         self._active -= 1
-        self.admission.release(job)  # simtsan: ignore[admission.release]
+        self.admission.release(job)
         tracer.end(job.span)
         job.completion.succeed(None)
         self._pump()
@@ -471,5 +428,4 @@ def _config_key(config: RunConfig) -> tuple:
         config.prune_columns,
         policy_key,
         retry_key,
-        config.cache.key() if config.cache is not None else None,
     )

@@ -146,10 +146,6 @@ class Resource:
             waiter.succeed(waiter)
             break
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def busy_seconds(self, owner: str) -> float:
         """Slot-held seconds charged to ``owner`` (released claims only)."""
         return self._owner_busy.get(owner, 0.0)

@@ -1,8 +1,8 @@
 """Process-wide handle to the active race sanitizer (SimTSan).
 
 Instrumented shared surfaces (span counters in ``trace/span.py``,
-``core/monitor.py``, ``exchange/shuffle.py``, ``service/admission.py``,
-the DAG scheduler) live below :mod:`repro.analysis` in the import
+``core/monitor.py``, ``exchange/shuffle.py``, ``cache/budget.py``, the
+DAG scheduler) live below :mod:`repro.analysis` in the import
 graph, so they cannot import the sanitizer directly without a cycle.
 This tiny module — no imports, no simulation state — holds the one
 mutable slot they poll:

@@ -223,99 +223,3 @@ class TestAdaptiveController:
         decision = controller.tune(PushdownPolicy.filter_only())
         assert not decision.changed
         assert "within expectations" in decision.reason
-
-
-class TestHotCacheBias:
-    """Per-table cache hit rates bias the controller away from pushdown."""
-
-    @staticmethod
-    def _manager():
-        from repro.cache.manager import CacheManager
-        from repro.config import CacheSpec
-
-        return CacheManager(CacheSpec())
-
-    def test_hot_table_gates_pushdown(self):
-        manager = self._manager()
-        # Synthetic history: lineitem keeps hitting, orders was probed once.
-        for _ in range(5):
-            manager.record_table_lookup("lineitem", hits=1, misses=0)
-        manager.record_table_lookup("orders", hits=0, misses=1)
-        controller = AdaptiveController(PushdownMonitor(), cache=manager)
-        policy = PushdownPolicy.filter_only()
-        decision = controller.tune(policy, table="lineitem")
-        assert decision.changed
-        assert decision.policy.use_statistics
-        assert "cache hit rate" in decision.reason
-
-    def test_cold_or_unknown_table_keeps_policy(self):
-        manager = self._manager()
-        manager.record_table_lookup("orders", hits=0, misses=1)
-        controller = AdaptiveController(PushdownMonitor(), cache=manager)
-        policy = PushdownPolicy.filter_only()
-        # Below min_cache_lookups -> no bias; unknown table -> no bias.
-        assert not controller.tune(policy, table="orders").changed
-        assert not controller.tune(policy, table="nation").changed
-        # No table named -> history-based rules only.
-        assert not controller.tune(policy).changed
-
-    def test_low_hit_rate_keeps_policy(self):
-        manager = self._manager()
-        for _ in range(4):
-            manager.record_table_lookup("lineitem", hits=1, misses=1)
-        controller = AdaptiveController(PushdownMonitor(), cache=manager)
-        decision = controller.tune(PushdownPolicy.filter_only(), table="lineitem")
-        assert not decision.changed  # 50% < 60% hot threshold
-
-    def test_already_gated_policy_is_stable(self):
-        manager = self._manager()
-        for _ in range(6):
-            manager.record_table_lookup("lineitem", hits=1, misses=0)
-        controller = AdaptiveController(PushdownMonitor(), cache=manager)
-        gated = PushdownPolicy(enabled=frozenset({"filter"}), use_statistics=True)
-        assert not controller.tune(gated, table="lineitem").changed
-
-    def test_ledger_surfaces_in_stats(self):
-        manager = self._manager()
-        manager.record_table_lookup("lineitem", hits=3, misses=1)
-        stats = manager.stats()["tables"]["lineitem"]
-        assert stats["lookups"] == 4
-        assert stats["hits"] == 3
-        assert stats["hit_rate"] == pytest.approx(0.75)
-
-    def test_run_path_feeds_ledger(self):
-        """End to end: cached runs through the environment populate the
-        per-table ledger the controller reads."""
-        from repro.config import CacheSpec
-
-        env = Environment()
-        env.add_dataset(
-            DatasetSpec(
-                schema_name="tpch",
-                table_name="lineitem",
-                bucket="cachebias",
-                file_count=2,
-                generator=lambda i: __import__(
-                    "repro.workloads", fromlist=["generate_lineitem"]
-                ).generate_lineitem(2000, seed=17, start_row=i * 2000),
-                row_group_rows=1024,
-            )
-        )
-        spec = CacheSpec()
-        config = RunConfig(
-            label="cached", mode="ocs",
-            policy=PushdownPolicy.filter_only(), cache=spec,
-        )
-        sql = "SELECT COUNT(*) AS n FROM lineitem WHERE quantity < 10.0"
-        env.run(sql, config, "tpch")
-        env.run(sql, config, "tpch")
-        tables = env.cache_manager(spec).table_stats()
-        assert tables["lineitem"]["lookups"] > 0
-        assert tables["lineitem"]["hits"] > 0
-        controller = AdaptiveController(
-            PushdownMonitor(), cache=env.cache_manager(spec),
-            min_cache_lookups=1, hot_hit_rate=0.3,
-        )
-        decision = controller.tune(PushdownPolicy.filter_only(), table="lineitem")
-        assert decision.changed
-        assert "cache hit rate" in decision.reason

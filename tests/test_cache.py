@@ -1,5 +1,5 @@
 """Hybrid result/page cache: budget mechanics, partial-hit hybrid plans,
-versioned invalidation, per-tenant quotas, and cached-run determinism."""
+versioned invalidation, per-query counters, and cached-run determinism."""
 
 from repro.analysis.determinism import canonical_result_digest
 from repro.bench.env import Environment, RunConfig
@@ -53,40 +53,24 @@ class TestByteBudgetCache:
         assert cache.stats.evictions == 1
         assert cache.stats.bytes_evicted == 40
 
-    def test_cost_policy_evicts_cheapest_density_first(self):
-        cache = ByteBudgetCache(100, policy="cost")
-        cache.put("pricey", 1, nbytes=40, cost=4000.0)
-        cache.put("cheap", 2, nbytes=40, cost=400.0)
-        cache.put("new", 3, nbytes=40, cost=1.0)
-        assert "cheap" not in cache and "pricey" in cache and "new" in cache
-
     def test_oversized_fill_refused(self):
         cache = ByteBudgetCache(100)
         assert not cache.put("huge", 1, nbytes=200)
         assert len(cache) == 0
         assert cache.stats.quota_refusals == 1
 
-    def test_reservation_floor_blocks_cross_tenant_eviction(self):
-        cache = ByteBudgetCache(100, reservations={"a": 80})
-        assert cache.put("a1", 1, nbytes=40, tenant="a")
-        assert cache.put("a2", 2, nbytes=40, tenant="a")
-        # b's fill would need to drop a below its 80-byte floor: refused.
-        assert not cache.put("b1", 3, nbytes=40, tenant="b")
-        assert cache.stats.quota_refusals == 1
-        assert cache.tenant_bytes("a") == 80
-        # b fits in the remaining headroom without touching a.
-        assert cache.put("b2", 4, nbytes=20, tenant="b")
-        # b's next fill evicts b's own entry, never a's.
-        assert cache.put("b3", 5, nbytes=20, tenant="b")
-        assert cache.tenant_bytes("a") == 80
-        assert "b2" not in cache
-
-    def test_owner_may_evict_below_own_reservation(self):
-        cache = ByteBudgetCache(80, reservations={"a": 80})
-        cache.put("a1", 1, nbytes=40, tenant="a")
-        cache.put("a2", 2, nbytes=40, tenant="a")
-        assert cache.put("a3", 3, nbytes=40, tenant="a")
-        assert "a1" not in cache
+    def test_one_fill_evicts_the_oldest_entries_until_it_fits(self):
+        cache = ByteBudgetCache(100)
+        cache.put("a", 1, nbytes=30)
+        cache.put("b", 2, nbytes=30)
+        cache.put("c", 3, nbytes=30)
+        assert cache.get("a") == 1  # a is now the most recent
+        assert cache.put("d", 4, nbytes=60)
+        # b and c (oldest first) free 60 bytes; a survives.
+        assert sorted(k for k in "abcd" if k in cache) == ["a", "d"]
+        assert cache.stats.evictions == 2
+        assert cache.stats.bytes_evicted == 60
+        assert cache.resident_bytes == 90
 
     def test_stale_version_drops_entry(self):
         cache = ByteBudgetCache(100)
@@ -200,9 +184,6 @@ class TestServiceTenantAccounting:
         assert warm.value("result_cache_hits") == 1
         assert warm.value("result_cache_fills") == 0
         assert service.cache.results.stats.bytes_served > 0
-        # The fill stays attributed to the tenant that paid for it.
-        assert service.cache.results.tenant_bytes("analytics") > 0
-        assert service.cache.results.tenant_bytes("bi") == 0
 
 
 class TestCachedRunDeterminism:

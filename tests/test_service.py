@@ -7,16 +7,14 @@ import pytest
 from repro.analysis.determinism import DigestRecorder
 from repro.bench.env import Environment, RunConfig
 from repro.client import connect
-from repro.config import FaultSpec, ServiceSpec
+from repro.config import CacheSpec, FaultSpec, ServiceSpec
 from repro.core import PushdownPolicy
 from repro.engine.scheduler import SchedulerSpec
 from repro.errors import (
     ConfigError,
-    MemoryBudgetError,
     QueueFullError,
     QueueTimeoutError,
     ReproError,
-    TenantLimitError,
 )
 from repro.service import (
     JobStatus,
@@ -105,6 +103,7 @@ class TestSpec:
             ("faults", FaultSpec(transient_storage_failures={0: 1})),
             ("scheduler", SchedulerSpec(speculation=True)),
             ("strict_sanitize", False),
+            ("cache", CacheSpec()),
         ],
     )
     def test_rejects_a_job_config_the_shared_cluster_cannot_honour(
@@ -167,45 +166,6 @@ class TestAdmission:
         handle = service.submit(TPCH_Q1, schema="tpch")
         assert handle.result().rows > 0
 
-    def test_tenant_inflight_limit(self, service_env):
-        spec = ServiceSpec(per_tenant_max_inflight=1, max_queue_depth=8)
-        service = QueryService(service_env, spec)
-        handles = [
-            service.submit(TPCH_Q1, tenant="greedy", schema="tpch", at=0.0)
-            for _ in range(3)
-        ]
-        other = service.submit(TPCH_Q1, tenant="patient", schema="tpch", at=0.0)
-        service.drain()
-        codes = [
-            h.exception().code for h in handles if h.exception() is not None
-        ]
-        assert codes == ["ADMISSION_TENANT_LIMIT"] * 2
-        assert isinstance(
-            next(h.exception() for h in handles if h.exception()), TenantLimitError
-        )
-        # The limit is per tenant: another tenant is unaffected.
-        assert other.status() == str(JobStatus.SUCCEEDED)
-
-    def test_tenant_memory_budget(self, service_env):
-        spec = ServiceSpec(
-            per_tenant_memory_bytes=100,
-            default_query_memory_bytes=60,
-            max_queue_depth=8,
-        )
-        service = QueryService(service_env, spec)
-        first = service.submit(TPCH_Q1, tenant="t", schema="tpch", at=0.0)
-        second = service.submit(TPCH_Q1, tenant="t", schema="tpch", at=0.0)
-        small = service.submit(
-            TPCH_Q1, tenant="t", schema="tpch", at=0.0, memory_bytes=40
-        )
-        service.drain()
-        assert first.status() == str(JobStatus.SUCCEEDED)
-        error = second.exception()
-        assert isinstance(error, MemoryBudgetError)
-        assert error.code == "ADMISSION_MEMORY_BUDGET"
-        # 60 + 40 fits the 100-byte budget.
-        assert small.status() == str(JobStatus.SUCCEEDED)
-
     def test_queue_timeout(self, service_env):
         spec = ServiceSpec(
             max_active_queries=1, max_queue_depth=8, queue_timeout_s=1e-5
@@ -222,6 +182,36 @@ class TestAdmission:
             error = handle.exception()
             assert isinstance(error, QueueTimeoutError)
             assert error.code == "ADMISSION_QUEUE_TIMEOUT"
+
+    def test_tenant_ledgers_balance_after_every_kind_of_ending(self, service_env):
+        spec = ServiceSpec(
+            max_active_queries=1, max_queue_depth=1, queue_timeout_s=1e-5
+        )
+        service = QueryService(service_env, spec)
+        ran = service.submit(TPCH_Q1, tenant="a", schema="tpch", at=0.0)
+        waited = service.submit(TPCH_Q1, tenant="b", schema="tpch", at=0.0)
+        bounced = service.submit(TPCH_Q1, tenant="a", schema="tpch", at=0.0)
+        failed = service.submit(
+            "SELECT no_such_column FROM lineitem", tenant="b", schema="tpch", at=1.0
+        )
+        later = service.submit(LAGHOS_QUERY, tenant="b", schema="hpc", at=2.0)
+        service.drain()
+        assert [h.status() for h in (ran, waited, bounced, failed, later)] == [
+            str(JobStatus.SUCCEEDED), str(JobStatus.TIMED_OUT),
+            str(JobStatus.REJECTED), str(JobStatus.FAILED), str(JobStatus.SUCCEEDED),
+        ]
+        for tenant in ("a", "b"):
+            state = service.admission.tenant(tenant)
+            done = sorted(
+                (job for job in service.jobs
+                 if job.tenant == tenant and job.status is JobStatus.SUCCEEDED),
+                key=lambda job: job.finished,
+            )
+            assert state.running == 0
+            assert state.completed == len(done) == 1
+            assert state.served_seconds == sum(
+                job.result.execution_seconds for job in done
+            )
 
 
 class TestScheduling:
@@ -262,21 +252,6 @@ class TestScheduling:
         solo = a.latency_seconds + b.latency_seconds
         assert report.makespan_s < solo
         assert a.status() == b.status() == str(JobStatus.SUCCEEDED)
-
-    def test_backpressure_defers_but_completes(self, service_env):
-        spec = ServiceSpec(
-            max_active_queries=4,
-            max_queue_depth=32,
-            backpressure_queue_depth=1,
-            backpressure_poll_s=1e-4,
-        )
-        service = QueryService(service_env, spec)
-        handles = [
-            service.submit(TPCH_Q1, tenant="t", schema="tpch", at=0.0)
-            for _ in range(4)
-        ]
-        service.drain()
-        assert all(h.status() == str(JobStatus.SUCCEEDED) for h in handles)
 
 
 class TestIsolation:
